@@ -49,6 +49,9 @@ __all__ = [
 ]
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# shortest_interval's gamma search: grid points, then golden-section width
+_GAMMA_GRID = 101
+_GAMMA_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -111,6 +114,7 @@ def ks_critical_value(n: int, level: float = 0.01) -> float:
 def residuals(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER) -> ResidualReport:
     """Residual report of targets against per-sample parameters.
 
+    One inverse solve gives z_hat, from which u and mean_nll follow.
     Uniform residuals are clipped into the open interval at the float
     boundary (Phi saturates to exactly 0/1 for |z_hat| beyond ~39).
     """
@@ -130,7 +134,7 @@ def residuals(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER) -
     positions = np.arange(1, n + 1) / (n + 1.0)
     qq_theoretical = np.asarray(standard_normal_quantile(positions))
     qq_empirical = np.sort(z_hat)
-    mean_nll = float(np.mean(-np.asarray(tgh.log_density(y, params, cfg))))
+    mean_nll = float(np.mean(-np.asarray(tgh.log_density_from_z(z_hat, params))))
     return ResidualReport(
         z_hat=z_hat,
         u=u,
@@ -165,19 +169,16 @@ def symmetric_interval(params: TghParams, alpha: float) -> PredictionInterval:
     return PredictionInterval(lower, upper, alpha, zeros, "symmetric")
 
 
-def shortest_interval(params: TghParams, alpha: float, grid_size: int = 101,
-                      refine_tol: float = 1e-6) -> PredictionInterval:
+def shortest_interval(params: TghParams, alpha: float) -> PredictionInterval:
     """Interval of minimal length among all with coverage 1 - alpha.
 
-    A uniform gamma grid on [eps, alpha - eps] locates the basin; golden
-    section narrows it to refine_tol.  The symmetric gamma = alpha/2 is
-    always among the candidates, so the result is never longer than the
-    symmetric interval.
+    A uniform gamma grid of _GAMMA_GRID points on [eps, alpha - eps]
+    locates the basin; golden section narrows it to _GAMMA_TOL.  The
+    symmetric gamma = alpha/2 is always among the candidates, so the
+    result is never longer than the symmetric interval.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0, 1)")
-    if grid_size < 3:
-        raise ValueError("grid_size must be >= 3")
     scalar = np.ndim(params.mu) == 0
     mu = np.atleast_1d(np.asarray(params.mu, dtype=float))
     sigma = np.atleast_1d(np.asarray(params.sigma, dtype=float))
@@ -190,15 +191,15 @@ def shortest_interval(params: TghParams, alpha: float, grid_size: int = 101,
         return upper - lower
 
     eps = alpha * 1e-4
-    grid = np.linspace(eps, alpha - eps, grid_size)
-    lengths = np.stack([length(gam) for gam in grid])  # (grid_size, n)
+    grid = np.linspace(eps, alpha - eps, _GAMMA_GRID)
+    lengths = np.stack([length(gam) for gam in grid])  # (_GAMMA_GRID, n)
     best = np.argmin(lengths, axis=0)
     step = grid[1] - grid[0]
     lo = np.maximum(grid[best] - step, eps)
     hi = np.minimum(grid[best] + step, alpha - eps)
 
     a, b = lo, hi
-    while np.max(b - a) > refine_tol:
+    while np.max(b - a) > _GAMMA_TOL:
         c = b - _GOLDEN * (b - a)
         d = a + _GOLDEN * (b - a)
         take_left = length(c) < length(d)

@@ -1,6 +1,6 @@
-"""Per-sample negative log-likelihood of the g-and-h model and its exact
-gradient in (mu, sigma, g, h), plus the link layer that maps raw network
-outputs onto valid parameters and the Gaussian baseline loss.
+"""Training losses: the link layer that maps raw network outputs onto
+valid parameters, the Gaussian baseline loss, and the batch and head losses
+built on the exact g-and-h NLL and gradient in tgh.nll_and_grad.
 
 The training loss drops the additive log(2*pi)/2 constant; reported
 evaluation likelihoods (tgh.log_density) keep it, so the two differ by
@@ -14,25 +14,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from . import tgh
 from .tgh import (
     DEFAULT_SOLVER,
-    SMALL_G,
     InverseSolverConfig,
-    ShapeParams,
+    LossValueAndGrad,
     TghParams,
-    _dg_kernel,
-    _log_bracket,
-    _scaled_expm1,
+    nll_and_grad,
 )
 
 __all__ = [
     "LinkConfig",
-    "LossValueAndGrad",
     "BatchLoss",
     "link",
     "link_gaussian",
-    "nll_and_grad",
     "gaussian_nll_and_grad",
     "batch_nll",
     "tukey_head_loss",
@@ -63,19 +57,6 @@ class LinkConfig:
 
 
 DEFAULT_LINK = LinkConfig()
-
-
-@dataclass(frozen=True)
-class LossValueAndGrad:
-    """Loss value(s) and gradient w.r.t. the distribution parameters.
-
-    For a scalar sample: value is a float and grad has shape (4,)
-    (d/dmu, d/dsigma, d/dg, d/dh) — (2,) for the Gaussian loss.  For a
-    batch of n samples: value has shape (n,) and grad (n, 4) or (n, 2).
-    """
-
-    value: float | np.ndarray
-    grad: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -131,54 +112,6 @@ def link_gaussian(raw, cfg: LinkConfig = DEFAULT_LINK):
     sigma = _softplus(raw[..., 1]) + cfg.sigma_floor
     derivs = np.stack([np.ones_like(mu), expit(raw[..., 1])], axis=-1)
     return mu, sigma, derivs
-
-
-def nll_and_grad(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER):
-    """Negative log-likelihood (constant dropped) and its exact gradient.
-
-    value = log[exp(g*zh) + h*zh*(exp(g*zh)-1)/g] + log(sigma)
-            + (1+h)/2 * zh^2,   zh = tau^{-1}((y - mu)/sigma).
-
-    The gradient chains the explicit partials of the three terms through
-    the inverse-transform sensitivities; everything reuses the single
-    inverse solve performed here.
-    """
-    scalar = np.ndim(y) == 0 and np.ndim(params.mu) == 0
-    y = np.asarray(y, dtype=float)
-    mu = np.asarray(params.mu, dtype=float)
-    sigma = np.asarray(params.sigma, dtype=float)
-    g = np.asarray(params.g, dtype=float)
-    h = np.asarray(params.h, dtype=float)
-
-    z_tilde = (y - mu) / sigma
-    zh = np.asarray(tgh.tau_inverse(z_tilde, ShapeParams(g, h), cfg))
-    small = np.abs(g) < SMALL_G
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        egz = np.exp(np.where(small, 0.0, g) * zh)
-        ez = _scaled_expm1(zh, g, small)          # (exp(g*zh)-1)/g
-        dk = _dg_kernel(zh, g, small)             # [exp(u)(u-1)+1]/g^2
-        bracket = np.where(small, 1.0 + h * zh * zh, egz + h * zh * ez)
-        log_b = _log_bracket(zh, g, h, small)
-        value = log_b + np.log(sigma) + 0.5 * (1.0 + h) * zh * zh
-
-        # d(bracket)/dz, d(bracket)/dg, d(bracket)/dh at fixed z.
-        db_dz = g * egz + h * (ez + zh * egz)
-        db_dg = zh * egz + h * zh * dk
-        db_dh = zh * ez
-        # total d(value)/dz at fixed (g, h), times dz/d(param) below
-        a = db_dz / bracket + (1.0 + h) * zh
-        tau_p = bracket * np.exp(0.5 * h * zh * zh)
-
-        d_mu = a * (-1.0 / (sigma * tau_p))
-        d_sigma = 1.0 / sigma + a * (-z_tilde / (sigma * tau_p))
-        d_g = db_dg / bracket + a * (-dk / bracket)
-        d_h = db_dh / bracket + 0.5 * zh * zh + a * (-0.5 * zh * zh * ez / bracket)
-
-    grad = np.stack([d_mu, d_sigma, d_g, d_h], axis=-1)
-    if scalar:
-        return LossValueAndGrad(float(value), grad.reshape(4))
-    return LossValueAndGrad(value, grad)
 
 
 def gaussian_nll_and_grad(y, mu, sigma):

@@ -45,9 +45,6 @@ class Standardization:
     def apply(self, x: np.ndarray) -> np.ndarray:
         return (x - self.mean) / self.scale
 
-    def invert(self, x: np.ndarray) -> np.ndarray:
-        return x * self.scale + self.mean
-
 
 @dataclass
 class ModelBundle:
@@ -132,13 +129,13 @@ def _header_dict(bundle: ModelBundle) -> dict:
     }
 
 
-def _param_blob(net: Network) -> bytes:
-    parts = [p.astype("<f8").tobytes() for p in net.parameters()]
+def _blob_arrays(net: Network) -> list[np.ndarray]:
+    """The arrays of the float64 blob, in file order (writable views)."""
+    arrays = list(net.parameters())
     for bn in net.norms:
         if bn is not None:
-            parts.append(bn.running_mean.astype("<f8").tobytes())
-            parts.append(bn.running_var.astype("<f8").tobytes())
-    return b"".join(parts)
+            arrays += [bn.running_mean, bn.running_var]
+    return arrays
 
 
 def save_model(path, bundle: ModelBundle) -> None:
@@ -149,24 +146,49 @@ def save_model(path, bundle: ModelBundle) -> None:
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        fh.write(_param_blob(bundle.network))
+        fh.write(b"".join(a.astype("<f8").tobytes() for a in _blob_arrays(bundle.network)))
     with open(f"{path}.json", "w", encoding="utf-8") as fh:
         json.dump(_header_dict(bundle), fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def load_model(path) -> ModelBundle:
-    """Read a model file written by save_model."""
+    """Read a model file written by save_model.
+
+    A damaged or truncated file raises DataError naming the byte offset
+    at which reading failed.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise DataError(f"{path}: not a model file (bad magic)")
-    version, = struct.unpack_from("<I", blob, 4)
+    if len(blob) < 12:
+        raise DataError(f"{path}: truncated at byte {len(blob)}, inside the 12-byte preamble")
+    version, hlen = struct.unpack_from("<II", blob, 4)
     if version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported model format version {version}")
-    hlen, = struct.unpack_from("<I", blob, 8)
-    header = json.loads(blob[12:12 + hlen].decode("utf-8"))
+    offset = 12 + hlen
+    if len(blob) < offset:
+        raise DataError(f"{path}: truncated at byte {len(blob)}, inside the header "
+                        f"at bytes 12-{offset}")
+    try:
+        bundle = _bundle_from_header(json.loads(blob[12:offset].decode("utf-8")))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad header at byte 12: {exc!r}") from exc
 
+    arrays = _blob_arrays(bundle.network)
+    need = 8 * sum(a.size for a in arrays)
+    if len(blob) - offset != need:
+        raise DataError(f"{path}: parameter blob at byte {offset} holds "
+                        f"{len(blob) - offset} bytes, the header's network needs {need}")
+    for arr in arrays:
+        arr[...] = np.frombuffer(blob, "<f8", arr.size, offset).reshape(arr.shape)
+        offset += arr.size * 8
+    return bundle
+
+
+def _bundle_from_header(header: dict) -> ModelBundle:
+    """A ModelBundle whose network has the header's shape, not yet its weights."""
     layers = tuple(
         LayerSpec(
             in_dim=d["in_dim"],
@@ -181,24 +203,6 @@ def load_model(path) -> ModelBundle:
         late_features=header["network"]["late_features"],
         head_dim=header["network"]["head_dim"],
     )
-    net = Network(spec, seed=0)
-    offset = 12 + hlen
-
-    def read_into(arr: np.ndarray) -> None:
-        nonlocal offset
-        n = arr.size * 8
-        arr[...] = np.frombuffer(blob, dtype="<f8", count=arr.size, offset=offset).reshape(arr.shape)
-        offset += n
-
-    for p in net.parameters():
-        read_into(p)
-    for bn in net.norms:
-        if bn is not None:
-            read_into(bn.running_mean)
-            read_into(bn.running_var)
-    if offset != len(blob):
-        raise DataError(f"{path}: trailing bytes after parameter blob")
-
     st = header["data"]["standardization"]
     standardization = None
     if st is not None:
@@ -208,7 +212,7 @@ def load_model(path) -> ModelBundle:
             scale=np.asarray(st["scale"], dtype=float),
         )
     return ModelBundle(
-        network=net,
+        network=Network(spec, seed=0),
         loss_kind=header["loss"],
         link=LinkConfig(**header["link"]),
         solver=InverseSolverConfig(**header["solver"]),

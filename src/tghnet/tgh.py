@@ -1,5 +1,7 @@
 """Tukey g-and-h transform core: forward map, derivatives, numerically exact
-inverse, density, quantiles, and sampling.
+inverse, density, the exact negative log-likelihood and its gradient,
+quantiles, and sampling.  Every likelihood, residual and density starts
+from the one inverse solve in tau_inverse.
 
 The transform is
 
@@ -40,18 +42,15 @@ __all__ = [
     "tau_prime",
     "dtau_dg",
     "dtau_dh",
-    "tau_log_abs",
     "tau_inverse",
-    "dtauinv_dztilde",
-    "dtauinv_dg",
-    "dtauinv_dh",
-    "inverse_with_derivs",
     "log_density",
+    "log_density_from_z",
+    "LossValueAndGrad",
+    "nll_and_grad",
     "quantile",
     "sample",
     "standard_normal_cdf",
     "standard_normal_quantile",
-    "solver_call_count",
 ]
 
 # Below this |g| the g-dependent factors are replaced by their g->0 series:
@@ -60,15 +59,6 @@ __all__ = [
 SMALL_G = 1e-5
 
 HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-# Incremented once per inverse solve (scalar or vectorized); test diagnostics
-# only, not synchronized across threads.
-_solver_calls = 0
-
-
-def solver_call_count() -> int:
-    """Number of tau_inverse solves performed so far in this process."""
-    return _solver_calls
 
 
 def _validate_finite(name: str, value) -> np.ndarray:
@@ -270,59 +260,30 @@ def dtau_dh(z, p: ShapeParams):
     return _ret(out, scalar)
 
 
-def tau_log_abs(z, p: ShapeParams):
-    """Sign and log-magnitude of tau, valid beyond the double range.
-
-    Returns (sign, log|tau|); sign is sign(z) because tau is increasing
-    with tau(0) = 0.  Used where tau itself would saturate.
-    """
-    scalar = _is_scalar(z, p.g, p.h)
-    z = _validate_finite("z", z)
-    g = np.asarray(p.g, dtype=float)
-    h = np.asarray(p.h, dtype=float)
-    small = np.abs(g) < SMALL_G
-    g_safe = np.where(small, 1.0, g)
-    u = g_safe * z
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # log|expm1(u)|: u + log1p(-exp(-u)) for u > 0 avoids overflow.
-        log_em1 = np.where(
-            u > 0,
-            u + np.log1p(-np.exp(-u)),
-            np.log(np.abs(np.expm1(np.minimum(u, 0.0)))),
-        )
-        log_abs = np.where(
-            small,
-            np.log(np.abs(z)),
-            log_em1 - np.log(np.abs(g_safe)),
-        ) + 0.5 * h * z * z
-    sign = np.sign(z)
-    return _ret(sign, scalar), _ret(log_abs, scalar)
-
-
 def tau_inverse(z_tilde, p: ShapeParams, cfg: InverseSolverConfig = DEFAULT_SOLVER):
     """Invert tau by bracket doubling followed by pure bisection.
 
     The initial bracket [-w, w] (w = cfg.initial_half_width) is widened by
     doubling each failing endpoint until tau(lo) <= z_tilde <= tau(hi);
     bisection then halves the bracket until its width is at most
-    cfg.abs_tolerance and the midpoint is returned.  Monotonicity makes
-    this unconditionally convergent.  Saturated (+/-inf) tau values during
-    expansion compare correctly against the finite target, because a
-    saturated magnitude exceeds every representable one.
+    cfg.abs_tolerance, or its endpoints are adjacent doubles (a tolerance
+    below one ulp of the root cannot be met), and the midpoint is
+    returned.  Monotonicity makes this unconditionally convergent.
+    Saturated (+/-inf) tau values during expansion compare correctly
+    against the finite target, because a saturated magnitude exceeds every
+    representable one.
 
     Raises SolverError if no bracket is found within
     cfg.max_bracket_doublings doublings (e.g. a target outside the closure
     of the range of tau, which is bounded on one side when h = 0 and
     g != 0).
     """
-    global _solver_calls
     scalar = _is_scalar(z_tilde, p.g, p.h)
     zt = _validate_finite("z_tilde", z_tilde)
     g = np.asarray(p.g, dtype=float)
     h = np.asarray(p.h, dtype=float)
     zt, g, h = np.broadcast_arrays(zt, g, h)
     zt = zt.astype(float)
-    _solver_calls += 1
 
     shape = ShapeParams(g, h)
     lo = np.full(zt.shape, -cfg.initial_half_width)
@@ -351,9 +312,9 @@ def tau_inverse(z_tilde, p: ShapeParams, cfg: InverseSolverConfig = DEFAULT_SOLV
         )
 
     for _ in range(cfg.max_bisection_iters):
-        if np.all(hi - lo <= cfg.abs_tolerance):
-            break
         mid = 0.5 * (lo + hi)
+        if np.all((hi - lo <= cfg.abs_tolerance) | (mid == lo) | (mid == hi)):
+            break
         go_right = np.asarray(tau(mid, shape)) < zt
         lo = np.where(go_right, mid, lo)
         hi = np.where(go_right, hi, mid)
@@ -361,69 +322,96 @@ def tau_inverse(z_tilde, p: ShapeParams, cfg: InverseSolverConfig = DEFAULT_SOLV
     return _ret(out, scalar)
 
 
-def dtauinv_dztilde(z_tilde, p: ShapeParams, cfg: InverseSolverConfig = DEFAULT_SOLVER):
-    """Derivative of the inverse in its argument: 1 / tau'(tau^{-1}(z_tilde))."""
-    z_hat = tau_inverse(z_tilde, p, cfg)
-    scalar = _is_scalar(z_tilde, p.g, p.h)
-    out = 1.0 / np.asarray(tau_prime(z_hat, p))
-    return _ret(out, scalar)
-
-
-def dtauinv_dg(z_tilde, p: ShapeParams, cfg: InverseSolverConfig = DEFAULT_SOLVER):
-    """Sensitivity of the inverse to g: -dtau_dg(z_hat) / tau'(z_hat)."""
-    z_hat = tau_inverse(z_tilde, p, cfg)
-    scalar = _is_scalar(z_tilde, p.g, p.h)
-    out = -np.asarray(dtau_dg(z_hat, p)) / np.asarray(tau_prime(z_hat, p))
-    return _ret(out, scalar)
-
-
-def dtauinv_dh(z_tilde, p: ShapeParams, cfg: InverseSolverConfig = DEFAULT_SOLVER):
-    """Sensitivity of the inverse to h: -dtau_dh(z_hat) / tau'(z_hat)."""
-    z_hat = tau_inverse(z_tilde, p, cfg)
-    scalar = _is_scalar(z_tilde, p.g, p.h)
-    out = -np.asarray(dtau_dh(z_hat, p)) / np.asarray(tau_prime(z_hat, p))
-    return _ret(out, scalar)
-
-
-def inverse_with_derivs(z_tilde, p: ShapeParams, cfg: InverseSolverConfig = DEFAULT_SOLVER):
-    """One inverse solve plus all three inverse derivatives.
-
-    Returns (z_hat, d/dz_tilde, d/dg, d/dh).  The loss layer uses this to
-    keep the cost at exactly one solve per evaluation.
-    """
-    scalar = _is_scalar(z_tilde, p.g, p.h)
-    z_hat = tau_inverse(z_tilde, p, cfg)
-    tp = np.asarray(tau_prime(z_hat, p))
-    d_zt = 1.0 / tp
-    d_g = -np.asarray(dtau_dg(z_hat, p)) / tp
-    d_h = -np.asarray(dtau_dh(z_hat, p)) / tp
-    return (
-        _ret(np.asarray(z_hat), scalar),
-        _ret(d_zt, scalar),
-        _ret(d_g, scalar),
-        _ret(d_h, scalar),
-    )
-
-
 def log_density(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER):
     """Log of the g-and-h density at y, constant included.
 
-    Equals -log(sigma) - log(tau'(z_hat)) - z_hat^2/2 - log(2*pi)/2 with
-    z_hat = tau^{-1}((y - mu)/sigma); log tau' is evaluated in log space so
-    large |g*z_hat| cannot overflow.
+    One inverse solve of z_hat = tau^{-1}((y - mu)/sigma), then
+    log_density_from_z.
     """
-    scalar = _is_scalar(y, params.mu, params.sigma, params.g, params.h)
     y = _validate_finite("y", y)
     mu = np.asarray(params.mu, dtype=float)
     sigma = np.asarray(params.sigma, dtype=float)
+    z_hat = tau_inverse((y - mu) / sigma, params.shape, cfg)
+    return log_density_from_z(z_hat, params)
+
+
+def log_density_from_z(z_hat, params: TghParams):
+    """Log density at the target whose solved residual is z_hat.
+
+    Equals -log(sigma) - log(tau'(z_hat)) - z_hat^2/2 - log(2*pi)/2; log
+    tau' is evaluated in log space so large |g*z_hat| cannot overflow.
+    Callers that already hold z_hat (residual reports) skip a second solve.
+    """
+    scalar = _is_scalar(z_hat, params.mu, params.sigma, params.g, params.h)
+    z_hat = np.asarray(z_hat, dtype=float)
+    sigma = np.asarray(params.sigma, dtype=float)
     g = np.asarray(params.g, dtype=float)
     h = np.asarray(params.h, dtype=float)
-    z_tilde = (y - mu) / sigma
-    z_hat = np.asarray(tau_inverse(z_tilde, ShapeParams(g, h), cfg))
     small = np.abs(g) < SMALL_G
     log_tp = _log_bracket(z_hat, g, h, small) + 0.5 * h * z_hat * z_hat
     out = -np.log(sigma) - log_tp - 0.5 * z_hat * z_hat - HALF_LOG_TWO_PI
     return _ret(out, scalar)
+
+
+@dataclass(frozen=True)
+class LossValueAndGrad:
+    """Loss value(s) and gradient w.r.t. the distribution parameters.
+
+    For a scalar sample: value is a float and grad has shape (4,)
+    (d/dmu, d/dsigma, d/dg, d/dh) — (2,) for the Gaussian loss.  For a
+    batch of n samples: value has shape (n,) and grad (n, 4) or (n, 2).
+    """
+
+    value: float | np.ndarray
+    grad: np.ndarray
+
+
+def nll_and_grad(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER):
+    """Negative log-likelihood (constant dropped) and its exact gradient.
+
+    value = log[exp(g*zh) + h*zh*(exp(g*zh)-1)/g] + log(sigma)
+            + (1+h)/2 * zh^2,   zh = tau^{-1}((y - mu)/sigma).
+
+    The gradient chains the explicit partials of the three terms through
+    the inverse-transform sensitivities; everything reuses the single
+    inverse solve performed here.
+    """
+    scalar = np.ndim(y) == 0 and np.ndim(params.mu) == 0
+    y = np.asarray(y, dtype=float)
+    mu = np.asarray(params.mu, dtype=float)
+    sigma = np.asarray(params.sigma, dtype=float)
+    g = np.asarray(params.g, dtype=float)
+    h = np.asarray(params.h, dtype=float)
+
+    z_tilde = (y - mu) / sigma
+    zh = np.asarray(tau_inverse(z_tilde, ShapeParams(g, h), cfg))
+    small = np.abs(g) < SMALL_G
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        egz = np.exp(np.where(small, 0.0, g) * zh)
+        ez = _scaled_expm1(zh, g, small)          # (exp(g*zh)-1)/g
+        dk = _dg_kernel(zh, g, small)             # [exp(u)(u-1)+1]/g^2
+        bracket = np.where(small, 1.0 + h * zh * zh, egz + h * zh * ez)
+        log_b = _log_bracket(zh, g, h, small)
+        value = log_b + np.log(sigma) + 0.5 * (1.0 + h) * zh * zh
+
+        # d(bracket)/dz, d(bracket)/dg, d(bracket)/dh at fixed z.
+        db_dz = g * egz + h * (ez + zh * egz)
+        db_dg = zh * egz + h * zh * dk
+        db_dh = zh * ez
+        # total d(value)/dz at fixed (g, h), times dz/d(param) below
+        a = db_dz / bracket + (1.0 + h) * zh
+        tau_p = bracket * np.exp(0.5 * h * zh * zh)
+
+        d_mu = a * (-1.0 / (sigma * tau_p))
+        d_sigma = 1.0 / sigma + a * (-z_tilde / (sigma * tau_p))
+        d_g = db_dg / bracket + a * (-dk / bracket)
+        d_h = db_dh / bracket + 0.5 * zh * zh + a * (-0.5 * zh * zh * ez / bracket)
+
+    grad = np.stack([d_mu, d_sigma, d_g, d_h], axis=-1)
+    if scalar:
+        return LossValueAndGrad(float(value), grad.reshape(4))
+    return LossValueAndGrad(value, grad)
 
 
 def quantile(alpha, params: TghParams):

@@ -16,3 +16,16 @@ def pytest_runtest_makereport(item, call):
     terminal = item.config.pluginmanager.get_plugin("terminalreporter")
     if terminal is not None:
         terminal.write_line(f"[acceptance] criterion {number} ({title}): {status}")
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Wrap module.name so each call appends to the returned list."""
+
+    def install(module, name):
+        calls = []
+        inner = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or inner(*a, **k))
+        return calls
+
+    return install

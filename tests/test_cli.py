@@ -7,6 +7,8 @@ import pytest
 
 from tghnet.cli import main
 from tghnet.data import load_csv
+from tghnet.errors import DataError
+from tghnet.nn import load_model
 
 CONFIG = {
     "seed": 0,
@@ -143,6 +145,30 @@ class TestEvaluate:
         assert main(["evaluate", "--model", str(trained_model), "--data",
                      str(sim_csv), "--split", "test",
                      "--out", str(tmp_path / "e")]) == 3
+
+    def test_damaged_model_exits_3(self, tmp_path, trained_model, sim_csv):
+        good = trained_model.read_bytes()
+        hlen = int.from_bytes(good[8:12], "little")
+        net = load_model(trained_model).network
+        stats_at = 12 + hlen + 8 * sum(p.size for p in net.parameters())
+        # a cut at the start and in the middle of every section
+        cuts = [0, 2, 4, 6, 8, 10, 12, 12 + hlen // 2, 12 + hlen,
+                (12 + hlen + stats_at) // 2, stats_at, len(good) - 4]
+        header = json.loads(good[12:12 + hlen])
+        del header["loss"]
+        keyless = json.dumps(header).encode()
+        damaged = [good[:cut] for cut in cuts] + [
+            good + b"\0",
+            good[:12] + b"[" + good[13:],
+            good[:8] + len(keyless).to_bytes(4, "little") + keyless + good[12 + hlen:],
+        ]
+        path = tmp_path / "damaged.tghn"
+        for blob in damaged:
+            path.write_bytes(blob)
+            with pytest.raises(DataError, match="damaged.tghn"):
+                load_model(path)
+            assert main(["evaluate", "--model", str(path), "--data", str(sim_csv),
+                         "--split", "val", "--out", str(tmp_path / "e")]) == 3
 
     def test_qq_svg_written(self, tmp_path, trained_model, sim_csv):
         svg = tmp_path / "qq.svg"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import optimize, stats
 
+from tghnet import tgh
 from tghnet.data import load_csv
 from tghnet.evaluate import (
     binned_residual_summary,
@@ -78,6 +79,15 @@ class TestResiduals:
         params = TghParams(np.zeros(1), np.ones(1), np.zeros(1), np.zeros(1))
         report = residuals(y, params)
         assert report.mean_nll == pytest.approx(0.5 * math.log(2 * math.pi), abs=1e-10)
+
+    def test_exactly_one_solve(self, count_calls):
+        params = TghParams(*(np.full(200, v) for v in (0.5, 1.5, 0.6, 0.2)))
+        y = sample(params, 200, seed=4)
+        want = float(np.mean(-np.asarray(tgh.log_density(y, params))))
+        solves = count_calls(tgh, "tau_inverse")
+        report = residuals(y, params)
+        assert len(solves) == 1
+        assert report.mean_nll == want
 
 
 class TestKs:
@@ -179,10 +189,6 @@ class TestShortestInterval:
         y = sample(params, 10**6, seed=7)
         cov = interval_coverage(y, iv.lower, iv.upper)
         assert cov == pytest.approx(0.9, abs=3 * math.sqrt(0.1 * 0.9 / 10**6))
-
-    def test_grid_size_validation(self):
-        with pytest.raises(ValueError):
-            shortest_interval(TghParams(0.0, 1.0, 0.0, 0.0), 0.05, grid_size=2)
 
 
 class TestDensityCurve:

@@ -138,14 +138,13 @@ class TestNllAndGrad:
             ).value + math.log(s)
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
-    def test_exactly_one_solve_per_evaluation(self):
-        before = tgh.solver_call_count()
+    def test_exactly_one_solve_per_evaluation(self, count_calls):
+        solves = count_calls(tgh, "tau_inverse")
         nll_and_grad(0.4, TghParams(0.1, 1.0, 0.3, 0.2))
-        assert tgh.solver_call_count() == before + 1
-        before = tgh.solver_call_count()
+        assert len(solves) == 1
         batch_nll(np.array([0.1, 0.2, 0.3]), TghParams(
             np.zeros(3), np.ones(3), np.zeros(3), np.zeros(3)))
-        assert tgh.solver_call_count() == before + 1
+        assert len(solves) == 2
 
 
 class TestGaussianLoss:

@@ -19,10 +19,6 @@ from tghnet.tgh import (
     TghParams,
     dtau_dg,
     dtau_dh,
-    dtauinv_dg,
-    dtauinv_dh,
-    dtauinv_dztilde,
-    inverse_with_derivs,
     log_density,
     quantile,
     sample,
@@ -30,7 +26,6 @@ from tghnet.tgh import (
     standard_normal_quantile,
     tau,
     tau_inverse,
-    tau_log_abs,
     tau_prime,
 )
 
@@ -222,10 +217,24 @@ class TestTauInverse:
         with pytest.raises(ValueError):
             tau_inverse(math.inf, ShapeParams(0.0, 0.0))
 
-    def test_solve_counter_increments(self):
-        before = tgh.solver_call_count()
-        tau_inverse(0.5, ShapeParams(0.2, 0.1))
-        assert tgh.solver_call_count() == before + 1
+    def test_solve_counter_increments(self, count_calls):
+        # a vectorised log_density over many rows is a single solve
+        solves = count_calls(tgh, "tau_inverse")
+        log_density(np.linspace(-3.0, 3.0, 50), TghParams(0.1, 1.0, 0.2, 0.1))
+        assert len(solves) == 1
+
+    def test_sub_ulp_tolerance_stops_at_adjacent_doubles(self, count_calls):
+        # one ulp of 9.2 is 1.8e-15, so a 1e-15 bracket width is unreachable
+        calls = count_calls(tgh, "tau")
+        out = tau_inverse(9.2, ShapeParams(0.0, 0.0), TIGHT)
+        assert len(calls) <= 60
+        assert abs(out - 9.2) <= np.spacing(9.2)
+        calls.clear()
+        batch = np.linspace(-3.0, 3.0, 512)
+        batch[7] = 9.2
+        out = tau_inverse(batch, ShapeParams(0.0, 0.0), TIGHT)
+        assert len(calls) <= 60
+        assert abs(out[7] - 9.2) <= np.spacing(9.2)
 
     def test_vectorized_broadcast(self):
         zt = np.array([0.0, 1.0, -2.0])
@@ -238,21 +247,32 @@ class TestTauInverse:
             )
 
 
+def _inverse_sensitivities(zt, p, cfg=tgh.DEFAULT_SOLVER):
+    """Implicit-function derivatives of tau^{-1}(zt) in zt, g and h."""
+    z_hat = tau_inverse(zt, p, cfg)
+    slope = tau_prime(z_hat, p)
+    return 1.0 / slope, -dtau_dg(z_hat, p) / slope, -dtau_dh(z_hat, p) / slope
+
+
 class TestInverseDerivatives:
     def test_trivial_values(self):
         p = ShapeParams(0.4, 0.2)
-        assert dtauinv_dztilde(0.0, p) == pytest.approx(1.0, abs=1e-9)
-        assert dtauinv_dztilde(2.0, ShapeParams(0.0, 0.0)) == pytest.approx(1.0, abs=1e-9)
-        assert dtauinv_dg(0.0, p) == pytest.approx(0.0, abs=1e-9)
-        assert dtauinv_dh(0.0, p) == pytest.approx(0.0, abs=1e-9)
+        d_zt, d_g, d_h = _inverse_sensitivities(0.0, p)
+        assert d_zt == pytest.approx(1.0, abs=1e-9)
+        assert _inverse_sensitivities(2.0, ShapeParams(0.0, 0.0))[0] == pytest.approx(
+            1.0, abs=1e-9
+        )
+        assert d_g == pytest.approx(0.0, abs=1e-9)
+        assert d_h == pytest.approx(0.0, abs=1e-9)
 
     def test_dg_series_value_at_identity(self):
         # -(z^2/2)/1 at z_hat = 1
-        assert dtauinv_dg(1.0, ShapeParams(0.0, 0.0)) == pytest.approx(-0.5, abs=1e-9)
+        d_g = _inverse_sensitivities(1.0, ShapeParams(0.0, 0.0))[1]
+        assert d_g == pytest.approx(-0.5, abs=1e-9)
 
     def test_dztilde_is_reciprocal_slope(self):
         p = ShapeParams(0.5, 0.1)
-        assert dtauinv_dztilde(TAU_1_05_01, p) == pytest.approx(
+        assert _inverse_sensitivities(TAU_1_05_01, p)[0] == pytest.approx(
             1.0 / TAU_PRIME_1_05_01, rel=1e-10
         )
 
@@ -260,42 +280,19 @@ class TestInverseDerivatives:
         p = ShapeParams(0.5, 0.1)
         zt = TAU_1_05_01
         eps = 1e-6
+        d_zt, d_g, d_h = _inverse_sensitivities(zt, p, TIGHT)
         fd_zt = (tau_inverse(zt + eps, p, TIGHT) - tau_inverse(zt - eps, p, TIGHT)) / (2 * eps)
-        np.testing.assert_allclose(dtauinv_dztilde(zt, p, TIGHT), fd_zt, rtol=1e-5)
+        np.testing.assert_allclose(d_zt, fd_zt, rtol=1e-5)
         fd_g = (
             tau_inverse(zt, ShapeParams(0.5 + eps, 0.1), TIGHT)
             - tau_inverse(zt, ShapeParams(0.5 - eps, 0.1), TIGHT)
         ) / (2 * eps)
-        np.testing.assert_allclose(dtauinv_dg(zt, p, TIGHT), fd_g, rtol=1e-5)
+        np.testing.assert_allclose(d_g, fd_g, rtol=1e-5)
         fd_h = (
             tau_inverse(zt, ShapeParams(0.5, 0.1 + eps), TIGHT)
             - tau_inverse(zt, ShapeParams(0.5, 0.1 - eps), TIGHT)
         ) / (2 * eps)
-        np.testing.assert_allclose(dtauinv_dh(zt, p, TIGHT), fd_h, rtol=1e-5)
-
-    def test_combined_solve_matches_individual_ops(self):
-        p = ShapeParams(-0.3, 0.25)
-        zt = 0.8
-        z_hat, d_zt, d_g, d_h = inverse_with_derivs(zt, p, TIGHT)
-        assert z_hat == pytest.approx(tau_inverse(zt, p, TIGHT))
-        assert d_zt == pytest.approx(dtauinv_dztilde(zt, p, TIGHT), rel=1e-12)
-        assert d_g == pytest.approx(dtauinv_dg(zt, p, TIGHT), rel=1e-12)
-        assert d_h == pytest.approx(dtauinv_dh(zt, p, TIGHT), rel=1e-12)
-
-
-class TestTauLogAbs:
-    def test_matches_log_of_tau_in_range(self):
-        p = ShapeParams(0.8, 0.3)
-        for z in (-3.0, -0.5, 0.7, 4.0):
-            sign, log_abs = tau_log_abs(z, p)
-            value = tau(z, p)
-            assert sign == np.sign(value)
-            assert log_abs == pytest.approx(math.log(abs(value)), rel=1e-12)
-
-    def test_valid_beyond_overflow(self):
-        sign, log_abs = tau_log_abs(120.0, ShapeParams(1.0, 0.5))
-        assert sign == 1.0
-        assert log_abs == pytest.approx(120.0 + 0.25 * 120.0**2, rel=1e-6)
+        np.testing.assert_allclose(d_h, fd_h, rtol=1e-5)
 
 
 class TestLogDensity:

@@ -150,7 +150,7 @@ def cmd_train(args) -> int:
     history = train(
         net, dataset.x, dataset.y,
         dataset.rows("train"), dataset.rows("val"),
-        cfg.loss, cfg.adam, cfg.train_config(), cfg.link, cfg.solver,
+        cfg.loss, cfg.adam, cfg.training, cfg.link, cfg.solver,
     )
     bundle = ModelBundle(
         network=net,
@@ -184,7 +184,7 @@ def cmd_train(args) -> int:
             title="mean loss per epoch", xlabel="epoch", ylabel="loss",
         )
     best = history.best_epoch if history.best_epoch is not None else -1
-    print(f"trained {cfg.loss} head for {cfg.epochs} epochs; "
+    print(f"trained {cfg.loss} head for {cfg.training.epochs} epochs; "
           f"best validation loss at epoch {best}")
     return 0
 
@@ -303,6 +303,12 @@ def cmd_density(args) -> int:
         return 2
     if not points:
         print("no feature points given", file=sys.stderr)
+        return 2
+    if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) < 0):
+        print("--y-grid needs finite min <= max", file=sys.stderr)
+        return 2
+    if not all(np.all(np.isfinite(pt)) for pt in points):
+        print("--features must be finite", file=sys.stderr)
         return 2
     bundle = load_model(args.model)
     width = len(bundle.feature_columns)

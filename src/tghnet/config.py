@@ -67,13 +67,11 @@ class ExperimentConfig:
     features: tuple[str, ...]
     split: FractionSplit | ByColumnSplit
     hidden: tuple[int, ...]
-    epochs: int
+    training: TrainConfig
     late_columns: tuple[str, ...] = ()
     standardize: bool = True
     batch_norm: bool = True
     seed: int = 0
-    batch_size: int = 4096
-    clip_norm: float | None = 10.0
     adam: AdamConfig = field(default_factory=AdamConfig)
     link: LinkConfig = field(default_factory=LinkConfig)
     solver: InverseSolverConfig = field(default_factory=InverseSolverConfig)
@@ -81,14 +79,6 @@ class ExperimentConfig:
     @property
     def head_dim(self) -> int:
         return 4 if self.loss == "tukey" else 2
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            seed=self.seed,
-            clip_norm=self.clip_norm,
-        )
 
 
 def _check_keys(section: dict, where: str, required: tuple[str, ...],
@@ -166,6 +156,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _check_keys(training, "training", ("epochs",), ("batch_size", "clip_norm"))
 
     try:
+        seed = int(raw.get("seed", 0))
+        clip = training.get("clip_norm", TrainConfig.clip_norm)
+        train_cfg = TrainConfig(
+            epochs=int(training["epochs"]),
+            batch_size=int(training.get("batch_size", TrainConfig.batch_size)),
+            seed=seed,
+            clip_norm=None if clip is None else float(clip),
+        )
+        split = _parse_split(raw["split"])
         adam = AdamConfig(**{
             **raw.get("optimizer", {}),
             **(
@@ -176,12 +175,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         })
         link = LinkConfig(**raw.get("link", {}))
         solver = InverseSolverConfig(**raw.get("solver", {}))
-    except TypeError as exc:
-        raise ConfigError(f"unknown key: {exc}") from None
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
-    clip = training.get("clip_norm", 10.0)
     return ExperimentConfig(
         loss=loss,
         target=data["target"],
@@ -190,11 +186,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         standardize=bool(data.get("standardize", True)),
         hidden=tuple(hidden),
         batch_norm=bool(network.get("batch_norm", True)),
-        epochs=int(training["epochs"]),
-        batch_size=int(training.get("batch_size", 4096)),
-        clip_norm=None if clip is None else float(clip),
-        seed=int(raw.get("seed", 0)),
-        split=_parse_split(raw["split"]),
+        training=train_cfg,
+        seed=seed,
+        split=split,
         adam=adam,
         link=link,
         solver=solver,

@@ -9,9 +9,10 @@ KS distance of u from uniform, and the mean negative log-likelihood
 
 Intervals: the symmetric variant places alpha/2 in each tail; the shortest
 variant spends the tail budget asymmetrically, minimizing
-sigma * (tau(z_{1-gamma}) - tau(-z_{1-alpha+gamma})) over gamma in
-[0, alpha] by a coarse grid plus golden-section refinement.  Coverage is
-exactly 1 - alpha for every gamma by construction.
+sigma * (tau(z_{1-gamma}) - tau(-z_{1-alpha+gamma})) over the upper-tail
+mass gamma.  Coverage is exactly 1 - alpha for every gamma by
+construction.  The minimizer has equal density at both ends (Casella &
+Berger, Statistical Inference, Thm 9.3.2), found by bisection in gamma.
 """
 
 from __future__ import annotations
@@ -48,10 +49,8 @@ __all__ = [
     "write_summary_json",
 ]
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-# shortest_interval's gamma search: grid points, then golden-section width
-_GAMMA_GRID = 101
-_GAMMA_TOL = 1e-6
+# shortest_interval's bisection stops at this gamma bracket width
+_GAMMA_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -172,10 +171,14 @@ def symmetric_interval(params: TghParams, alpha: float) -> PredictionInterval:
 def shortest_interval(params: TghParams, alpha: float) -> PredictionInterval:
     """Interval of minimal length among all with coverage 1 - alpha.
 
-    A uniform gamma grid of _GAMMA_GRID points on [eps, alpha - eps]
-    locates the basin; golden section narrows it to _GAMMA_TOL.  The
-    symmetric gamma = alpha/2 is always among the candidates, so the
-    result is never longer than the symmetric interval.
+    With gamma the upper-tail mass, d(length)/d(gamma) has the sign of
+    1/f(lower) - 1/f(upper): the length falls while the lower end is the
+    denser one and rises after, a single sign change for the unimodal
+    g-and-h density.  Bisection on the sign of log f(lower) - log f(upper)
+    narrows [eps, alpha - eps] to _GAMMA_TOL; the shortest of the bracket
+    ends, their midpoint and the symmetric gamma = alpha/2 is returned, so
+    an optimum at the edge of the range is kept and the result is never
+    longer than the symmetric interval.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0, 1)")
@@ -186,33 +189,22 @@ def shortest_interval(params: TghParams, alpha: float) -> PredictionInterval:
     h = np.broadcast_to(np.asarray(params.h, dtype=float), mu.shape)
     vec = TghParams(mu, sigma, g, h)
 
-    def length(gamma):
-        lower, upper = _interval_at_gamma(vec, alpha, gamma)
-        return upper - lower
-
     eps = alpha * 1e-4
-    grid = np.linspace(eps, alpha - eps, _GAMMA_GRID)
-    lengths = np.stack([length(gam) for gam in grid])  # (_GAMMA_GRID, n)
-    best = np.argmin(lengths, axis=0)
-    step = grid[1] - grid[0]
-    lo = np.maximum(grid[best] - step, eps)
-    hi = np.minimum(grid[best] + step, alpha - eps)
-
-    a, b = lo, hi
+    a = np.full_like(mu, eps)
+    b = np.full_like(mu, alpha - eps)
     while np.max(b - a) > _GAMMA_TOL:
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        take_left = length(c) < length(d)
-        b = np.where(take_left, d, b)
-        a = np.where(take_left, a, c)
-    gamma_star = 0.5 * (a + b)
+        mid = 0.5 * (a + b)
+        z_ends = np.stack([-standard_normal_quantile(1.0 - alpha + mid),
+                           standard_normal_quantile(1.0 - mid)])
+        log_f = tgh.log_density_from_z(z_ends, vec)
+        lower_denser = log_f[0] > log_f[1]
+        a = np.where(lower_denser, mid, a)
+        b = np.where(lower_denser, b, mid)
 
-    # candidate set: refined optimum and the exact symmetric split
-    cand = np.stack([gamma_star, np.full_like(gamma_star, alpha / 2.0)])
-    cand_len = np.stack([length(gam) for gam in cand])
-    pick = np.argmin(cand_len, axis=0)
-    gamma_star = cand[pick, np.arange(len(gamma_star))]
-    lower, upper = _interval_at_gamma(vec, alpha, gamma_star)
+    cand = np.stack([a, b, 0.5 * (a + b), np.full_like(a, alpha / 2.0)])
+    lower, upper = _interval_at_gamma(vec, alpha, cand)
+    pick = np.argmin(upper - lower, axis=0), np.arange(len(mu))
+    gamma_star, lower, upper = cand[pick], lower[pick], upper[pick]
     if scalar:
         return PredictionInterval(
             float(lower[0]), float(upper[0]), alpha, float(gamma_star[0]), "shortest"

@@ -250,6 +250,15 @@ class TestDensity:
                      "0.5", "--y-grid", "oops",
                      "--out", str(tmp_path / "d.csv")]) == 2
 
+    @pytest.mark.parametrize("features, grid, message", [
+        ("0.5", "--y-grid=10:-10:5", "--y-grid"),
+        ("nan", "--y-grid=-1:1:11", "--features"),
+    ], ids=["descending_grid", "nan_feature"])
+    def test_bad_values_exit_2(self, tmp_path, capsys, trained_model, features, grid, message):
+        assert main(["density", "--model", str(trained_model), "--features",
+                     features, grid, "--out", str(tmp_path / "d.csv")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_wrong_feature_width_exits_2(self, tmp_path, trained_model):
         assert main(["density", "--model", str(trained_model), "--features",
                      "0.5,0.6", "--y-grid=-1:1:11",

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from tghnet.cli import main
 from tghnet.config import ByColumnSplit, FractionSplit, load_config, parse_config
 from tghnet.errors import ConfigError
 
@@ -20,7 +21,8 @@ def test_minimal_config_defaults():
     cfg = parse_config(json.loads(json.dumps(MINIMAL)))
     assert cfg.loss == "tukey"
     assert cfg.head_dim == 4
-    assert cfg.batch_size == 4096
+    assert cfg.training.batch_size == 4096
+    assert cfg.training.clip_norm == 10.0
     assert cfg.adam.lr == 1e-4
     assert cfg.adam.lr_drop_epochs == (10, 15, 20, 30, 40)
     assert cfg.link.h_max == 0.5
@@ -122,3 +124,22 @@ def test_optimizer_overrides_roundtrip():
     assert cfg.adam.lr_drop_epochs == (5, 9)
     assert cfg.link.h_max == 0.4
     assert cfg.solver.abs_tolerance == 1e-10
+
+
+@pytest.mark.parametrize("section, values", [
+    ("training", {"epochs": -1}),
+    ("training", {"epochs": 2, "batch_size": 0}),
+    ("training", {"epochs": 2, "clip_norm": -1}),
+    ("training", {"epochs": "two"}),
+    ("split", {"rule": "fraction", "fraction": "abc"}),
+], ids=["negative_epochs", "zero_batch_size", "negative_clip_norm", "string_epochs",
+        "string_fraction"])
+def test_bad_values_are_config_errors(tmp_path, capsys, section, values):
+    raw = dict(json.loads(json.dumps(MINIMAL)), **{section: values})
+    with pytest.raises(ConfigError):
+        parse_config(raw)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["train", "--config", str(path), "--data", str(tmp_path / "d.csv"),
+                 "--out", str(tmp_path / "m.tghn")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")

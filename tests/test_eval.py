@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize, stats
 
 from tghnet import tgh
@@ -23,6 +25,7 @@ from tghnet.evaluate import (
     write_report_csv,
     write_summary_json,
 )
+from tghnet.loss import LinkConfig
 from tghnet.tgh import ShapeParams, TghParams, sample, standard_normal_cdf, tau, tau_prime
 
 Z_975 = 1.9599639845400542
@@ -182,6 +185,45 @@ class TestShortestInterval:
                 stats.norm.ppf(1 - gamma)
             ) - standard_normal_cdf(-stats.norm.ppf(1 - alpha + gamma))
             assert mass == pytest.approx(1 - alpha, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2, 0.5])
+    def test_never_longer_than_brute_force_gamma_grid(self, alpha):
+        # oracle: the shortest of 20001 gammas on [eps, alpha - eps], ends
+        # included; the edge rows have their optimum at an end of that range
+        rng = np.random.default_rng(11)
+        edge_g = [-1.9, 1.97, 2.0, -2.0, 2.0, -2.0]
+        edge_h = [3e-4, 5e-4, 0.0, 0.0, 0.5, 0.5]
+        g = np.concatenate([rng.uniform(-2.0, 2.0, 60), edge_g])
+        h = np.concatenate([rng.uniform(0.0, 0.5, 60), edge_h])
+        shape = ShapeParams(g, h)
+        eps = alpha * 1e-4
+        best = np.full(len(g), np.inf)
+        for gammas in np.array_split(np.linspace(eps, alpha - eps, 20001), 20):
+            z_lo = -stats.norm.ppf(1.0 - alpha + gammas[:, None])
+            z_hi = stats.norm.ppf(1.0 - gammas[:, None])
+            best = np.minimum(best, np.min(tau(z_hi, shape) - tau(z_lo, shape), axis=0))
+        iv = shortest_interval(TghParams(np.zeros_like(g), np.ones_like(g), g, h), alpha)
+        assert np.all(iv.upper - iv.lower <= best * (1.0 + 1e-9))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        g=st.floats(-LinkConfig().g_max, LinkConfig().g_max),
+        h=st.floats(0.0, LinkConfig().h_max),
+        alpha=st.sampled_from([0.01, 0.05, 0.2, 0.5, 0.9]),
+    )
+    def test_unimodal_density_and_exact_coverage(self, g, h, alpha):
+        # the bisection needs one sign change of d(log f)/dz, i.e. a unimodal
+        # density, over the whole (g, h) box the link can produce
+        params = TghParams(0.0, 1.0, g, h)
+        slope_sign = np.sign(np.diff(tgh.log_density_from_z(np.linspace(-12, 12, 2401), params)))
+        slope_sign = slope_sign[slope_sign != 0]
+        assert np.count_nonzero(slope_sign[1:] != slope_sign[:-1]) == 1
+        # mass between the returned endpoints, solved back to z-space
+        iv = shortest_interval(params, alpha)
+        z_lo = tgh.tau_inverse(iv.lower, params.shape)
+        z_hi = tgh.tau_inverse(iv.upper, params.shape)
+        mass = standard_normal_cdf(z_hi) - standard_normal_cdf(z_lo)
+        assert mass == pytest.approx(1.0 - alpha, abs=1e-12)
 
     def test_monte_carlo_coverage_independent_of_skew(self):
         params = TghParams(0.0, 1.0, 1.0, 0.2)

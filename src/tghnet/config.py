@@ -107,6 +107,19 @@ def _number_list(value, where: str) -> tuple[float, ...]:
     return tuple(float(v) for v in value)
 
 
+def _int(value, where: str) -> int:
+    # bool is an int subclass, and int() would truncate 2.7 or parse "256"
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _bool(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: expected true or false, got {value!r}")
+    return value
+
+
 def _parse_split(section: dict) -> FractionSplit | ByColumnSplit:
     if not isinstance(section, dict) or "rule" not in section:
         raise ConfigError("split: expected an object with a 'rule' key")
@@ -114,7 +127,8 @@ def _parse_split(section: dict) -> FractionSplit | ByColumnSplit:
     if rule == "fraction":
         _check_keys(section, "split", ("rule", "fraction"), ("seed",))
         return FractionSplit(
-            fraction=float(section["fraction"]), seed=int(section.get("seed", 0))
+            fraction=float(section["fraction"]),
+            seed=_int(section.get("seed", 0), "split.seed"),
         )
     if rule == "by_column_values":
         _check_keys(section, "split", ("rule", "column", "val_values", "test_values"))
@@ -149,18 +163,24 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _check_keys(network, "network", ("hidden",), ("batch_norm",))
     hidden = network["hidden"]
     if (not isinstance(hidden, list) or not hidden
-            or not all(isinstance(v, int) and v >= 1 for v in hidden)):
+            or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1
+                       for v in hidden)):
         raise ConfigError("network.hidden: expected a non-empty list of ints >= 1")
 
     training = raw["training"]
     _check_keys(training, "training", ("epochs",), ("batch_size", "clip_norm"))
 
+    seed = _int(raw.get("seed", 0), "seed")
+    solver_raw = raw.get("solver", {})
+    for key in ("max_bisection_iters", "max_bracket_doublings"):
+        if isinstance(solver_raw, dict) and key in solver_raw:
+            _int(solver_raw[key], f"solver.{key}")
     try:
-        seed = int(raw.get("seed", 0))
         clip = training.get("clip_norm", TrainConfig.clip_norm)
         train_cfg = TrainConfig(
-            epochs=int(training["epochs"]),
-            batch_size=int(training.get("batch_size", TrainConfig.batch_size)),
+            epochs=_int(training["epochs"], "training.epochs"),
+            batch_size=_int(training.get("batch_size", TrainConfig.batch_size),
+                            "training.batch_size"),
             seed=seed,
             clip_norm=None if clip is None else float(clip),
         )
@@ -174,7 +194,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             ),
         })
         link = LinkConfig(**raw.get("link", {}))
-        solver = InverseSolverConfig(**raw.get("solver", {}))
+        solver = InverseSolverConfig(**solver_raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -183,9 +203,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         target=data["target"],
         features=features,
         late_columns=late,
-        standardize=bool(data.get("standardize", True)),
+        standardize=_bool(data.get("standardize", True), "data.standardize"),
         hidden=tuple(hidden),
-        batch_norm=bool(network.get("batch_norm", True)),
+        batch_norm=_bool(network.get("batch_norm", True), "network.batch_norm"),
         training=train_cfg,
         seed=seed,
         split=split,

@@ -8,8 +8,9 @@ The transform is
     tau(z) = ((exp(g*z) - 1) / g) * exp(h * z^2 / 2)
 
 continuously extended to ``z * exp(h*z^2/2)`` at g = 0.  For h >= 0 it is
-strictly increasing in z, so its inverse can be found by bisection to any
-requested tolerance; there is no closed form.  A variable
+strictly increasing in z, so its inverse can be bracketed and found to any
+requested tolerance by Newton steps that fall back to bisection; there is
+no closed form.  A variable
 ``mu + sigma * tau(Z)`` with Z standard normal follows the g-and-h
 distribution: g controls skewness, h tail weight, and (g, h) = (0, 0)
 recovers the normal distribution.
@@ -19,7 +20,7 @@ and return a scalar when every input is scalar.  They are pure and safe to
 call concurrently.  When an exp term exceeds the double range the forward
 map saturates to +/-inf with the correct sign rather than producing NaN;
 a saturated value compares correctly against any finite target, which is
-what the bisection solver relies on.
+what the solver's bracket relies on.
 """
 
 from __future__ import annotations
@@ -116,12 +117,14 @@ class TghParams:
 
 @dataclass(frozen=True)
 class InverseSolverConfig:
-    """Bracketing and bisection controls for the transform inverse.
+    """Bracketing and iteration controls for the transform inverse.
 
-    abs_tolerance is the bracket width (in z units) at which bisection
-    stops; the returned midpoint is within half that of the true root.
-    Bracketing starts at [-initial_half_width, +initial_half_width] and
-    doubles each endpoint that does not yet enclose the target.
+    abs_tolerance is the Newton step or bracket width (in z units) at which
+    a row stops.  max_bisection_iters caps the iterations of either kind,
+    Newton or bisection; the name predates the Newton steps and is kept so
+    that saved models and configs still load.  Bracketing starts at
+    [-initial_half_width, +initial_half_width] and doubles each endpoint
+    that does not yet enclose the target.
     """
 
     abs_tolerance: float = 1e-12
@@ -260,23 +263,55 @@ def dtau_dh(z, p: ShapeParams):
     return _ret(out, scalar)
 
 
+def _tau_and_prime(z, g, h, small, g_safe):
+    """tau(z) and tau'(z) from one expm1 and one exp, with no input checks.
+
+    small marks |g| < SMALL_G and g_safe is g with 1.0 on those rows, so
+    ez = (exp(g*z) - 1)/g falls back to its limit z there; then
+    tau = ez * exp(h*z^2/2) and tau' = (1 + g*ez + h*z*ez) * exp(h*z^2/2),
+    computed as exp(h*z^2/2) + (g + h*z) * tau.  Overflow saturates tau to
+    +/-inf; tau' may then be inf or NaN, which the solver treats as a
+    Newton step outside the bracket.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ez = np.where(small, z, np.expm1(g_safe * z) / g_safe)
+        eh = np.exp(0.5 * h * z * z)
+        t = ez * eh
+        return t, eh + (g + h * z) * t
+
+
+def _row_error(message: str, bad: np.ndarray, zt, g, h) -> SolverError:
+    """SolverError naming the first row flagged in bad."""
+    i = np.unravel_index(np.argmax(bad), bad.shape) if bad.ndim else ()
+    return SolverError(
+        f"{message} at sample index {i[0] if len(i) == 1 else i}: "
+        f"z_tilde={zt[i]!r}, g={g[i]!r}, h={h[i]!r}"
+    )
+
+
 def tau_inverse(z_tilde, p: ShapeParams, cfg: InverseSolverConfig = DEFAULT_SOLVER):
-    """Invert tau by bracket doubling followed by pure bisection.
+    """Invert tau by bracket doubling followed by safeguarded Newton steps.
 
     The initial bracket [-w, w] (w = cfg.initial_half_width) is widened by
-    doubling each failing endpoint until tau(lo) <= z_tilde <= tau(hi);
-    bisection then halves the bracket until its width is at most
-    cfg.abs_tolerance, or its endpoints are adjacent doubles (a tolerance
-    below one ulp of the root cannot be met), and the midpoint is
-    returned.  Monotonicity makes this unconditionally convergent.
-    Saturated (+/-inf) tau values during expansion compare correctly
-    against the finite target, because a saturated magnitude exceeds every
-    representable one.
+    doubling each failing endpoint until tau(lo) <= z_tilde <= tau(hi).
+    Every row then starts at z = 0 and takes Newton steps on
+    F(z) = asinh(tau(z)) - asinh(z_tilde), which is far less curved than
+    tau itself in the exp(h*z^2/2) tail, while the sign of
+    tau(z) - z_tilde narrows [lo, hi].  A row bisects instead when the
+    Newton point leaves the bracket or would not halve the step before
+    last (rtsafe, Numerical Recipes section 9.4), so convergence is
+    unconditional.  A row stops when its step or its bracket is at most
+    cfg.abs_tolerance, when the bracket ends are adjacent doubles (a
+    tolerance below one ulp of the root cannot be met), or when
+    tau(z) == z_tilde.  Saturated (+/-inf) tau values compare correctly
+    against the finite target, because a saturated magnitude exceeds
+    every representable one.
 
     Raises SolverError if no bracket is found within
     cfg.max_bracket_doublings doublings (e.g. a target outside the closure
     of the range of tau, which is bounded on one side when h = 0 and
-    g != 0).
+    g != 0), or if a row has not stopped after cfg.max_bisection_iters
+    iterations.
     """
     scalar = _is_scalar(z_tilde, p.g, p.h)
     zt = _validate_finite("z_tilde", z_tilde)
@@ -284,12 +319,13 @@ def tau_inverse(z_tilde, p: ShapeParams, cfg: InverseSolverConfig = DEFAULT_SOLV
     h = np.asarray(p.h, dtype=float)
     zt, g, h = np.broadcast_arrays(zt, g, h)
     zt = zt.astype(float)
+    small = np.abs(g) < SMALL_G
+    g_safe = np.where(small, 1.0, g)
 
-    shape = ShapeParams(g, h)
     lo = np.full(zt.shape, -cfg.initial_half_width)
     hi = np.full(zt.shape, cfg.initial_half_width)
-    t_lo = np.asarray(tau(lo, shape))
-    t_hi = np.asarray(tau(hi, shape))
+    t_lo = _tau_and_prime(lo, g, h, small, g_safe)[0]
+    t_hi = _tau_and_prime(hi, g, h, small, g_safe)[0]
     for _ in range(cfg.max_bracket_doublings):
         need_lo = t_lo > zt
         need_hi = t_hi < zt
@@ -298,28 +334,51 @@ def tau_inverse(z_tilde, p: ShapeParams, cfg: InverseSolverConfig = DEFAULT_SOLV
         lo = np.where(need_lo, 2.0 * lo, lo)
         hi = np.where(need_hi, 2.0 * hi, hi)
         if np.any(need_lo):
-            t_lo = np.where(need_lo, np.asarray(tau(lo, shape)), t_lo)
+            t_lo = np.where(need_lo, _tau_and_prime(lo, g, h, small, g_safe)[0], t_lo)
         if np.any(need_hi):
-            t_hi = np.where(need_hi, np.asarray(tau(hi, shape)), t_hi)
+            t_hi = np.where(need_hi, _tau_and_prime(hi, g, h, small, g_safe)[0], t_hi)
     bad = (t_lo > zt) | (t_hi < zt)
     if np.any(bad):
-        i = np.unravel_index(np.argmax(bad), bad.shape) if bad.ndim else ()
-        raise SolverError(
+        raise _row_error(
             "no bracket for inverse transform after "
-            f"{cfg.max_bracket_doublings} doublings at sample index "
-            f"{i[0] if len(i) == 1 else i}: "
-            f"z_tilde={zt[i]!r}, g={g[i]!r}, h={h[i]!r}"
-        )
+            f"{cfg.max_bracket_doublings} doublings", bad, zt, g, h)
 
-    for _ in range(cfg.max_bisection_iters):
-        mid = 0.5 * (lo + hi)
-        if np.all((hi - lo <= cfg.abs_tolerance) | (mid == lo) | (mid == hi)):
-            break
-        go_right = np.asarray(tau(mid, shape)) < zt
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
-    out = 0.5 * (lo + hi)
-    return _ret(out, scalar)
+    # tau(0) = 0 and tau'(0) = 1 for every (g, h), so z = 0 costs nothing.
+    z = np.zeros(zt.shape)
+    t = np.zeros(zt.shape)
+    t_p = np.ones(zt.shape)
+    target = np.arcsinh(zt)
+    step_abs = step_abs_old = hi - lo
+    done = np.zeros(zt.shape, dtype=bool)
+    tol = cfg.abs_tolerance
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(cfg.max_bisection_iters):
+            lo = np.where(t < zt, z, lo)
+            hi = np.where(t > zt, z, hi)
+            # Newton on F = asinh(tau) - asinh(z_tilde), F' = tau'/sqrt(1 + tau^2);
+            # a NaN or infinite step fails every comparison and bisects.
+            step = (np.arcsinh(t) - target) * np.sqrt(1.0 + t * t) / t_p
+            newton = z - step
+            mid = 0.5 * (lo + hi)
+            newton_abs = np.abs(step)
+            # NR's |2F| <= |dx_old * F'| reads 2|step| <= |step before last|.
+            use_newton = ((lo <= newton) & (newton <= hi)
+                          & (2.0 * newton_abs <= step_abs_old))
+            step_abs_old = step_abs
+            step_abs = np.where(use_newton, newton_abs, 0.5 * (hi - lo))
+            # z sits on lo or hi unless tau(z) == z_tilde, so every step stays
+            # inside [lo, hi] and a bracket at most tol wide means a step too.
+            keep = done | (t == zt)
+            z = np.where(keep, z, np.where(use_newton, newton, mid))
+            done = keep | (step_abs <= tol) | (mid == lo) | (mid == hi)
+            if done.all():
+                break
+            t, t_p = _tau_and_prime(z, g, h, small, g_safe)
+        else:
+            raise _row_error(
+                "inverse transform did not converge in "
+                f"{cfg.max_bisection_iters} iterations", ~done, zt, g, h)
+    return _ret(z, scalar)
 
 
 def log_density(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER):

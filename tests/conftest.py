@@ -1,4 +1,10 @@
 import pytest
+from hypothesis import settings
+
+# Property tests must not flake: fixed example sequences, and no per-example
+# deadline, whose wall-clock limit a busy host can exceed.
+settings.register_profile("tghnet", deadline=None, derandomize=True)
+settings.load_profile("tghnet")
 
 
 @pytest.hookimpl(hookwrapper=True)

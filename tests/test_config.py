@@ -132,8 +132,18 @@ def test_optimizer_overrides_roundtrip():
     ("training", {"epochs": 2, "clip_norm": -1}),
     ("training", {"epochs": "two"}),
     ("split", {"rule": "fraction", "fraction": "abc"}),
+    ("data", {"target": "y", "features": ["x"], "standardize": "false"}),
+    ("network", {"hidden": [8, 8], "batch_norm": "no"}),
+    ("training", {"epochs": 2.7}),
+    ("training", {"epochs": 2, "batch_size": "256"}),
+    ("training", {"epochs": True}),
+    ("split", {"rule": "fraction", "fraction": 0.8, "seed": 1.9}),
+    ("solver", {"max_bisection_iters": 2.5}),
+    ("network", {"hidden": [True, 8]}),
 ], ids=["negative_epochs", "zero_batch_size", "negative_clip_norm", "string_epochs",
-        "string_fraction"])
+        "string_fraction", "string_standardize", "string_batch_norm", "float_epochs",
+        "string_batch_size", "bool_epochs", "float_split_seed", "float_max_iters",
+        "bool_hidden_width"])
 def test_bad_values_are_config_errors(tmp_path, capsys, section, values):
     raw = dict(json.loads(json.dumps(MINIMAL)), **{section: values})
     with pytest.raises(ConfigError):

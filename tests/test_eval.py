@@ -205,7 +205,7 @@ class TestShortestInterval:
         iv = shortest_interval(TghParams(np.zeros_like(g), np.ones_like(g), g, h), alpha)
         assert np.all(iv.upper - iv.lower <= best * (1.0 + 1e-9))
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(
         g=st.floats(-LinkConfig().g_max, LinkConfig().g_max),
         h=st.floats(0.0, LinkConfig().h_max),

@@ -2,7 +2,7 @@
 
 High-precision expected values were computed with 50-digit arithmetic from
 the defining formulas and are frozen here as literals; finite-difference
-oracles run live against a tightened solver tolerance so that bisection
+oracles run live against a tightened solver tolerance so that solver
 noise stays far below the comparison tolerances.
 """
 
@@ -10,9 +10,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tghnet import tgh
 from tghnet.errors import SolverError
+from tghnet.loss import LinkConfig
 from tghnet.tgh import (
     InverseSolverConfig,
     ShapeParams,
@@ -225,16 +228,41 @@ class TestTauInverse:
 
     def test_sub_ulp_tolerance_stops_at_adjacent_doubles(self, count_calls):
         # one ulp of 9.2 is 1.8e-15, so a 1e-15 bracket width is unreachable
-        calls = count_calls(tgh, "tau")
+        calls = count_calls(tgh, "_tau_and_prime")
         out = tau_inverse(9.2, ShapeParams(0.0, 0.0), TIGHT)
-        assert len(calls) <= 60
+        assert 0 < len(calls) <= 60
         assert abs(out - 9.2) <= np.spacing(9.2)
         calls.clear()
         batch = np.linspace(-3.0, 3.0, 512)
         batch[7] = 9.2
         out = tau_inverse(batch, ShapeParams(0.0, 0.0), TIGHT)
-        assert len(calls) <= 60
+        assert 0 < len(calls) <= 60
         assert abs(out[7] - 9.2) <= np.spacing(9.2)
+
+    def test_realistic_batch_evaluation_budget(self, count_calls):
+        # bracket evaluations included; pure bisection needed 46
+        rng = np.random.default_rng(20)
+        z = rng.standard_normal(512)
+        p = ShapeParams(rng.uniform(-0.8, 0.8, 512), rng.uniform(0.0, 0.35, 512))
+        zt = np.asarray(tau(z, p))
+        calls = count_calls(tgh, "_tau_and_prime")
+        out = tau_inverse(zt, p)
+        assert len(calls) <= 12
+        assert np.max(np.abs(out - z)) <= 1e-12
+
+    def test_loops_call_no_public_kernel(self, count_calls):
+        taus = count_calls(tgh, "tau")
+        primes = count_calls(tgh, "tau_prime")
+        tau_inverse(np.linspace(-50.0, 50.0, 101), ShapeParams(0.3, 0.2))
+        assert taus == [] and primes == []
+
+    def test_unconverged_rows_raise(self):
+        # row 0 is solved exactly at the start point z = 0; row 1 needs
+        # more than two iterations
+        with pytest.raises(SolverError, match=r"did not converge in 2 iterations "
+                           r"at sample index 1: z_tilde=.*5\.0.*g=.*h="):
+            tau_inverse(np.array([0.0, 5.0]), ShapeParams(0.0, 0.0),
+                        InverseSolverConfig(max_bisection_iters=2))
 
     def test_vectorized_broadcast(self):
         zt = np.array([0.0, 1.0, -2.0])
@@ -245,6 +273,81 @@ class TestTauInverse:
             assert out[i] == pytest.approx(
                 tau_inverse(zt[i], ShapeParams(g[i], h[i])), abs=1e-12
             )
+
+
+def _bisection_inverse(zt, g, h, tol):
+    """Reference inverse: bracket doubling, then pure bisection on tau."""
+    p = ShapeParams(g, h)
+    lo = np.full(zt.shape, -8.0)
+    hi = np.full(zt.shape, 8.0)
+    for _ in range(60):
+        need_lo = np.asarray(tau(lo, p)) > zt
+        need_hi = np.asarray(tau(hi, p)) < zt
+        if not (need_lo.any() or need_hi.any()):
+            break
+        lo = np.where(need_lo, 2.0 * lo, lo)
+        hi = np.where(need_hi, 2.0 * hi, hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if np.all((hi - lo <= tol) | (mid == lo) | (mid == hi)):
+            return mid
+        right = np.asarray(tau(mid, p)) < zt
+        lo = np.where(right, mid, lo)
+        hi = np.where(right, hi, mid)
+
+
+def _oracle_rows():
+    """Dense (z, g, h) rows: a grid plus random rows, with the edge cases
+    h = 0, h = 1e-300, |g| < SMALL_G and |g| = 2, and |z| up to 12."""
+    gs = np.concatenate([np.linspace(-2.0, 2.0, 21),
+                         [-tgh.SMALL_G / 2, -1e-9, 1e-300, 1e-9, tgh.SMALL_G / 2]])
+    hs = np.concatenate([[0.0, 1e-300], np.linspace(0.01, 0.5, 6)])
+    z, g, h = (a.ravel() for a in np.meshgrid(np.linspace(-12.0, 12.0, 49), gs, hs))
+    rng = np.random.default_rng(3)
+    n = 20000
+    z = np.concatenate([z, rng.uniform(-12.0, 12.0, n)])
+    g = np.concatenate([g, rng.uniform(-2.0, 2.0, n)])
+    h = np.concatenate([h, rng.choice([0.0, 1e-300], n // 4),
+                        rng.uniform(0.0, 0.5, n - n // 4)])
+    return np.asarray(tau(z, ShapeParams(g, h))), g, h
+
+
+def _assert_matches_bisection(zt, g, h, tol):
+    p = ShapeParams(g, h)
+    got = tau_inverse(zt, p, InverseSolverConfig(abs_tolerance=tol))
+    want = _bisection_inverse(zt, g, h, tol)
+    # tolerance, conditioning of the root, and the ulp floor
+    eps = np.finfo(float).eps
+    with np.errstate(divide="ignore"):
+        allowed = (tol + 8.0 * eps * np.maximum(1.0, np.abs(zt)) / tau_prime(got, p)
+                   + 2.0 * np.spacing(np.abs(got)))
+    assert np.all(np.abs(got - want) <= allowed)
+
+
+class TestTauInverseOracle:
+    @pytest.mark.parametrize("tol", [1e-12, 1e-15])
+    def test_agrees_with_bisection(self, tol):
+        _assert_matches_bisection(*_oracle_rows(), tol)
+
+    def test_tolerance_below_every_ulp_stops_at_the_floor(self):
+        # targets nudged off tau's image have no exact double root, so only
+        # the adjacent-doubles test can stop a row at abs_tolerance=1e-300
+        rng = np.random.default_rng(4)
+        g, h = rng.uniform(-2.0, 2.0, 512), rng.uniform(0.0, 0.5, 512)
+        zt = np.asarray(tau(rng.uniform(-12.0, 12.0, 512), ShapeParams(g, h)))
+        _assert_matches_bisection(zt * (1.0 + 1e-13), g, h, 1e-300)
+
+    @given(
+        g=st.floats(-LinkConfig().g_max, LinkConfig().g_max),
+        h=st.floats(0.0, LinkConfig().h_max),
+        z=st.floats(-12.0, 12.0),
+        gap=st.floats(1e-3, 4.0),
+    )
+    def test_increasing_and_round_trip(self, g, h, z, gap):
+        p = ShapeParams(g, h)
+        assert tau(z, p) < tau(z + gap, p)
+        zt = tau(z, p)
+        assert abs(tau(tau_inverse(zt, p), p) - zt) <= 1e-10 * max(1.0, abs(zt))
 
 
 def _inverse_sensitivities(zt, p, cfg=tgh.DEFAULT_SOLVER):

@@ -114,6 +114,34 @@ def _int(value, where: str) -> int:
     return value
 
 
+def _float(value, where: str) -> float:
+    # float() would parse "10", and bool is an int subclass
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _str(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
+def _int_list(value, where: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list of integers, got {value!r}")
+    return tuple(_int(v, where) for v in value)
+
+
+def _numbers(section, where: str, ints=()) -> dict:
+    """Constructor keywords from a section of JSON numbers: ints for the keys
+    in ints, a list of ints for lr_drop_epochs, floats for the rest."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: expected an object")
+    return {k: (_int_list if k == "lr_drop_epochs" else _int if k in ints else _float)(
+        v, f"{where}.{k}") for k, v in section.items()}
+
+
 def _bool(value, where: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{where}: expected true or false, got {value!r}")
@@ -127,13 +155,13 @@ def _parse_split(section: dict) -> FractionSplit | ByColumnSplit:
     if rule == "fraction":
         _check_keys(section, "split", ("rule", "fraction"), ("seed",))
         return FractionSplit(
-            fraction=float(section["fraction"]),
+            fraction=_float(section["fraction"], "split.fraction"),
             seed=_int(section.get("seed", 0), "split.seed"),
         )
     if rule == "by_column_values":
         _check_keys(section, "split", ("rule", "column", "val_values", "test_values"))
         return ByColumnSplit(
-            column=section["column"],
+            column=_str(section["column"], "split.column"),
             val_values=_number_list(section["val_values"], "split.val_values"),
             test_values=_number_list(section["test_values"], "split.test_values"),
         )
@@ -161,20 +189,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     network = raw["network"]
     _check_keys(network, "network", ("hidden",), ("batch_norm",))
-    hidden = network["hidden"]
-    if (not isinstance(hidden, list) or not hidden
-            or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1
-                       for v in hidden)):
+    hidden = _int_list(network["hidden"], "network.hidden")
+    if not hidden or min(hidden) < 1:
         raise ConfigError("network.hidden: expected a non-empty list of ints >= 1")
 
     training = raw["training"]
     _check_keys(training, "training", ("epochs",), ("batch_size", "clip_norm"))
 
     seed = _int(raw.get("seed", 0), "seed")
-    solver_raw = raw.get("solver", {})
-    for key in ("max_bisection_iters", "max_bracket_doublings"):
-        if isinstance(solver_raw, dict) and key in solver_raw:
-            _int(solver_raw[key], f"solver.{key}")
     try:
         clip = training.get("clip_norm", TrainConfig.clip_norm)
         train_cfg = TrainConfig(
@@ -182,29 +204,24 @@ def parse_config(raw: dict) -> ExperimentConfig:
             batch_size=_int(training.get("batch_size", TrainConfig.batch_size),
                             "training.batch_size"),
             seed=seed,
-            clip_norm=None if clip is None else float(clip),
+            clip_norm=None if clip is None else _float(clip, "training.clip_norm"),
         )
         split = _parse_split(raw["split"])
-        adam = AdamConfig(**{
-            **raw.get("optimizer", {}),
-            **(
-                {"lr_drop_epochs": tuple(raw["optimizer"]["lr_drop_epochs"])}
-                if "lr_drop_epochs" in raw.get("optimizer", {})
-                else {}
-            ),
-        })
-        link = LinkConfig(**raw.get("link", {}))
-        solver = InverseSolverConfig(**solver_raw)
+        adam = AdamConfig(**_numbers(raw.get("optimizer", {}), "optimizer"))
+        link = LinkConfig(**_numbers(raw.get("link", {}), "link"))
+        solver = InverseSolverConfig(**_numbers(
+            raw.get("solver", {}), "solver",
+            ints=("max_bisection_iters", "max_bracket_doublings")))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
     return ExperimentConfig(
         loss=loss,
-        target=data["target"],
+        target=_str(data["target"], "data.target"),
         features=features,
         late_columns=late,
         standardize=_bool(data.get("standardize", True), "data.standardize"),
-        hidden=tuple(hidden),
+        hidden=hidden,
         batch_norm=_bool(network.get("batch_norm", True), "network.batch_norm"),
         training=train_cfg,
         seed=seed,

@@ -9,7 +9,7 @@ KS distance of u from uniform, and the mean negative log-likelihood
 
 Intervals: the symmetric variant places alpha/2 in each tail; the shortest
 variant spends the tail budget asymmetrically, minimizing
-sigma * (tau(z_{1-gamma}) - tau(-z_{1-alpha+gamma})) over the upper-tail
+tgh.quantile(1 - gamma) - tgh.quantile(alpha - gamma) over the upper-tail
 mass gamma.  Coverage is exactly 1 - alpha for every gamma by
 construction.  The minimizer has equal density at both ends (Casella &
 Berger, Statistical Inference, Thm 9.3.2), found by bisection in gamma.
@@ -119,11 +119,9 @@ def residuals(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER) -
     """
     y = np.asarray(y, dtype=float)
     mu = np.asarray(params.mu, dtype=float)
-    sigma = np.asarray(params.sigma, dtype=float)
     if mu.ndim == 1 and len(mu) != len(y):
         raise ValueError(f"length mismatch: {len(y)} targets vs {len(mu)} parameter rows")
-    z_tilde = (y - mu) / sigma
-    z_hat = np.asarray(tgh.tau_inverse(z_tilde, params.shape, cfg))
+    z_hat = np.asarray(tgh.z_hat(y, params, cfg))
     u = np.clip(
         np.asarray(standard_normal_cdf(z_hat)),
         np.nextafter(0.0, 1.0),
@@ -145,15 +143,9 @@ def residuals(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER) -
 
 
 def _interval_at_gamma(params: TghParams, alpha: float, gamma):
-    """Endpoints [mu + sigma*tau(-z_{1-alpha+gamma}), mu + sigma*tau(z_{1-gamma})]."""
-    mu = np.asarray(params.mu, dtype=float)
-    sigma = np.asarray(params.sigma, dtype=float)
-    shape = params.shape
-    z_lo = -np.asarray(standard_normal_quantile(1.0 - alpha + np.asarray(gamma)))
-    z_hi = np.asarray(standard_normal_quantile(1.0 - np.asarray(gamma)))
-    lower = mu + sigma * np.asarray(tgh.tau(z_lo, shape))
-    upper = mu + sigma * np.asarray(tgh.tau(z_hi, shape))
-    return lower, upper
+    """Quantiles at alpha - gamma and 1 - gamma: coverage 1 - alpha."""
+    gamma = np.asarray(gamma)
+    return tgh.quantile(alpha - gamma, params), tgh.quantile(1.0 - gamma, params)
 
 
 def symmetric_interval(params: TghParams, alpha: float) -> PredictionInterval:
@@ -161,11 +153,8 @@ def symmetric_interval(params: TghParams, alpha: float) -> PredictionInterval:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0, 1)")
     lower, upper = _interval_at_gamma(params, alpha, alpha / 2.0)
-    scalar = np.ndim(params.mu) == 0
-    zeros = 0.0 if scalar else np.zeros_like(np.asarray(params.mu, dtype=float))
-    if scalar:
-        lower, upper = float(lower), float(upper)
-    return PredictionInterval(lower, upper, alpha, zeros, "symmetric")
+    gamma = np.zeros_like(lower) if np.ndim(lower) else 0.0
+    return PredictionInterval(lower, upper, alpha, gamma, "symmetric")
 
 
 def shortest_interval(params: TghParams, alpha: float) -> PredictionInterval:
@@ -194,8 +183,7 @@ def shortest_interval(params: TghParams, alpha: float) -> PredictionInterval:
     b = np.full_like(mu, alpha - eps)
     while np.max(b - a) > _GAMMA_TOL:
         mid = 0.5 * (a + b)
-        z_ends = np.stack([-standard_normal_quantile(1.0 - alpha + mid),
-                           standard_normal_quantile(1.0 - mid)])
+        z_ends = standard_normal_quantile(np.stack([alpha - mid, 1.0 - mid]))
         log_f = tgh.log_density_from_z(z_ends, vec)
         lower_denser = log_f[0] > log_f[1]
         a = np.where(lower_denser, mid, a)

@@ -3,8 +3,9 @@ valid parameters, the Gaussian baseline loss, and the batch and head losses
 built on the exact g-and-h NLL and gradient in tgh.nll_and_grad.
 
 The training loss drops the additive log(2*pi)/2 constant; reported
-evaluation likelihoods (tgh.log_density) keep it, so the two differ by
-exactly that constant per sample.
+evaluation likelihoods (tgh.log_density) keep it.  Both read log tau' from
+the same tgh kernel at the same solved residual, so by construction the
+two differ by that constant per sample, up to rounding.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def gaussian_nll_and_grad(y, mu, sigma):
     Constant dropped, matching nll_and_grad at g = h = 0.  Gradient is the
     2-vector (d/dmu, d/dsigma).
     """
-    scalar = np.ndim(y) == 0 and np.ndim(mu) == 0
+    scalar = np.ndim(y) == np.ndim(mu) == np.ndim(sigma) == 0
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)

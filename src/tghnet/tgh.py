@@ -1,7 +1,7 @@
 """Tukey g-and-h transform core: forward map, derivatives, numerically exact
 inverse, density, the exact negative log-likelihood and its gradient,
 quantiles, and sampling.  Every likelihood, residual and density starts
-from the one inverse solve in tau_inverse.
+from the one standardise-and-solve in z_hat.
 
 The transform is
 
@@ -14,6 +14,13 @@ no closed form.  A variable
 ``mu + sigma * tau(Z)`` with Z standard normal follows the g-and-h
 distribution: g controls skewness, h tail weight, and (g, h) = (0, 0)
 recovers the normal distribution.
+
+Two private kernels hold every exp(g*z) and expm1(g*z).  The solver's
+_tau_and_prime (behind tau, quantile and sample) costs one expm1 and one
+exp per Newton step; its tau' cancels where g*z << 0, which the solver's
+bisection fallback absorbs.  _log_bracket, behind tau_prime, dtau_dg,
+log_density_from_z and nll_and_grad, builds log tau' and the gradient
+factors from exp(-|g*z|) and expm1(-|g*z|), which never overflow.
 
 All functions accept scalars or numpy arrays (broadcast against each other)
 and return a scalar when every input is scalar.  They are pure and safe to
@@ -44,6 +51,7 @@ __all__ = [
     "dtau_dg",
     "dtau_dh",
     "tau_inverse",
+    "z_hat",
     "log_density",
     "log_density_from_z",
     "LossValueAndGrad",
@@ -154,52 +162,43 @@ def _ret(value: np.ndarray, scalar: bool):
     return float(value) if scalar else value
 
 
-def _scaled_expm1(z, g, small):
-    """(exp(g*z) - 1) / g with its g->0 limit z on the small-|g| branch."""
-    g_safe = np.where(small, 1.0, g)
-    with np.errstate(over="ignore"):
-        full = np.expm1(g_safe * z) / g_safe
-    return np.where(small, z, full)
+def _log_bracket(z, g, h):
+    """log B for B = exp(g*z) + h*z*(exp(g*z) - 1)/g = tau'(z) exp(-h*z^2/2).
 
-
-def _dg_kernel(z, g, small):
-    """[exp(u)(u - 1) + 1] / g^2 for u = g*z, series-protected near u = 0.
-
-    Equals z^2 * K(u) with K(u) = sum_{k>=2} (k-1) u^{k-2} / k!; the direct
-    formula cancels catastrophically for small |u|, so switch to the series
-    K ~ 1/2 + u/3 + u^2/8 + u^3/30 when |u| < 1e-3 (truncation error below
-    1e-14 relative there).  The small-|g| branch uses the same series, which
-    reduces to z^2/2 + g*z^3/3 to the order retained.
-    """
-    u = np.asarray(g, dtype=float) * z
-    series = 0.5 + u * (1.0 / 3.0 + u * (0.125 + u / 30.0))
-    use_series = small | (np.abs(u) < 1e-3)
-    u_safe = np.where(use_series, 1.0, u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        direct = (np.exp(u_safe) * (u_safe - 1.0) + 1.0) / (u_safe * u_safe)
-    k = np.where(use_series, series, direct)
-    return z * z * k
-
-
-def _log_bracket(z, g, h, small):
-    """log of [exp(g*z) + h*z*(exp(g*z)-1)/g], stable for large |g*z|.
-
-    The bracket equals tau'(z) * exp(-h*z^2/2) and is strictly positive for
-    h >= 0.  For g*z > 0 it is rewritten as
-    g*z + log1p((h*z/g) * (1 - exp(-g*z))) so that no intermediate
-    overflows; for g*z <= 0 the direct form cannot overflow.
+    u = g*z, e = exp(-|u|), m = 1 - exp(-|u|): one exp and one expm1, which
+    never overflow.  With w = h*z*m/g, log B = u + log1p(w) for u > 0 and
+    log(e - w) for u <= 0, or log1p(h*z^2) where |g| < SMALL_G (small;
+    g_safe is g with 1.0 there).  Returns (log B, u, e, m, small, g_safe)
+    so that a gradient reads exp(g*z) = 1/e or e and (exp(g*z) - 1)/g =
+    m/(e*g) or -m/g from the same pair, while a density pays for neither.
     """
     z = np.asarray(z, dtype=float)
+    small = np.abs(g) < SMALL_G
     g_safe = np.where(small, 1.0, g)
-    u = g_safe * z
-    pos = u > 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratio = np.where(small, 0.0, h * z / g_safe)
-        log_pos = u + np.log1p(ratio * (-np.expm1(-np.abs(u))))
-        direct = np.log(np.exp(np.where(pos, 0.0, u))
-                        + np.where(pos, 0.0, h * z * np.expm1(u) / g_safe))
-    out = np.where(pos, log_pos, direct)
-    return np.where(small, np.log1p(h * z * z), out)
+    u = g * z
+    neg_abs_u = -np.abs(u)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        e = np.exp(neg_abs_u)
+        m = -np.expm1(neg_abs_u)
+        w = h * z * m / g_safe
+        log_b = np.where(u > 0, u + np.log1p(w), np.log(e - w))
+    return np.where(small, np.log1p(h * z * z), log_b), u, e, m, small, g_safe
+
+
+def _dg_kernel(z, u, e, m, small):
+    """[exp(u)(u - 1) + 1] / g^2 for u = g*z, from _log_bracket's e and m.
+
+    Equals z^2 * K(u) with K(u) = sum_{k>=2} (k-1) u^{k-2} / k!.  Written
+    as (u - m)/(e*u^2) for u > 0 and (e*u + m)/u^2 for u <= 0, the
+    numerator still cancels to u^2/2 for small |u|, so switch to the series
+    K ~ 1/2 + u/3 + u^2/8 + u^3/30 when |u| < 1e-3 (truncation error below
+    1e-14 relative there).  The small-|g| branch uses the same series at
+    the true u = g*z, which keeps its g*z^3/3 term.
+    """
+    series = 0.5 + u * (1.0 / 3.0 + u * (0.125 + u / 30.0))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        direct = np.where(u > 0, (u - m) / e, e * u + m) / (u * u)
+    return z * z * np.where(small | (np.abs(u) < 1e-3), series, direct)
 
 
 def tau(z, p: ShapeParams):
@@ -211,10 +210,9 @@ def tau(z, p: ShapeParams):
     scalar = _is_scalar(z, p.g, p.h)
     z = _validate_finite("z", z)
     g = np.asarray(p.g, dtype=float)
-    h = np.asarray(p.h, dtype=float)
     small = np.abs(g) < SMALL_G
-    with np.errstate(over="ignore"):
-        out = _scaled_expm1(z, g, small) * np.exp(0.5 * h * z * z)
+    out = _tau_and_prime(z, g, np.asarray(p.h, dtype=float), small,
+                         np.where(small, 1.0, g))[0]
     return _ret(out, scalar)
 
 
@@ -225,16 +223,10 @@ def tau_prime(z, p: ShapeParams):
     """
     scalar = _is_scalar(z, p.g, p.h)
     z = _validate_finite("z", z)
-    g = np.asarray(p.g, dtype=float)
     h = np.asarray(p.h, dtype=float)
-    small = np.abs(g) < SMALL_G
-    with np.errstate(over="ignore", invalid="ignore"):
-        bracket = np.where(
-            small,
-            1.0 + h * z * z,
-            np.exp(np.where(small, 0.0, g) * z) + h * z * _scaled_expm1(z, g, small),
-        )
-        out = bracket * np.exp(0.5 * h * z * z)
+    log_b = _log_bracket(z, np.asarray(p.g, dtype=float), h)[0]
+    with np.errstate(over="ignore"):
+        out = np.exp(log_b + 0.5 * h * z * z)
     return _ret(out, scalar)
 
 
@@ -246,11 +238,10 @@ def dtau_dg(z, p: ShapeParams):
     """
     scalar = _is_scalar(z, p.g, p.h)
     z = _validate_finite("z", z)
-    g = np.asarray(p.g, dtype=float)
     h = np.asarray(p.h, dtype=float)
-    small = np.abs(g) < SMALL_G
+    _, u, e, m, small, _ = _log_bracket(z, np.asarray(p.g, dtype=float), h)
     with np.errstate(over="ignore"):
-        out = _dg_kernel(z, g, small) * np.exp(0.5 * h * z * z)
+        out = _dg_kernel(z, u, e, m, small) * np.exp(0.5 * h * z * z)
     return _ret(out, scalar)
 
 
@@ -268,10 +259,11 @@ def _tau_and_prime(z, g, h, small, g_safe):
 
     small marks |g| < SMALL_G and g_safe is g with 1.0 on those rows, so
     ez = (exp(g*z) - 1)/g falls back to its limit z there; then
-    tau = ez * exp(h*z^2/2) and tau' = (1 + g*ez + h*z*ez) * exp(h*z^2/2),
-    computed as exp(h*z^2/2) + (g + h*z) * tau.  Overflow saturates tau to
-    +/-inf; tau' may then be inf or NaN, which the solver treats as a
-    Newton step outside the bracket.
+    tau = ez * exp(h*z^2/2) and tau' = exp(h*z^2/2) + (g + h*z) * tau.
+    Where g*z << 0 that tau' cancels (1 + g*ez -> 0) and may lose every
+    digit; this is acceptable only because the solver bisects on a bad
+    Newton step, and every other tau' reads _log_bracket.  Overflow
+    saturates tau to +/-inf; tau' may then be inf or NaN, a bad step too.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         ez = np.where(small, z, np.expm1(g_safe * z) / g_safe)
@@ -381,17 +373,19 @@ def tau_inverse(z_tilde, p: ShapeParams, cfg: InverseSolverConfig = DEFAULT_SOLV
     return _ret(z, scalar)
 
 
-def log_density(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER):
-    """Log of the g-and-h density at y, constant included.
-
-    One inverse solve of z_hat = tau^{-1}((y - mu)/sigma), then
-    log_density_from_z.
-    """
+def z_hat(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER):
+    """Solved residual tau^{-1}((y - mu)/sigma), standard normal under a
+    correct model: the one solve behind every likelihood and residual."""
     y = _validate_finite("y", y)
     mu = np.asarray(params.mu, dtype=float)
     sigma = np.asarray(params.sigma, dtype=float)
-    z_hat = tau_inverse((y - mu) / sigma, params.shape, cfg)
-    return log_density_from_z(z_hat, params)
+    return tau_inverse((y - mu) / sigma, params.shape, cfg)
+
+
+def log_density(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER):
+    """Log of the g-and-h density at y, constant included: one solve for
+    z_hat, then log_density_from_z."""
+    return log_density_from_z(z_hat(y, params, cfg), params)
 
 
 def log_density_from_z(z_hat, params: TghParams):
@@ -404,11 +398,9 @@ def log_density_from_z(z_hat, params: TghParams):
     scalar = _is_scalar(z_hat, params.mu, params.sigma, params.g, params.h)
     z_hat = np.asarray(z_hat, dtype=float)
     sigma = np.asarray(params.sigma, dtype=float)
-    g = np.asarray(params.g, dtype=float)
     h = np.asarray(params.h, dtype=float)
-    small = np.abs(g) < SMALL_G
-    log_tp = _log_bracket(z_hat, g, h, small) + 0.5 * h * z_hat * z_hat
-    out = -np.log(sigma) - log_tp - 0.5 * z_hat * z_hat - HALF_LOG_TWO_PI
+    log_b = _log_bracket(z_hat, np.asarray(params.g, dtype=float), h)[0]
+    out = -np.log(sigma) - log_b - 0.5 * (1.0 + h) * z_hat * z_hat - HALF_LOG_TWO_PI
     return _ret(out, scalar)
 
 
@@ -429,29 +421,25 @@ def nll_and_grad(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER
     """Negative log-likelihood (constant dropped) and its exact gradient.
 
     value = log[exp(g*zh) + h*zh*(exp(g*zh)-1)/g] + log(sigma)
-            + (1+h)/2 * zh^2,   zh = tau^{-1}((y - mu)/sigma).
+            + (1+h)/2 * zh^2,   zh = z_hat(y, params, cfg).
 
     The gradient chains the explicit partials of the three terms through
     the inverse-transform sensitivities; everything reuses the single
-    inverse solve performed here.
+    inverse solve performed here and the exp/expm1 pair of _log_bracket.
     """
-    scalar = np.ndim(y) == 0 and np.ndim(params.mu) == 0
-    y = np.asarray(y, dtype=float)
-    mu = np.asarray(params.mu, dtype=float)
+    scalar = _is_scalar(y, params.mu, params.sigma, params.g, params.h)
+    zh = np.asarray(z_hat(y, params, cfg))
     sigma = np.asarray(params.sigma, dtype=float)
     g = np.asarray(params.g, dtype=float)
     h = np.asarray(params.h, dtype=float)
+    log_b, u, e, m, small, g_safe = _log_bracket(zh, g, h)
 
-    z_tilde = (y - mu) / sigma
-    zh = np.asarray(tau_inverse(z_tilde, ShapeParams(g, h), cfg))
-    small = np.abs(g) < SMALL_G
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        egz = np.exp(np.where(small, 0.0, g) * zh)
-        ez = _scaled_expm1(zh, g, small)          # (exp(g*zh)-1)/g
-        dk = _dg_kernel(zh, g, small)             # [exp(u)(u-1)+1]/g^2
-        bracket = np.where(small, 1.0 + h * zh * zh, egz + h * zh * ez)
-        log_b = _log_bracket(zh, g, h, small)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        pos = u > 0
+        egz = np.where(pos, 1.0 / e, e)                                # exp(g*zh)
+        ez = np.where(small, zh, np.where(pos, m / e, -m) / g_safe)   # (exp(g*zh)-1)/g
+        dk = _dg_kernel(zh, u, e, m, small)                            # [exp(u)(u-1)+1]/g^2
+        bracket = egz + h * zh * ez
         value = log_b + np.log(sigma) + 0.5 * (1.0 + h) * zh * zh
 
         # d(bracket)/dz, d(bracket)/dg, d(bracket)/dh at fixed z.
@@ -460,10 +448,11 @@ def nll_and_grad(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER
         db_dh = zh * ez
         # total d(value)/dz at fixed (g, h), times dz/d(param) below
         a = db_dz / bracket + (1.0 + h) * zh
-        tau_p = bracket * np.exp(0.5 * h * zh * zh)
+        eh = np.exp(0.5 * h * zh * zh)
 
-        d_mu = a * (-1.0 / (sigma * tau_p))
-        d_sigma = 1.0 / sigma + a * (-z_tilde / (sigma * tau_p))
+        d_mu = a * (-1.0 / (sigma * bracket * eh))
+        # dz/dsigma = -z_tilde/(sigma tau'), and z_tilde = tau(zh) = ez * eh
+        d_sigma = 1.0 / sigma + d_mu * (ez * eh)
         d_g = db_dg / bracket + a * (-dk / bracket)
         d_h = db_dh / bracket + 0.5 * zh * zh + a * (-0.5 * zh * zh * ez / bracket)
 
@@ -478,11 +467,8 @@ def quantile(alpha, params: TghParams):
 
     Monotone non-decreasing in alpha; alpha = 0.5 gives mu exactly.
     """
-    alpha_arr = np.asarray(alpha, dtype=float)
-    if np.any(alpha_arr <= 0) or np.any(alpha_arr >= 1):
-        raise ValueError("alpha must lie strictly inside (0, 1)")
     scalar = _is_scalar(alpha, params.mu, params.sigma, params.g, params.h)
-    z = ndtri(alpha_arr)
+    z = standard_normal_quantile(alpha)
     out = np.asarray(params.mu) + np.asarray(params.sigma) * np.asarray(
         tau(z, params.shape)
     )

@@ -140,10 +140,22 @@ def test_optimizer_overrides_roundtrip():
     ("split", {"rule": "fraction", "fraction": 0.8, "seed": 1.9}),
     ("solver", {"max_bisection_iters": 2.5}),
     ("network", {"hidden": [True, 8]}),
+    ("training", {"epochs": 2, "clip_norm": "10"}),
+    ("split", {"rule": "fraction", "fraction": "0.8"}),
+    ("split", {"rule": "fraction", "fraction": True}),
+    ("link", {"h_max": True}),
+    ("optimizer", {"lr": True}),
+    ("solver", {"abs_tolerance": True}),
+    ("optimizer", {"lr_drop_epochs": ["a"]}),
+    ("data", {"target": 5, "features": ["x"]}),
+    ("split", {"rule": "by_column_values", "column": 3, "val_values": [1],
+               "test_values": [2]}),
 ], ids=["negative_epochs", "zero_batch_size", "negative_clip_norm", "string_epochs",
         "string_fraction", "string_standardize", "string_batch_norm", "float_epochs",
         "string_batch_size", "bool_epochs", "float_split_seed", "float_max_iters",
-        "bool_hidden_width"])
+        "bool_hidden_width", "string_clip_norm", "numeric_string_fraction",
+        "bool_fraction", "bool_h_max", "bool_lr", "bool_abs_tolerance",
+        "string_drop_epoch", "int_target", "int_split_column"])
 def test_bad_values_are_config_errors(tmp_path, capsys, section, values):
     raw = dict(json.loads(json.dumps(MINIMAL)), **{section: values})
     with pytest.raises(ConfigError):

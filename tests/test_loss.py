@@ -138,6 +138,17 @@ class TestNllAndGrad:
             ).value + math.log(s)
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
+    def test_value_is_negative_log_density_less_the_constant(self):
+        rng = np.random.default_rng(17)
+        n = 20000
+        g = np.concatenate([rng.uniform(-2, 2, n - 1000), rng.uniform(-2e-5, 2e-5, 1000)])
+        h = rng.choice([0.0, 1e-300, 0.1, 0.5], n) * rng.uniform(0, 1, n)
+        params = TghParams(rng.normal(0, 2, n), rng.uniform(0.1, 5, n), g, h)
+        y = params.mu + params.sigma * tgh.tau(rng.normal(0, 3, n), params.shape)
+        value = nll_and_grad(y, params).value
+        want = -tgh.log_density(y, params) - 0.5 * math.log(2 * math.pi)
+        assert np.all(np.abs(value - want) <= 1e-14 * np.maximum(1.0, np.abs(value)))
+
     def test_exactly_one_solve_per_evaluation(self, count_calls):
         solves = count_calls(tgh, "tau_inverse")
         nll_and_grad(0.4, TghParams(0.1, 1.0, 0.3, 0.2))
@@ -145,6 +156,21 @@ class TestNllAndGrad:
         batch_nll(np.array([0.1, 0.2, 0.3]), TghParams(
             np.zeros(3), np.ones(3), np.zeros(3), np.zeros(3)))
         assert len(solves) == 2
+
+
+@pytest.mark.parametrize("loss, args, width", [
+    (lambda y, a, b: nll_and_grad(y, TghParams(a, 1.0, b, 0.1)), (0.0, [0.1, 0.2, -0.3]), 4),
+    (gaussian_nll_and_grad, (0.0, [1.0, 2.0, 0.5]), 2),
+], ids=["tukey", "gaussian"])
+def test_scalar_target_with_array_parameters(loss, args, width):
+    """A scalar result only when every input is scalar, as everywhere in tgh."""
+    out = loss(0.5, args[0], np.array(args[1]))
+    assert out.value.shape == (3,)
+    assert out.grad.shape == (3, width)
+    for i, b in enumerate(args[1]):
+        row = loss(0.5, args[0], b)
+        np.testing.assert_allclose(out.value[i], row.value, rtol=1e-14)
+        np.testing.assert_allclose(out.grad[i], row.grad, rtol=1e-14)
 
 
 class TestGaussianLoss:

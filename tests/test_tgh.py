@@ -165,6 +165,13 @@ class TestTauParamDerivatives:
                 dtau_dg(z, ShapeParams(g, h)), fd, rtol=1e-5, atol=1e-9
             )
 
+    def test_dg_small_g_series_keeps_cubic_term(self):
+        g = 5e-6
+        z = np.linspace(-12.0, 12.0, 241)
+        for h in (0.0, 0.3):
+            want = (z**2 / 2 + g * z**3 / 3 + g**2 * z**4 / 8) * np.exp(h * z * z / 2)
+            np.testing.assert_allclose(dtau_dg(z, ShapeParams(g, h)), want, rtol=1e-10)
+
     def test_dh_trivial_values(self):
         assert dtau_dh(0.0, ShapeParams(0.3, 0.2)) == 0.0
         assert dtau_dh(2.0, ShapeParams(0.0, 0.0)) == pytest.approx(4.0)
@@ -429,6 +436,20 @@ class TestLogDensity:
                 )
                 total = np.trapezoid(integrand, z)
                 assert total == pytest.approx(1.0, abs=1e-6), (g, h)
+
+    def test_h_zero_is_exact_up_to_large_g_z(self):
+        # log tau' = g*z at h = 0, also where exp(g*z) nearly underflows or overflows
+        z = np.concatenate([np.linspace(-300.0, 300.0, 601), np.linspace(-12.0, 12.0, 97)])
+        for g in (-2.0, -0.7, 0.3, 2.0):
+            got = tgh.log_density_from_z(z, TghParams(0.0, 1.0, g, 0.0))
+            np.testing.assert_allclose(got, -g * z - z * z / 2 - HALF_LOG_2PI, rtol=1e-12)
+
+    def test_g_zero_closed_form(self):
+        z = np.linspace(-30.0, 30.0, 601)
+        for h in (0.0, 1e-300, 0.05, 0.5):
+            got = tgh.log_density_from_z(z, TghParams(0.0, 1.0, 0.0, h))
+            want = -np.log1p(h * z * z) - (1 + h) * z * z / 2 - HALF_LOG_2PI
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_per_sample_parameter_arrays(self):
         params = TghParams(

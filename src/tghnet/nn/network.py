@@ -9,6 +9,7 @@ always linear with no batch norm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,19 +110,23 @@ class BatchNorm:
     """Per-feature batch normalization with running statistics.
 
     Train mode normalizes with the batch mean and (biased) batch variance
-    and updates the running statistics with momentum
+    and updates the running statistics in place with momentum
     ``running = (1 - m) * running + m * batch`` (unbiased variance for the
     running update).  Eval mode normalizes with the running statistics.
+
+    ``arrays`` are the (gamma, beta, running_mean, running_var, dgamma,
+    dbeta) vectors to work in, views into a Network's state and gradient;
+    a stand-alone layer allocates its own.
     """
 
-    def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5):
-        self.dim = dim
+    def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5,
+                 arrays: tuple[np.ndarray, ...] | None = None):
         self.momentum = momentum
         self.eps = eps
-        self.gamma = np.ones(dim)
-        self.beta = np.zeros(dim)
-        self.running_mean = np.zeros(dim)
-        self.running_var = np.ones(dim)
+        (self.gamma, self.beta, self.running_mean, self.running_var,
+         self.dgamma, self.dbeta) = np.empty((6, dim)) if arrays is None else arrays
+        self.gamma[...], self.beta[...] = 1.0, 0.0
+        self.running_mean[...], self.running_var[...] = 0.0, 1.0
         self._cache = None
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
@@ -133,100 +138,104 @@ class BatchNorm:
             inv_std = 1.0 / np.sqrt(var + self.eps)
             x_hat = centered * inv_std
             m = self.momentum
-            self.running_mean = (1.0 - m) * self.running_mean + m * mean
+            self.running_mean[...] = (1.0 - m) * self.running_mean + m * mean
             unbiased = var * n / max(n - 1, 1)
-            self.running_var = (1.0 - m) * self.running_var + m * unbiased
-            self._cache = (centered, inv_std, x_hat)
+            self.running_var[...] = (1.0 - m) * self.running_var + m * unbiased
+            self._cache = (inv_std, x_hat)
         else:
             x_hat = (x - self.running_mean) / np.sqrt(self.running_var + self.eps)
             self._cache = None
         return self.gamma * x_hat + self.beta
 
-    def backward(self, dout: np.ndarray):
+    def backward(self, dout: np.ndarray) -> np.ndarray:
+        """Write dgamma and dbeta in place and return d(loss)/dx."""
         if self._cache is None:
             raise RuntimeError("batch-norm backward without a cached train forward")
-        centered, inv_std, x_hat = self._cache
+        inv_std, x_hat = self._cache
         n = dout.shape[0]
-        dgamma = np.sum(dout * x_hat, axis=0)
-        dbeta = np.sum(dout, axis=0)
-        dx_hat = dout * self.gamma
-        # dx through mean and variance of the batch
-        dvar = np.sum(dx_hat * centered, axis=0) * (-0.5) * inv_std ** 3
-        dmean = -np.sum(dx_hat, axis=0) * inv_std
-        dx = dx_hat * inv_std + (2.0 / n) * dvar * centered + dmean / n
-        return dx, dgamma, dbeta
+        np.sum(dout * x_hat, axis=0, out=self.dgamma)
+        np.sum(dout, axis=0, out=self.dbeta)
+        # closed form of the gradient through the batch mean and variance
+        return (self.gamma * inv_std / n) * (n * dout - self.dbeta - x_hat * self.dgamma)
 
 
 class Linear:
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
-        bound = np.sqrt(6.0 / in_dim)
-        self.w = rng.uniform(-bound, bound, size=(in_dim, out_dim))
-        self.b = np.zeros(out_dim)
+    """x @ w + b on the views (w, b, dw, db); w is drawn uniform in
+    +-sqrt(6 / in_dim) from rng and b starts at zero."""
+
+    def __init__(self, w: np.ndarray, b: np.ndarray, dw: np.ndarray, db: np.ndarray,
+                 rng: np.random.Generator):
+        bound = np.sqrt(6.0 / w.shape[0])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+        b[...] = 0.0
+        self.w, self.b, self.dw, self.db = w, b, dw, db
         self._x = None
 
     def forward(self, x: np.ndarray, cache: bool) -> np.ndarray:
         self._x = x if cache else None
         return x @ self.w + self.b
 
-    def backward(self, dout: np.ndarray):
+    def backward(self, dout: np.ndarray) -> np.ndarray:
+        """Write dw and db in place and return d(loss)/dx."""
         if self._x is None:
             raise RuntimeError("linear backward without a cached forward")
-        dw = self._x.T @ dout
-        db = np.sum(dout, axis=0)
-        dx = dout @ self.w.T
-        return dx, dw, db
+        np.matmul(self._x.T, dout, out=self.dw)
+        np.sum(dout, axis=0, out=self.db)
+        return dout @ self.w.T
+
+
+def _views(vec: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive views of vec with the given shapes."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    return [v.reshape(shape) for v, shape in zip(np.split(vec, ends[:-1]), shapes)]
 
 
 class Network:
     """Feed-forward network assembled from a NetworkSpec.
 
+    All parameters and batch-norm running statistics live in one float64
+    vector ``state``, in model-file order: per layer W (row-major), b, and
+    gamma, beta for batch-norm layers; then running_mean, running_var per
+    batch-norm layer.  ``params`` is its leading parameter part, ``grad``
+    (filled by backward()) has the same layout, and the layers hold views
+    into both.
+
     forward(X, train=True) caches activations for a following backward();
     forward in eval mode uses batch-norm running statistics and caches
-    nothing.  Parameters are float64 throughout and initialization is
-    deterministic for a fixed seed.
+    nothing.  Initialization is deterministic for a fixed seed.
     """
 
     def __init__(self, spec: NetworkSpec, seed: int = 0):
         self.spec = spec
+        shapes, stats = [], []
+        for layer in spec.layers:
+            shapes += [(layer.in_dim, layer.out_dim), (layer.out_dim,)]
+            if layer.batch_norm:
+                shapes += [(layer.out_dim,)] * 2
+                stats += [(layer.out_dim,)] * 2
+        n_params = sum(math.prod(s) for s in shapes)
+        self.state = np.empty(n_params + sum(math.prod(s) for s in stats))
+        self.params = self.state[:n_params]
+        self.grad = np.zeros(n_params)
+        views = _views(self.state, shapes + stats)
+        self._param_views = views[:len(shapes)]
+        self._grad_views = _views(self.grad, shapes)
+        p, s, g = iter(self._param_views), iter(views[len(shapes):]), iter(self._grad_views)
         rng = np.random.default_rng(seed)
         self.linears: list[Linear] = []
         self.norms: list[BatchNorm | None] = []
         for layer in spec.layers:
-            self.linears.append(Linear(layer.in_dim, layer.out_dim, rng))
-            self.norms.append(BatchNorm(layer.out_dim) if layer.batch_norm else None)
+            self.linears.append(Linear(next(p), next(p), next(g), next(g), rng))
+            self.norms.append(BatchNorm(
+                layer.out_dim, arrays=tuple(next(it) for it in (p, p, s, s, g, g)))
+                if layer.batch_norm else None)
         self._relu_masks: list[np.ndarray | None] = [None] * len(spec.layers)
         self._trained_forward = False
 
-    # -- parameter access ------------------------------------------------
     def parameters(self) -> list[np.ndarray]:
-        params = []
-        for lin, bn in zip(self.linears, self.norms):
-            params.extend([lin.w, lin.b])
-            if bn is not None:
-                params.extend([bn.gamma, bn.beta])
-        return params
+        """Per-array views into params: per layer W, b (, gamma, beta)."""
+        return list(self._param_views)
 
-    def get_state(self) -> list[np.ndarray]:
-        """Copies of all learned parameters plus running statistics."""
-        state = [p.copy() for p in self.parameters()]
-        for bn in self.norms:
-            if bn is not None:
-                state.extend([bn.running_mean.copy(), bn.running_var.copy()])
-        return state
-
-    def set_state(self, state: list[np.ndarray]) -> None:
-        params = self.parameters()
-        for p, s in zip(params, state[: len(params)]):
-            p[...] = s
-        rest = state[len(params):]
-        i = 0
-        for bn in self.norms:
-            if bn is not None:
-                bn.running_mean[...] = rest[i]
-                bn.running_var[...] = rest[i + 1]
-                i += 2
-
-    # -- forward / backward ----------------------------------------------
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
@@ -256,32 +265,21 @@ class Network:
         return h
 
     def backward(self, head_grad: np.ndarray) -> list[np.ndarray]:
-        """Gradients for every parameter given d(loss)/d(head).
+        """Fill grad with the gradient of every parameter given d(loss)/d(head).
 
-        Returns arrays aligned with parameters().  Requires a preceding
-        train-mode forward on the same batch.
+        Returns per-array views into grad, aligned with parameters().
+        Requires a preceding train-mode forward on the same batch.
         """
         if not self._trained_forward:
             raise RuntimeError("backward requires a train-mode forward first")
-        grads: dict[int, list[np.ndarray]] = {}
         d = np.asarray(head_grad, dtype=float)
         penult = len(self.spec.layers) - 2
         for i in range(len(self.spec.layers) - 1, -1, -1):
-            layer = self.spec.layers[i]
-            if layer.activation == "relu":
+            if self.spec.layers[i].activation == "relu":
                 d = d * self._relu_masks[i]
-            bn = self.norms[i]
-            if bn is not None:
-                d, dgamma, dbeta = bn.backward(d)
-            dx, dw, db = self.linears[i].backward(d)
-            entry = [dw, db]
-            if bn is not None:
-                entry.extend([dgamma, dbeta])
-            grads[i] = entry
+            if self.norms[i] is not None:
+                d = self.norms[i].backward(d)
+            d = self.linears[i].backward(d)
             if i == penult and self.spec.late_features > 0:
-                dx = dx[:, : -self.spec.late_features]
-            d = dx
-        flat: list[np.ndarray] = []
-        for i in range(len(self.spec.layers)):
-            flat.extend(grads[i])
-        return flat
+                d = d[:, : -self.spec.late_features]
+        return list(self._grad_views)

@@ -41,25 +41,23 @@ def effective_lr(cfg: AdamConfig, epoch: int) -> float:
 
 
 class Adam:
-    """Standard Adam with bias correction, updating parameters in place."""
+    """Standard Adam with bias correction on one flat parameter vector (such
+    as Network.params), updated in place; m and v share its layout."""
 
-    def __init__(self, params: list[np.ndarray], cfg: AdamConfig):
+    def __init__(self, params: np.ndarray, cfg: AdamConfig):
         self.cfg = cfg
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray], epoch: int) -> None:
-        if len(params) != len(self.m) or len(grads) != len(params):
-            raise ValueError("parameter/gradient lists do not match optimizer state")
+    def step(self, params: np.ndarray, grad: np.ndarray, epoch: int) -> None:
         cfg = self.cfg
         lr = effective_lr(cfg, epoch)
         self.t += 1
         bc1 = 1.0 - cfg.beta1 ** self.t
         bc2 = 1.0 - cfg.beta2 ** self.t
-        for p, gr, m, v in zip(params, grads, self.m, self.v):
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * gr
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * gr * gr
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        self.m *= cfg.beta1
+        self.m += (1.0 - cfg.beta1) * grad
+        self.v *= cfg.beta2
+        self.v += (1.0 - cfg.beta2) * grad * grad
+        params -= lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + cfg.eps)

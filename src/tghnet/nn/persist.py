@@ -7,10 +7,10 @@ Layout (all integers and floats little-endian):
     bytes 8-11  uint32 byte length of the UTF-8 header JSON
     ...         header JSON (network spec, link/solver configs, loss kind,
                 column metadata, standardization)
-    ...         float64 parameter blob: per layer W (row-major), b, and for
-                batch-norm layers gamma, beta
-    ...         float64 running-stats blob: per batch-norm layer
-                running_mean, running_var
+    ...         float64 blob: the network's ``state`` vector, that is the
+                parameters (per layer W row-major, b, and for batch-norm
+                layers gamma, beta) followed by the running statistics
+                (per batch-norm layer running_mean, running_var)
 
 save_model additionally writes ``<path>.json`` with the same header,
 pretty-printed, for inspection.  The writer is deterministic: identical
@@ -129,15 +129,6 @@ def _header_dict(bundle: ModelBundle) -> dict:
     }
 
 
-def _blob_arrays(net: Network) -> list[np.ndarray]:
-    """The arrays of the float64 blob, in file order (writable views)."""
-    arrays = list(net.parameters())
-    for bn in net.norms:
-        if bn is not None:
-            arrays += [bn.running_mean, bn.running_var]
-    return arrays
-
-
 def save_model(path, bundle: ModelBundle) -> None:
     """Write the binary model file and its JSON sidecar."""
     header = json.dumps(_header_dict(bundle), sort_keys=True).encode("utf-8")
@@ -146,7 +137,7 @@ def save_model(path, bundle: ModelBundle) -> None:
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        fh.write(b"".join(a.astype("<f8").tobytes() for a in _blob_arrays(bundle.network)))
+        fh.write(bundle.network.state.astype("<f8").tobytes())
     with open(f"{path}.json", "w", encoding="utf-8") as fh:
         json.dump(_header_dict(bundle), fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -176,14 +167,11 @@ def load_model(path) -> ModelBundle:
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: bad header at byte 12: {exc!r}") from exc
 
-    arrays = _blob_arrays(bundle.network)
-    need = 8 * sum(a.size for a in arrays)
-    if len(blob) - offset != need:
+    state = bundle.network.state
+    if len(blob) - offset != state.nbytes:
         raise DataError(f"{path}: parameter blob at byte {offset} holds "
-                        f"{len(blob) - offset} bytes, the header's network needs {need}")
-    for arr in arrays:
-        arr[...] = np.frombuffer(blob, "<f8", arr.size, offset).reshape(arr.shape)
-        offset += arr.size * 8
+                        f"{len(blob) - offset} bytes, the header's network needs {state.nbytes}")
+    state[...] = np.frombuffer(blob, "<f8", state.size, offset)
     return bundle
 
 

@@ -65,17 +65,6 @@ def _head_loss(kind: str, y, raw, link_cfg, solver_cfg):
     return mean, head_grad
 
 
-def _clip_grads(grads: list[np.ndarray], max_norm: float) -> None:
-    total = 0.0
-    for g in grads:
-        total += float(np.sum(g * g))
-    norm = np.sqrt(total)
-    if norm > max_norm:
-        scale = max_norm / norm
-        for g in grads:
-            g *= scale
-
-
 def evaluate_mean_loss(net: Network, x: np.ndarray, y: np.ndarray, kind: str,
                        link_cfg: LinkConfig = DEFAULT_LINK,
                        solver_cfg: InverseSolverConfig = DEFAULT_SOLVER) -> float:
@@ -112,7 +101,7 @@ def train(net: Network, x: np.ndarray, y: np.ndarray,
         raise ValueError("train and validation splits must be non-empty")
 
     rng = np.random.default_rng(train_cfg.seed)
-    opt = Adam(net.parameters(), adam_cfg)
+    opt = Adam(net.params, adam_cfg)
     history = TrainHistory([], [], [], [])
     best_val = np.inf
     best_state = None
@@ -128,10 +117,12 @@ def train(net: Network, x: np.ndarray, y: np.ndarray,
                 raise NumericalError(
                     f"non-finite training loss at epoch {epoch}, batch {b}"
                 )
-            grads = net.backward(head_grad)
+            net.backward(head_grad)
             if train_cfg.clip_norm is not None:
-                _clip_grads(grads, train_cfg.clip_norm)
-            opt.step(net.parameters(), grads, epoch)
+                norm = np.sqrt(net.grad @ net.grad)
+                if norm > train_cfg.clip_norm:
+                    net.grad *= train_cfg.clip_norm / norm
+            opt.step(net.params, net.grad, epoch)
             epoch_sum += mean * len(rows)
         train_loss = epoch_sum / len(train_idx)
         val_loss = evaluate_mean_loss(
@@ -145,9 +136,9 @@ def train(net: Network, x: np.ndarray, y: np.ndarray,
         history.val_loss.append(val_loss)
         if val_loss < best_val:
             best_val = val_loss
-            best_state = net.get_state()
+            best_state = net.state.copy()
             history.best_epoch = epoch
 
     if best_state is not None:
-        net.set_state(best_state)
+        net.state[...] = best_state
     return history

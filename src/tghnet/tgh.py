@@ -275,9 +275,10 @@ def _tau_and_prime(z, g, h, small, g_safe):
 def _row_error(message: str, bad: np.ndarray, zt, g, h) -> SolverError:
     """SolverError naming the first row flagged in bad."""
     i = np.unravel_index(np.argmax(bad), bad.shape) if bad.ndim else ()
+    at = int(i[0]) if len(i) == 1 else tuple(int(k) for k in i)
     return SolverError(
-        f"{message} at sample index {i[0] if len(i) == 1 else i}: "
-        f"z_tilde={zt[i]!r}, g={g[i]!r}, h={h[i]!r}"
+        f"{message} at sample index {at}: "
+        f"z_tilde={float(zt[i])!r}, g={float(g[i])!r}, h={float(h[i])!r}"
     )
 
 

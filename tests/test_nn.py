@@ -183,22 +183,76 @@ class TestBatchNormRunningStats:
         assert bn.running_var[0] == pytest.approx(4.0, abs=1e-2 * 4.0 * 2)
 
 
+class TestBatchNormBackward:
+    @staticmethod
+    def _three_term_dx(dout, x, gamma, eps):
+        """Reference: dx through the batch variance and mean, term by term."""
+        n = x.shape[0]
+        centered = x - x.mean(axis=0)
+        inv_std = 1.0 / np.sqrt(np.mean(centered * centered, axis=0) + eps)
+        dx_hat = dout * gamma
+        dvar = np.sum(dx_hat * centered, axis=0) * (-0.5) * inv_std ** 3
+        dmean = -np.sum(dx_hat, axis=0) * inv_std
+        return dx_hat * inv_std + (2.0 / n) * dvar * centered + dmean / n
+
+    def test_closed_form_matches_three_term_formula(self):
+        rng = np.random.default_rng(12)
+        bn = BatchNorm(64)
+        bn.gamma[...] = rng.normal(1.0, 0.5, size=64)
+        x = rng.normal(2.0, 3.0, size=(512, 64))
+        dout = rng.normal(size=(512, 64))
+        bn.forward(x, train=True)
+        dx = bn.backward(dout)
+        want = self._three_term_dx(dout, x, bn.gamma, bn.eps)
+        # relative to the largest entry: entries near zero carry the rounding
+        # of the larger terms that cancel in them
+        np.testing.assert_allclose(dx, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+        centered = x - x.mean(axis=0)
+        x_hat = centered / np.sqrt(np.mean(centered * centered, axis=0) + bn.eps)
+        np.testing.assert_allclose(bn.dgamma, np.sum(dout * x_hat, axis=0), rtol=1e-12)
+        np.testing.assert_allclose(bn.dbeta, np.sum(dout, axis=0), rtol=1e-12)
+
+
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
-        p = [np.array([1.0, -2.0])]
+        p = np.array([1.0, -2.0])
         opt = Adam(p, AdamConfig())
-        opt.step(p, [np.zeros(2)], epoch=0)
-        np.testing.assert_array_equal(p[0], [1.0, -2.0])
+        opt.step(p, np.zeros(2), epoch=0)
+        np.testing.assert_array_equal(p, [1.0, -2.0])
 
     def test_first_step_hand_computed(self):
         # with bias correction, first update is lr * gr / (|gr| + eps)
         cfg = AdamConfig(lr=1e-4)
-        p = [np.array([1.0])]
+        p = np.array([1.0])
         opt = Adam(p, cfg)
-        gr = np.array([0.3])
-        opt.step(p, [gr], epoch=0)
+        opt.step(p, np.array([0.3]), epoch=0)
         want = 1.0 - cfg.lr * 0.3 / (0.3 + cfg.eps)
-        assert p[0][0] == pytest.approx(want, rel=1e-12)
+        assert p[0] == pytest.approx(want, rel=1e-12)
+
+    def test_vector_step_matches_per_array_loop(self):
+        # reference: the same update applied array by array
+        net = Network(dense_spec(1, [64, 64, 64, 64], head_dim=4), seed=0)
+        cfg = AdamConfig(lr=3e-3, lr_drop_epochs=(2, 4))
+        ref = [p.copy() for p in net.parameters()]
+        m = [np.zeros_like(p) for p in ref]
+        v = [np.zeros_like(p) for p in ref]
+        opt = Adam(net.params, cfg)
+        rng = np.random.default_rng(11)
+        for t in range(1, 6):
+            grads = [rng.normal(size=p.shape) for p in ref]
+            net.grad[...] = np.concatenate([gr.ravel() for gr in grads])
+            opt.step(net.params, net.grad, epoch=t)
+            lr = effective_lr(cfg, t)
+            bc1 = 1.0 - cfg.beta1 ** t
+            bc2 = 1.0 - cfg.beta2 ** t
+            for p, gr, mi, vi in zip(ref, grads, m, v):
+                mi *= cfg.beta1
+                mi += (1.0 - cfg.beta1) * gr
+                vi *= cfg.beta2
+                vi += (1.0 - cfg.beta2) * gr * gr
+                p -= lr * (mi / bc1) / (np.sqrt(vi / bc2) + cfg.eps)
+        for got, want in zip(net.parameters(), ref):
+            np.testing.assert_array_equal(got, want)
 
     def test_scheduler_drop_table(self):
         cfg = AdamConfig()
@@ -251,12 +305,11 @@ class TestTrain:
                 AdamConfig(lr=1e-3), TrainConfig(epochs=3, batch_size=64, seed=5),
             )
             results.append((
-                [p.copy() for p in net.get_state()],
+                net.state.copy(),
                 list(hist.train_loss),
                 list(hist.val_loss),
             ))
-        for a, b in zip(results[0][0], results[1][0]):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(results[0][0], results[1][0])
         assert results[0][1] == results[1][1]
         assert results[0][2] == results[1][2]
 
@@ -299,6 +352,72 @@ class TestTrain:
             train(net, x, y, tr, va, "poisson", AdamConfig(), TrainConfig(epochs=1))
 
 
+class TestGradientClipping:
+    @staticmethod
+    def _gradients(monkeypatch, clip_norm):
+        """Per batch of one epoch: the gradient backward() left in net.grad
+        and the gradient Adam.step received."""
+        x, y, tr, va = _toy_data(300)
+        net = Network(dense_spec(1, [8, 8], head_dim=2), seed=0)
+        raw, stepped = [], []
+        backward = Network.backward
+
+        def spy_backward(self, head_grad):
+            out = backward(self, head_grad)
+            raw.append(self.grad.copy())
+            return out
+
+        monkeypatch.setattr(Network, "backward", spy_backward)
+        monkeypatch.setattr(Adam, "step", lambda self, p, grad, epoch: stepped.append(grad.copy()))
+        train(net, x, y, tr, va, "gaussian", AdamConfig(),
+              TrainConfig(epochs=1, batch_size=64, clip_norm=clip_norm))
+        assert len(raw) == len(stepped) == 4
+        return raw, stepped
+
+    def test_small_clip_norm_scales_to_the_bound(self, monkeypatch):
+        clip = 1e-3
+        raw, stepped = self._gradients(monkeypatch, clip)
+        for r, s in zip(raw, stepped):
+            norm = np.sqrt(np.sum(r * r))
+            assert norm > clip
+            assert np.sqrt(np.sum(s * s)) == pytest.approx(clip, rel=1e-12)
+            np.testing.assert_allclose(s, r * (clip / norm), rtol=1e-12)
+
+    def test_no_clip_norm_passes_the_gradient_unchanged(self, monkeypatch):
+        raw, stepped = self._gradients(monkeypatch, None)
+        for r, s in zip(raw, stepped):
+            np.testing.assert_array_equal(s, r)
+
+
+def _documented_blob(net):
+    """The model-file blob as the persist docstring documents it:
+    parameters(), then running_mean and running_var per batch-norm layer."""
+    arrays = list(net.parameters())
+    for bn in net.norms:
+        if bn is not None:
+            arrays += [bn.running_mean, bn.running_var]
+    return b"".join(a.astype("<f8").tobytes() for a in arrays)
+
+
+class TestStateLayout:
+    def test_parameter_and_gradient_views_share_the_vectors(self):
+        net = Network(dense_spec(3, [6, 5], head_dim=4, late_features=1), seed=0)
+        rng = np.random.default_rng(0)
+        assert np.shares_memory(net.params, net.state)
+        assert net.grad.shape == net.params.shape
+        np.testing.assert_array_equal(
+            np.concatenate([p.ravel() for p in net.parameters()]), net.params)
+        for p in net.parameters():
+            assert np.shares_memory(p, net.params)
+        net.forward(rng.normal(size=(16, 3)), train=True)
+        grads = net.backward(rng.normal(size=(16, 4)))
+        assert [g.shape for g in grads] == [p.shape for p in net.parameters()]
+        for g in grads:
+            assert np.shares_memory(g, net.grad)
+        np.testing.assert_array_equal(
+            np.concatenate([g.ravel() for g in grads]), net.grad)
+
+
 class TestPersistence:
     def _bundle(self, seed=0):
         net = Network(dense_spec(3, [6, 5], head_dim=4, late_features=1), seed=seed)
@@ -325,8 +444,7 @@ class TestPersistence:
         path = tmp_path / "model.tghn"
         save_model(path, bundle)
         loaded = load_model(path)
-        for a, b in zip(bundle.network.get_state(), loaded.network.get_state()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(bundle.network.state, loaded.network.state)
         assert loaded.loss_kind == "tukey"
         assert loaded.feature_columns == ("lat", "lon", "year")
         assert loaded.split_rule == {"rule": "fraction", "fraction": 0.8, "seed": 0}
@@ -334,6 +452,27 @@ class TestPersistence:
         np.testing.assert_array_equal(
             bundle.predict_raw(x), loaded.predict_raw(x)
         )
+
+    def test_blob_is_parameters_then_running_stats(self, tmp_path):
+        bundle = self._bundle()
+        path = tmp_path / "model.tghn"
+        save_model(path, bundle)
+        raw = path.read_bytes()
+        hlen = int.from_bytes(raw[8:12], "little")
+        assert raw[12 + hlen:] == _documented_blob(bundle.network)
+
+    def test_hand_built_blob_loads_bit_equal(self, tmp_path):
+        # the header of one network, the blob of another of the same shape
+        path = tmp_path / "model.tghn"
+        save_model(path, self._bundle(seed=0))
+        raw = path.read_bytes()
+        hlen = int.from_bytes(raw[8:12], "little")
+        other = self._bundle(seed=1).network
+        path.write_bytes(raw[:12 + hlen] + _documented_blob(other))
+        loaded = load_model(path).network
+        np.testing.assert_array_equal(loaded.state, other.state)
+        x = np.random.default_rng(5).normal(size=(10, 3))
+        np.testing.assert_array_equal(loaded.forward(x), other.forward(x))
 
     def test_sidecar_json_written(self, tmp_path):
         path = tmp_path / "model.tghn"

@@ -266,8 +266,9 @@ class TestTauInverse:
     def test_unconverged_rows_raise(self):
         # row 0 is solved exactly at the start point z = 0; row 1 needs
         # more than two iterations
+        # plain floats, not np.float64(...) reprs
         with pytest.raises(SolverError, match=r"did not converge in 2 iterations "
-                           r"at sample index 1: z_tilde=.*5\.0.*g=.*h="):
+                           r"at sample index 1: z_tilde=5\.0, g=0\.0, h=0\.0$"):
             tau_inverse(np.array([0.0, 5.0]), ShapeParams(0.0, 0.0),
                         InverseSolverConfig(max_bisection_iters=2))
 

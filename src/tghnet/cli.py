@@ -316,18 +316,14 @@ def cmd_density(args) -> int:
         print(f"each feature point needs {width} component(s)", file=sys.stderr)
         return 2
     x = np.asarray(points, dtype=float)
-    params = bundle.predict_params(x)
-    cols = {"point": [], "y": [], "density": []}
-    mu = np.atleast_1d(np.asarray(params.mu))
-    sigma = np.atleast_1d(np.asarray(params.sigma))
-    g = np.atleast_1d(np.asarray(params.g))
-    h = np.atleast_1d(np.asarray(params.h))
-    for i in range(len(points)):
-        d = density_curve(TghParams(mu[i], sigma[i], g[i], h[i]), grid)
-        cols["point"].extend([float(i)] * len(grid))
-        cols["y"].extend(grid.tolist())
-        cols["density"].extend(d.tolist())
-    write_csv(args.out, {k: np.asarray(v) for k, v in cols.items()})
+    p = bundle.predict_params(x)
+    curves = np.array([density_curve(TghParams(*row), grid)
+                       for row in zip(p.mu, p.sigma, p.g, p.h)])
+    write_csv(args.out, {
+        "point": np.repeat(np.arange(len(points), dtype=float), len(grid)),
+        "y": np.tile(grid, len(points)),
+        "density": curves.ravel(),
+    })
     print(f"wrote {len(points)} density curve(s) of {len(grid)} points")
     return 0
 

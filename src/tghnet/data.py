@@ -6,6 +6,15 @@ feature cell is an error with row/column context, so an ingested dataset
 never contains NaN.  Re-emitting a dataset with write_csv reproduces the
 parsed numbers bit-exactly (shortest round-trip float formatting).
 
+load_csv reads the header with csv.reader and parses the declared columns
+of the body in one np.loadtxt pass, bit-equal to float() on every cell.
+When that pass raises (an empty, "na", non-ASCII or "1_0" cell, a short or
+whitespace-only row) or a kept row has a non-finite feature, the file is
+parsed again by the per-cell loop, which is the reference: it names the
+failing row and column.  write_csv formats whole columns at a time (repr
+of each float, joined per row) in blocks of _WRITE_BLOCK rows; its bytes
+equal a per-row csv.writer's.
+
 Split labels are "train" / "val" / "test".  The fraction rule shuffles
 with a seeded generator (test left empty); the by-column-values rule
 assigns val/test by exact value match with the remainder as train.
@@ -16,6 +25,7 @@ target is never standardized — predictions stay in target units.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,6 +34,9 @@ from .errors import DataError
 from .nn.persist import Standardization
 
 SPLIT_LABELS = ("train", "val", "test")
+
+# write_csv formats this many rows per write, which bounds its memory
+_WRITE_BLOCK = 4096
 
 
 @dataclass
@@ -83,68 +96,106 @@ def load_csv(path, target_column: str, feature_columns: list[str] | tuple[str, .
                 raise DataError(f"{path}: missing column {name!r}")
         target_pos = header.index(target_column)
         feature_pos = [header.index(name) for name in feature_columns]
-
-        rows: list[list[float]] = []
-        targets: list[float] = []
-        n_dropped = 0
-        min_cells = max([target_pos, *feature_pos]) + 1
-        for line_no, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) < min_cells:
-                raise DataError(
-                    f"{path}: row {line_no} has {len(record)} cells, "
-                    f"expected at least {min_cells}"
-                )
-            cell = record[target_pos].strip()
-            missing = cell == "" or cell.lower() in ("nan", "na")
-            if not missing:
-                try:
-                    t = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {line_no}, column {target_column!r}: "
-                        f"unparseable value {cell!r}"
-                    ) from None
-                missing = not np.isfinite(t)
-            if missing:
-                n_dropped += 1
-                continue
-            feats = []
-            for pos, name in zip(feature_pos, feature_columns):
-                cell = record[pos].strip()
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {line_no}, column {name!r}: "
-                        f"unparseable value {cell!r}"
-                    ) from None
-                if not np.isfinite(v):
-                    raise DataError(
-                        f"{path}: row {line_no}, column {name!r}: non-finite value"
-                    )
-                feats.append(v)
-            rows.append(feats)
-            targets.append(t)
-
-    x = np.asarray(rows, dtype=float).reshape(len(rows), len(feature_columns))
-    y = np.asarray(targets, dtype=float)
+        try:
+            x, y, n_dropped = _parse_columns(fh, target_pos, feature_pos)
+        except ValueError:
+            # The per-row loop is the reference: it names the failing row and
+            # column, and it applies the ""/na/nan target rule.
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            x, y, n_dropped = _parse_rows(path, reader, target_column, feature_columns,
+                                          target_pos, feature_pos)
     return Dataset(x, y, feature_columns, target_column, n_dropped=n_dropped)
 
 
+def _parse_columns(fh, target_pos: int, feature_pos: list[int]):
+    """(x, y, n_dropped) from the rest of fh in one vectorised pass.
+
+    np.loadtxt accepts a subset of what the per-row loop accepts (ASCII
+    cells only, no "1_0" underscores, no empty or "na" cells, no
+    whitespace-only lines) and parses every accepted cell bit-equal to
+    float(); anything else raises ValueError, as does a non-finite feature
+    in a kept row, and the caller falls back to the loop.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        cells = np.loadtxt(fh, delimiter=",", usecols=(target_pos, *feature_pos),
+                           comments=None, quotechar='"', ndmin=2)
+    keep = np.isfinite(cells[:, 0])
+    x = cells[keep, 1:]
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite feature cell")
+    return x, cells[keep, 0], len(keep) - int(np.count_nonzero(keep))
+
+
+def _parse_rows(path, reader, target_column: str, feature_columns: tuple[str, ...],
+                target_pos: int, feature_pos: list[int]):
+    """(x, y, n_dropped) from the remaining records of reader, one cell at a time."""
+    rows: list[list[float]] = []
+    targets: list[float] = []
+    n_dropped = 0
+    min_cells = max([target_pos, *feature_pos]) + 1
+    for line_no, record in enumerate(reader, start=2):
+        if not record:
+            continue
+        if len(record) < min_cells:
+            raise DataError(
+                f"{path}: row {line_no} has {len(record)} cells, "
+                f"expected at least {min_cells}"
+            )
+        cell = record[target_pos].strip()
+        missing = cell == "" or cell.lower() in ("nan", "na")
+        if not missing:
+            try:
+                t = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"{path}: row {line_no}, column {target_column!r}: "
+                    f"unparseable value {cell!r}"
+                ) from None
+            missing = not np.isfinite(t)
+        if missing:
+            n_dropped += 1
+            continue
+        feats = []
+        for pos, name in zip(feature_pos, feature_columns):
+            cell = record[pos].strip()
+            try:
+                v = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"{path}: row {line_no}, column {name!r}: "
+                    f"unparseable value {cell!r}"
+                ) from None
+            if not np.isfinite(v):
+                raise DataError(
+                    f"{path}: row {line_no}, column {name!r}: non-finite value"
+                )
+            feats.append(v)
+        rows.append(feats)
+        targets.append(t)
+    x = np.asarray(rows, dtype=float).reshape(len(rows), len(feature_columns))
+    return x, np.asarray(targets, dtype=float), n_dropped
+
+
 def write_csv(path, columns: dict[str, np.ndarray]) -> None:
-    """Write named columns as CSV with shortest round-trip float formatting."""
+    """Write named columns as CSV with shortest round-trip float formatting.
+
+    The bytes equal a per-row csv.writer of repr(float(cell)): the header
+    goes through csv.writer, and the body is formatted whole columns at a
+    time, _WRITE_BLOCK rows per write.
+    """
     names = list(columns)
-    arrays = [np.asarray(columns[n]) for n in names]
+    arrays = [np.asarray(columns[n], dtype=float) for n in names]
     n = len(arrays[0])
     if any(len(a) != n for a in arrays):
         raise DataError("all columns must have equal length")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for i in range(n):
-            writer.writerow([repr(float(a[i])) for a in arrays])
+        csv.writer(fh).writerow(names)
+        for start in range(0, n, _WRITE_BLOCK):
+            cells = (map(repr, a[start:start + _WRITE_BLOCK].tolist()) for a in arrays)
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def split_fraction(dataset: Dataset, fraction: float, seed: int) -> Dataset:

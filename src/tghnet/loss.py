@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .errors import NumericalError
 from .tgh import (
     DEFAULT_SOLVER,
     InverseSolverConfig,
@@ -166,8 +167,24 @@ def tukey_head_loss(y, raw, link_cfg: LinkConfig = DEFAULT_LINK,
     This is the node the network backward pass consumes: the per-sample
     parameter gradients are pulled through the diagonal link derivatives
     and scaled by 1/n.
+
+    For very negative raw h the link's h underflows to exactly 0.  The
+    support of tau is then one-sided (1 + g*tau > 0), and a row whose
+    z_tilde = (y - mu)/sigma lies outside it has an infinite NLL: that
+    raises NumericalError naming the row, before any solve.
     """
     params, derivs = link(raw, link_cfg)
+    h_zero = params.h == 0
+    if np.any(h_zero):
+        z_tilde = (np.asarray(y, dtype=float) - params.mu) / params.sigma
+        outside = np.ravel(h_zero & (params.g * z_tilde <= -1.0))
+        if np.any(outside):
+            i = int(np.argmax(outside))
+            raise NumericalError(
+                f"infinite NLL at row {i}: the link's h underflowed to 0, and "
+                f"z_tilde={float(np.ravel(z_tilde)[i])!r} lies outside the "
+                f"one-sided support 1 + g*z_tilde > 0 for g={float(np.ravel(params.g)[i])!r}"
+            )
     batch = batch_nll(y, params, solver_cfg)
     head_grad = batch.grads * derivs / len(batch.values)
     return batch.mean, head_grad, params

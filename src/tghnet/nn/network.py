@@ -16,6 +16,10 @@ import numpy as np
 
 ACTIVATIONS = ("relu", "identity")
 
+# Rows per eval-mode forward when scoring or validating: a chunk's
+# activations stay in cache, and memory does not grow with the row count.
+EVAL_CHUNK = 1024
+
 
 @dataclass(frozen=True)
 class LayerSpec:
@@ -142,10 +146,12 @@ class BatchNorm:
             unbiased = var * n / max(n - 1, 1)
             self.running_var[...] = (1.0 - m) * self.running_var + m * unbiased
             self._cache = (inv_std, x_hat)
-        else:
-            x_hat = (x - self.running_mean) / np.sqrt(self.running_var + self.eps)
-            self._cache = None
-        return self.gamma * x_hat + self.beta
+            return self.gamma * x_hat + self.beta
+        # gamma * (x - running_mean) / sqrt(running_var + eps) + beta as one
+        # per-feature affine map: two passes over x instead of four
+        self._cache = None
+        scale = self.gamma / np.sqrt(self.running_var + self.eps)
+        return x * scale + (self.beta - self.running_mean * scale)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         """Write dgamma and dbeta in place and return d(loss)/dx."""
@@ -256,7 +262,7 @@ class Network:
                 z = bn.forward(z, train=train)
             if layer.activation == "relu":
                 mask = z > 0
-                h = z * mask
+                h = np.multiply(z, mask, out=z)  # z is this forward's own array
                 self._relu_masks[i] = mask if train else None
             else:
                 h = z

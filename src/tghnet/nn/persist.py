@@ -28,7 +28,7 @@ import numpy as np
 from ..errors import DataError
 from ..loss import LinkConfig
 from ..tgh import InverseSolverConfig
-from .network import LayerSpec, Network, NetworkSpec
+from .network import EVAL_CHUNK, LayerSpec, Network, NetworkSpec
 
 MAGIC = b"TGHN"
 FORMAT_VERSION = 1
@@ -60,28 +60,43 @@ class ModelBundle:
     standardization: Standardization | None
     split_rule: dict | None = None
 
+    def _raw_chunks(self, x: np.ndarray):
+        """Eval-mode head outputs for raw (unstandardized) features, EVAL_CHUNK
+        rows at a time: yields (rows, raw) with rows a slice of x."""
+        x = np.asarray(x, dtype=float)
+        for start in range(0, len(x), EVAL_CHUNK):
+            rows = slice(start, start + EVAL_CHUNK)
+            chunk = x[rows]
+            if self.standardization is not None:
+                chunk = self.standardization.apply(chunk)
+            yield rows, self.network.forward(chunk, train=False)
+
     def predict_raw(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode head outputs for raw (unstandardized) features."""
-        x = np.asarray(x, dtype=float)
-        if self.standardization is not None:
-            x = self.standardization.apply(x)
-        return self.network.forward(x, train=False)
+        raw = np.empty((len(x), self.network.spec.head_dim))
+        for rows, chunk in self._raw_chunks(x):
+            raw[rows] = chunk
+        return raw
 
     def predict_params(self, x: np.ndarray):
         """Predicted distribution parameters as a TghParams of arrays.
 
         Gaussian models come back with g = h = 0 so that downstream
-        density/interval/residual code treats both heads uniformly.
+        density/interval/residual code treats both heads uniformly.  The
+        link runs chunk by chunk, so beyond the four returned arrays memory
+        does not grow with the row count.
         """
         from ..loss import link, link_gaussian
         from ..tgh import TghParams
 
-        raw = self.predict_raw(x)
-        if self.loss_kind == "tukey":
-            params, _ = link(raw, self.link)
-            return params
-        mu, sigma, _ = link_gaussian(raw, self.link)
-        return TghParams(mu, sigma, np.zeros_like(mu), np.zeros_like(mu))
+        out = np.zeros((4, len(x)))  # mu, sigma, g, h
+        for rows, raw in self._raw_chunks(x):
+            if self.loss_kind == "tukey":
+                p = link(raw, self.link)[0]
+                out[:, rows] = p.mu, p.sigma, p.g, p.h
+            else:
+                out[:2, rows] = link_gaussian(raw, self.link)[:2]
+        return TghParams(*out)
 
 
 def _header_dict(bundle: ModelBundle) -> dict:
@@ -146,8 +161,8 @@ def save_model(path, bundle: ModelBundle) -> None:
 def load_model(path) -> ModelBundle:
     """Read a model file written by save_model.
 
-    A damaged or truncated file raises DataError naming the byte offset
-    at which reading failed.
+    A damaged or truncated file, or one whose blob holds a non-finite
+    value, raises DataError naming the byte offset at which reading failed.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -172,6 +187,11 @@ def load_model(path) -> ModelBundle:
         raise DataError(f"{path}: parameter blob at byte {offset} holds "
                         f"{len(blob) - offset} bytes, the header's network needs {state.nbytes}")
     state[...] = np.frombuffer(blob, "<f8", state.size, offset)
+    bad = ~np.isfinite(state)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise DataError(f"{path}: non-finite value {float(state[i])} "
+                        f"at byte {offset + 8 * i} of the parameter blob")
     return bundle
 
 

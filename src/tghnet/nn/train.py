@@ -19,12 +19,10 @@ from ..loss import (
     tukey_head_loss,
 )
 from ..tgh import DEFAULT_SOLVER, InverseSolverConfig
-from .network import Network
+from .network import EVAL_CHUNK, Network
 from .optim import Adam, AdamConfig, effective_lr
 
 LOSS_KINDS = ("tukey", "gaussian")
-
-_EVAL_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -68,13 +66,14 @@ def _head_loss(kind: str, y, raw, link_cfg, solver_cfg):
 def evaluate_mean_loss(net: Network, x: np.ndarray, y: np.ndarray, kind: str,
                        link_cfg: LinkConfig = DEFAULT_LINK,
                        solver_cfg: InverseSolverConfig = DEFAULT_SOLVER) -> float:
-    """Mean head loss over a dataset with eval-mode batch norm."""
+    """Mean head loss over a dataset with eval-mode batch norm, EVAL_CHUNK
+    rows at a time."""
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
     total = 0.0
     n = len(y)
-    for start in range(0, n, _EVAL_CHUNK):
-        stop = min(start + _EVAL_CHUNK, n)
+    for start in range(0, n, EVAL_CHUNK):
+        stop = min(start + EVAL_CHUNK, n)
         raw = net.forward(x[start:stop], train=False)
         mean, _ = _head_loss(kind, y[start:stop], raw, link_cfg, solver_cfg)
         total += mean * (stop - start)

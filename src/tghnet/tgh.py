@@ -15,12 +15,13 @@ no closed form.  A variable
 distribution: g controls skewness, h tail weight, and (g, h) = (0, 0)
 recovers the normal distribution.
 
-Two private kernels hold every exp(g*z) and expm1(g*z).  The solver's
-_tau_and_prime (behind tau, quantile and sample) costs one expm1 and one
-exp per Newton step; its tau' cancels where g*z << 0, which the solver's
-bisection fallback absorbs.  _log_bracket, behind tau_prime, dtau_dg,
-log_density_from_z and nll_and_grad, builds log tau' and the gradient
-factors from exp(-|g*z|) and expm1(-|g*z|), which never overflow.
+Two private kernels hold every exp(g*z) and expm1(g*z).  _tau_parts
+(behind the solver, tau, quantile and sample) costs one expm1 and one exp;
+the solver forms tau' from it only inside its Newton loop, where that tau'
+cancels for g*z << 0, which the solver's bisection fallback absorbs.
+_log_bracket, behind tau_prime, dtau_dg, log_density_from_z and
+nll_and_grad, builds log tau' and the gradient factors from exp(-|g*z|)
+and expm1(-|g*z|), which never overflow.
 
 All functions accept scalars or numpy arrays (broadcast against each other)
 and return a scalar when every input is scalar.  They are pure and safe to
@@ -208,12 +209,15 @@ def tau(z, p: ShapeParams):
     +/-inf (never NaN) when the exp terms overflow the double range.
     """
     scalar = _is_scalar(z, p.g, p.h)
-    z = _validate_finite("z", z)
-    g = np.asarray(p.g, dtype=float)
+    return _ret(_tau(_validate_finite("z", z), p.g, p.h), scalar)
+
+
+def _tau(z, g, h):
+    """tau with no input checks, for callers whose (g, h) are validated."""
+    g = np.asarray(g, dtype=float)
     small = np.abs(g) < SMALL_G
-    out = _tau_and_prime(z, g, np.asarray(p.h, dtype=float), small,
-                         np.where(small, 1.0, g))[0]
-    return _ret(out, scalar)
+    return _tau_parts(z, g, np.asarray(h, dtype=float), small,
+                      np.where(small, 1.0, g))[0]
 
 
 def tau_prime(z, p: ShapeParams):
@@ -254,22 +258,18 @@ def dtau_dh(z, p: ShapeParams):
     return _ret(out, scalar)
 
 
-def _tau_and_prime(z, g, h, small, g_safe):
-    """tau(z) and tau'(z) from one expm1 and one exp, with no input checks.
+def _tau_parts(z, g, h, small, g_safe):
+    """tau(z) and exp(h*z^2/2) from one expm1 and one exp, with no input checks.
 
     small marks |g| < SMALL_G and g_safe is g with 1.0 on those rows, so
     ez = (exp(g*z) - 1)/g falls back to its limit z there; then
-    tau = ez * exp(h*z^2/2) and tau' = exp(h*z^2/2) + (g + h*z) * tau.
-    Where g*z << 0 that tau' cancels (1 + g*ez -> 0) and may lose every
-    digit; this is acceptable only because the solver bisects on a bad
-    Newton step, and every other tau' reads _log_bracket.  Overflow
-    saturates tau to +/-inf; tau' may then be inf or NaN, a bad step too.
+    tau = ez * exp(h*z^2/2).  Overflow saturates tau to +/-inf.  The solver
+    forms tau' = exp(h*z^2/2) + (g + h*z) * tau from the same pair.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         ez = np.where(small, z, np.expm1(g_safe * z) / g_safe)
         eh = np.exp(0.5 * h * z * z)
-        t = ez * eh
-        return t, eh + (g + h * z) * t
+        return ez * eh, eh
 
 
 def _row_error(message: str, bad: np.ndarray, zt, g, h) -> SolverError:
@@ -317,8 +317,8 @@ def tau_inverse(z_tilde, p: ShapeParams, cfg: InverseSolverConfig = DEFAULT_SOLV
 
     lo = np.full(zt.shape, -cfg.initial_half_width)
     hi = np.full(zt.shape, cfg.initial_half_width)
-    t_lo = _tau_and_prime(lo, g, h, small, g_safe)[0]
-    t_hi = _tau_and_prime(hi, g, h, small, g_safe)[0]
+    t_lo = _tau_parts(lo, g, h, small, g_safe)[0]
+    t_hi = _tau_parts(hi, g, h, small, g_safe)[0]
     for _ in range(cfg.max_bracket_doublings):
         need_lo = t_lo > zt
         need_hi = t_hi < zt
@@ -327,9 +327,9 @@ def tau_inverse(z_tilde, p: ShapeParams, cfg: InverseSolverConfig = DEFAULT_SOLV
         lo = np.where(need_lo, 2.0 * lo, lo)
         hi = np.where(need_hi, 2.0 * hi, hi)
         if np.any(need_lo):
-            t_lo = np.where(need_lo, _tau_and_prime(lo, g, h, small, g_safe)[0], t_lo)
+            t_lo = np.where(need_lo, _tau_parts(lo, g, h, small, g_safe)[0], t_lo)
         if np.any(need_hi):
-            t_hi = np.where(need_hi, _tau_and_prime(hi, g, h, small, g_safe)[0], t_hi)
+            t_hi = np.where(need_hi, _tau_parts(hi, g, h, small, g_safe)[0], t_hi)
     bad = (t_lo > zt) | (t_hi < zt)
     if np.any(bad):
         raise _row_error(
@@ -366,7 +366,11 @@ def tau_inverse(z_tilde, p: ShapeParams, cfg: InverseSolverConfig = DEFAULT_SOLV
             done = keep | (step_abs <= tol) | (mid == lo) | (mid == hi)
             if done.all():
                 break
-            t, t_p = _tau_and_prime(z, g, h, small, g_safe)
+            t, eh = _tau_parts(z, g, h, small, g_safe)
+            # tau' cancels where g*z << 0 (1 + g*ez -> 0) and may lose every
+            # digit, and it may be inf or NaN where tau saturates: either way
+            # a bad Newton step, so the row bisects.
+            t_p = eh + (g + h * z) * t
         else:
             raise _row_error(
                 "inverse transform did not converge in "
@@ -470,9 +474,7 @@ def quantile(alpha, params: TghParams):
     """
     scalar = _is_scalar(alpha, params.mu, params.sigma, params.g, params.h)
     z = standard_normal_quantile(alpha)
-    out = np.asarray(params.mu) + np.asarray(params.sigma) * np.asarray(
-        tau(z, params.shape)
-    )
+    out = np.asarray(params.mu) + np.asarray(params.sigma) * _tau(z, params.g, params.h)
     return _ret(out, scalar)
 
 

@@ -170,6 +170,18 @@ class TestEvaluate:
             assert main(["evaluate", "--model", str(path), "--data", str(sim_csv),
                          "--split", "val", "--out", str(tmp_path / "e")]) == 3
 
+    def test_non_finite_weight_exits_3(self, tmp_path, trained_model, sim_csv):
+        good = trained_model.read_bytes()
+        blob_at = 12 + int.from_bytes(good[8:12], "little")
+        at = blob_at + 8 * 5
+        bad = good[:at] + np.array([np.nan], "<f8").tobytes() + good[at + 8:]
+        path = tmp_path / "nan.tghn"
+        path.write_bytes(bad)
+        with pytest.raises(DataError, match=rf"nan.tghn: non-finite value nan at byte {at} "):
+            load_model(path)
+        assert main(["intervals", "--model", str(path), "--data", str(sim_csv),
+                     "--split", "val", "--out", str(tmp_path / "iv.csv")]) == 3
+
     def test_qq_svg_written(self, tmp_path, trained_model, sim_csv):
         svg = tmp_path / "qq.svg"
         assert main(["evaluate", "--model", str(trained_model), "--data",
@@ -236,6 +248,26 @@ class TestDensity:
         ds = load_csv(out, "density", ["point", "y"])
         assert len(ds) == 4 * 241
         assert set(ds.column("point")) == {0.0, 1.0, 2.0, 3.0}
+
+    def test_curves_match_list_built_reference(self, tmp_path, trained_model):
+        from tghnet.data import write_csv
+        from tghnet.evaluate import density_curve
+        from tghnet.tgh import TghParams
+
+        out = tmp_path / "curves.csv"
+        assert main(["density", "--model", str(trained_model), "--features",
+                     "0.1;0.5;0.9", "--y-grid=-6:6:241", "--out", str(out)]) == 0
+        params = load_model(trained_model).predict_params(np.array([[0.1], [0.5], [0.9]]))
+        grid = np.linspace(-6.0, 6.0, 241)
+        cols = {"point": [], "y": [], "density": []}
+        for i in range(3):
+            d = density_curve(TghParams(params.mu[i], params.sigma[i],
+                                        params.g[i], params.h[i]), grid)
+            cols["point"].extend([float(i)] * len(grid))
+            cols["y"].extend(grid.tolist())
+            cols["density"].extend(d.tolist())
+        write_csv(tmp_path / "reference.csv", {k: np.asarray(v) for k, v in cols.items()})
+        assert out.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_curves_normalize(self, tmp_path, trained_model):
         out = tmp_path / "dens.csv"

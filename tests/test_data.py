@@ -1,8 +1,13 @@
 """CSV ingestion, splits, and standardization."""
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from tghnet import data
 from tghnet.data import (
     Dataset,
     load_csv,
@@ -84,6 +89,138 @@ class TestRoundtrip:
         second = tmp_path / "second.csv"
         write_csv(second, {"a": ds.x[:, 0], "b": ds.x[:, 1], "y": ds.y})
         assert first.read_bytes() == second.read_bytes()
+
+
+def _per_row_csv(path, columns):
+    """The reference writer: one csv.writer row of repr(float(cell)) per row."""
+    arrays = [np.asarray(c) for c in columns.values()]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(columns))
+        for i in range(len(arrays[0])):
+            writer.writerow([repr(float(a[i])) for a in arrays])
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -3.0, 2.0 ** 53,
+                  1e16, 1e-5, 0.1, float("inf"), float("-inf"), float("nan")]
+
+
+@st.composite
+def csv_columns(draw):
+    n = draw(st.sampled_from([0, 1, 2, 7, 30]))
+    names = draw(st.lists(st.text("abc ,\"", min_size=1, max_size=3),
+                          min_size=1, max_size=4, unique=True))
+    columns = {}
+    for name in names:
+        if draw(st.booleans()):
+            cells = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+            columns[name] = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=float)
+        else:
+            ints = st.integers(-2 ** 62, 2 ** 62)
+            columns[name] = np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=np.int64)
+    return columns
+
+
+def _decimal(draw):
+    digits = st.text("0123456789", max_size=20)
+    whole, frac = draw(digits), draw(digits)
+    if not whole and not frac:
+        whole = "0"
+    text = draw(st.sampled_from(["", "-", "+"])) + whole
+    if frac or draw(st.booleans()):
+        text += "." + frac
+    if draw(st.booleans()):
+        text += draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "-", "+"]))
+        text += str(draw(st.integers(0, 330)))
+    return text
+
+
+@st.composite
+def csv_cells(draw):
+    """A decimal cell as written to a file, and the text float() reads."""
+    text = _decimal(draw)
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    cell = draw(pad) + text + draw(pad)
+    if draw(st.booleans()):
+        cell = '"' + cell + '"'
+    return cell, text
+
+
+class TestColumnWiseIo:
+    @given(columns=csv_columns())
+    def test_write_csv_matches_per_row_writer(self, tmp_path_factory, columns):
+        root = tmp_path_factory.mktemp("w")
+        write_csv(root / "columns.csv", columns)
+        _per_row_csv(root / "rows.csv", columns)
+        assert (root / "columns.csv").read_bytes() == (root / "rows.csv").read_bytes()
+
+    def test_write_csv_across_write_blocks(self, tmp_path):
+        n = 2 * data._WRITE_BLOCK + 3
+        rng = np.random.default_rng(1)
+        columns = {"a": rng.normal(size=n), "b": rng.standard_cauchy(n) * 1e-300}
+        write_csv(tmp_path / "columns.csv", columns)
+        _per_row_csv(tmp_path / "rows.csv", columns)
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    @given(rows=st.lists(st.tuples(csv_cells(), csv_cells()), max_size=12))
+    def test_load_csv_is_bit_equal_to_float(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("r") / "data.csv"
+        lines = ["a,y"] + [f"{a},{y}" for (a, _), (y, _) in rows]
+        path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+        want_x, want_y = [], []
+        for (_, a), (_, y) in rows:
+            if np.isfinite(float(y)):
+                want_x.append(float(a))
+                want_y.append(float(y))
+        if not np.all(np.isfinite(want_x)):
+            with pytest.raises(DataError, match="non-finite"):
+                load_csv(path, "y", ["a"])
+            return
+        want_x = np.array(want_x, dtype=float).reshape(-1, 1)
+        want_y = np.array(want_y, dtype=float)
+        ds = load_csv(path, "y", ["a"])
+        assert ds.x.tobytes() == want_x.tobytes()
+        assert ds.y.tobytes() == want_y.tobytes()
+        assert ds.n_dropped == len(rows) - len(want_y)
+        # the vectorised pass itself, not its fallback, gave these bits
+        with open(path, encoding="utf-8", newline="") as fh:
+            next(csv.reader(fh))
+            x, y, _ = data._parse_columns(fh, 1, [0])
+        assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
+
+    @pytest.mark.parametrize("body, outcome", [
+        ("#1,2\n3,4\n", "row 2, column 'a': unparseable value '#1'"),
+        ("1,2\n   \n3,4\n", "row 3 has 1 cells, expected at least 2"),
+        ("1,2\n3\n", "row 3 has 1 cells, expected at least 2"),
+        ('1,2\n3,""\n5,na\n7,nan\n9,inf\n11,-inf\n13,14\n', (2, 5)),
+        ("inf,2\n", "row 2, column 'a': non-finite value"),
+        ("nan,2\n", "row 2, column 'a': non-finite value"),
+        ("foo,nan\n1,2\n", (1, 1)),
+        ("1_0,2\n3,4_0\n", (2, 0)),
+        ("1,2\n\n\n3,4\n", (2, 0)),
+        ("", (0, 0)),
+    ], ids=["hash_line", "whitespace_line", "short_row", "missing_targets",
+            "inf_feature", "nan_feature", "bad_feature_dropped_row", "underscores",
+            "blank_lines", "no_rows"])
+    def test_edge_files_match_per_cell_loop(self, tmp_path, body, outcome):
+        path = _write(tmp_path, "a,y\n" + body)
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            try:
+                want = data._parse_rows(path, reader, "y", ("a",), 1, [0])
+            except DataError as exc:
+                want = exc
+        if isinstance(outcome, str):
+            with pytest.raises(DataError) as got:
+                load_csv(path, "y", ["a"])
+            assert str(got.value) == str(want)
+            assert str(got.value).endswith(outcome)
+        else:
+            ds = load_csv(path, "y", ["a"])
+            assert ds.x.tobytes() == want[0].tobytes() and ds.y.tobytes() == want[1].tobytes()
+            assert ds.x.shape == (outcome[0], 1)
+            assert ds.n_dropped == want[2] == outcome[1]
 
 
 class TestSplits:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tghnet import tgh
+from tghnet.errors import NumericalError
 from tghnet.loss import (
     LinkConfig,
     batch_nll,
@@ -249,6 +250,22 @@ class TestHeadLosses:
                 mu_dn, _, _ = tukey_head_loss(y, dn, solver_cfg=TIGHT)
                 fd = (mu_up - mu_dn) / 2e-5
                 np.testing.assert_allclose(head_grad[i, j], fd, rtol=1e-4, atol=1e-8)
+
+    def test_h_underflow_outside_support_names_the_row(self):
+        # h = h_max * expit(-800) is exactly 0; with g < 0 the support of tau
+        # is bounded above by 1/|g| ~ 0.5, and z_tilde ~ 14.4 lies beyond it
+        raw = np.array([[0.0, 0.0, -5.0, 0.0], [0.0, 0.0, -5.0, -800.0]])
+        with pytest.raises(NumericalError, match=r"infinite NLL at row 1: .*h underflowed to 0"):
+            tukey_head_loss(np.array([10.0, 10.0]), raw)
+        # inside the one-sided support the loss stays finite
+        mean, head_grad, params = tukey_head_loss(np.array([-1.0]), raw[1:])
+        assert params.h[0] == 0.0 and np.isfinite(mean) and np.all(np.isfinite(head_grad))
+
+    def test_h_just_above_underflow_keeps_its_value(self):
+        # h = 2.1e-18 > 0: the solve brackets, and the loss is today's
+        mean, _, params = tukey_head_loss(np.array([10.0]), np.array([[0.0, 0.0, -5.0, -40.0]]))
+        assert params.h[0] > 0.0
+        assert mean == 1.5827353055551951e+18
 
     def test_gaussian_head_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(22)

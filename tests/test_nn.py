@@ -2,6 +2,7 @@
 and model persistence."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from tghnet.nn import (
     save_model,
     train,
 )
-from tghnet.nn.network import BatchNorm, LayerSpec, NetworkSpec
+from tghnet.nn.network import EVAL_CHUNK, BatchNorm, LayerSpec, NetworkSpec
 from tghnet.nn.persist import Standardization
 from tghnet.nn.train import evaluate_mean_loss
 from tghnet.tgh import InverseSolverConfig
@@ -96,6 +97,16 @@ class TestForward:
         out = bn.forward(x, train=False)
         want = (0.0 - bn.running_mean) / np.sqrt(bn.running_var + bn.eps)
         np.testing.assert_allclose(out, np.broadcast_to(want, (4, 2)))
+
+    def test_eval_affine_map_matches_normalize_then_scale(self):
+        rng = np.random.default_rng(4)
+        bn = BatchNorm(64)
+        bn.gamma[...], bn.beta[...] = rng.normal(1.0, 0.5, 64), rng.normal(0.0, 2.0, 64)
+        bn.running_mean[...], bn.running_var[...] = rng.normal(0.0, 3.0, 64), rng.uniform(0.1, 9.0, 64)
+        x = rng.normal(bn.running_mean, np.sqrt(bn.running_var), size=(512, 64))
+        want = bn.gamma * (x - bn.running_mean) / np.sqrt(bn.running_var + bn.eps) + bn.beta
+        scale = np.abs(bn.gamma * x / np.sqrt(bn.running_var + bn.eps)) + np.abs(bn.beta)
+        assert np.all(np.abs(bn.forward(x, train=False) - want) <= 1e-15 * scale.max())
 
     def test_late_column_skips_early_layers(self):
         spec = dense_spec(2, [4, 4], head_dim=1, late_features=1, batch_norm=False)
@@ -501,3 +512,41 @@ class TestPersistence:
         params = bundle.predict_params(np.zeros((5, 1)))
         np.testing.assert_array_equal(np.asarray(params.g), np.zeros(5))
         np.testing.assert_array_equal(np.asarray(params.h), np.zeros(5))
+
+
+class TestChunkedEvalForward:
+    def test_predict_raw_matches_whole_array_forward(self):
+        bundle = TestPersistence()._bundle()
+        x = np.random.default_rng(3).normal(size=(2 * EVAL_CHUNK + 37, 3)) * 5.0
+        whole = bundle.network.forward(bundle.standardization.apply(x), train=False)
+        chunked = bundle.predict_raw(x)
+        assert chunked.shape == whole.shape
+        np.testing.assert_allclose(chunked, whole, rtol=1e-9, atol=0.0)
+        params = bundle.predict_params(x)
+        np.testing.assert_array_equal(params.mu, chunked[:, 0])
+
+    def test_evaluate_mean_loss_matches_one_piece(self):
+        x, y, _, _ = _toy_data(3 * EVAL_CHUNK)
+        net = Network(dense_spec(1, [8], head_dim=4), seed=1)
+        raw = net.forward(x, train=False)
+        whole, _, _ = tukey_head_loss(y, raw)
+        assert evaluate_mean_loss(net, x, y, "tukey") == pytest.approx(whole, rel=1e-12)
+
+    def test_predict_params_memory_is_its_output(self):
+        net = Network(dense_spec(1, [64, 64, 64, 64], head_dim=4), seed=0)
+        bundle = ModelBundle(
+            network=net, loss_kind="tukey", link=LinkConfig(),
+            solver=InverseSolverConfig(), feature_columns=("x",),
+            late_columns=(), target_column="y",
+            standardization=Standardization(("x",), np.array([0.5]), np.array([0.3])),
+        )
+        x = np.random.default_rng(0).uniform(size=(200_000, 1))
+        tracemalloc.start()
+        try:
+            params = bundle.predict_params(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(np.asarray(a).nbytes for a in (params.mu, params.sigma, params.g, params.h))
+        # a whole-array forward of 200k rows would hold 100 MiB of activations
+        assert peak < returned + 4 * 2 ** 20

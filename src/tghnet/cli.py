@@ -70,19 +70,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _split_dataset(bundle, dataset, split_name: str):
-    from .config import ByColumnSplit, FractionSplit
+    from .config import parse_split
     from .errors import DataError
 
-    rule = bundle.split_rule
-    if rule is None:
+    if bundle.split_rule is None:
         raise DataError("model carries no split rule; cannot select a split")
-    if rule["rule"] == "fraction":
-        split = FractionSplit(rule["fraction"], rule["seed"])
-    else:
-        split = ByColumnSplit(
-            rule["column"], tuple(rule["val_values"]), tuple(rule["test_values"])
-        )
-    labeled = split.apply(dataset)
+    labeled = parse_split(bundle.split_rule).apply(dataset)
     rows = labeled.rows(split_name)
     if len(rows) == 0:
         raise DataError(f"split {split_name!r} is empty for this dataset")
@@ -123,7 +116,7 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     import numpy as np
 
-    from .config import load_config
+    from .config import load_config, split_to_json
     from .data import load_csv, standardize, write_csv
     from .nn import Network, dense_spec, save_model, train
     from .nn.persist import ModelBundle
@@ -161,7 +154,7 @@ def cmd_train(args) -> int:
         late_columns=cfg.late_columns,
         target_column=cfg.target,
         standardization=dataset.standardization,
-        split_rule=cfg.split.to_json(),
+        split_rule=split_to_json(cfg.split),
     )
     save_model(args.out, bundle)
     write_csv(

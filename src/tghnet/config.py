@@ -1,7 +1,8 @@
 """Experiment configuration: JSON schema with strict validation.
 
-Unknown keys are rejected everywhere so that a typo cannot silently fall
-back to a default.  See README for a full example; the minimal config is
+The fields of the config dataclasses are the schema.  Unknown keys are
+rejected everywhere so that a typo cannot silently fall back to a default.
+See README for a full example; the minimal config is
 
     {
       "loss": "tukey",
@@ -14,50 +15,43 @@ back to a default.  See README for a full example; the minimal config is
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
+import sys
+import types
+import typing
 from dataclasses import dataclass, field
 
+from .data import split_by_column_values, split_fraction
 from .errors import ConfigError
 from .loss import LinkConfig
 from .nn.optim import AdamConfig
-from .nn.train import TrainConfig
+from .nn.train import LOSS_KINDS, TrainConfig
 from .tgh import InverseSolverConfig
 
 
 @dataclass(frozen=True)
 class FractionSplit:
+    rule: typing.ClassVar[str] = "fraction"
     fraction: float
-    seed: int
+    seed: int = 0
 
     def apply(self, dataset):
-        from .data import split_fraction
-
         return split_fraction(dataset, self.fraction, self.seed)
-
-    def to_json(self) -> dict:
-        return {"rule": "fraction", "fraction": self.fraction, "seed": self.seed}
 
 
 @dataclass(frozen=True)
 class ByColumnSplit:
+    rule: typing.ClassVar[str] = "by_column_values"
     column: str
     val_values: tuple[float, ...]
     test_values: tuple[float, ...]
 
     def apply(self, dataset):
-        from .data import split_by_column_values
-
         return split_by_column_values(
             dataset, self.column, self.val_values, self.test_values
         )
-
-    def to_json(self) -> dict:
-        return {
-            "rule": "by_column_values",
-            "column": self.column,
-            "val_values": list(self.val_values),
-            "test_values": list(self.test_values),
-        }
 
 
 @dataclass(frozen=True)
@@ -76,160 +70,124 @@ class ExperimentConfig:
     link: LinkConfig = field(default_factory=LinkConfig)
     solver: InverseSolverConfig = field(default_factory=InverseSolverConfig)
 
+    def __post_init__(self):
+        if self.loss not in LOSS_KINDS:
+            raise ValueError(f"loss: expected 'tukey' or 'gaussian', got {self.loss!r}")
+        for name in self.late_columns:
+            if name not in self.features:
+                raise ValueError(f"data.late_columns: {name!r} is not a feature")
+        if not self.hidden or min(self.hidden) < 1:
+            raise ValueError("network.hidden: expected a non-empty list of ints >= 1")
+
     @property
     def head_dim(self) -> int:
         return 4 if self.loss == "tukey" else 2
 
 
-def _check_keys(section: dict, where: str, required: tuple[str, ...],
-                optional: tuple[str, ...] = ()) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where}: expected an object")
-    unknown = set(section) - set(required) - set(optional)
+# The JSON key of each field that is not the key of its own name in its own
+# object.  The flat ExperimentConfig fields sit in the "data" and "network"
+# objects, and TrainConfig.seed is no key of "training": parse_config fills
+# it from the top-level seed.
+_JSON_KEY = {
+    (ExperimentConfig, "target"): "data.target",
+    (ExperimentConfig, "features"): "data.features",
+    (ExperimentConfig, "late_columns"): "data.late_columns",
+    (ExperimentConfig, "standardize"): "data.standardize",
+    (ExperimentConfig, "hidden"): "network.hidden",
+    (ExperimentConfig, "batch_norm"): "network.batch_norm",
+    (ExperimentConfig, "adam"): "optimizer",
+    (TrainConfig, "seed"): None,
+}
+
+_JSON_TYPE = {bool: "true or false", int: "an integer", float: "a finite number",
+              str: "a string"}
+
+
+def _typed(value, tp, where: str):
+    """The parsed JSON value as the field annotation tp: a list for a tuple,
+    an object for a dataclass or a split rule, null only for `float | None`.
+    A bool is not a number, a float is not an int, and a float (an int is
+    accepted and converted) must be finite."""
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        return tuple(_typed(v, typing.get_args(tp)[0], where) for v in value)
+    if isinstance(tp, types.UnionType):
+        if type(None) not in typing.get_args(tp):
+            return parse_split(value, where)
+        return None if value is None else _typed(value, float, where)
+    if dataclasses.is_dataclass(tp):
+        return read(tp, value, where)
+    if tp is float and type(value) is int:
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
+    if type(value) is not tp or (tp is float and not math.isfinite(value)):
+        raise ConfigError(f"{where}: expected {_JSON_TYPE[tp]}, got {value!r}")
+    return value
+
+
+def read(cls, obj, where: str = ""):
+    """An instance of the dataclass cls from the JSON object obj.
+
+    The fields of cls are the schema: each is the key of its own name (or
+    the one _JSON_KEY gives), required unless it has a default, and of the
+    JSON type of its annotation.  Every error is a ConfigError that names
+    the dotted key below where.
+    """
+    label = where or "config"
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{label}: expected an object")
+    hints = typing.get_type_hints(cls)
+    keys = {_JSON_KEY.get((cls, f.name), f.name): f for f in dataclasses.fields(cls)}
+    keys.pop(None, None)
+    unknown = set(obj) - set(keys)
     if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
-    missing = set(required) - set(section)
+        raise ConfigError(f"{label}: unknown key(s) {sorted(unknown)}")
+    missing = [k for k, f in keys.items() if k not in obj
+               and f.default is f.default_factory is dataclasses.MISSING]
     if missing:
-        raise ConfigError(f"{where}: missing required key(s) {sorted(missing)}")
+        raise ConfigError(f"{label}: missing required key(s) {sorted(missing)}")
+    kwargs = {f.name: _typed(obj[k], hints[f.name], f"{where}.{k}".lstrip("."))
+              for k, f in keys.items() if k in obj}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        # __post_init__ messages open with the field name
+        raise ConfigError(f"{where}.{exc}" if where else str(exc)) from None
 
 
-def _string_list(value, where: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ConfigError(f"{where}: expected a list of strings")
-    return tuple(value)
+def parse_split(obj, where: str = "split") -> FractionSplit | ByColumnSplit:
+    """The split rule a JSON object describes: its "rule" key names the rule,
+    the other keys are that rule's fields."""
+    if not isinstance(obj, dict) or "rule" not in obj:
+        raise ConfigError(f"{where}: expected an object with a 'rule' key")
+    cls = next((c for c in (FractionSplit, ByColumnSplit) if c.rule == obj["rule"]), None)
+    if cls is None:
+        raise ConfigError(f"{where}.rule: unknown rule {obj['rule']!r}")
+    return read(cls, {k: v for k, v in obj.items() if k != "rule"}, where)
 
 
-def _number_list(value, where: str) -> tuple[float, ...]:
-    if not isinstance(value, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        raise ConfigError(f"{where}: expected a list of numbers")
-    return tuple(float(v) for v in value)
-
-
-def _int(value, where: str) -> int:
-    # bool is an int subclass, and int() would truncate 2.7 or parse "256"
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    return value
-
-
-def _float(value, where: str) -> float:
-    # float() would parse "10", and bool is an int subclass
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _str(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{where}: expected a string, got {value!r}")
-    return value
-
-
-def _int_list(value, where: str) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise ConfigError(f"{where}: expected a list of integers, got {value!r}")
-    return tuple(_int(v, where) for v in value)
-
-
-def _numbers(section, where: str, ints=()) -> dict:
-    """Constructor keywords from a section of JSON numbers: ints for the keys
-    in ints, a list of ints for lr_drop_epochs, floats for the rest."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where}: expected an object")
-    return {k: (_int_list if k == "lr_drop_epochs" else _int if k in ints else _float)(
-        v, f"{where}.{k}") for k, v in section.items()}
-
-
-def _bool(value, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}: expected true or false, got {value!r}")
-    return value
-
-
-def _parse_split(section: dict) -> FractionSplit | ByColumnSplit:
-    if not isinstance(section, dict) or "rule" not in section:
-        raise ConfigError("split: expected an object with a 'rule' key")
-    rule = section["rule"]
-    if rule == "fraction":
-        _check_keys(section, "split", ("rule", "fraction"), ("seed",))
-        return FractionSplit(
-            fraction=_float(section["fraction"], "split.fraction"),
-            seed=_int(section.get("seed", 0), "split.seed"),
-        )
-    if rule == "by_column_values":
-        _check_keys(section, "split", ("rule", "column", "val_values", "test_values"))
-        return ByColumnSplit(
-            column=_str(section["column"], "split.column"),
-            val_values=_number_list(section["val_values"], "split.val_values"),
-            test_values=_number_list(section["test_values"], "split.test_values"),
-        )
-    raise ConfigError(f"split.rule: unknown rule {rule!r}")
+def split_to_json(split: FractionSplit | ByColumnSplit) -> dict:
+    """The JSON object that parse_split reads back to split."""
+    return {"rule": split.rule, **{k: list(v) if isinstance(v, tuple) else v
+                                   for k, v in dataclasses.asdict(split).items()}}
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a parsed JSON object into an ExperimentConfig."""
-    _check_keys(
-        raw, "config",
-        ("loss", "data", "network", "training", "split"),
-        ("seed", "optimizer", "link", "solver"),
-    )
-    loss = raw["loss"]
-    if loss not in ("tukey", "gaussian"):
-        raise ConfigError(f"loss: expected 'tukey' or 'gaussian', got {loss!r}")
-
-    data = raw["data"]
-    _check_keys(data, "data", ("target", "features"), ("late_columns", "standardize"))
-    features = _string_list(data["features"], "data.features")
-    late = _string_list(data.get("late_columns", []), "data.late_columns")
-    for name in late:
-        if name not in features:
-            raise ConfigError(f"data.late_columns: {name!r} is not a feature")
-
-    network = raw["network"]
-    _check_keys(network, "network", ("hidden",), ("batch_norm",))
-    hidden = _int_list(network["hidden"], "network.hidden")
-    if not hidden or min(hidden) < 1:
-        raise ConfigError("network.hidden: expected a non-empty list of ints >= 1")
-
-    training = raw["training"]
-    _check_keys(training, "training", ("epochs",), ("batch_size", "clip_norm"))
-
-    seed = _int(raw.get("seed", 0), "seed")
-    try:
-        clip = training.get("clip_norm", TrainConfig.clip_norm)
-        train_cfg = TrainConfig(
-            epochs=_int(training["epochs"], "training.epochs"),
-            batch_size=_int(training.get("batch_size", TrainConfig.batch_size),
-                            "training.batch_size"),
-            seed=seed,
-            clip_norm=None if clip is None else _float(clip, "training.clip_norm"),
-        )
-        split = _parse_split(raw["split"])
-        adam = AdamConfig(**_numbers(raw.get("optimizer", {}), "optimizer"))
-        link = LinkConfig(**_numbers(raw.get("link", {}), "link"))
-        solver = InverseSolverConfig(**_numbers(
-            raw.get("solver", {}), "solver",
-            ints=("max_bisection_iters", "max_bracket_doublings")))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
-
-    return ExperimentConfig(
-        loss=loss,
-        target=_str(data["target"], "data.target"),
-        features=features,
-        late_columns=late,
-        standardize=_bool(data.get("standardize", True), "data.standardize"),
-        hidden=hidden,
-        batch_norm=_bool(network.get("batch_norm", True), "network.batch_norm"),
-        training=train_cfg,
-        seed=seed,
-        split=split,
-        adam=adam,
-        link=link,
-        solver=solver,
-    )
+    if not isinstance(raw, dict):
+        raise ConfigError("config: expected an object")
+    flat = {}
+    for key, value in raw.items():
+        if key in ("data", "network"):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{key}: expected an object")
+            flat.update({f"{key}.{k}": v for k, v in value.items()})
+        elif "." in key:
+            raise ConfigError(f"config: unknown key(s) {[key]}")
+        else:
+            flat[key] = value
+    cfg = read(ExperimentConfig, flat)
+    return dataclasses.replace(cfg, training=dataclasses.replace(cfg.training, seed=cfg.seed))
 
 
 def load_config(path) -> ExperimentConfig:

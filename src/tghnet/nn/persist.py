@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import ConfigError, DataError
 from ..loss import LinkConfig
 from ..tgh import InverseSolverConfig
 from .network import EVAL_CHUNK, LayerSpec, Network, NetworkSpec
@@ -117,17 +117,8 @@ def _header_dict(bundle: ModelBundle) -> dict:
             "late_features": spec.late_features,
             "head_dim": spec.head_dim,
         },
-        "link": {
-            "sigma_floor": bundle.link.sigma_floor,
-            "g_max": bundle.link.g_max,
-            "h_max": bundle.link.h_max,
-        },
-        "solver": {
-            "abs_tolerance": bundle.solver.abs_tolerance,
-            "max_bisection_iters": bundle.solver.max_bisection_iters,
-            "initial_half_width": bundle.solver.initial_half_width,
-            "max_bracket_doublings": bundle.solver.max_bracket_doublings,
-        },
+        "link": asdict(bundle.link),
+        "solver": asdict(bundle.solver),
         "data": {
             "feature_columns": list(bundle.feature_columns),
             "late_columns": list(bundle.late_columns),
@@ -179,7 +170,7 @@ def load_model(path) -> ModelBundle:
                         f"at bytes 12-{offset}")
     try:
         bundle = _bundle_from_header(json.loads(blob[12:offset].decode("utf-8")))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataError(f"{path}: bad header at byte 12: {exc!r}") from exc
 
     state = bundle.network.state
@@ -197,6 +188,8 @@ def load_model(path) -> ModelBundle:
 
 def _bundle_from_header(header: dict) -> ModelBundle:
     """A ModelBundle whose network has the header's shape, not yet its weights."""
+    from ..config import parse_split, read, split_to_json  # config imports nn
+
     layers = tuple(
         LayerSpec(
             in_dim=d["in_dim"],
@@ -219,14 +212,15 @@ def _bundle_from_header(header: dict) -> ModelBundle:
             mean=np.asarray(st["mean"], dtype=float),
             scale=np.asarray(st["scale"], dtype=float),
         )
+    rule = header.get("split_rule")
     return ModelBundle(
         network=Network(spec, seed=0),
         loss_kind=header["loss"],
-        link=LinkConfig(**header["link"]),
-        solver=InverseSolverConfig(**header["solver"]),
+        link=read(LinkConfig, header["link"], "link"),
+        solver=read(InverseSolverConfig, header["solver"], "solver"),
         feature_columns=tuple(header["data"]["feature_columns"]),
         late_columns=tuple(header["data"]["late_columns"]),
         target_column=header["data"]["target_column"],
         standardization=standardization,
-        split_rule=header.get("split_rule"),
+        split_rule=None if rule is None else split_to_json(parse_split(rule, "split_rule")),
     )

@@ -155,12 +155,22 @@ class TestEvaluate:
         cuts = [0, 2, 4, 6, 8, 10, 12, 12 + hlen // 2, 12 + hlen,
                 (12 + hlen + stats_at) // 2, stats_at, len(good) - 4]
         header = json.loads(good[12:12 + hlen])
-        del header["loss"]
-        keyless = json.dumps(header).encode()
+
+        def with_header(section, value):
+            bad = json.dumps(dict(header, **{section: value})).encode()
+            return good[:8] + len(bad).to_bytes(4, "little") + bad + good[12 + hlen:]
+
+        keyless = json.dumps({k: v for k, v in header.items() if k != "loss"}).encode()
         damaged = [good[:cut] for cut in cuts] + [
             good + b"\0",
             good[:12] + b"[" + good[13:],
             good[:8] + len(keyless).to_bytes(4, "little") + keyless + good[12 + hlen:],
+            with_header("split_rule", {"rule": "fraction"}),
+            with_header("split_rule", {"rule": "fraction", "fraction": "0.8", "seed": 0}),
+            with_header("split_rule", "x"),
+            with_header("link", dict(header["link"], g_max=True)),
+            with_header("link", dict(header["link"], g_max=float("inf"))),
+            with_header("solver", dict(header["solver"], max_bisection_iters=2.5)),
         ]
         path = tmp_path / "damaged.tghn"
         for blob in damaged:

@@ -1,12 +1,26 @@
 """Experiment config schema: defaults, strictness, and rule parsing."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from tghnet.cli import main
-from tghnet.config import ByColumnSplit, FractionSplit, load_config, parse_config
+from tghnet.config import (
+    ByColumnSplit,
+    FractionSplit,
+    load_config,
+    parse_config,
+    parse_split,
+    split_to_json,
+)
 from tghnet.errors import ConfigError
+from tghnet.loss import LinkConfig
+from tghnet.nn import AdamConfig, TrainConfig
+from tghnet.tgh import InverseSolverConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 MINIMAL = {
     "loss": "tukey",
@@ -29,6 +43,22 @@ def test_minimal_config_defaults():
     assert cfg.solver.abs_tolerance == 1e-12
     assert cfg.standardize is True
     assert isinstance(cfg.split, FractionSplit)
+    # the defaults live only in the dataclasses
+    assert cfg.adam == AdamConfig()
+    assert cfg.link == LinkConfig()
+    assert cfg.solver == InverseSolverConfig()
+    assert cfg.training == TrainConfig(epochs=2)
+
+
+def test_readme_example_parses():
+    block = re.search(r"## Experiment config\n\n```json\n(.*?)```", README.read_text(),
+                      re.DOTALL).group(1)
+    cfg = parse_config(json.loads(block))
+    assert cfg.adam.lr == 3e-3
+    assert cfg.adam.lr_drop_epochs == (40, 52)
+    assert cfg.training.batch_size == 512
+    assert cfg.training.epochs == 60
+    assert cfg.hidden == (64, 64, 64, 64)
 
 
 def test_gaussian_head_dim():
@@ -79,6 +109,14 @@ def test_by_column_split_parsed():
     cfg = parse_config(raw)
     assert isinstance(cfg.split, ByColumnSplit)
     assert cfg.split.val_values == (1985.0, 1995.0)
+
+
+@pytest.mark.parametrize("split", [
+    FractionSplit(0.7, 3),
+    ByColumnSplit("year", (1985.0, 1995.5), (2000.0,)),
+])
+def test_split_json_roundtrip(split):
+    assert parse_split(json.loads(json.dumps(split_to_json(split)))) == split
 
 
 def test_unknown_split_rule():
@@ -150,12 +188,18 @@ def test_optimizer_overrides_roundtrip():
     ("data", {"target": 5, "features": ["x"]}),
     ("split", {"rule": "by_column_values", "column": 3, "val_values": [1],
                "test_values": [2]}),
+    ("link", {"g_max": float("inf")}),
+    ("solver", {"abs_tolerance": float("inf")}),
+    ("optimizer", {"eps": float("inf")}),
+    ("split", {"rule": "fraction", "fraction": float("nan")}),
+    ("optimizer", {"lr": 10 ** 400}),
 ], ids=["negative_epochs", "zero_batch_size", "negative_clip_norm", "string_epochs",
         "string_fraction", "string_standardize", "string_batch_norm", "float_epochs",
         "string_batch_size", "bool_epochs", "float_split_seed", "float_max_iters",
         "bool_hidden_width", "string_clip_norm", "numeric_string_fraction",
         "bool_fraction", "bool_h_max", "bool_lr", "bool_abs_tolerance",
-        "string_drop_epoch", "int_target", "int_split_column"])
+        "string_drop_epoch", "int_target", "int_split_column", "infinite_g_max",
+        "infinite_abs_tolerance", "infinite_eps", "nan_fraction", "overflowing_int_lr"])
 def test_bad_values_are_config_errors(tmp_path, capsys, section, values):
     raw = dict(json.loads(json.dumps(MINIMAL)), **{section: values})
     with pytest.raises(ConfigError):
@@ -164,4 +208,5 @@ def test_bad_values_are_config_errors(tmp_path, capsys, section, values):
     path.write_text(json.dumps(raw))
     assert main(["train", "--config", str(path), "--data", str(tmp_path / "d.csv"),
                  "--out", str(tmp_path / "m.tghn")]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    # the message names the dotted key
+    assert capsys.readouterr().err.startswith(f"config error: {section}.")

@@ -1,7 +1,13 @@
-"""Module boundaries: no tghnet module imports another's private names."""
+"""Module boundaries: no tghnet module imports another's private names, and
+config and nn import in either order."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tghnet"
 
@@ -19,3 +25,13 @@ def test_no_private_names_imported_across_modules():
                 if internal and alias.name.startswith("_")
             ]
     assert offenders == []
+
+
+@pytest.mark.parametrize("first, second", [("config", "nn"), ("nn", "config")])
+def test_config_and_nn_import_in_either_order(first, second):
+    # nn.persist reads its header through config, which imports nn
+    code = f"import tghnet.{first}, tghnet.{second}"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=120)
+    assert result.returncode == 0, result.stderr

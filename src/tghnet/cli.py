@@ -9,7 +9,6 @@ command functions.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -84,7 +83,7 @@ def _split_dataset(bundle, dataset, split_name: str):
 
 def cmd_simulate(args) -> int:
     from . import synth
-    from .data import write_csv
+    from .data import write_csv, write_json
 
     registry = synth.GANDH_DESIGNS if args.design == "gandh" else synth.STUDENT_T_DESIGNS
     if args.curves not in registry:
@@ -100,16 +99,13 @@ def cmd_simulate(args) -> int:
     else:
         ds = synth.generate_student_t(args.n, fns, args.seed)
     write_csv(args.out, {"x": ds.x, "y": ds.y, **ds.true_values})
-    meta = {
+    write_json(f"{args.out}.json", {
         "design": args.design,
         "curves": args.curves,
         "n": args.n,
         "seed": args.seed,
         "columns": ["x", "y", *ds.true_values],
-    }
-    with open(f"{args.out}.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    })
     return 0
 
 
@@ -118,19 +114,13 @@ def cmd_train(args) -> int:
 
     from .config import load_config, split_to_json
     from .data import load_csv, standardize, write_csv
-    from .nn import Network, dense_spec, save_model, train
-    from .nn.persist import ModelBundle
+    from .nn import ModelBundle, Network, dense_spec, save_model, train
 
     cfg = load_config(args.config)
-    dataset = load_csv(args.data, cfg.target, cfg.features)
+    # late-injected columns come last
+    ordered = tuple(c for c in cfg.features if c not in cfg.late_columns) + cfg.late_columns
+    dataset = load_csv(args.data, cfg.target, ordered)
     print(f"loaded {len(dataset)} rows ({dataset.n_dropped} dropped)")
-    # order features so late-injected columns come last
-    base = [c for c in cfg.features if c not in cfg.late_columns]
-    ordered = tuple(base) + tuple(cfg.late_columns)
-    order = [cfg.features.index(c) for c in ordered]
-    dataset.x = dataset.x[:, order]
-    dataset.columns = ordered
-
     dataset = cfg.split.apply(dataset)
     if cfg.standardize:
         dataset = standardize(dataset)
@@ -183,8 +173,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    import os as _os
-
     from .data import load_csv
     from .evaluate import (
         binned_residual_summary,
@@ -203,12 +191,12 @@ def cmd_evaluate(args) -> int:
     params = bundle.predict_params(x)
     report = residuals(y, params, bundle.solver)
 
-    _os.makedirs(args.out, exist_ok=True)
-    write_report_csv(_os.path.join(args.out, "report.csv"), y, params, report)
-    write_qq_csv(_os.path.join(args.out, "qq.csv"), report)
+    os.makedirs(args.out, exist_ok=True)
+    write_report_csv(os.path.join(args.out, "report.csv"), y, params, report)
+    write_qq_csv(os.path.join(args.out, "qq.csv"), report)
     edges, means, counts = binned_residual_summary(x[:, 0], report.u)
     write_summary_json(
-        _os.path.join(args.out, "summary.json"),
+        os.path.join(args.out, "summary.json"),
         report,
         extra={
             "split": args.split,
@@ -237,7 +225,7 @@ def cmd_evaluate(args) -> int:
 def cmd_intervals(args) -> int:
     import numpy as np
 
-    from .data import load_csv, write_csv
+    from .data import load_csv, write_csv, write_json
     from .evaluate import interval_coverage, shortest_interval, symmetric_interval
     from .nn import load_model
 
@@ -259,17 +247,14 @@ def cmd_intervals(args) -> int:
         {"y": y, "lower": iv.lower, "upper": iv.upper, "gamma": gamma},
     )
     coverage = interval_coverage(y, iv.lower, iv.upper)
-    summary = {
+    write_json(f"{args.out}.summary.json", {
         "alpha": args.alpha,
         "variant": args.variant,
         "split": args.split,
         "n": len(y),
         "coverage": coverage,
         "mean_length": float(np.mean(np.asarray(iv.upper) - np.asarray(iv.lower))),
-    }
-    with open(f"{args.out}.summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    })
     print(f"{args.variant} {1 - args.alpha:.0%} intervals on {len(y)} rows: "
           f"coverage {coverage:.4f}")
     return 0

@@ -73,15 +73,21 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.loss not in LOSS_KINDS:
             raise ValueError(f"loss: expected 'tukey' or 'gaussian', got {self.loss!r}")
+        for key, names in (("data.features", self.features),
+                           ("data.late_columns", self.late_columns)):
+            if len(set(names)) != len(names):
+                raise ValueError(f"{key}: repeated name in {list(names)}")
         for name in self.late_columns:
             if name not in self.features:
                 raise ValueError(f"data.late_columns: {name!r} is not a feature")
+        if len(self.late_columns) == len(self.features):
+            raise ValueError("data.features: expected at least one that is not a late column")
         if not self.hidden or min(self.hidden) < 1:
             raise ValueError("network.hidden: expected a non-empty list of ints >= 1")
 
     @property
     def head_dim(self) -> int:
-        return 4 if self.loss == "tukey" else 2
+        return LOSS_KINDS[self.loss]
 
 
 # The JSON key of each field that is not the key of its own name in its own
@@ -100,12 +106,12 @@ _JSON_KEY = {
 }
 
 _JSON_TYPE = {bool: "true or false", int: "an integer", float: "a finite number",
-              str: "a string"}
+              str: "a string", dict: "an object"}
 
 
 def _typed(value, tp, where: str):
     """The parsed JSON value as the field annotation tp: a list for a tuple,
-    an object for a dataclass or a split rule, null only for `float | None`.
+    an object for a dataclass, a dict or a split rule, null only for `X | None`.
     A bool is not a number, a float is not an int, and a float (an int is
     accepted and converted) must be finite."""
     if typing.get_origin(tp) is tuple:
@@ -113,9 +119,10 @@ def _typed(value, tp, where: str):
             raise ConfigError(f"{where}: expected a list, got {value!r}")
         return tuple(_typed(v, typing.get_args(tp)[0], where) for v in value)
     if isinstance(tp, types.UnionType):
-        if type(None) not in typing.get_args(tp):
+        tp, *rest = typing.get_args(tp)
+        if rest != [type(None)]:
             return parse_split(value, where)
-        return None if value is None else _typed(value, float, where)
+        return None if value is None else _typed(value, tp, where)
     if dataclasses.is_dataclass(tp):
         return read(tp, value, where)
     if tp is float and type(value) is int:

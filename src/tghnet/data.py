@@ -25,18 +25,34 @@ target is never standardized — predictions stay in target units.
 from __future__ import annotations
 
 import csv
+import json
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DataError
-from .nn.persist import Standardization
 
 SPLIT_LABELS = ("train", "val", "test")
 
 # write_csv formats this many rows per write, which bounds its memory
 _WRITE_BLOCK = 4096
+
+
+@dataclass
+class Standardization:
+    """Per-feature affine transform fitted on the training split.  Its fields
+    take JSON types (arrays are converted), so a model header stores it as is."""
+
+    columns: tuple[str, ...]
+    mean: tuple[float, ...]
+    scale: tuple[float, ...]
+
+    def __post_init__(self):
+        self.mean, self.scale = tuple(map(float, self.mean)), tuple(map(float, self.scale))
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return (x - self.mean) / self.scale
 
 
 @dataclass
@@ -196,6 +212,13 @@ def write_csv(path, columns: dict[str, np.ndarray]) -> None:
         for start in range(0, n, _WRITE_BLOCK):
             cells = (map(repr, a[start:start + _WRITE_BLOCK].tolist()) for a in arrays)
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
+def write_json(path, obj) -> None:
+    """Write obj as JSON with sorted keys, two-space indent and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def split_fraction(dataset: Dataset, fraction: float, seed: int) -> Dataset:

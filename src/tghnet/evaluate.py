@@ -17,13 +17,12 @@ Berger, Statistical Inference, Thm 9.3.2), found by bisection in gamma.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tgh
-from .data import write_csv
+from .data import write_csv, write_json
 from .tgh import (
     DEFAULT_SOLVER,
     InverseSolverConfig,
@@ -287,6 +286,4 @@ def write_summary_json(path, report: ResidualReport, extra: dict | None = None) 
     }
     if extra:
         summary.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, summary)

@@ -30,9 +30,9 @@ class LayerSpec:
 
     def __post_init__(self):
         if self.in_dim < 1 or self.out_dim < 1:
-            raise ValueError("layer dimensions must be >= 1")
+            raise ValueError(f"in_dim, out_dim: expected >= 1, got {self.in_dim}, {self.out_dim}")
         if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise ValueError(f"activation: expected one of {ACTIVATIONS}, got {self.activation!r}")
 
 
 @dataclass(frozen=True)
@@ -51,18 +51,16 @@ class NetworkSpec:
 
     def __post_init__(self):
         if not self.layers:
-            raise ValueError("network needs at least one layer")
+            raise ValueError("layers: expected at least one layer")
         if self.late_features < 0:
-            raise ValueError("late_features must be >= 0")
+            raise ValueError(f"late_features: expected >= 0, got {self.late_features}")
         if self.late_features > 0 and len(self.layers) < 2:
-            raise ValueError("late-feature injection needs at least two layers")
+            raise ValueError("late_features: late injection needs at least two layers")
         head = self.layers[-1]
         if head.activation != "identity" or head.batch_norm:
-            raise ValueError("head layer must be identity without batch norm")
+            raise ValueError("layers: the head layer must be identity without batch norm")
         if head.out_dim != self.head_dim:
-            raise ValueError(
-                f"head out_dim {head.out_dim} != head_dim {self.head_dim}"
-            )
+            raise ValueError(f"head_dim: {self.head_dim} != head out_dim {head.out_dim}")
         penult = len(self.layers) - 2
         for i in range(1, len(self.layers)):
             expected = self.layers[i - 1].out_dim
@@ -70,7 +68,7 @@ class NetworkSpec:
                 expected += self.late_features
             if self.layers[i].in_dim != expected:
                 raise ValueError(
-                    f"layer {i} expects in_dim {expected}, got {self.layers[i].in_dim}"
+                    f"layers: layer {i} expects in_dim {expected}, got {self.layers[i].in_dim}"
                 )
 
     @property

@@ -5,8 +5,8 @@ Layout (all integers and floats little-endian):
     bytes 0-3   magic "TGHN"
     bytes 4-7   uint32 format version (currently 1)
     bytes 8-11  uint32 byte length of the UTF-8 header JSON
-    ...         header JSON (network spec, link/solver configs, loss kind,
-                column metadata, standardization)
+    ...         header JSON: asdict of ModelHeader (loss kind, network spec,
+                link/solver configs, columns, standardization, split rule)
     ...         float64 blob: the network's ``state`` vector, that is the
                 parameters (per layer W row-major, b, and for batch-norm
                 layers gamma, beta) followed by the running statistics
@@ -25,25 +25,56 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ..data import Standardization, write_json
 from ..errors import ConfigError, DataError
 from ..loss import LinkConfig
 from ..tgh import InverseSolverConfig
-from .network import EVAL_CHUNK, LayerSpec, Network, NetworkSpec
+from .network import EVAL_CHUNK, Network, NetworkSpec
+from .train import LOSS_KINDS
 
 MAGIC = b"TGHN"
 FORMAT_VERSION = 1
 
 
-@dataclass
-class Standardization:
-    """Per-feature affine transform fitted on the training split."""
+@dataclass(frozen=True)
+class DataColumns:
+    """The header's data section: input and target columns, standardization."""
 
-    columns: tuple[str, ...]
-    mean: np.ndarray
-    scale: np.ndarray
+    feature_columns: tuple[str, ...]
+    late_columns: tuple[str, ...]
+    target_column: str
+    standardization: Standardization | None
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.mean) / self.scale
+
+@dataclass(frozen=True)
+class ModelHeader:
+    """The JSON header, written as asdict of this and read back by config.read,
+    so every model saved or loaded passes the cross-section checks below."""
+
+    format: int
+    loss: str
+    network: NetworkSpec
+    link: LinkConfig
+    solver: InverseSolverConfig
+    data: DataColumns
+    split_rule: dict | None = None
+
+    def __post_init__(self):
+        spec, data, st = self.network, self.data, self.data.standardization
+        n = len(data.feature_columns)
+        if self.loss not in LOSS_KINDS:
+            raise ValueError(f"loss: expected 'tukey' or 'gaussian', got {self.loss!r}")
+        if spec.head_dim != LOSS_KINDS[self.loss]:
+            raise ValueError(f"network.head_dim: {spec.head_dim} outputs for a {self.loss} head")
+        if n != spec.input_dim:
+            raise ValueError(f"data.feature_columns: {n} for a network of {spec.input_dim} inputs")
+        if data.late_columns != data.feature_columns[n - spec.late_features:]:
+            raise ValueError(f"data.late_columns: expected the last {spec.late_features} "
+                             f"feature columns, got {list(data.late_columns)}")
+        if st is not None and (st.columns != data.feature_columns or len(st.mean) != n
+                               or len(st.scale) != n or min(st.scale) <= 0):
+            raise ValueError("data.standardization: expected one mean and one positive "
+                             "scale per feature column")
 
 
 @dataclass
@@ -99,54 +130,23 @@ class ModelBundle:
         return TghParams(*out)
 
 
-def _header_dict(bundle: ModelBundle) -> dict:
-    spec = bundle.network.spec
-    return {
-        "format": FORMAT_VERSION,
-        "loss": bundle.loss_kind,
-        "network": {
-            "layers": [
-                {
-                    "in_dim": layer.in_dim,
-                    "out_dim": layer.out_dim,
-                    "activation": layer.activation,
-                    "batch_norm": layer.batch_norm,
-                }
-                for layer in spec.layers
-            ],
-            "late_features": spec.late_features,
-            "head_dim": spec.head_dim,
-        },
-        "link": asdict(bundle.link),
-        "solver": asdict(bundle.solver),
-        "data": {
-            "feature_columns": list(bundle.feature_columns),
-            "late_columns": list(bundle.late_columns),
-            "target_column": bundle.target_column,
-            "standardization": None
-            if bundle.standardization is None
-            else {
-                "columns": list(bundle.standardization.columns),
-                "mean": [float(v) for v in bundle.standardization.mean],
-                "scale": [float(v) for v in bundle.standardization.scale],
-            },
-        },
-        "split_rule": bundle.split_rule,
-    }
+def _header_dict(b: ModelBundle) -> dict:
+    data = DataColumns(b.feature_columns, b.late_columns, b.target_column, b.standardization)
+    return asdict(ModelHeader(FORMAT_VERSION, b.loss_kind, b.network.spec, b.link, b.solver,
+                              data, b.split_rule))
 
 
 def save_model(path, bundle: ModelBundle) -> None:
     """Write the binary model file and its JSON sidecar."""
-    header = json.dumps(_header_dict(bundle), sort_keys=True).encode("utf-8")
+    header = _header_dict(bundle)
+    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
+        fh.write(struct.pack("<I", len(encoded)))
+        fh.write(encoded)
         fh.write(bundle.network.state.astype("<f8").tobytes())
-    with open(f"{path}.json", "w", encoding="utf-8") as fh:
-        json.dump(_header_dict(bundle), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(f"{path}.json", header)
 
 
 def load_model(path) -> ModelBundle:
@@ -186,41 +186,13 @@ def load_model(path) -> ModelBundle:
     return bundle
 
 
-def _bundle_from_header(header: dict) -> ModelBundle:
+def _bundle_from_header(obj) -> ModelBundle:
     """A ModelBundle whose network has the header's shape, not yet its weights."""
     from ..config import parse_split, read, split_to_json  # config imports nn
 
-    layers = tuple(
-        LayerSpec(
-            in_dim=d["in_dim"],
-            out_dim=d["out_dim"],
-            activation=d["activation"],
-            batch_norm=d["batch_norm"],
-        )
-        for d in header["network"]["layers"]
-    )
-    spec = NetworkSpec(
-        layers,
-        late_features=header["network"]["late_features"],
-        head_dim=header["network"]["head_dim"],
-    )
-    st = header["data"]["standardization"]
-    standardization = None
-    if st is not None:
-        standardization = Standardization(
-            columns=tuple(st["columns"]),
-            mean=np.asarray(st["mean"], dtype=float),
-            scale=np.asarray(st["scale"], dtype=float),
-        )
-    rule = header.get("split_rule")
+    h = read(ModelHeader, obj, "header")
+    rule = h.split_rule
     return ModelBundle(
-        network=Network(spec, seed=0),
-        loss_kind=header["loss"],
-        link=read(LinkConfig, header["link"], "link"),
-        solver=read(InverseSolverConfig, header["solver"], "solver"),
-        feature_columns=tuple(header["data"]["feature_columns"]),
-        late_columns=tuple(header["data"]["late_columns"]),
-        target_column=header["data"]["target_column"],
-        standardization=standardization,
-        split_rule=None if rule is None else split_to_json(parse_split(rule, "split_rule")),
+        Network(h.network, seed=0), h.loss, h.link, h.solver, **vars(h.data),
+        split_rule=None if rule is None else split_to_json(parse_split(rule, "header.split_rule")),
     )

@@ -22,7 +22,8 @@ from ..tgh import DEFAULT_SOLVER, InverseSolverConfig
 from .network import EVAL_CHUNK, Network
 from .optim import Adam, AdamConfig, effective_lr
 
-LOSS_KINDS = ("tukey", "gaussian")
+# each loss kind and the number of head outputs it reads
+LOSS_KINDS = {"tukey": 4, "gaussian": 2}
 
 
 @dataclass(frozen=True)

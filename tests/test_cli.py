@@ -161,6 +161,9 @@ class TestEvaluate:
             return good[:8] + len(bad).to_bytes(4, "little") + bad + good[12 + hlen:]
 
         keyless = json.dumps({k: v for k, v in header.items() if k != "loss"}).encode()
+        data, network = header["data"], header["network"]
+        st = data["standardization"]
+        layers = network["layers"]
         damaged = [good[:cut] for cut in cuts] + [
             good + b"\0",
             good[:12] + b"[" + good[13:],
@@ -171,6 +174,18 @@ class TestEvaluate:
             with_header("link", dict(header["link"], g_max=True)),
             with_header("link", dict(header["link"], g_max=float("inf"))),
             with_header("solver", dict(header["solver"], max_bisection_iters=2.5)),
+            with_header("loss", "foo"),
+            with_header("loss", "gaussian"),  # on a 4-output head
+            with_header("data", dict(data, standardization=dict(st, mean=[0.0, 1.0]))),
+            with_header("data", dict(data, standardization=dict(st, scale=[0.0]))),
+            with_header("data", dict(data, feature_columns=["x", "true_g"])),
+            with_header("data", dict(data, feature_columns="x")),
+            with_header("network", dict(network, layers=[dict(layers[0], batch_norm=1),
+                                                         *layers[1:]])),
+            with_header("data", dict(data, late_columns=["x"])),
+            with_header("data", dict(data, extra=1)),
+            with_header("network", dict(network, extra=1)),
+            with_header("extra", 1),
         ]
         path = tmp_path / "damaged.tghn"
         for blob in damaged:

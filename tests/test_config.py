@@ -193,13 +193,16 @@ def test_optimizer_overrides_roundtrip():
     ("optimizer", {"eps": float("inf")}),
     ("split", {"rule": "fraction", "fraction": float("nan")}),
     ("optimizer", {"lr": 10 ** 400}),
+    ("data", {"target": "y", "features": ["x"], "late_columns": ["x"]}),
+    ("data", {"target": "y", "features": ["x", "x"], "late_columns": ["x"]}),
 ], ids=["negative_epochs", "zero_batch_size", "negative_clip_norm", "string_epochs",
         "string_fraction", "string_standardize", "string_batch_norm", "float_epochs",
         "string_batch_size", "bool_epochs", "float_split_seed", "float_max_iters",
         "bool_hidden_width", "string_clip_norm", "numeric_string_fraction",
         "bool_fraction", "bool_h_max", "bool_lr", "bool_abs_tolerance",
         "string_drop_epoch", "int_target", "int_split_column", "infinite_g_max",
-        "infinite_abs_tolerance", "infinite_eps", "nan_fraction", "overflowing_int_lr"])
+        "infinite_abs_tolerance", "infinite_eps", "nan_fraction", "overflowing_int_lr",
+        "every_feature_late", "repeated_feature"])
 def test_bad_values_are_config_errors(tmp_path, capsys, section, values):
     raw = dict(json.loads(json.dumps(MINIMAL)), **{section: values})
     with pytest.raises(ConfigError):

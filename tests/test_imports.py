@@ -1,5 +1,5 @@
-"""Module boundaries: no tghnet module imports another's private names, and
-config and nn import in either order."""
+"""Module boundaries: no tghnet module imports another's private names,
+config and nn import in either order, and data does not pull in nn."""
 
 import ast
 import os
@@ -27,11 +27,23 @@ def test_no_private_names_imported_across_modules():
     assert offenders == []
 
 
+def _run(code: str) -> subprocess.CompletedProcess:
+    """code run in a fresh interpreter that imports tghnet from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
 @pytest.mark.parametrize("first, second", [("config", "nn"), ("nn", "config")])
 def test_config_and_nn_import_in_either_order(first, second):
     # nn.persist reads its header through config, which imports nn
-    code = f"import tghnet.{first}, tghnet.{second}"
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=env, timeout=120)
+    result = _run(f"import tghnet.{first}, tghnet.{second}")
     assert result.returncode == 0, result.stderr
+
+
+def test_data_does_not_import_nn():
+    # data owns Standardization; nn.persist imports it, not the other way round
+    result = _run("import sys, tghnet.data; "
+                  "print(sorted(m for m in sys.modules if m.startswith('tghnet.nn')))")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

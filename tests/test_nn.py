@@ -62,6 +62,18 @@ class TestSpecs:
                 (LayerSpec(2, 4, "identity", False),), late_features=1, head_dim=4
             )
 
+    @pytest.mark.parametrize("make, field", [
+        (lambda: LayerSpec(0, 4), "in_dim"),
+        (lambda: LayerSpec(2, 4, "tanh"), "activation"),
+        (lambda: NetworkSpec(()), "layers"),
+        (lambda: NetworkSpec((LayerSpec(2, 4, "identity"),), late_features=-1), "late_features"),
+        (lambda: NetworkSpec((LayerSpec(2, 3, "identity"),), head_dim=4), "head_dim"),
+    ], ids=["in_dim", "activation", "layers", "late_features", "head_dim"])
+    def test_messages_open_with_the_field(self, make, field):
+        # config.read puts the dotted section key in front of them
+        with pytest.raises(ValueError, match=f"^{field}"):
+            make()
+
 
 class TestForward:
     def test_zero_weights_give_zero_head(self):
@@ -484,6 +496,27 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded.state, other.state)
         x = np.random.default_rng(5).normal(size=(10, 3))
         np.testing.assert_array_equal(loaded.forward(x), other.forward(x))
+
+    def test_header_bytes_are_format_1(self, tmp_path):
+        # the header save_model has written since the first model file
+        path = tmp_path / "model.tghn"
+        save_model(path, self._bundle())
+        raw = path.read_bytes()
+        hlen = int.from_bytes(raw[8:12], "little")
+        assert raw[12:12 + hlen].decode() == (
+            '{"data": {"feature_columns": ["lat", "lon", "year"], "late_columns": ["year"], '
+            '"standardization": {"columns": ["lat", "lon", "year"], '
+            '"mean": [1.0, 2.0, 2000.0], "scale": [3.0, 4.0, 10.0]}, "target_column": "y"}, '
+            '"format": 1, "link": {"g_max": 2.0, "h_max": 0.5, "sigma_floor": 0.0001}, '
+            '"loss": "tukey", "network": {"head_dim": 4, "late_features": 1, "layers": ['
+            '{"activation": "relu", "batch_norm": true, "in_dim": 2, "out_dim": 6}, '
+            '{"activation": "relu", "batch_norm": true, "in_dim": 7, "out_dim": 5}, '
+            '{"activation": "identity", "batch_norm": false, "in_dim": 5, "out_dim": 4}]}, '
+            '"solver": {"abs_tolerance": 1e-12, "initial_half_width": 8.0, '
+            '"max_bisection_iters": 200, "max_bracket_doublings": 60}, '
+            '"split_rule": {"fraction": 0.8, "rule": "fraction", "seed": 0}}'
+        )
+        assert raw[:12] == b"TGHN" + (1).to_bytes(4, "little") + hlen.to_bytes(4, "little")
 
     def test_sidecar_json_written(self, tmp_path):
         path = tmp_path / "model.tghn"

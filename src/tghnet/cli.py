@@ -1,9 +1,9 @@
 """Command-line interface: simulate, train, evaluate, intervals, density.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 data error, 4
-numerical failure.  TGH_THREADS caps the BLAS worker pools; it is applied
-before numpy is imported, which is why all heavy imports live inside the
-command functions.
+Exit codes: 0 success, 2 usage or configuration error or an unwritable
+output, 3 data error, 4 numerical failure.  TGH_THREADS caps the BLAS
+worker pools; it is applied before numpy is imported, which is why all
+heavy imports live inside the command functions.
 """
 
 from __future__ import annotations
@@ -226,11 +226,13 @@ def cmd_intervals(args) -> int:
     import numpy as np
 
     from .data import load_csv, write_csv, write_json
-    from .evaluate import interval_coverage, shortest_interval, symmetric_interval
+    from .evaluate import check_alpha, interval_coverage, shortest_interval, symmetric_interval
     from .nn import load_model
 
-    if not 0.0 < args.alpha < 1.0:
-        print("--alpha must lie strictly inside (0, 1)", file=sys.stderr)
+    try:
+        check_alpha(args.alpha, args.variant)
+    except ValueError as exc:
+        print(f"--alpha: {exc}", file=sys.stderr)
         return 2
     bundle = load_model(args.model)
     dataset = load_csv(args.data, bundle.target_column, bundle.feature_columns)
@@ -282,8 +284,8 @@ def cmd_density(args) -> int:
     if not points:
         print("no feature points given", file=sys.stderr)
         return 2
-    if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) < 0):
-        print("--y-grid needs finite min <= max", file=sys.stderr)
+    if not len(grid) or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) < 0):
+        print("--y-grid needs finite min <= max and count >= 1", file=sys.stderr)
         return 2
     if not all(np.all(np.isfinite(pt)) for pt in points):
         print("--features must be finite", file=sys.stderr)
@@ -333,6 +335,10 @@ def main(argv: list[str] | None = None) -> int:
     except (SolverError, NumericalError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        # inputs are opened under DataError or ConfigError, so this is an output
+        print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

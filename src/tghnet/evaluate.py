@@ -39,6 +39,7 @@ __all__ = [
     "ks_critical_value",
     "symmetric_interval",
     "shortest_interval",
+    "check_alpha",
     "interval_coverage",
     "coverage_table",
     "density_curve",
@@ -48,8 +49,10 @@ __all__ = [
     "write_summary_json",
 ]
 
-# shortest_interval's bisection stops at this gamma bracket width
+# shortest_interval's bisection stops at this gamma bracket width, and
+# searches gamma in [alpha * _GAMMA_EDGE, alpha * (1 - _GAMMA_EDGE)]
 _GAMMA_TOL = 1e-9
+_GAMMA_EDGE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -141,6 +144,17 @@ def residuals(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER) -
     )
 
 
+def check_alpha(alpha: float, variant: str) -> None:
+    """Raise ValueError unless alpha lies in (0, 1) and 1 - t < 1 in doubles
+    for the smallest tail mass t the variant evaluates: alpha/2 for
+    "symmetric", alpha * _GAMMA_EDGE for "shortest".  Below that the upper
+    end would be the quantile at 1."""
+    t = alpha / 2.0 if variant == "symmetric" else alpha * _GAMMA_EDGE
+    if not (0.0 < alpha < 1.0 and 1.0 - t < 1.0):
+        raise ValueError(f"alpha={alpha!r} is not inside (0, 1), or too small "
+                         f"for a {variant} interval in doubles")
+
+
 def _interval_at_gamma(params: TghParams, alpha: float, gamma):
     """Quantiles at alpha - gamma and 1 - gamma: coverage 1 - alpha."""
     gamma = np.asarray(gamma)
@@ -149,8 +163,7 @@ def _interval_at_gamma(params: TghParams, alpha: float, gamma):
 
 def symmetric_interval(params: TghParams, alpha: float) -> PredictionInterval:
     """Central interval with alpha/2 tail mass on each side."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly inside (0, 1)")
+    check_alpha(alpha, "symmetric")
     lower, upper = _interval_at_gamma(params, alpha, alpha / 2.0)
     gamma = np.zeros_like(lower) if np.ndim(lower) else 0.0
     return PredictionInterval(lower, upper, alpha, gamma, "symmetric")
@@ -168,8 +181,7 @@ def shortest_interval(params: TghParams, alpha: float) -> PredictionInterval:
     an optimum at the edge of the range is kept and the result is never
     longer than the symmetric interval.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly inside (0, 1)")
+    check_alpha(alpha, "shortest")
     scalar = np.ndim(params.mu) == 0
     mu = np.atleast_1d(np.asarray(params.mu, dtype=float))
     sigma = np.atleast_1d(np.asarray(params.sigma, dtype=float))
@@ -177,7 +189,7 @@ def shortest_interval(params: TghParams, alpha: float) -> PredictionInterval:
     h = np.broadcast_to(np.asarray(params.h, dtype=float), mu.shape)
     vec = TghParams(mu, sigma, g, h)
 
-    eps = alpha * 1e-4
+    eps = alpha * _GAMMA_EDGE
     a = np.full_like(mu, eps)
     b = np.full_like(mu, alpha - eps)
     while np.max(b - a) > _GAMMA_TOL:

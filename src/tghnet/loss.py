@@ -1,6 +1,7 @@
-"""Training losses: the link layer that maps raw network outputs onto
-valid parameters, the Gaussian baseline loss, and the batch and head losses
-built on the exact g-and-h NLL and gradient in tgh.nll_and_grad.
+"""Training losses: the link that maps a raw 4- or 2-wide network head onto
+g-and-h parameters (the Gaussian model is g = h = 0), the Gaussian baseline
+loss, and the two head losses, which share one signature; the g-and-h one
+is built on the exact NLL and gradient in tgh.nll_and_grad.
 
 The training loss drops the additive log(2*pi)/2 constant; reported
 evaluation likelihoods (tgh.log_density) keep it.  Both read log tau' from
@@ -16,21 +17,12 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import NumericalError
-from .tgh import (
-    DEFAULT_SOLVER,
-    InverseSolverConfig,
-    LossValueAndGrad,
-    TghParams,
-    nll_and_grad,
-)
+from .tgh import DEFAULT_SOLVER, InverseSolverConfig, LossValueAndGrad, TghParams, nll_and_grad
 
 __all__ = [
     "LinkConfig",
-    "BatchLoss",
     "link",
-    "link_gaussian",
     "gaussian_nll_and_grad",
-    "batch_nll",
     "tukey_head_loss",
     "gaussian_head_loss",
 ]
@@ -61,59 +53,38 @@ class LinkConfig:
 DEFAULT_LINK = LinkConfig()
 
 
-@dataclass(frozen=True)
-class BatchLoss:
-    """Mean loss over a batch plus per-sample values and gradients."""
-
-    mean: float
-    values: np.ndarray
-    grads: np.ndarray
-
-
 def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def link(raw, cfg: LinkConfig = DEFAULT_LINK):
-    """Map raw head outputs (..., 4) to valid parameters.
+def link(raw, cfg: LinkConfig = DEFAULT_LINK, first_row: int = 0):
+    """Map raw head outputs (..., 4) to valid g-and-h parameters.
 
-    Returns (TghParams, derivs) where derivs[..., j] is the derivative of
-    parameter j w.r.t. raw output j (the link is diagonal).
+    A (..., 2) head is the Gaussian model: it gives mu and sigma, with
+    g = h = 0.  Returns (TghParams, derivs) where derivs[..., j] is the
+    derivative of parameter j w.r.t. raw output j (the link is diagonal).
+    A non-finite output raises NumericalError naming its row, counted
+    from first_row.
     """
     raw = np.asarray(raw, dtype=float)
-    if raw.shape[-1] != 4:
-        raise ValueError("raw head must have 4 components")
-    if not np.all(np.isfinite(raw)):
-        raise ValueError("raw head must be finite")
+    if raw.ndim == 0 or raw.shape[-1] not in (2, 4):
+        raise ValueError("raw head must have 2 or 4 components")
+    finite = np.isfinite(raw)
+    if not finite.all():
+        i = first_row + int(np.argmin(np.ravel(finite.all(axis=-1))))
+        raise NumericalError(f"non-finite network output at input row {i}")
     mu = raw[..., 0]
     sigma = _softplus(raw[..., 1]) + cfg.sigma_floor
-    tg = np.tanh(raw[..., 2])
-    g = cfg.g_max * tg
-    sh = expit(raw[..., 3])
-    h = cfg.h_max * sh
-    derivs = np.stack(
-        [
-            np.ones_like(mu),
-            expit(raw[..., 1]),
-            cfg.g_max * (1.0 - tg * tg),
-            cfg.h_max * sh * (1.0 - sh),
-        ],
-        axis=-1,
-    )
-    return TghParams(mu, sigma, g, h), derivs
-
-
-def link_gaussian(raw, cfg: LinkConfig = DEFAULT_LINK):
-    """Map raw head outputs (..., 2) to (mu, sigma) plus diagonal derivatives."""
-    raw = np.asarray(raw, dtype=float)
-    if raw.shape[-1] != 2:
-        raise ValueError("raw head must have 2 components")
-    if not np.all(np.isfinite(raw)):
-        raise ValueError("raw head must be finite")
-    mu = raw[..., 0]
-    sigma = _softplus(raw[..., 1]) + cfg.sigma_floor
-    derivs = np.stack([np.ones_like(mu), expit(raw[..., 1])], axis=-1)
-    return mu, sigma, derivs
+    derivs = [np.ones_like(mu), expit(raw[..., 1])]
+    if raw.shape[-1] == 2:
+        g = h = np.zeros_like(mu)
+    else:
+        tg = np.tanh(raw[..., 2])
+        g = cfg.g_max * tg
+        sh = expit(raw[..., 3])
+        h = cfg.h_max * sh
+        derivs += [cfg.g_max * (1.0 - tg * tg), cfg.h_max * sh * (1.0 - sh)]
+    return TghParams(mu, sigma, g, h), np.stack(derivs, axis=-1)
 
 
 def gaussian_nll_and_grad(y, mu, sigma):
@@ -139,34 +110,15 @@ def gaussian_nll_and_grad(y, mu, sigma):
     return LossValueAndGrad(value, grad)
 
 
-def batch_nll(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER) -> BatchLoss:
-    """Mean per-sample loss over a batch plus per-sample gradients.
-
-    The mean (rather than the sum) keeps the learning rate invariant to
-    the batch size.  Per-sample values and gradients come from a single
-    vectorized evaluation, so the result is independent of any outer
-    partitioning of the batch.
-    """
-    y = np.asarray(y, dtype=float)
-    mu = np.asarray(params.mu, dtype=float)
-    if y.ndim != 1:
-        raise ValueError("y must be one-dimensional")
-    if mu.ndim == 1 and mu.shape[0] != y.shape[0]:
-        raise ValueError(
-            f"length mismatch: {y.shape[0]} targets vs {mu.shape[0]} parameter rows"
-        )
-    out = nll_and_grad(y, params, cfg)
-    values = np.asarray(out.value)
-    return BatchLoss(float(np.mean(values)), values, out.grad)
-
-
 def tukey_head_loss(y, raw, link_cfg: LinkConfig = DEFAULT_LINK,
                     solver_cfg: InverseSolverConfig = DEFAULT_SOLVER):
-    """Mean g-and-h loss of a raw (n, 4) head plus d(mean)/d(raw).
+    """Mean g-and-h loss of a raw (n, 4) head, d(mean)/d(raw), and the
+    linked parameters.
 
     This is the node the network backward pass consumes: the per-sample
-    parameter gradients are pulled through the diagonal link derivatives
-    and scaled by 1/n.
+    parameter gradients of one vectorized nll_and_grad are pulled through
+    the diagonal link derivatives and scaled by 1/n.  The mean (rather
+    than the sum) keeps the learning rate invariant to the batch size.
 
     For very negative raw h the link's h underflows to exactly 0.  The
     support of tau is then one-sided (1 + g*tau > 0), and a row whose
@@ -174,9 +126,14 @@ def tukey_head_loss(y, raw, link_cfg: LinkConfig = DEFAULT_LINK,
     raises NumericalError naming the row, before any solve.
     """
     params, derivs = link(raw, link_cfg)
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ValueError("y must be one-dimensional")
+    if params.mu.ndim == 1 and len(params.mu) != len(y):
+        raise ValueError(f"length mismatch: {len(y)} targets vs {len(params.mu)} parameter rows")
     h_zero = params.h == 0
     if np.any(h_zero):
-        z_tilde = (np.asarray(y, dtype=float) - params.mu) / params.sigma
+        z_tilde = (y - params.mu) / params.sigma
         outside = np.ravel(h_zero & (params.g * z_tilde <= -1.0))
         if np.any(outside):
             i = int(np.argmax(outside))
@@ -185,15 +142,16 @@ def tukey_head_loss(y, raw, link_cfg: LinkConfig = DEFAULT_LINK,
                 f"z_tilde={float(np.ravel(z_tilde)[i])!r} lies outside the "
                 f"one-sided support 1 + g*z_tilde > 0 for g={float(np.ravel(params.g)[i])!r}"
             )
-    batch = batch_nll(y, params, solver_cfg)
-    head_grad = batch.grads * derivs / len(batch.values)
-    return batch.mean, head_grad, params
-
-
-def gaussian_head_loss(y, raw, link_cfg: LinkConfig = DEFAULT_LINK):
-    """Mean Gaussian loss of a raw (n, 2) head plus d(mean)/d(raw)."""
-    mu, sigma, derivs = link_gaussian(raw, link_cfg)
-    out = gaussian_nll_and_grad(y, mu, sigma)
+    out = nll_and_grad(y, params, solver_cfg)
     values = np.asarray(out.value)
-    head_grad = out.grad * derivs / len(values)
-    return float(np.mean(values)), head_grad, (mu, sigma)
+    return float(np.mean(values)), out.grad * derivs / len(values), params
+
+
+def gaussian_head_loss(y, raw, link_cfg: LinkConfig = DEFAULT_LINK,
+                       solver_cfg: InverseSolverConfig = DEFAULT_SOLVER):
+    """Mean Gaussian loss of a raw (n, 2) head, with tukey_head_loss's
+    signature and returns; g = h = 0 needs no solve, so solver_cfg is unused."""
+    params, derivs = link(raw, link_cfg)
+    out = gaussian_nll_and_grad(y, params.mu, params.sigma)
+    values = np.asarray(out.value)
+    return float(np.mean(values)), out.grad * derivs / len(values), params

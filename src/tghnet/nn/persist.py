@@ -27,8 +27,8 @@ import numpy as np
 
 from ..data import Standardization, write_json
 from ..errors import ConfigError, DataError
-from ..loss import LinkConfig
-from ..tgh import InverseSolverConfig
+from ..loss import LinkConfig, link
+from ..tgh import InverseSolverConfig, TghParams
 from .network import EVAL_CHUNK, Network, NetworkSpec
 from .train import LOSS_KINDS
 
@@ -93,14 +93,17 @@ class ModelBundle:
 
     def _raw_chunks(self, x: np.ndarray):
         """Eval-mode head outputs for raw (unstandardized) features, EVAL_CHUNK
-        rows at a time: yields (rows, raw) with rows a slice of x."""
+        rows at a time: yields (rows, raw) with rows a slice of x.  Overflow
+        is not warned about: link names the row of a non-finite output."""
         x = np.asarray(x, dtype=float)
         for start in range(0, len(x), EVAL_CHUNK):
             rows = slice(start, start + EVAL_CHUNK)
             chunk = x[rows]
-            if self.standardization is not None:
-                chunk = self.standardization.apply(chunk)
-            yield rows, self.network.forward(chunk, train=False)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if self.standardization is not None:
+                    chunk = self.standardization.apply(chunk)
+                raw = self.network.forward(chunk, train=False)
+            yield rows, raw
 
     def predict_raw(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode head outputs for raw (unstandardized) features."""
@@ -109,24 +112,18 @@ class ModelBundle:
             raw[rows] = chunk
         return raw
 
-    def predict_params(self, x: np.ndarray):
+    def predict_params(self, x: np.ndarray) -> TghParams:
         """Predicted distribution parameters as a TghParams of arrays.
 
-        Gaussian models come back with g = h = 0 so that downstream
-        density/interval/residual code treats both heads uniformly.  The
-        link runs chunk by chunk, so beyond the four returned arrays memory
-        does not grow with the row count.
+        Both heads pass through the one link, so Gaussian models come back
+        with g = h = 0.  The link runs chunk by chunk, so beyond the four
+        returned arrays memory does not grow with the row count; a
+        non-finite head raises NumericalError naming the row of x.
         """
-        from ..loss import link, link_gaussian
-        from ..tgh import TghParams
-
-        out = np.zeros((4, len(x)))  # mu, sigma, g, h
+        out = np.empty((4, len(x)))  # mu, sigma, g, h
         for rows, raw in self._raw_chunks(x):
-            if self.loss_kind == "tukey":
-                p = link(raw, self.link)[0]
-                out[:, rows] = p.mu, p.sigma, p.g, p.h
-            else:
-                out[:2, rows] = link_gaussian(raw, self.link)[:2]
+            p = link(raw, self.link, rows.start)[0]
+            out[:, rows] = p.mu, p.sigma, p.g, p.h
         return TghParams(*out)
 
 
@@ -152,11 +149,15 @@ def save_model(path, bundle: ModelBundle) -> None:
 def load_model(path) -> ModelBundle:
     """Read a model file written by save_model.
 
-    A damaged or truncated file, or one whose blob holds a non-finite
-    value, raises DataError naming the byte offset at which reading failed.
+    A file that cannot be opened raises DataError; so does a damaged or
+    truncated file, or one whose blob holds a non-finite value, naming the
+    byte offset at which reading failed.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
     if blob[:4] != MAGIC:
         raise DataError(f"{path}: not a model file (bad magic)")
     if len(blob) < 12:

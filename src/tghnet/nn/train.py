@@ -56,12 +56,12 @@ class TrainHistory:
         return len(self.epoch)
 
 
-def _head_loss(kind: str, y, raw, link_cfg, solver_cfg):
-    if kind == "tukey":
-        mean, head_grad, _ = tukey_head_loss(y, raw, link_cfg, solver_cfg)
-    else:
-        mean, head_grad, _ = gaussian_head_loss(y, raw, link_cfg)
-    return mean, head_grad
+def _head_loss(kind: str):
+    """The head loss for a loss kind, looked up in this module when called so
+    that a wrapper installed here on either head loss sees every call."""
+    if kind not in LOSS_KINDS:
+        raise ValueError(f"unknown loss kind {kind!r}")
+    return tukey_head_loss if kind == "tukey" else gaussian_head_loss
 
 
 def evaluate_mean_loss(net: Network, x: np.ndarray, y: np.ndarray, kind: str,
@@ -69,14 +69,13 @@ def evaluate_mean_loss(net: Network, x: np.ndarray, y: np.ndarray, kind: str,
                        solver_cfg: InverseSolverConfig = DEFAULT_SOLVER) -> float:
     """Mean head loss over a dataset with eval-mode batch norm, EVAL_CHUNK
     rows at a time."""
-    if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}")
+    head_loss = _head_loss(kind)
     total = 0.0
     n = len(y)
     for start in range(0, n, EVAL_CHUNK):
         stop = min(start + EVAL_CHUNK, n)
         raw = net.forward(x[start:stop], train=False)
-        mean, _ = _head_loss(kind, y[start:stop], raw, link_cfg, solver_cfg)
+        mean = head_loss(y[start:stop], raw, link_cfg, solver_cfg)[0]
         total += mean * (stop - start)
     return total / n
 
@@ -93,8 +92,7 @@ def train(net: Network, x: np.ndarray, y: np.ndarray,
     validation loss.  Raises NumericalError with epoch/batch context if a
     batch loss turns non-finite.
     """
-    if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}")
+    head_loss = _head_loss(kind)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(train_idx) == 0 or len(val_idx) == 0:
@@ -112,7 +110,7 @@ def train(net: Network, x: np.ndarray, y: np.ndarray,
         for b, start in enumerate(range(0, len(order), train_cfg.batch_size)):
             rows = train_idx[order[start:start + train_cfg.batch_size]]
             raw = net.forward(x[rows], train=True)
-            mean, head_grad = _head_loss(kind, y[rows], raw, link_cfg, solver_cfg)
+            mean, head_grad, _ = head_loss(y[rows], raw, link_cfg, solver_cfg)
             if not np.isfinite(mean):
                 raise NumericalError(
                     f"non-finite training loss at epoch {epoch}, batch {b}"

@@ -1,7 +1,7 @@
-"""Tukey g-and-h transform core: forward map, derivatives, numerically exact
-inverse, density, the exact negative log-likelihood and its gradient,
-quantiles, and sampling.  Every likelihood, residual and density starts
-from the one standardise-and-solve in z_hat.
+"""Tukey g-and-h transform core: forward map, numerically exact inverse,
+density, the exact negative log-likelihood and its gradient, quantiles, and
+sampling.  Every likelihood, residual and density starts from the one
+standardise-and-solve in z_hat.
 
 The transform is
 
@@ -19,9 +19,9 @@ Two private kernels hold every exp(g*z) and expm1(g*z).  _tau_parts
 (behind the solver, tau, quantile and sample) costs one expm1 and one exp;
 the solver forms tau' from it only inside its Newton loop, where that tau'
 cancels for g*z << 0, which the solver's bisection fallback absorbs.
-_log_bracket, behind tau_prime, dtau_dg, log_density_from_z and
-nll_and_grad, builds log tau' and the gradient factors from exp(-|g*z|)
-and expm1(-|g*z|), which never overflow.
+_log_bracket, behind log_density_from_z and nll_and_grad, builds log tau'
+and the gradient factors from exp(-|g*z|) and expm1(-|g*z|), which never
+overflow.
 
 All functions accept scalars or numpy arrays (broadcast against each other)
 and return a scalar when every input is scalar.  They are pure and safe to
@@ -46,11 +46,7 @@ __all__ = [
     "TghParams",
     "InverseSolverConfig",
     "DEFAULT_SOLVER",
-    "SMALL_G",
     "tau",
-    "tau_prime",
-    "dtau_dg",
-    "dtau_dh",
     "tau_inverse",
     "z_hat",
     "log_density",
@@ -218,44 +214,6 @@ def _tau(z, g, h):
     small = np.abs(g) < SMALL_G
     return _tau_parts(z, g, np.asarray(h, dtype=float), small,
                       np.where(small, 1.0, g))[0]
-
-
-def tau_prime(z, p: ShapeParams):
-    """Derivative of tau in z: [exp(g*z) + h*z*(exp(g*z)-1)/g] * exp(h*z^2/2).
-
-    Strictly positive for all z when h >= 0; equals 1 at z = 0.
-    """
-    scalar = _is_scalar(z, p.g, p.h)
-    z = _validate_finite("z", z)
-    h = np.asarray(p.h, dtype=float)
-    log_b = _log_bracket(z, np.asarray(p.g, dtype=float), h)[0]
-    with np.errstate(over="ignore"):
-        out = np.exp(log_b + 0.5 * h * z * z)
-    return _ret(out, scalar)
-
-
-def dtau_dg(z, p: ShapeParams):
-    """Sensitivity of tau to g: [exp(g*z)(g*z-1)+1]/g^2 * exp(h*z^2/2).
-
-    Near g = 0 the bracketed ratio is evaluated by series,
-    (z^2/2 + g*z^3/3 + ...) to avoid cancellation.
-    """
-    scalar = _is_scalar(z, p.g, p.h)
-    z = _validate_finite("z", z)
-    h = np.asarray(p.h, dtype=float)
-    _, u, e, m, small, _ = _log_bracket(z, np.asarray(p.g, dtype=float), h)
-    with np.errstate(over="ignore"):
-        out = _dg_kernel(z, u, e, m, small) * np.exp(0.5 * h * z * z)
-    return _ret(out, scalar)
-
-
-def dtau_dh(z, p: ShapeParams):
-    """Sensitivity of tau to h: (z^2/2) * tau(z)."""
-    scalar = _is_scalar(z, p.g, p.h)
-    z_arr = np.asarray(z, dtype=float)
-    with np.errstate(invalid="ignore"):
-        out = 0.5 * z_arr * z_arr * np.asarray(tau(z, p))
-    return _ret(out, scalar)
 
 
 def _tau_parts(z, g, h, small, g_safe):

@@ -239,6 +239,54 @@ class TestIntervals:
                      "--out", str(tmp_path / "iv.csv")]) == 2
 
 
+_SCORE = ["--model", "{model}", "--data", "{sim}", "--split", "val"]
+EXIT_PROBES = {
+    # a non-finite network output, from a feature whose standardized
+    # value overflows, names its row of the scored input
+    "density_huge_feature": (["density", "--model", "{model}", "--features", "0.5;1e308",
+                              "--y-grid=-1:1:5", "--out", "{tmp}/d.csv"], 4, "input row 1"),
+    "evaluate_huge_feature": (["evaluate", "--model", "{model}", "--data", "{huge}",
+                               "--split", "val", "--out", "{tmp}/e"], 4, "input row 0"),
+    "intervals_huge_feature": (["intervals", "--model", "{model}", "--data", "{huge}",
+                                "--split", "val", "--out", "{tmp}/i.csv"], 4, "input row 0"),
+    "missing_model": (["evaluate", "--model", "{tmp}/none.tghn", "--data", "{sim}",
+                       "--out", "{tmp}/e"], 3, "none.tghn"),
+    "unwritable_csv": (["intervals", *_SCORE, "--out", "/nonexistent/x.csv"], 2,
+                       "/nonexistent/x.csv"),
+    "unwritable_dir": (["evaluate", *_SCORE, "--out", "/dev/null/x"], 2, "/dev/null/x"),
+    "alpha_1e-13_shortest": (["intervals", *_SCORE, "--alpha", "1e-13", "--variant", "shortest",
+                              "--out", "{tmp}/i.csv"], 2, "--alpha"),
+    **{f"alpha_{a}_{v}": (["intervals", *_SCORE, "--alpha", a, "--variant", v,
+                           "--out", "{tmp}/i.csv"], 2, "--alpha")
+       for a in ("1e-16", "1e-300") for v in ("symmetric", "shortest")},
+    "empty_y_grid": (["density", "--model", "{model}", "--features", "0.5", "--y-grid=0:1:0",
+                      "--out", "{tmp}/d.csv"], 2, "--y-grid"),
+}
+
+
+class TestExitCodes:
+    """Bad inputs, outputs and arguments exit 2 (usage or output), 3 (data)
+    or 4 (numerical) with one stderr line that names them; never 1."""
+
+    @pytest.mark.parametrize("probe", EXIT_PROBES)
+    def test_probe_exits_with_one_line(self, tmp_path, capsys, trained_model, sim_csv, probe):
+        argv, code, names = EXIT_PROBES[probe]
+        huge = tmp_path / "huge.csv"
+        huge.write_text("x,y\n" + "1e308,0.5\n" * 20)
+        fill = dict(model=trained_model, sim=sim_csv, huge=huge, tmp=tmp_path)
+        assert main([a.format(**fill) for a in argv]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and names in err, err
+
+    def test_alpha_limit_is_the_variants(self, tmp_path, trained_model, sim_csv):
+        # 1e-13 is too small for the shortest variant's tail search, not for
+        # the symmetric interval
+        out = str(tmp_path / "i.csv")
+        assert main(["intervals", *(a.format(model=trained_model, sim=sim_csv)
+                                    for a in _SCORE),
+                     "--alpha", "1e-13", "--variant", "symmetric", "--out", out]) == 0
+
+
 class TestThreadCap:
     def test_tgh_threads_caps_blas_pools(self, monkeypatch, tmp_path):
         from tghnet.cli import _apply_thread_cap

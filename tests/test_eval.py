@@ -26,7 +26,7 @@ from tghnet.evaluate import (
     write_summary_json,
 )
 from tghnet.loss import LinkConfig
-from tghnet.tgh import ShapeParams, TghParams, sample, standard_normal_cdf, tau, tau_prime
+from tghnet.tgh import ShapeParams, TghParams, sample, standard_normal_cdf, tau
 
 Z_975 = 1.9599639845400542
 
@@ -257,10 +257,8 @@ class TestDensityCurve:
         y_mode = grid[np.argmax(density_curve(params, grid))]
 
         def neg_log_density_z(z):
-            return (
-                math.log(tau_prime(z, ShapeParams(0.8, 0.1)))
-                + 0.5 * z * z
-            )
+            # log tau'(z) + z^2/2 + log(2 pi)/2
+            return -tgh.log_density_from_z(z, params)
 
         res = optimize.minimize_scalar(neg_log_density_z, bounds=(-4, 4), method="bounded")
         z_mode = res.x

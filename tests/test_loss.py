@@ -5,16 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tghnet import tgh
 from tghnet.errors import NumericalError
 from tghnet.loss import (
     LinkConfig,
-    batch_nll,
     gaussian_head_loss,
     gaussian_nll_and_grad,
     link,
-    link_gaussian,
     nll_and_grad,
     tukey_head_loss,
 )
@@ -69,16 +69,30 @@ class TestLink:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             link(np.zeros(3))
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError, match="non-finite network output at input row 0$"):
             link(np.array([0.0, np.nan, 0.0, 0.0]))
+        raw = np.zeros((5, 2))
+        raw[3, 1] = np.inf
+        with pytest.raises(NumericalError, match="at input row 103$"):
+            link(raw, first_row=100)
         with pytest.raises(ValueError):
             LinkConfig(sigma_floor=0.0)
 
     def test_gaussian_link(self):
-        mu, sigma, derivs = link_gaussian(np.array([2.0, 0.0]))
-        assert mu == 2.0
-        assert sigma == pytest.approx(SOFTPLUS_0 + 1e-4)
-        assert derivs.shape == (2,)
+        # a 2-wide head is the Gaussian model: g = h = 0, and mu, sigma and
+        # their derivatives are those of the first two outputs of a 4-wide head
+        params, derivs = link(np.array([2.0, 0.0]))
+        assert params.mu == 2.0
+        assert params.sigma == pytest.approx(SOFTPLUS_0 + 1e-4)
+        assert params.g == 0.0 and params.h == 0.0
+        np.testing.assert_array_equal(derivs, [1.0, 0.5])
+        raw = np.random.default_rng(6).normal(size=(7, 4))
+        two, d2 = link(raw[:, :2])
+        four, d4 = link(raw)
+        np.testing.assert_array_equal(two.mu, four.mu)
+        np.testing.assert_array_equal(two.sigma, four.sigma)
+        np.testing.assert_array_equal(d2, d4[:, :2])
+        assert np.all(two.g == 0.0) and np.all(two.h == 0.0)
 
 
 class TestNllAndGrad:
@@ -111,6 +125,43 @@ class TestNllAndGrad:
                 dn = nll_and_grad(y, TghParams(*args), TIGHT).value
                 fd[j] = (up - dn) / (2 * step)
             np.testing.assert_allclose(out.grad, fd, rtol=1e-5, atol=1e-7)
+
+    @given(
+        mu=st.floats(-2.0, 2.0),
+        sigma=st.floats(LinkConfig().sigma_floor, 5.0),
+        g=st.just(0.0) | st.floats(tgh.SMALL_G, 1e-3) | st.floats(-1e-3, -tgh.SMALL_G)
+        | st.floats(-LinkConfig().g_max, LinkConfig().g_max).filter(
+            lambda g: g == 0.0 or abs(g) >= tgh.SMALL_G),
+        h=st.floats(0.0, LinkConfig().h_max) | st.floats(0.0, 3e-5),
+        z=st.floats(-3.0, 3.0),
+    )
+    def test_gradient_matches_central_differences_on_the_link_box(self, mu, sigma, g, h, z):
+        """Every (mu, sigma, g, h) the link can emit, |g| and h near 0 included.
+
+        Five-point central differences, except below h = 2e-5, where a
+        one-sided second-order stencil keeps h >= 0.  Neither g nor a
+        stencil point lies in 0 < |g| < SMALL_G, where the value drops O(g)
+        terms that the gradient keeps: below |g| = 5e-4 the g step is 1e-3.
+        """
+        y = mu + sigma * tgh.tau(z, tgh.ShapeParams(g, h))
+        point = [mu, sigma, g, h]
+        steps = [1e-5 * sigma, 1e-5 * sigma, 1e-3 if abs(g) < 5e-4 else 1e-5, 1e-5]
+
+        def value(j, k):
+            args = list(point)
+            args[j] += k * steps[j]
+            return nll_and_grad(y, TghParams(*args), TIGHT).value
+
+        def fd(j):
+            if j == 3 and h < 2 * steps[3]:
+                return (4 * value(3, 1) - 3 * value(3, 0) - value(3, 2)) / (2 * steps[3])
+            return (8 * (value(j, 1) - value(j, -1)) - value(j, 2) + value(j, -2)) / (12 * steps[j])
+
+        got = nll_and_grad(y, TghParams(*point), TIGHT).grad
+        # d/dmu and d/dsigma scale as 1/sigma: compare them per unit of sigma
+        unit = np.array([sigma, sigma, 1.0, 1.0])
+        np.testing.assert_allclose(got * unit, [fd(j) * u for j, u in enumerate(unit)],
+                                   rtol=1e-5, atol=1e-7)
 
     def test_gaussian_consistency_grid(self):
         rng = np.random.default_rng(9)
@@ -154,8 +205,7 @@ class TestNllAndGrad:
         solves = count_calls(tgh, "tau_inverse")
         nll_and_grad(0.4, TghParams(0.1, 1.0, 0.3, 0.2))
         assert len(solves) == 1
-        batch_nll(np.array([0.1, 0.2, 0.3]), TghParams(
-            np.zeros(3), np.ones(3), np.zeros(3), np.zeros(3)))
+        tukey_head_loss(np.array([0.1, 0.2, 0.3]), np.zeros((3, 4)))
         assert len(solves) == 2
 
 
@@ -202,37 +252,35 @@ class TestGaussianLoss:
 
 
 class TestBatchNll:
+    """The batch mean NLL, as tukey_head_loss computes it from a raw head."""
+
+    RAW = np.array([[0.2, 0.5, 0.3, -1.0]])
+
     def test_single_sample_equals_pointwise(self):
-        point = nll_and_grad(0.9, TghParams(0.2, 1.1, 0.4, 0.1))
-        batch = batch_nll(np.array([0.9]), TghParams(
-            np.array([0.2]), np.array([1.1]), np.array([0.4]), np.array([0.1])))
-        assert batch.mean == pytest.approx(point.value, rel=1e-14)
-        np.testing.assert_allclose(batch.grads[0], point.grad, rtol=1e-14)
+        mean, head_grad, p = tukey_head_loss(np.array([0.9]), self.RAW)
+        point = nll_and_grad(0.9, TghParams(p.mu[0], p.sigma[0], p.g[0], p.h[0]))
+        assert mean == pytest.approx(point.value, rel=1e-14)
+        np.testing.assert_allclose(head_grad[0], point.grad * link(self.RAW[0])[1], rtol=1e-14)
 
     def test_duplicated_sample_keeps_mean(self):
-        params1 = TghParams(np.array([0.2]), np.array([1.1]), np.array([0.4]), np.array([0.1]))
-        params3 = TghParams(*(np.repeat(np.asarray(v), 3) for v in (0.2, 1.1, 0.4, 0.1)))
-        one = batch_nll(np.array([0.9]), params1)
-        three = batch_nll(np.repeat(0.9, 3), params3)
-        assert three.mean == pytest.approx(one.mean, rel=1e-14)
+        one, grad1, _ = tukey_head_loss(np.array([0.9]), self.RAW)
+        three, grad3, _ = tukey_head_loss(np.repeat(0.9, 3), np.repeat(self.RAW, 3, axis=0))
+        assert three == pytest.approx(one, rel=1e-14)
+        np.testing.assert_allclose(3.0 * grad3, np.repeat(grad1, 3, axis=0), rtol=1e-14)
 
     def test_mean_of_three_hand_built_samples(self):
         ys = np.array([0.1, -0.4, 2.0])
-        mus = np.array([0.0, 0.5, 1.0])
-        sigmas = np.array([1.0, 0.7, 2.0])
-        gs = np.array([0.0, 0.5, -0.8])
-        hs = np.array([0.0, 0.2, 0.1])
+        raw = np.array([[0.0, 0.5, 0.0, -3.0], [0.5, -0.4, 0.3, 0.2], [1.0, 1.9, -0.4, -1.0]])
+        mean, _, p = tukey_head_loss(ys, raw)
         singles = [
-            nll_and_grad(ys[i], TghParams(mus[i], sigmas[i], gs[i], hs[i])).value
+            nll_and_grad(ys[i], TghParams(p.mu[i], p.sigma[i], p.g[i], p.h[i])).value
             for i in range(3)
         ]
-        batch = batch_nll(ys, TghParams(mus, sigmas, gs, hs))
-        assert batch.mean == pytest.approx(np.mean(singles), rel=1e-12)
+        assert mean == pytest.approx(np.mean(singles), rel=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            batch_nll(np.zeros(3), TghParams(
-                np.zeros(2), np.ones(2), np.zeros(2), np.zeros(2)))
+            tukey_head_loss(np.zeros(3), np.zeros((2, 4)))
 
 
 class TestHeadLosses:
@@ -266,6 +314,17 @@ class TestHeadLosses:
         mean, _, params = tukey_head_loss(np.array([10.0]), np.array([[0.0, 0.0, -5.0, -40.0]]))
         assert params.h[0] > 0.0
         assert mean == 1.5827353055551951e+18
+
+    def test_gaussian_head_has_the_tukey_signature(self):
+        # the Gaussian head is the g = h = 0 case of the g-and-h loss
+        rng = np.random.default_rng(23)
+        raw, y = rng.normal(size=(6, 2)), rng.normal(size=6)
+        mean, head_grad, params = gaussian_head_loss(y, raw, LinkConfig(), TIGHT)
+        assert np.all(params.g == 0.0) and np.all(params.h == 0.0)
+        tk = nll_and_grad(y, params, TIGHT)
+        assert mean == pytest.approx(np.mean(tk.value), rel=1e-12)
+        want = tk.grad[:, :2] * link(raw)[1] / len(y)
+        np.testing.assert_allclose(head_grad, want, rtol=1e-9, atol=1e-15)
 
     def test_gaussian_head_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(22)

@@ -1,6 +1,7 @@
 """Network forward/backward, batch norm, Adam, scheduler, training loop,
 and model persistence."""
 
+import importlib
 import math
 import tracemalloc
 
@@ -367,6 +368,24 @@ class TestTrain:
         with pytest.raises(NumericalError, match="epoch 0"):
             train(net, x, y, np.arange(6), np.arange(6, 8), "gaussian",
                   AdamConfig(), TrainConfig(epochs=1, batch_size=4))
+
+    @pytest.mark.parametrize("kind, head_dim", [("tukey", 4), ("gaussian", 2)])
+    def test_head_losses_are_looked_up_by_name(self, monkeypatch, kind, head_dim):
+        # A profiler wraps these names in tghnet.nn.train; train and
+        # evaluate_mean_loss must call the wrappers, once per batch and once
+        # per EVAL_CHUNK of validation rows.
+        nn_train = importlib.import_module("tghnet.nn.train")
+        rows = {}
+        for name in ("tukey_head_loss", "gaussian_head_loss"):
+            inner, seen = getattr(nn_train, name), rows.setdefault(name, [])
+            monkeypatch.setattr(nn_train, name,
+                                lambda y, *a, f=inner, s=seen: s.append(len(y)) or f(y, *a))
+        x, y, _, _ = _toy_data(100 + EVAL_CHUNK + 5)
+        net = Network(dense_spec(1, [4], head_dim=head_dim), seed=0)
+        train(net, x, y, np.arange(100), np.arange(100, len(y)), kind,
+              AdamConfig(), TrainConfig(epochs=2, batch_size=32))
+        assert rows.pop(f"{kind}_head_loss") == [32, 32, 32, 4, EVAL_CHUNK, 5] * 2
+        assert rows.popitem()[1] == []
 
     def test_unknown_loss_kind(self):
         x, y, tr, va = _toy_data(100)

@@ -3,7 +3,9 @@
 High-precision expected values were computed with 50-digit arithmetic from
 the defining formulas and are frozen here as literals; finite-difference
 oracles run live against a tightened solver tolerance so that solver
-noise stays far below the comparison tolerances.
+noise stays far below the comparison tolerances.  The derivatives of tau
+are read back from the public density and NLL (_tau_prime and
+_tau_derivatives below), the only places the package computes them.
 """
 
 import math
@@ -20,16 +22,15 @@ from tghnet.tgh import (
     InverseSolverConfig,
     ShapeParams,
     TghParams,
-    dtau_dg,
-    dtau_dh,
     log_density,
+    log_density_from_z,
+    nll_and_grad,
     quantile,
     sample,
     standard_normal_cdf,
     standard_normal_quantile,
     tau,
     tau_inverse,
-    tau_prime,
 )
 
 TIGHT = InverseSolverConfig(abs_tolerance=1e-15)
@@ -42,6 +43,37 @@ DTAU_DG_1_05_01 = 0.7385783497693057
 DTAU_DH_1_05_01 = 0.6819819214913712  # 0.5 * tau(1; 0.5, 0.1)
 Z_975 = 1.9599639845400542
 HALF_LOG_2PI = 0.9189385332046727
+
+
+def _tau_prime(z, g, h):
+    """tau'(z) from the density: log tau' = -log_density_from_z(z, (0, 1, g, h))
+    - z^2/2 - log(2 pi)/2."""
+    z = np.asarray(z, dtype=float)
+    with np.errstate(over="ignore"):
+        return np.exp(-np.asarray(log_density_from_z(z, TghParams(0.0, 1.0, g, h)))
+                      - 0.5 * z * z - HALF_LOG_2PI)
+
+
+def _tau_derivatives(z, g, h):
+    """tau'(z), dtau/dg and dtau/dh, read back from nll_and_grad.
+
+    At y = tau(z), mu = 0 and sigma = 1 the NLL's z_hat is z.  With a the
+    NLL's slope in z at fixed (g, h), the implicit dz/dp = -(dtau/dp)/tau'
+    gives d/dmu = -a/tau', and with B = tau' exp(-h z^2/2) the gradient
+    pieces d(log B)/dg = (z exp(g z) + h z dtau/dg exp(-h z^2/2))/B and
+    d(log B)/dh = z tau/tau':
+        d/dg = z exp(g z + h z^2/2)/tau' + (h z/tau' + d/dmu) dtau/dg,
+        d/dh = z tau/tau' + z^2/2 + d/dmu dtau/dh.
+    """
+    params = TghParams(0.0, 1.0, g, h)
+    t = np.asarray(tau(z, params.shape))
+    zh = np.asarray(tgh.z_hat(t, params, TIGHT))
+    slope = _tau_prime(zh, g, h)
+    grad = np.asarray(nll_and_grad(t, params, TIGHT).grad)
+    d_mu, d_g, d_h = grad[..., 0], grad[..., 2], grad[..., 3]
+    dg = (d_g - zh * np.exp(g * zh + 0.5 * h * zh * zh) / slope) / (d_mu + h * zh / slope)
+    dh = (d_h - zh * t / slope - 0.5 * zh * zh) / d_mu
+    return slope, dg, dh
 
 
 class TestTau:
@@ -113,21 +145,19 @@ class TestTauPrime:
     def test_unit_slope_at_zero(self):
         for g in (-1.0, 0.0, 0.7):
             for h in (0.0, 0.3):
-                assert tau_prime(0.0, ShapeParams(g, h)) == pytest.approx(1.0)
+                assert _tau_prime(0.0, g, h) == pytest.approx(1.0)
 
     def test_identity_case(self):
-        assert tau_prime(1.0, ShapeParams(0.0, 0.0)) == 1.0
+        assert _tau_prime(1.0, 0.0, 0.0) == 1.0
 
     def test_oracle_value(self):
-        assert tau_prime(1.0, ShapeParams(0.5, 0.1)) == pytest.approx(
-            TAU_PRIME_1_05_01, rel=1e-14
-        )
+        assert _tau_prime(1.0, 0.5, 0.1) == pytest.approx(TAU_PRIME_1_05_01, rel=1e-14)
 
     def test_positive_everywhere(self):
         z = np.linspace(-10, 10, 201)
         for g in (-1.5, 0.0, 1.5):
             for h in (0.0, 0.5):
-                assert np.all(np.asarray(tau_prime(z, ShapeParams(g, h))) > 0)
+                assert np.all(_tau_prime(z, g, h) > 0)
 
     def test_matches_finite_difference_of_tau(self):
         rng = np.random.default_rng(0)
@@ -137,22 +167,24 @@ class TestTauPrime:
             h = rng.uniform(0, 0.5)
             p = ShapeParams(g, h)
             fd = (tau(z + 1e-6, p) - tau(z - 1e-6, p)) / 2e-6
-            np.testing.assert_allclose(tau_prime(z, p), fd, rtol=1e-5)
+            np.testing.assert_allclose(_tau_prime(z, g, h), fd, rtol=1e-5)
 
 
 class TestTauParamDerivatives:
+    """dtau/dg and dtau/dh as nll_and_grad's gradient carries them."""
+
     def test_dg_vanishes_at_zero(self):
-        assert dtau_dg(0.0, ShapeParams(0.5, 0.1)) == 0.0
+        assert nll_and_grad(0.0, TghParams(0.0, 1.0, 0.5, 0.1)).grad[2] == 0.0
+        assert _tau_derivatives(0.0, 0.5, 0.1)[1] == 0.0
 
     def test_dg_small_g_limit(self):
         # series limit z^2/2 at g -> 0
-        assert dtau_dg(1.0, ShapeParams(1e-7, 0.0)) == pytest.approx(0.5, rel=1e-6)
+        assert _tau_derivatives(1.0, 1e-7, 0.0)[1] == pytest.approx(0.5, rel=1e-6)
         fd = (tau(1.0, ShapeParams(2e-4, 0.0)) - tau(1.0, ShapeParams(1e-4, 0.0))) / 1e-4
-        assert dtau_dg(1.0, ShapeParams(1.5e-4, 0.0)) == pytest.approx(fd, rel=1e-4)
+        assert _tau_derivatives(1.0, 1.5e-4, 0.0)[1] == pytest.approx(fd, rel=1e-4)
 
     def test_dg_oracle_and_finite_difference(self):
-        p = ShapeParams(0.5, 0.1)
-        assert dtau_dg(1.0, p) == pytest.approx(DTAU_DG_1_05_01, rel=1e-13)
+        assert _tau_derivatives(1.0, 0.5, 0.1)[1] == pytest.approx(DTAU_DG_1_05_01, rel=1e-13)
         rng = np.random.default_rng(1)
         for _ in range(50):
             z = rng.uniform(-4, 4)
@@ -162,24 +194,41 @@ class TestTauParamDerivatives:
                 tau(z, ShapeParams(g + 1e-6, h)) - tau(z, ShapeParams(g - 1e-6, h))
             ) / 2e-6
             np.testing.assert_allclose(
-                dtau_dg(z, ShapeParams(g, h)), fd, rtol=1e-5, atol=1e-9
+                _tau_derivatives(z, g, h)[1], fd, rtol=1e-5, atol=1e-9
             )
 
     def test_dg_small_g_series_keeps_cubic_term(self):
+        # At h = 0, mu = 0 and sigma = 1 the small-g branch solves z_hat = y,
+        # and d/dg = z - (g + z) exp(-g z) [exp(g z)(g z - 1) + 1]/g^2: the
+        # bracket's series must keep its g z^3/3 term (4e-5 relative at z = 12).
         g = 5e-6
         z = np.linspace(-12.0, 12.0, 241)
-        for h in (0.0, 0.3):
-            want = (z**2 / 2 + g * z**3 / 3 + g**2 * z**4 / 8) * np.exp(h * z * z / 2)
-            np.testing.assert_allclose(dtau_dg(z, ShapeParams(g, h)), want, rtol=1e-10)
+        series = z**2 / 2 + g * z**3 / 3 + g**2 * z**4 / 8
+        d_g = nll_and_grad(z, TghParams(0.0, 1.0, g, 0.0), TIGHT).grad[:, 2]
+        np.testing.assert_allclose(d_g, z - (g + z) * np.exp(-g * z) * series, rtol=1e-10)
+
+    def test_dg_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath").mp
+        mp.dps = 40
+
+        def nll(y, g, h):
+            tau_mp = lambda z: mp.expm1(g * z) / g * mp.exp(h * z * z / 2)  # noqa: E731
+            z = mp.findroot(lambda z: tau_mp(z) - y, mp.mpf(0))
+            slope = (mp.exp(g * z) + h * z * mp.expm1(g * z) / g) * mp.exp(h * z * z / 2)
+            return mp.log(slope) + z * z / 2
+
+        for g, h, z in ((0.5, 0.1, 1.0), (-1.7, 0.45, 2.5), (1e-3, 0.0, -3.0), (2.0, 0.0, -1.5)):
+            y = float(tau(z, ShapeParams(g, h)))
+            want = mp.diff(lambda gg: nll(mp.mpf(y), gg, mp.mpf(h)), mp.mpf(g))
+            got = nll_and_grad(y, TghParams(0.0, 1.0, g, h), TIGHT).grad[2]
+            assert got == pytest.approx(float(want), rel=1e-11), (g, h, z)
 
     def test_dh_trivial_values(self):
-        assert dtau_dh(0.0, ShapeParams(0.3, 0.2)) == 0.0
-        assert dtau_dh(2.0, ShapeParams(0.0, 0.0)) == pytest.approx(4.0)
+        assert _tau_derivatives(0.0, 0.3, 0.2)[2] == 0.0
+        assert _tau_derivatives(2.0, 0.0, 0.0)[2] == pytest.approx(4.0)
 
     def test_dh_oracle_and_finite_difference(self):
-        assert dtau_dh(1.0, ShapeParams(0.5, 0.1)) == pytest.approx(
-            DTAU_DH_1_05_01, rel=1e-13
-        )
+        assert _tau_derivatives(1.0, 0.5, 0.1)[2] == pytest.approx(DTAU_DH_1_05_01, rel=1e-13)
         rng = np.random.default_rng(2)
         for _ in range(50):
             z = rng.uniform(-4, 4)
@@ -189,7 +238,7 @@ class TestTauParamDerivatives:
                 tau(z, ShapeParams(g, h + 1e-6)) - tau(z, ShapeParams(g, h - 1e-6))
             ) / 2e-6
             np.testing.assert_allclose(
-                dtau_dh(z, ShapeParams(g, h)), fd, rtol=1e-5, atol=1e-9
+                _tau_derivatives(z, g, h)[2], fd, rtol=1e-5, atol=1e-9
             )
 
 
@@ -259,7 +308,7 @@ class TestTauInverse:
 
     def test_loops_call_no_public_kernel(self, count_calls):
         taus = count_calls(tgh, "tau")
-        primes = count_calls(tgh, "tau_prime")
+        primes = count_calls(tgh, "log_density_from_z")
         tau_inverse(np.linspace(-50.0, 50.0, 101), ShapeParams(0.3, 0.2))
         assert taus == [] and primes == []
 
@@ -327,7 +376,7 @@ def _assert_matches_bisection(zt, g, h, tol):
     # tolerance, conditioning of the root, and the ulp floor
     eps = np.finfo(float).eps
     with np.errstate(divide="ignore"):
-        allowed = (tol + 8.0 * eps * np.maximum(1.0, np.abs(zt)) / tau_prime(got, p)
+        allowed = (tol + 8.0 * eps * np.maximum(1.0, np.abs(zt)) / _tau_prime(got, g, h)
                    + 2.0 * np.spacing(np.abs(got)))
     assert np.all(np.abs(got - want) <= allowed)
 
@@ -360,9 +409,8 @@ class TestTauInverseOracle:
 
 def _inverse_sensitivities(zt, p, cfg=tgh.DEFAULT_SOLVER):
     """Implicit-function derivatives of tau^{-1}(zt) in zt, g and h."""
-    z_hat = tau_inverse(zt, p, cfg)
-    slope = tau_prime(z_hat, p)
-    return 1.0 / slope, -dtau_dg(z_hat, p) / slope, -dtau_dh(z_hat, p) / slope
+    slope, dg, dh = _tau_derivatives(tau_inverse(zt, p, cfg), p.g, p.h)
+    return 1.0 / slope, -dg / slope, -dh / slope
 
 
 class TestInverseDerivatives:
@@ -432,9 +480,7 @@ class TestLogDensity:
                 params = TghParams(0.3, 1.4, g, h)
                 p = ShapeParams(g, h)
                 y = 0.3 + 1.4 * np.asarray(tau(z, p))
-                integrand = np.exp(np.asarray(log_density(y, params))) * 1.4 * np.asarray(
-                    tau_prime(z, p)
-                )
+                integrand = np.exp(np.asarray(log_density(y, params))) * 1.4 * _tau_prime(z, g, h)
                 total = np.trapezoid(integrand, z)
                 assert total == pytest.approx(1.0, abs=1e-6), (g, h)
 

@@ -68,17 +68,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _split_dataset(bundle, dataset, split_name: str):
-    from .config import parse_split
+def _score_split(args):
+    """The scoring prologue of evaluate and intervals: the model, and the
+    targets and predicted parameters of the rows of --data that the model's
+    split rule puts in --split.  A non-finite head names its row of --data."""
+    from .data import load_csv
     from .errors import DataError
+    from .nn import load_model
 
-    if bundle.split_rule is None:
+    bundle = load_model(args.model)
+    header = bundle.header
+    dataset = load_csv(args.data, header.data.target_column, header.data.feature_columns)
+    if header.split_rule is None:
         raise DataError("model carries no split rule; cannot select a split")
-    labeled = parse_split(bundle.split_rule).apply(dataset)
-    rows = labeled.rows(split_name)
+    rows = header.split_rule.apply(dataset).rows(args.split)
     if len(rows) == 0:
-        raise DataError(f"split {split_name!r} is empty for this dataset")
-    return labeled, rows
+        raise DataError(f"split {args.split!r} is empty for this dataset")
+    x = dataset.x[rows]
+    return header, x, dataset.y[rows], bundle.predict_params(x, rows)
 
 
 def cmd_simulate(args) -> int:
@@ -112,41 +119,37 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     import numpy as np
 
-    from .config import load_config, split_to_json
+    from .config import load_config
     from .data import load_csv, standardize, write_csv
     from .nn import ModelBundle, Network, dense_spec, save_model, train
+    from .nn.persist import DataColumns, ModelHeader
 
     cfg = load_config(args.config)
+    data = cfg.data
     # late-injected columns come last
-    ordered = tuple(c for c in cfg.features if c not in cfg.late_columns) + cfg.late_columns
-    dataset = load_csv(args.data, cfg.target, ordered)
+    ordered = tuple(c for c in data.features if c not in data.late_columns) + data.late_columns
+    dataset = load_csv(args.data, data.target, ordered)
     print(f"loaded {len(dataset)} rows ({dataset.n_dropped} dropped)")
     dataset = cfg.split.apply(dataset)
-    if cfg.standardize:
+    if data.standardize:
         dataset = standardize(dataset)
 
     spec = dense_spec(
-        len(cfg.features), list(cfg.hidden), cfg.head_dim,
-        late_features=len(cfg.late_columns), batch_norm=cfg.batch_norm,
+        len(data.features), list(cfg.network.hidden), cfg.head_dim,
+        late_features=len(data.late_columns), batch_norm=cfg.network.batch_norm,
     )
-    net = Network(spec, seed=cfg.seed)
+    header = ModelHeader(
+        cfg.loss, spec, cfg.link, cfg.solver,
+        DataColumns(ordered, data.late_columns, data.target, dataset.standardization),
+        cfg.split,
+    )
+    net = Network(header.network, seed=cfg.seed)
     history = train(
         net, dataset.x, dataset.y,
         dataset.rows("train"), dataset.rows("val"),
-        cfg.loss, cfg.adam, cfg.training, cfg.link, cfg.solver,
+        cfg.loss, cfg.optimizer, cfg.training, cfg.link, cfg.solver, seed=cfg.seed,
     )
-    bundle = ModelBundle(
-        network=net,
-        loss_kind=cfg.loss,
-        link=cfg.link,
-        solver=cfg.solver,
-        feature_columns=ordered,
-        late_columns=cfg.late_columns,
-        target_column=cfg.target,
-        standardization=dataset.standardization,
-        split_rule=split_to_json(cfg.split),
-    )
-    save_model(args.out, bundle)
+    save_model(args.out, ModelBundle(header, net))
     write_csv(
         f"{args.out}.history.csv",
         {
@@ -173,7 +176,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .data import load_csv
     from .evaluate import (
         binned_residual_summary,
         coverage_table,
@@ -182,14 +184,9 @@ def cmd_evaluate(args) -> int:
         write_report_csv,
         write_summary_json,
     )
-    from .nn import load_model
 
-    bundle = load_model(args.model)
-    dataset = load_csv(args.data, bundle.target_column, bundle.feature_columns)
-    labeled, rows = _split_dataset(bundle, dataset, args.split)
-    x, y = labeled.x[rows], labeled.y[rows]
-    params = bundle.predict_params(x)
-    report = residuals(y, params, bundle.solver)
+    header, x, y, params = _score_split(args)
+    report = residuals(y, params, header.solver)
 
     os.makedirs(args.out, exist_ok=True)
     write_report_csv(os.path.join(args.out, "report.csv"), y, params, report)
@@ -200,7 +197,7 @@ def cmd_evaluate(args) -> int:
         report,
         extra={
             "split": args.split,
-            "loss": bundle.loss_kind,
+            "loss": header.loss,
             "coverage": coverage_table(y, params),
             "u_bin_edges": [float(v) for v in edges],
             "u_bin_means": [None if v != v else float(v) for v in means],
@@ -225,20 +222,15 @@ def cmd_evaluate(args) -> int:
 def cmd_intervals(args) -> int:
     import numpy as np
 
-    from .data import load_csv, write_csv, write_json
+    from .data import write_csv, write_json
     from .evaluate import check_alpha, interval_coverage, shortest_interval, symmetric_interval
-    from .nn import load_model
 
     try:
         check_alpha(args.alpha, args.variant)
     except ValueError as exc:
         print(f"--alpha: {exc}", file=sys.stderr)
         return 2
-    bundle = load_model(args.model)
-    dataset = load_csv(args.data, bundle.target_column, bundle.feature_columns)
-    labeled, rows = _split_dataset(bundle, dataset, args.split)
-    x, y = labeled.x[rows], labeled.y[rows]
-    params = bundle.predict_params(x)
+    _, _, y, params = _score_split(args)
     if args.variant == "symmetric":
         iv = symmetric_interval(params, args.alpha)
     else:
@@ -291,14 +283,15 @@ def cmd_density(args) -> int:
         print("--features must be finite", file=sys.stderr)
         return 2
     bundle = load_model(args.model)
-    width = len(bundle.feature_columns)
+    width = len(bundle.header.data.feature_columns)
     if any(len(pt) != width for pt in points):
         print(f"each feature point needs {width} component(s)", file=sys.stderr)
         return 2
     x = np.asarray(points, dtype=float)
     p = bundle.predict_params(x)
-    curves = np.array([density_curve(TghParams(*row), grid)
-                       for row in zip(p.mu, p.sigma, p.g, p.h)])
+    # one (points, grid) batch: each row's solve is independent of the rest
+    curves = density_curve(TghParams(p.mu[:, None], p.sigma[:, None], p.g[:, None],
+                                     p.h[:, None]), grid)
     write_csv(args.out, {
         "point": np.repeat(np.arange(len(points), dtype=float), len(grid)),
         "y": np.tile(grid, len(points)),

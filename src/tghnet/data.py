@@ -17,7 +17,9 @@ equal a per-row csv.writer's.
 
 Split labels are "train" / "val" / "test".  The fraction rule shuffles
 with a seeded generator (test left empty); the by-column-values rule
-assigns val/test by exact value match with the remainder as train.
+assigns val/test by exact value match with the remainder as train.  Each
+rule is a dataclass whose fields are its JSON object, "rule" (its name)
+included, so configs and model headers hold the rules themselves.
 Standardization statistics come from the training split only and the
 target is never standardized — predictions stay in target units.
 """
@@ -27,7 +29,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -251,6 +253,27 @@ def split_by_column_values(dataset: Dataset, column: str, val_values, test_value
         if not np.any(labels == name):
             raise DataError(f"by-column split produced an empty {name} split")
     return replace(dataset, split=labels)
+
+
+@dataclass(frozen=True)
+class FractionSplit:
+    fraction: float
+    seed: int = 0
+    rule: str = field(default="fraction", init=False)
+
+    def apply(self, dataset: Dataset) -> Dataset:
+        return split_fraction(dataset, self.fraction, self.seed)
+
+
+@dataclass(frozen=True)
+class ByColumnSplit:
+    column: str
+    val_values: tuple[float, ...]
+    test_values: tuple[float, ...]
+    rule: str = field(default="by_column_values", init=False)
+
+    def apply(self, dataset: Dataset) -> Dataset:
+        return split_by_column_values(dataset, self.column, self.val_values, self.test_values)
 
 
 def standardize(dataset: Dataset) -> Dataset:

@@ -57,22 +57,23 @@ def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def link(raw, cfg: LinkConfig = DEFAULT_LINK, first_row: int = 0):
+def link(raw, cfg: LinkConfig = DEFAULT_LINK, rows=None):
     """Map raw head outputs (..., 4) to valid g-and-h parameters.
 
     A (..., 2) head is the Gaussian model: it gives mu and sigma, with
     g = h = 0.  Returns (TghParams, derivs) where derivs[..., j] is the
     derivative of parameter j w.r.t. raw output j (the link is diagonal).
-    A non-finite output raises NumericalError naming its row, counted
-    from first_row.
+    A non-finite output raises NumericalError naming its row i, or
+    rows[i] when the caller labels the rows.
     """
     raw = np.asarray(raw, dtype=float)
     if raw.ndim == 0 or raw.shape[-1] not in (2, 4):
         raise ValueError("raw head must have 2 or 4 components")
     finite = np.isfinite(raw)
     if not finite.all():
-        i = first_row + int(np.argmin(np.ravel(finite.all(axis=-1))))
-        raise NumericalError(f"non-finite network output at input row {i}")
+        i = int(np.argmin(np.ravel(finite.all(axis=-1))))
+        raise NumericalError(f"non-finite network output at input row "
+                             f"{i if rows is None else int(rows[i])}")
     mu = raw[..., 0]
     sigma = _softplus(raw[..., 1]) + cfg.sigma_floor
     derivs = [np.ones_like(mu), expit(raw[..., 1])]

@@ -12,20 +12,22 @@ Layout (all integers and floats little-endian):
                 layers gamma, beta) followed by the running statistics
                 (per batch-norm layer running_mean, running_var)
 
-save_model additionally writes ``<path>.json`` with the same header,
-pretty-printed, for inspection.  The writer is deterministic: identical
-bundles produce identical bytes.
+A ModelBundle is its ModelHeader plus a Network of the header's shape.
+save_model writes asdict of the header, and additionally ``<path>.json``
+with the same header, pretty-printed, for inspection; load_model keeps
+the header that config.read returns.  The writer is deterministic:
+identical bundles produce identical bytes.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..data import Standardization, write_json
+from ..data import ByColumnSplit, FractionSplit, Standardization, write_json
 from ..errors import ConfigError, DataError
 from ..loss import LinkConfig, link
 from ..tgh import InverseSolverConfig, TghParams
@@ -51,13 +53,13 @@ class ModelHeader:
     """The JSON header, written as asdict of this and read back by config.read,
     so every model saved or loaded passes the cross-section checks below."""
 
-    format: int
     loss: str
     network: NetworkSpec
     link: LinkConfig
     solver: InverseSolverConfig
     data: DataColumns
-    split_rule: dict | None = None
+    split_rule: FractionSplit | ByColumnSplit | None = None
+    format: int = field(default=FORMAT_VERSION, init=False)
 
     def __post_init__(self):
         spec, data, st = self.network, self.data, self.data.standardization
@@ -79,63 +81,40 @@ class ModelHeader:
 
 @dataclass
 class ModelBundle:
-    """Everything needed to score new data with a trained model."""
+    """Everything needed to score new data with a trained model: the header
+    and a network of the header's shape."""
 
+    header: ModelHeader
     network: Network
-    loss_kind: str
-    link: LinkConfig
-    solver: InverseSolverConfig
-    feature_columns: tuple[str, ...]
-    late_columns: tuple[str, ...]
-    target_column: str
-    standardization: Standardization | None
-    split_rule: dict | None = None
 
-    def _raw_chunks(self, x: np.ndarray):
-        """Eval-mode head outputs for raw (unstandardized) features, EVAL_CHUNK
-        rows at a time: yields (rows, raw) with rows a slice of x.  Overflow
-        is not warned about: link names the row of a non-finite output."""
-        x = np.asarray(x, dtype=float)
-        for start in range(0, len(x), EVAL_CHUNK):
-            rows = slice(start, start + EVAL_CHUNK)
-            chunk = x[rows]
-            with np.errstate(over="ignore", invalid="ignore"):
-                if self.standardization is not None:
-                    chunk = self.standardization.apply(chunk)
-                raw = self.network.forward(chunk, train=False)
-            yield rows, raw
-
-    def predict_raw(self, x: np.ndarray) -> np.ndarray:
-        """Eval-mode head outputs for raw (unstandardized) features."""
-        raw = np.empty((len(x), self.network.spec.head_dim))
-        for rows, chunk in self._raw_chunks(x):
-            raw[rows] = chunk
-        return raw
-
-    def predict_params(self, x: np.ndarray) -> TghParams:
-        """Predicted distribution parameters as a TghParams of arrays.
+    def predict_params(self, x: np.ndarray, rows=None) -> TghParams:
+        """Predicted distribution parameters for raw (unstandardized)
+        features, as a TghParams of arrays.
 
         Both heads pass through the one link, so Gaussian models come back
-        with g = h = 0.  The link runs chunk by chunk, so beyond the four
-        returned arrays memory does not grow with the row count; a
-        non-finite head raises NumericalError naming the row of x.
+        with g = h = 0.  The eval-mode forward and the link run EVAL_CHUNK
+        rows at a time, so beyond the four returned arrays memory does not
+        grow with the row count.  A non-finite head raises NumericalError
+        naming the row: rows[i] for row i of x, or i itself without rows.
         """
+        x = np.asarray(x, dtype=float)
+        labels = range(len(x)) if rows is None else rows
+        st = self.header.data.standardization
         out = np.empty((4, len(x)))  # mu, sigma, g, h
-        for rows, raw in self._raw_chunks(x):
-            p = link(raw, self.link, rows.start)[0]
-            out[:, rows] = p.mu, p.sigma, p.g, p.h
+        for start in range(0, len(x), EVAL_CHUNK):
+            chunk = slice(start, start + EVAL_CHUNK)
+            # overflow is not warned about: link names the row
+            with np.errstate(over="ignore", invalid="ignore"):
+                raw = self.network.forward(x[chunk] if st is None else st.apply(x[chunk]),
+                                           train=False)
+            p = link(raw, self.header.link, labels[chunk])[0]
+            out[:, chunk] = p.mu, p.sigma, p.g, p.h
         return TghParams(*out)
-
-
-def _header_dict(b: ModelBundle) -> dict:
-    data = DataColumns(b.feature_columns, b.late_columns, b.target_column, b.standardization)
-    return asdict(ModelHeader(FORMAT_VERSION, b.loss_kind, b.network.spec, b.link, b.solver,
-                              data, b.split_rule))
 
 
 def save_model(path, bundle: ModelBundle) -> None:
     """Write the binary model file and its JSON sidecar."""
-    header = _header_dict(bundle)
+    header = asdict(bundle.header)
     encoded = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -169,8 +148,11 @@ def load_model(path) -> ModelBundle:
     if len(blob) < offset:
         raise DataError(f"{path}: truncated at byte {len(blob)}, inside the header "
                         f"at bytes 12-{offset}")
+    from ..config import read  # config imports nn
+
     try:
-        bundle = _bundle_from_header(json.loads(blob[12:offset].decode("utf-8")))
+        header = read(ModelHeader, json.loads(blob[12:offset].decode("utf-8")), "header")
+        bundle = ModelBundle(header, Network(header.network, seed=0))
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataError(f"{path}: bad header at byte 12: {exc!r}") from exc
 
@@ -185,15 +167,3 @@ def load_model(path) -> ModelBundle:
         raise DataError(f"{path}: non-finite value {float(state[i])} "
                         f"at byte {offset + 8 * i} of the parameter blob")
     return bundle
-
-
-def _bundle_from_header(obj) -> ModelBundle:
-    """A ModelBundle whose network has the header's shape, not yet its weights."""
-    from ..config import parse_split, read, split_to_json  # config imports nn
-
-    h = read(ModelHeader, obj, "header")
-    rule = h.split_rule
-    return ModelBundle(
-        Network(h.network, seed=0), h.loss, h.link, h.solver, **vars(h.data),
-        split_rule=None if rule is None else split_to_json(parse_split(rule, "header.split_rule")),
-    )

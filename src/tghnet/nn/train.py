@@ -30,7 +30,6 @@ LOSS_KINDS = {"tukey": 4, "gaussian": 2}
 class TrainConfig:
     epochs: int
     batch_size: int = 4096
-    seed: int = 0
     clip_norm: float | None = 10.0
 
     def __post_init__(self):
@@ -84,8 +83,9 @@ def train(net: Network, x: np.ndarray, y: np.ndarray,
           train_idx: np.ndarray, val_idx: np.ndarray, kind: str,
           adam_cfg: AdamConfig, train_cfg: TrainConfig,
           link_cfg: LinkConfig = DEFAULT_LINK,
-          solver_cfg: InverseSolverConfig = DEFAULT_SOLVER) -> TrainHistory:
-    """Train the network in place; returns the per-epoch history.
+          solver_cfg: InverseSolverConfig = DEFAULT_SOLVER, seed: int = 0) -> TrainHistory:
+    """Train the network in place, shuffling the training rows with a
+    generator seeded by seed; returns the per-epoch history.
 
     After the last epoch the network is reset to the parameters (and
     batch-norm running statistics) of the epoch with the lowest
@@ -98,7 +98,7 @@ def train(net: Network, x: np.ndarray, y: np.ndarray,
     if len(train_idx) == 0 or len(val_idx) == 0:
         raise ValueError("train and validation splits must be non-empty")
 
-    rng = np.random.default_rng(train_cfg.seed)
+    rng = np.random.default_rng(seed)
     opt = Adam(net.params, adam_cfg)
     history = TrainHistory([], [], [], [])
     best_val = np.inf

@@ -240,11 +240,11 @@ def test_criterion_4_well_specified_recovery(gandh_run):
 
     # true-parameter NLL on the same validation rows
     bundle = load_model(gandh_run["model"])
-    dataset = load_csv(gandh_run["data"], "y", bundle.feature_columns)
-    rule = bundle.split_rule
+    dataset = load_csv(gandh_run["data"], "y", bundle.header.data.feature_columns)
+    rule = bundle.header.split_rule
     from tghnet.data import split_fraction
 
-    labeled = split_fraction(dataset, rule["fraction"], rule["seed"])
+    labeled = split_fraction(dataset, rule.fraction, rule.seed)
     rows = labeled.rows("val")
     x_val = labeled.x[rows][:, 0]
     y_val = labeled.y[rows]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tghnet.cli import main
-from tghnet.data import load_csv
+from tghnet.data import FractionSplit, load_csv
 from tghnet.errors import DataError
 from tghnet.nn import load_model
 
@@ -242,13 +242,16 @@ class TestIntervals:
 _SCORE = ["--model", "{model}", "--data", "{sim}", "--split", "val"]
 EXIT_PROBES = {
     # a non-finite network output, from a feature whose standardized
-    # value overflows, names its row of the scored input
+    # value overflows, names its row of the scored input: of --features
+    # for density, of --data (the first row of the split) for the others
     "density_huge_feature": (["density", "--model", "{model}", "--features", "0.5;1e308",
-                              "--y-grid=-1:1:5", "--out", "{tmp}/d.csv"], 4, "input row 1"),
+                              "--y-grid=-1:1:5", "--out", "{tmp}/d.csv"], 4, "input row 1\n"),
     "evaluate_huge_feature": (["evaluate", "--model", "{model}", "--data", "{huge}",
-                               "--split", "val", "--out", "{tmp}/e"], 4, "input row 0"),
+                               "--split", "val", "--out", "{tmp}/e"], 4,
+                              "input row {huge_val_row}\n"),
     "intervals_huge_feature": (["intervals", "--model", "{model}", "--data", "{huge}",
-                                "--split", "val", "--out", "{tmp}/i.csv"], 4, "input row 0"),
+                                "--split", "val", "--out", "{tmp}/i.csv"], 4,
+                               "input row {huge_val_row}\n"),
     "missing_model": (["evaluate", "--model", "{tmp}/none.tghn", "--data", "{sim}",
                        "--out", "{tmp}/e"], 3, "none.tghn"),
     "unwritable_csv": (["intervals", *_SCORE, "--out", "/nonexistent/x.csv"], 2,
@@ -273,10 +276,13 @@ class TestExitCodes:
         argv, code, names = EXIT_PROBES[probe]
         huge = tmp_path / "huge.csv"
         huge.write_text("x,y\n" + "1e308,0.5\n" * 20)
-        fill = dict(model=trained_model, sim=sim_csv, huge=huge, tmp=tmp_path)
+        split = FractionSplit(CONFIG["split"]["fraction"], CONFIG["split"]["seed"])
+        huge_val_row = split.apply(load_csv(huge, "y", ["x"])).rows("val")[0]
+        fill = dict(model=trained_model, sim=sim_csv, huge=huge, tmp=tmp_path,
+                    huge_val_row=huge_val_row)
         assert main([a.format(**fill) for a in argv]) == code
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and names in err, err
+        assert err.count("\n") == 1 and names.format(**fill) in err, err
 
     def test_alpha_limit_is_the_variants(self, tmp_path, trained_model, sim_csv):
         # 1e-13 is too small for the shortest variant's tail search, not for

@@ -2,22 +2,18 @@
 
 import json
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from tghnet.cli import main
-from tghnet.config import (
-    ByColumnSplit,
-    FractionSplit,
-    load_config,
-    parse_config,
-    parse_split,
-    split_to_json,
-)
+from tghnet.config import load_config, parse_config, read
+from tghnet.data import ByColumnSplit, FractionSplit, Standardization
 from tghnet.errors import ConfigError
 from tghnet.loss import LinkConfig
-from tghnet.nn import AdamConfig, TrainConfig
+from tghnet.nn import AdamConfig, TrainConfig, dense_spec
+from tghnet.nn.persist import DataColumns, ModelHeader
 from tghnet.tgh import InverseSolverConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -37,14 +33,14 @@ def test_minimal_config_defaults():
     assert cfg.head_dim == 4
     assert cfg.training.batch_size == 4096
     assert cfg.training.clip_norm == 10.0
-    assert cfg.adam.lr == 1e-4
-    assert cfg.adam.lr_drop_epochs == (10, 15, 20, 30, 40)
+    assert cfg.optimizer.lr == 1e-4
+    assert cfg.optimizer.lr_drop_epochs == (10, 15, 20, 30, 40)
     assert cfg.link.h_max == 0.5
     assert cfg.solver.abs_tolerance == 1e-12
-    assert cfg.standardize is True
+    assert cfg.data.standardize is True
     assert isinstance(cfg.split, FractionSplit)
     # the defaults live only in the dataclasses
-    assert cfg.adam == AdamConfig()
+    assert cfg.optimizer == AdamConfig()
     assert cfg.link == LinkConfig()
     assert cfg.solver == InverseSolverConfig()
     assert cfg.training == TrainConfig(epochs=2)
@@ -54,11 +50,11 @@ def test_readme_example_parses():
     block = re.search(r"## Experiment config\n\n```json\n(.*?)```", README.read_text(),
                       re.DOTALL).group(1)
     cfg = parse_config(json.loads(block))
-    assert cfg.adam.lr == 3e-3
-    assert cfg.adam.lr_drop_epochs == (40, 52)
+    assert cfg.optimizer.lr == 3e-3
+    assert cfg.optimizer.lr_drop_epochs == (40, 52)
     assert cfg.training.batch_size == 512
     assert cfg.training.epochs == 60
-    assert cfg.hidden == (64, 64, 64, 64)
+    assert cfg.network.hidden == (64, 64, 64, 64)
 
 
 def test_gaussian_head_dim():
@@ -114,9 +110,31 @@ def test_by_column_split_parsed():
 @pytest.mark.parametrize("split", [
     FractionSplit(0.7, 3),
     ByColumnSplit("year", (1985.0, 1995.5), (2000.0,)),
-])
-def test_split_json_roundtrip(split):
-    assert parse_split(json.loads(json.dumps(split_to_json(split)))) == split
+], ids=["fraction", "by_column"])
+@pytest.mark.parametrize("standardized", [True, False], ids=["standardized", "raw"])
+@pytest.mark.parametrize("late", [(), ("year",)], ids=["no_late", "late_year"])
+def test_header_json_roundtrip(split, standardized, late):
+    columns = ("lat", "lon", "year")
+    st = Standardization(columns, (1.0, 2.0, 2000.0), (3.0, 4.0, 10.0)) if standardized else None
+    header = ModelHeader("tukey", dense_spec(3, [6, 5], 4, late_features=len(late)),
+                         LinkConfig(h_max=0.4), InverseSolverConfig(),
+                         DataColumns(columns, late, "y", st), split)
+    assert read(ModelHeader, json.loads(json.dumps(asdict(header)))) == header
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h.pop("format"), r"missing required key\(s\) \['format'\]"),
+    (lambda h: h.update(format="1"), "header.format: expected an integer"),
+    (lambda h: h["split_rule"].pop("rule"), "header.split_rule: expected an object with a 'rule' key"),
+], ids=["no_format", "string_format", "no_rule"])
+def test_header_constants_are_required_keys(edit, message):
+    # format and rule are no __init__ arguments, but their keys are checked
+    header = ModelHeader("gaussian", dense_spec(1, [4], 2), LinkConfig(), InverseSolverConfig(),
+                         DataColumns(("x",), (), "y", None), FractionSplit(0.8))
+    obj = json.loads(json.dumps(asdict(header)))
+    edit(obj)
+    with pytest.raises(ConfigError, match=message):
+        read(ModelHeader, obj, "header")
 
 
 def test_unknown_split_rule():
@@ -158,8 +176,8 @@ def test_optimizer_overrides_roundtrip():
     raw["link"] = {"h_max": 0.4}
     raw["solver"] = {"abs_tolerance": 1e-10}
     cfg = parse_config(raw)
-    assert cfg.adam.lr == 3e-3
-    assert cfg.adam.lr_drop_epochs == (5, 9)
+    assert cfg.optimizer.lr == 3e-3
+    assert cfg.optimizer.lr_drop_epochs == (5, 9)
     assert cfg.link.h_max == 0.4
     assert cfg.solver.abs_tolerance == 1e-10
 
@@ -213,3 +231,17 @@ def test_bad_values_are_config_errors(tmp_path, capsys, section, values):
                  "--out", str(tmp_path / "m.tghn")]) == 2
     # the message names the dotted key
     assert capsys.readouterr().err.startswith(f"config error: {section}.")
+
+
+@pytest.mark.parametrize("raw", [
+    dict(MINIMAL, training={"epochs": 2, "seed": 1}),
+    dict(MINIMAL, **{"data.target": "y"}),
+], ids=["seed_in_training", "dotted_top_level_key"])
+def test_keys_stay_in_their_sections(tmp_path, raw):
+    # the section dataclasses read their own keys, and no others
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(raw)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["train", "--config", str(path), "--data", str(tmp_path / "d.csv"),
+                 "--out", str(tmp_path / "m.tghn")]) == 2

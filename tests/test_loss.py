@@ -73,8 +73,8 @@ class TestLink:
             link(np.array([0.0, np.nan, 0.0, 0.0]))
         raw = np.zeros((5, 2))
         raw[3, 1] = np.inf
-        with pytest.raises(NumericalError, match="at input row 103$"):
-            link(raw, first_row=100)
+        with pytest.raises(NumericalError, match="at input row 17$"):
+            link(raw, rows=np.array([2, 5, 11, 17, 30]))
         with pytest.raises(ValueError):
             LinkConfig(sigma_floor=0.0)
 

@@ -8,8 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tghnet.data import FractionSplit
 from tghnet.errors import DataError, NumericalError
-from tghnet.loss import LinkConfig, tukey_head_loss
+from tghnet.loss import LinkConfig, link, tukey_head_loss
 from tghnet.nn import (
     Adam,
     AdamConfig,
@@ -23,7 +24,7 @@ from tghnet.nn import (
     train,
 )
 from tghnet.nn.network import EVAL_CHUNK, BatchNorm, LayerSpec, NetworkSpec
-from tghnet.nn.persist import Standardization
+from tghnet.nn.persist import DataColumns, ModelHeader, Standardization
 from tghnet.nn.train import evaluate_mean_loss
 from tghnet.tgh import InverseSolverConfig
 
@@ -326,7 +327,7 @@ class TestTrain:
             net = Network(dense_spec(1, [8, 8], head_dim=2), seed=3)
             hist = train(
                 net, x, y, tr, va, "gaussian",
-                AdamConfig(lr=1e-3), TrainConfig(epochs=3, batch_size=64, seed=5),
+                AdamConfig(lr=1e-3), TrainConfig(epochs=3, batch_size=64), seed=5,
             )
             results.append((
                 net.state.copy(),
@@ -345,7 +346,7 @@ class TestTrain:
         hist = train(
             net, x, y, tr, va, "gaussian",
             AdamConfig(lr=5e-3, lr_drop_epochs=(30,)),
-            TrainConfig(epochs=40, batch_size=256, seed=4),
+            TrainConfig(epochs=40, batch_size=256), seed=4,
         )
         target = math.log(sigma) + 0.5
         assert min(hist.val_loss) == pytest.approx(target, abs=0.05)
@@ -355,7 +356,7 @@ class TestTrain:
         net = Network(dense_spec(1, [8], head_dim=2), seed=1)
         hist = train(
             net, x, y, tr, va, "gaussian",
-            AdamConfig(lr=1e-2), TrainConfig(epochs=5, batch_size=64, seed=2),
+            AdamConfig(lr=1e-2), TrainConfig(epochs=5, batch_size=64), seed=2,
         )
         restored = evaluate_mean_loss(net, x[va], y[va], "gaussian")
         assert restored == pytest.approx(min(hist.val_loss), rel=1e-12)
@@ -460,26 +461,20 @@ class TestStateLayout:
             np.concatenate([g.ravel() for g in grads]), net.grad)
 
 
+def _bundle_of(net, loss, columns, late_columns=(), standardization=None, split_rule=None):
+    data = DataColumns(columns, late_columns, "y", standardization)
+    return ModelBundle(ModelHeader(loss, net.spec, LinkConfig(), InverseSolverConfig(),
+                                   data, split_rule), net)
+
+
 class TestPersistence:
     def _bundle(self, seed=0):
         net = Network(dense_spec(3, [6, 5], head_dim=4, late_features=1), seed=seed)
         # make running stats non-trivial
         net.forward(np.random.default_rng(seed).normal(size=(64, 3)), train=True)
-        return ModelBundle(
-            network=net,
-            loss_kind="tukey",
-            link=LinkConfig(),
-            solver=InverseSolverConfig(),
-            feature_columns=("lat", "lon", "year"),
-            late_columns=("year",),
-            target_column="y",
-            standardization=Standardization(
-                ("lat", "lon", "year"),
-                np.array([1.0, 2.0, 2000.0]),
-                np.array([3.0, 4.0, 10.0]),
-            ),
-            split_rule={"rule": "fraction", "fraction": 0.8, "seed": 0},
-        )
+        columns = ("lat", "lon", "year")
+        st = Standardization(columns, np.array([1.0, 2.0, 2000.0]), np.array([3.0, 4.0, 10.0]))
+        return _bundle_of(net, "tukey", columns, ("year",), st, FractionSplit(0.8, 0))
 
     def test_roundtrip_is_exact(self, tmp_path):
         bundle = self._bundle()
@@ -487,13 +482,12 @@ class TestPersistence:
         save_model(path, bundle)
         loaded = load_model(path)
         np.testing.assert_array_equal(bundle.network.state, loaded.network.state)
-        assert loaded.loss_kind == "tukey"
-        assert loaded.feature_columns == ("lat", "lon", "year")
-        assert loaded.split_rule == {"rule": "fraction", "fraction": 0.8, "seed": 0}
+        assert loaded.header == bundle.header
+        assert loaded.header.split_rule == FractionSplit(0.8, 0)
         x = np.random.default_rng(5).normal(size=(10, 3))
-        np.testing.assert_array_equal(
-            bundle.predict_raw(x), loaded.predict_raw(x)
-        )
+        saved, reloaded = bundle.predict_params(x), loaded.predict_params(x)
+        for name in ("mu", "sigma", "g", "h"):
+            np.testing.assert_array_equal(getattr(saved, name), getattr(reloaded, name))
 
     def test_blob_is_parameters_then_running_stats(self, tmp_path):
         bundle = self._bundle()
@@ -556,26 +550,23 @@ class TestPersistence:
 
     def test_predict_params_gaussian_head_fills_zero_shape(self, tmp_path):
         net = Network(dense_spec(1, [4], head_dim=2, batch_norm=False), seed=0)
-        bundle = ModelBundle(
-            network=net, loss_kind="gaussian", link=LinkConfig(),
-            solver=InverseSolverConfig(), feature_columns=("x",),
-            late_columns=(), target_column="y", standardization=None,
-        )
+        bundle = _bundle_of(net, "gaussian", ("x",))
         params = bundle.predict_params(np.zeros((5, 1)))
         np.testing.assert_array_equal(np.asarray(params.g), np.zeros(5))
         np.testing.assert_array_equal(np.asarray(params.h), np.zeros(5))
 
 
 class TestChunkedEvalForward:
-    def test_predict_raw_matches_whole_array_forward(self):
+    def test_predict_params_matches_whole_array_forward(self):
         bundle = TestPersistence()._bundle()
         x = np.random.default_rng(3).normal(size=(2 * EVAL_CHUNK + 37, 3)) * 5.0
-        whole = bundle.network.forward(bundle.standardization.apply(x), train=False)
-        chunked = bundle.predict_raw(x)
-        assert chunked.shape == whole.shape
-        np.testing.assert_allclose(chunked, whole, rtol=1e-9, atol=0.0)
-        params = bundle.predict_params(x)
-        np.testing.assert_array_equal(params.mu, chunked[:, 0])
+        raw = bundle.network.forward(bundle.header.data.standardization.apply(x), train=False)
+        whole = link(raw, bundle.header.link)[0]
+        chunked = bundle.predict_params(x)
+        for name in ("mu", "sigma", "g", "h"):
+            assert getattr(chunked, name).shape == (len(x),)
+            np.testing.assert_allclose(getattr(chunked, name), getattr(whole, name),
+                                       rtol=1e-9, atol=0.0)
 
     def test_evaluate_mean_loss_matches_one_piece(self):
         x, y, _, _ = _toy_data(3 * EVAL_CHUNK)
@@ -586,12 +577,8 @@ class TestChunkedEvalForward:
 
     def test_predict_params_memory_is_its_output(self):
         net = Network(dense_spec(1, [64, 64, 64, 64], head_dim=4), seed=0)
-        bundle = ModelBundle(
-            network=net, loss_kind="tukey", link=LinkConfig(),
-            solver=InverseSolverConfig(), feature_columns=("x",),
-            late_columns=(), target_column="y",
-            standardization=Standardization(("x",), np.array([0.5]), np.array([0.3])),
-        )
+        bundle = _bundle_of(net, "tukey", ("x",),
+                            standardization=Standardization(("x",), (0.5,), (0.3,)))
         x = np.random.default_rng(0).uniform(size=(200_000, 1))
         tracemalloc.start()
         try:

@@ -71,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _score_split(args):
     """The scoring prologue of evaluate and intervals: the model, and the
     targets and predicted parameters of the rows of --data that the model's
-    split rule puts in --split.  A non-finite head names its row of --data."""
+    split rule puts in --split.  A non-finite head names its data row of
+    --data, counting rows with a dropped target."""
     from .data import load_csv
     from .errors import DataError
     from .nn import load_model
@@ -85,7 +86,7 @@ def _score_split(args):
     if len(rows) == 0:
         raise DataError(f"split {args.split!r} is empty for this dataset")
     x = dataset.x[rows]
-    return header, x, dataset.y[rows], bundle.predict_params(x, rows)
+    return header, x, dataset.y[rows], bundle.predict_params(x, dataset.source_rows[rows])
 
 
 def cmd_simulate(args) -> int:
@@ -198,7 +199,7 @@ def cmd_evaluate(args) -> int:
         extra={
             "split": args.split,
             "loss": header.loss,
-            "coverage": coverage_table(y, params),
+            "coverage": coverage_table(report.u),
             "u_bin_edges": [float(v) for v in edges],
             "u_bin_means": [None if v != v else float(v) for v in means],
             "u_bin_counts": [int(v) for v in counts],
@@ -212,7 +213,6 @@ def cmd_evaluate(args) -> int:
             [(report.qq_theoretical, report.qq_empirical, "residuals"),
              (report.qq_theoretical, report.qq_theoretical, "ideal")],
             title="residual QQ", xlabel="normal quantile", ylabel="empirical",
-            scatter=False,
         )
     print(f"evaluated {len(y)} rows: mean NLL {report.mean_nll:.6f}, "
           f"KS {report.ks_statistic:.6f}")

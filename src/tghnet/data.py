@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -59,7 +60,12 @@ class Standardization:
 
 @dataclass
 class Dataset:
-    """Feature matrix with named columns, target vector, and split labels."""
+    """Feature matrix with named columns, target vector, and split labels.
+
+    source_rows holds, for a dataset read by load_csv, each row's 0-based
+    index among the non-blank data rows of the CSV, dropped rows included,
+    so that an error can name the row of the file.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -68,6 +74,7 @@ class Dataset:
     split: np.ndarray | None = None
     n_dropped: int = 0
     standardization: Standardization | None = None
+    source_rows: np.ndarray | None = None
 
     def __post_init__(self):
         if self.x.ndim != 2 or len(self.y) != self.x.shape[0]:
@@ -115,20 +122,20 @@ def load_csv(path, target_column: str, feature_columns: list[str] | tuple[str, .
         target_pos = header.index(target_column)
         feature_pos = [header.index(name) for name in feature_columns]
         try:
-            x, y, n_dropped = _parse_columns(fh, target_pos, feature_pos)
+            x, y, n_dropped, kept = _parse_columns(fh, target_pos, feature_pos)
         except ValueError:
             # The per-row loop is the reference: it names the failing row and
             # column, and it applies the ""/na/nan target rule.
             fh.seek(0)
             reader = csv.reader(fh)
             next(reader)
-            x, y, n_dropped = _parse_rows(path, reader, target_column, feature_columns,
-                                          target_pos, feature_pos)
-    return Dataset(x, y, feature_columns, target_column, n_dropped=n_dropped)
+            x, y, n_dropped, kept = _parse_rows(path, reader, target_column, feature_columns,
+                                                target_pos, feature_pos)
+    return Dataset(x, y, feature_columns, target_column, n_dropped=n_dropped, source_rows=kept)
 
 
 def _parse_columns(fh, target_pos: int, feature_pos: list[int]):
-    """(x, y, n_dropped) from the rest of fh in one vectorised pass.
+    """(x, y, n_dropped, kept rows) from the rest of fh in one vectorised pass.
 
     np.loadtxt accepts a subset of what the per-row loop accepts (ASCII
     cells only, no "1_0" underscores, no empty or "na" cells, no
@@ -144,14 +151,17 @@ def _parse_columns(fh, target_pos: int, feature_pos: list[int]):
     x = cells[keep, 1:]
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite feature cell")
-    return x, cells[keep, 0], len(keep) - int(np.count_nonzero(keep))
+    return x, cells[keep, 0], len(keep) - int(np.count_nonzero(keep)), np.flatnonzero(keep)
 
 
 def _parse_rows(path, reader, target_column: str, feature_columns: tuple[str, ...],
                 target_pos: int, feature_pos: list[int]):
-    """(x, y, n_dropped) from the remaining records of reader, one cell at a time."""
+    """(x, y, n_dropped, kept rows) from the remaining records of reader, one
+    cell at a time.  A non-blank record is kept or dropped, so len(rows) +
+    n_dropped is the index of the record being read."""
     rows: list[list[float]] = []
     targets: list[float] = []
+    kept: list[int] = []
     n_dropped = 0
     min_cells = max([target_pos, *feature_pos]) + 1
     for line_no, record in enumerate(reader, start=2):
@@ -172,7 +182,7 @@ def _parse_rows(path, reader, target_column: str, feature_columns: tuple[str, ..
                     f"{path}: row {line_no}, column {target_column!r}: "
                     f"unparseable value {cell!r}"
                 ) from None
-            missing = not np.isfinite(t)
+            missing = not math.isfinite(t)
         if missing:
             n_dropped += 1
             continue
@@ -186,15 +196,16 @@ def _parse_rows(path, reader, target_column: str, feature_columns: tuple[str, ..
                     f"{path}: row {line_no}, column {name!r}: "
                     f"unparseable value {cell!r}"
                 ) from None
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise DataError(
                     f"{path}: row {line_no}, column {name!r}: non-finite value"
                 )
             feats.append(v)
+        kept.append(len(rows) + n_dropped)
         rows.append(feats)
         targets.append(t)
     x = np.asarray(rows, dtype=float).reshape(len(rows), len(feature_columns))
-    return x, np.asarray(targets, dtype=float), n_dropped
+    return x, np.asarray(targets, dtype=float), n_dropped, np.asarray(kept, dtype=int)
 
 
 def write_csv(path, columns: dict[str, np.ndarray]) -> None:

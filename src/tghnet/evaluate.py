@@ -71,9 +71,10 @@ class ResidualReport:
 class PredictionInterval:
     """Interval endpoints in target units.
 
-    gamma is the lower-tail budget of the shortest variant; the symmetric
-    variant stores the 0 sentinel with variant="symmetric".  Fields are
-    arrays when built from per-row parameters.
+    gamma is the upper-tail mass of the shortest variant: the interval runs
+    from the alpha - gamma to the 1 - gamma quantile.  The symmetric variant
+    stores the 0 sentinel with variant="symmetric".  Fields are arrays when
+    built from per-row parameters.
     """
 
     lower: np.ndarray | float
@@ -218,18 +219,18 @@ def interval_coverage(y, lower, upper) -> float:
     return float(np.mean(inside))
 
 
-def coverage_table(y, params: TghParams,
-                   alphas=(0.5, 0.2, 0.1, 0.05, 0.01)) -> dict[str, float]:
-    """Empirical coverage of symmetric intervals at several levels.
+def coverage_table(u, alphas=(0.5, 0.2, 0.1, 0.05, 0.01)) -> dict[str, float]:
+    """Empirical coverage of symmetric intervals at several levels, from the
+    uniform residuals u = Phi(z_hat) with no quantile pass.
 
-    Keys are the nominal coverages formatted as strings (e.g. "0.95"); a
-    calibrated model gives values near the keys.
+    The quantile function is monotone, so a target lies inside the central
+    1 - alpha interval exactly when alpha/2 <= u <= 1 - alpha/2.  Keys are
+    the nominal coverages formatted as strings (e.g. "0.95"); a calibrated
+    model gives values near the keys.
     """
-    table = {}
-    for alpha in alphas:
-        iv = symmetric_interval(params, alpha)
-        table[f"{1 - alpha:g}"] = interval_coverage(y, iv.lower, iv.upper)
-    return table
+    u = np.asarray(u, dtype=float)
+    return {f"{1 - alpha:g}": float(np.mean((u >= alpha / 2.0) & (u <= 1.0 - alpha / 2.0)))
+            for alpha in alphas}
 
 
 def density_curve(params: TghParams, y_grid) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Tiny dependency-free SVG line/scatter renderer for QQ and loss plots."""
+"""Tiny dependency-free SVG line renderer for QQ and loss plots."""
 
 from __future__ import annotations
 
@@ -15,8 +15,7 @@ def _scale(v, lo, hi, out_lo, out_hi):
     return out_lo + (v - lo) / (hi - lo) * (out_hi - out_lo)
 
 
-def render_plot(path, series, title: str = "", scatter: bool = False,
-                xlabel: str = "", ylabel: str = "") -> None:
+def render_plot(path, series, title: str = "", xlabel: str = "", ylabel: str = "") -> None:
     """Write an SVG plot of ``series`` = [(x, y, label), ...]."""
     xs = np.concatenate([np.asarray(s[0], dtype=float) for s in series])
     ys = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
@@ -57,17 +56,10 @@ def render_plot(path, series, title: str = "", scatter: bool = False,
         color = _COLORS[k % len(_COLORS)]
         sx = np.asarray(sx, dtype=float)
         sy = np.asarray(sy, dtype=float)
-        if scatter:
-            for vx, vy in zip(sx, sy):
-                parts.append(
-                    f'<circle cx="{px(vx):.1f}" cy="{py(vy):.1f}" r="1.5" '
-                    f'fill="{color}" fill-opacity="0.5"/>'
-                )
-        else:
-            points = " ".join(f"{px(vx):.1f},{py(vy):.1f}" for vx, vy in zip(sx, sy))
-            parts.append(
-                f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-            )
+        points = " ".join(f"{px(vx):.1f},{py(vy):.1f}" for vx, vy in zip(sx, sy))
+        parts.append(
+            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+        )
         if label:
             parts.append(
                 f'<text x="{_W - _MARGIN - 4}" y="{_MARGIN + 16 * (k + 1)}" '

@@ -15,13 +15,13 @@ no closed form.  A variable
 distribution: g controls skewness, h tail weight, and (g, h) = (0, 0)
 recovers the normal distribution.
 
-Two private kernels hold every exp(g*z) and expm1(g*z).  _tau_parts
-(behind the solver, tau, quantile and sample) costs one expm1 and one exp;
-the solver forms tau' from it only inside its Newton loop, where that tau'
-cancels for g*z << 0, which the solver's bisection fallback absorbs.
-_log_bracket, behind log_density_from_z and nll_and_grad, builds log tau'
-and the gradient factors from exp(-|g*z|) and expm1(-|g*z|), which never
-overflow.
+Two private kernels hold every exp(g*z) and expm1(g*z), and each applies
+the g -> 0 limit itself.  _tau_parts (behind the solver, tau, quantile and
+sample) costs one expm1 and one exp; the solver forms tau' from it only
+inside its Newton loop, where that tau' cancels for g*z << 0, which the
+solver's bisection fallback absorbs.  _log_bracket, behind
+log_density_from_z and nll_and_grad, builds log tau' and the gradient
+factors from exp(-|g*z|) and expm1(-|g*z|), which never overflow.
 
 All functions accept scalars or numpy arrays (broadcast against each other)
 and return a scalar when every input is scalar.  They are pure and safe to
@@ -59,9 +59,8 @@ __all__ = [
     "standard_normal_quantile",
 ]
 
-# Below this |g| the g-dependent factors are replaced by their g->0 series:
-# (exp(g*z)-1)/g and [exp(g*z)(g*z-1)+1]/g^2 lose all significant digits to
-# cancellation as g -> 0.
+# Below this |g| the two kernels replace (exp(g*z)-1)/g by its limit z and
+# log tau' by its g = 0 value; at g = 0 the division is 0/0.
 SMALL_G = 1e-5
 
 HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
@@ -110,14 +109,7 @@ class TghParams:
         sigma = _validate_finite("sigma", self.sigma)
         if np.any(sigma <= 0):
             raise ValueError("sigma must be positive")
-        _validate_finite("g", self.g)
-        h = _validate_finite("h", self.h)
-        if np.any(h < 0):
-            raise ValueError("h must be non-negative")
-
-    @property
-    def shape(self) -> ShapeParams:
-        return ShapeParams(self.g, self.h)
+        ShapeParams(self.g, self.h)  # checks g and h
 
 
 @dataclass(frozen=True)
@@ -159,73 +151,68 @@ def _ret(value: np.ndarray, scalar: bool):
     return float(value) if scalar else value
 
 
-def _log_bracket(z, g, h):
+def _log_bracket(z, g, h, grad=False):
     """log B for B = exp(g*z) + h*z*(exp(g*z) - 1)/g = tau'(z) exp(-h*z^2/2).
 
     u = g*z, e = exp(-|u|), m = 1 - exp(-|u|): one exp and one expm1, which
     never overflow.  With w = h*z*m/g, log B = u + log1p(w) for u > 0 and
-    log(e - w) for u <= 0, or log1p(h*z^2) where |g| < SMALL_G (small;
-    g_safe is g with 1.0 there).  Returns (log B, u, e, m, small, g_safe)
-    so that a gradient reads exp(g*z) = 1/e or e and (exp(g*z) - 1)/g =
-    m/(e*g) or -m/g from the same pair, while a density pays for neither.
+    log(e - w) for u <= 0.  With grad=True the return is (log B, u, e, m,
+    ez), so that a gradient reads exp(g*z) = 1/e or e from the same pair
+    and ez = (exp(g*z) - 1)/g = m/(e*g) or -m/g; a density pays for no ez.
+    Where |g| < SMALL_G, log B is log1p(h*z^2) and ez is z, their g -> 0
+    limits.
     """
     z = np.asarray(z, dtype=float)
     small = np.abs(g) < SMALL_G
-    g_safe = np.where(small, 1.0, g)
     u = g * z
     neg_abs_u = -np.abs(u)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         e = np.exp(neg_abs_u)
         m = -np.expm1(neg_abs_u)
-        w = h * z * m / g_safe
-        log_b = np.where(u > 0, u + np.log1p(w), np.log(e - w))
-    return np.where(small, np.log1p(h * z * z), log_b), u, e, m, small, g_safe
+        w = h * z * m / g
+        log_b = np.where(small, np.log1p(h * z * z),
+                         np.where(u > 0, u + np.log1p(w), np.log(e - w)))
+        if not grad:
+            return log_b
+        return log_b, u, e, m, np.where(small, z, np.where(u > 0, m / e, -m) / g)
 
 
-def _dg_kernel(z, u, e, m, small):
+def _dg_kernel(z, u, e, m):
     """[exp(u)(u - 1) + 1] / g^2 for u = g*z, from _log_bracket's e and m.
 
     Equals z^2 * K(u) with K(u) = sum_{k>=2} (k-1) u^{k-2} / k!.  Written
     as (u - m)/(e*u^2) for u > 0 and (e*u + m)/u^2 for u <= 0, the
     numerator still cancels to u^2/2 for small |u|, so switch to the series
     K ~ 1/2 + u/3 + u^2/8 + u^3/30 when |u| < 1e-3 (truncation error below
-    1e-14 relative there).  The small-|g| branch uses the same series at
-    the true u = g*z, which keeps its g*z^3/3 term.
+    1e-14 relative there).  That covers g = 0 and every |g| < SMALL_G row
+    with |z| < 100.
     """
     series = 0.5 + u * (1.0 / 3.0 + u * (0.125 + u / 30.0))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         direct = np.where(u > 0, (u - m) / e, e * u + m) / (u * u)
-    return z * z * np.where(small | (np.abs(u) < 1e-3), series, direct)
+    return z * z * np.where(np.abs(u) < 1e-3, series, direct)
 
 
-def tau(z, p: ShapeParams):
+def tau(z, p: ShapeParams | TghParams):
     """Forward transform ((exp(g*z)-1)/g) * exp(h*z^2/2).
 
     Strictly increasing in z for h >= 0 and tau(0) = 0.  Saturates to
     +/-inf (never NaN) when the exp terms overflow the double range.
     """
     scalar = _is_scalar(z, p.g, p.h)
-    return _ret(_tau(_validate_finite("z", z), p.g, p.h), scalar)
+    g, h = np.asarray(p.g, dtype=float), np.asarray(p.h, dtype=float)
+    return _ret(_tau_parts(_validate_finite("z", z), g, h)[0], scalar)
 
 
-def _tau(z, g, h):
-    """tau with no input checks, for callers whose (g, h) are validated."""
-    g = np.asarray(g, dtype=float)
-    small = np.abs(g) < SMALL_G
-    return _tau_parts(z, g, np.asarray(h, dtype=float), small,
-                      np.where(small, 1.0, g))[0]
-
-
-def _tau_parts(z, g, h, small, g_safe):
+def _tau_parts(z, g, h):
     """tau(z) and exp(h*z^2/2) from one expm1 and one exp, with no input checks.
 
-    small marks |g| < SMALL_G and g_safe is g with 1.0 on those rows, so
-    ez = (exp(g*z) - 1)/g falls back to its limit z there; then
-    tau = ez * exp(h*z^2/2).  Overflow saturates tau to +/-inf.  The solver
-    forms tau' = exp(h*z^2/2) + (g + h*z) * tau from the same pair.
+    ez = (exp(g*z) - 1)/g falls back to its limit z where |g| < SMALL_G;
+    then tau = ez * exp(h*z^2/2).  Overflow saturates tau to +/-inf.  The
+    solver forms tau' = exp(h*z^2/2) + (g + h*z) * tau from the same pair.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        ez = np.where(small, z, np.expm1(g_safe * z) / g_safe)
+        ez = np.where(np.abs(g) < SMALL_G, z, np.expm1(g * z) / g)
         eh = np.exp(0.5 * h * z * z)
         return ez * eh, eh
 
@@ -240,7 +227,7 @@ def _row_error(message: str, bad: np.ndarray, zt, g, h) -> SolverError:
     )
 
 
-def tau_inverse(z_tilde, p: ShapeParams, cfg: InverseSolverConfig = DEFAULT_SOLVER):
+def tau_inverse(z_tilde, p: ShapeParams | TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER):
     """Invert tau by bracket doubling followed by safeguarded Newton steps.
 
     The initial bracket [-w, w] (w = cfg.initial_half_width) is widened by
@@ -256,7 +243,8 @@ def tau_inverse(z_tilde, p: ShapeParams, cfg: InverseSolverConfig = DEFAULT_SOLV
     tolerance below one ulp of the root cannot be met), or when
     tau(z) == z_tilde.  Saturated (+/-inf) tau values compare correctly
     against the finite target, because a saturated magnitude exceeds
-    every representable one.
+    every representable one.  Only p.g and p.h are read, so z_hat passes
+    its TghParams, whose (g, h) are already checked.
 
     Raises SolverError if no bracket is found within
     cfg.max_bracket_doublings doublings (e.g. a target outside the closure
@@ -270,13 +258,11 @@ def tau_inverse(z_tilde, p: ShapeParams, cfg: InverseSolverConfig = DEFAULT_SOLV
     h = np.asarray(p.h, dtype=float)
     zt, g, h = np.broadcast_arrays(zt, g, h)
     zt = zt.astype(float)
-    small = np.abs(g) < SMALL_G
-    g_safe = np.where(small, 1.0, g)
 
     lo = np.full(zt.shape, -cfg.initial_half_width)
     hi = np.full(zt.shape, cfg.initial_half_width)
-    t_lo = _tau_parts(lo, g, h, small, g_safe)[0]
-    t_hi = _tau_parts(hi, g, h, small, g_safe)[0]
+    t_lo = _tau_parts(lo, g, h)[0]
+    t_hi = _tau_parts(hi, g, h)[0]
     for _ in range(cfg.max_bracket_doublings):
         need_lo = t_lo > zt
         need_hi = t_hi < zt
@@ -285,9 +271,9 @@ def tau_inverse(z_tilde, p: ShapeParams, cfg: InverseSolverConfig = DEFAULT_SOLV
         lo = np.where(need_lo, 2.0 * lo, lo)
         hi = np.where(need_hi, 2.0 * hi, hi)
         if np.any(need_lo):
-            t_lo = np.where(need_lo, _tau_parts(lo, g, h, small, g_safe)[0], t_lo)
+            t_lo = np.where(need_lo, _tau_parts(lo, g, h)[0], t_lo)
         if np.any(need_hi):
-            t_hi = np.where(need_hi, _tau_parts(hi, g, h, small, g_safe)[0], t_hi)
+            t_hi = np.where(need_hi, _tau_parts(hi, g, h)[0], t_hi)
     bad = (t_lo > zt) | (t_hi < zt)
     if np.any(bad):
         raise _row_error(
@@ -324,7 +310,7 @@ def tau_inverse(z_tilde, p: ShapeParams, cfg: InverseSolverConfig = DEFAULT_SOLV
             done = keep | (step_abs <= tol) | (mid == lo) | (mid == hi)
             if done.all():
                 break
-            t, eh = _tau_parts(z, g, h, small, g_safe)
+            t, eh = _tau_parts(z, g, h)
             # tau' cancels where g*z << 0 (1 + g*ez -> 0) and may lose every
             # digit, and it may be inf or NaN where tau saturates: either way
             # a bad Newton step, so the row bisects.
@@ -342,7 +328,7 @@ def z_hat(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER):
     y = _validate_finite("y", y)
     mu = np.asarray(params.mu, dtype=float)
     sigma = np.asarray(params.sigma, dtype=float)
-    return tau_inverse((y - mu) / sigma, params.shape, cfg)
+    return tau_inverse((y - mu) / sigma, params, cfg)
 
 
 def log_density(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER):
@@ -362,7 +348,7 @@ def log_density_from_z(z_hat, params: TghParams):
     z_hat = np.asarray(z_hat, dtype=float)
     sigma = np.asarray(params.sigma, dtype=float)
     h = np.asarray(params.h, dtype=float)
-    log_b = _log_bracket(z_hat, np.asarray(params.g, dtype=float), h)[0]
+    log_b = _log_bracket(z_hat, np.asarray(params.g, dtype=float), h)
     out = -np.log(sigma) - log_b - 0.5 * (1.0 + h) * z_hat * z_hat - HALF_LOG_TWO_PI
     return _ret(out, scalar)
 
@@ -395,13 +381,11 @@ def nll_and_grad(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER
     sigma = np.asarray(params.sigma, dtype=float)
     g = np.asarray(params.g, dtype=float)
     h = np.asarray(params.h, dtype=float)
-    log_b, u, e, m, small, g_safe = _log_bracket(zh, g, h)
+    log_b, u, e, m, ez = _log_bracket(zh, g, h, grad=True)     # ez = (exp(g*zh)-1)/g
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        pos = u > 0
-        egz = np.where(pos, 1.0 / e, e)                                # exp(g*zh)
-        ez = np.where(small, zh, np.where(pos, m / e, -m) / g_safe)   # (exp(g*zh)-1)/g
-        dk = _dg_kernel(zh, u, e, m, small)                            # [exp(u)(u-1)+1]/g^2
+        egz = np.where(u > 0, 1.0 / e, e)                          # exp(g*zh)
+        dk = _dg_kernel(zh, u, e, m)                               # [exp(u)(u-1)+1]/g^2
         bracket = egz + h * zh * ez
         value = log_b + np.log(sigma) + 0.5 * (1.0 + h) * zh * zh
 
@@ -432,7 +416,8 @@ def quantile(alpha, params: TghParams):
     """
     scalar = _is_scalar(alpha, params.mu, params.sigma, params.g, params.h)
     z = standard_normal_quantile(alpha)
-    out = np.asarray(params.mu) + np.asarray(params.sigma) * _tau(z, params.g, params.h)
+    g, h = np.asarray(params.g, dtype=float), np.asarray(params.h, dtype=float)
+    out = np.asarray(params.mu) + np.asarray(params.sigma) * _tau_parts(z, g, h)[0]
     return _ret(out, scalar)
 
 
@@ -446,9 +431,7 @@ def sample(params: TghParams, n: int, seed: int) -> np.ndarray:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n)
-    return np.asarray(params.mu) + np.asarray(params.sigma) * np.asarray(
-        tau(z, params.shape)
-    )
+    return np.asarray(params.mu) + np.asarray(params.sigma) * np.asarray(tau(z, params))
 
 
 def standard_normal_cdf(z):

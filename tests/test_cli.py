@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from tghnet import tgh
 from tghnet.cli import main
 from tghnet.data import FractionSplit, load_csv
 from tghnet.errors import DataError
@@ -140,6 +141,15 @@ class TestEvaluate:
         qq = load_csv(out / "qq.csv", "empirical", ["theoretical"])
         assert len(qq) == 400
 
+    def test_coverage_needs_no_quantile_pass(self, tmp_path, trained_model, sim_csv, count_calls):
+        # coverage is read from the residuals u of the one solve
+        quantiles = count_calls(tgh, "quantile")
+        assert main(["evaluate", "--model", str(trained_model), "--data",
+                     str(sim_csv), "--split", "val", "--out", str(tmp_path / "e")]) == 0
+        assert quantiles == []
+        coverage = json.loads((tmp_path / "e" / "summary.json").read_text())["coverage"]
+        assert set(coverage) == {"0.5", "0.8", "0.9", "0.95", "0.99"}
+
     def test_missing_split_exits_3(self, tmp_path, trained_model, sim_csv):
         # fraction rule produces no test rows
         assert main(["evaluate", "--model", str(trained_model), "--data",
@@ -252,6 +262,10 @@ EXIT_PROBES = {
     "intervals_huge_feature": (["intervals", "--model", "{model}", "--data", "{huge}",
                                 "--split", "val", "--out", "{tmp}/i.csv"], 4,
                                "input row {huge_val_row}\n"),
+    # rows with an empty target are dropped, and still counted as data rows
+    "evaluate_huge_feature_after_dropped_rows": (
+        ["evaluate", "--model", "{model}", "--data", "{gappy}", "--split", "val",
+         "--out", "{tmp}/e"], 4, "input row 12\n"),
     "missing_model": (["evaluate", "--model", "{tmp}/none.tghn", "--data", "{sim}",
                        "--out", "{tmp}/e"], 3, "none.tghn"),
     "unwritable_csv": (["intervals", *_SCORE, "--out", "/nonexistent/x.csv"], 2,
@@ -278,7 +292,9 @@ class TestExitCodes:
         huge.write_text("x,y\n" + "1e308,0.5\n" * 20)
         split = FractionSplit(CONFIG["split"]["fraction"], CONFIG["split"]["seed"])
         huge_val_row = split.apply(load_csv(huge, "y", ["x"])).rows("val")[0]
-        fill = dict(model=trained_model, sim=sim_csv, huge=huge, tmp=tmp_path,
+        gappy = tmp_path / "gappy.csv"
+        gappy.write_text("x,y\n" + "0.5,0.5\n" * 3 + "0.5,\n" * 3 + "1e308,0.5\n" * 20)
+        fill = dict(model=trained_model, sim=sim_csv, huge=huge, gappy=gappy, tmp=tmp_path,
                     huge_val_row=huge_val_row)
         assert main([a.format(**fill) for a in argv]) == code
         err = capsys.readouterr().err

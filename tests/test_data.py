@@ -40,6 +40,7 @@ class TestLoadCsv:
         assert len(ds) == 2
         assert ds.n_dropped == 2
         np.testing.assert_array_equal(ds.y, [2, 8])
+        np.testing.assert_array_equal(ds.source_rows, [0, 3])
 
     def test_absent_column_named_in_error(self, tmp_path):
         path = _write(tmp_path, "a,y\n1,2\n")
@@ -182,11 +183,14 @@ class TestColumnWiseIo:
         assert ds.x.tobytes() == want_x.tobytes()
         assert ds.y.tobytes() == want_y.tobytes()
         assert ds.n_dropped == len(rows) - len(want_y)
+        assert ds.source_rows.tolist() == [i for i, (_, (_, y)) in enumerate(rows)
+                                           if np.isfinite(float(y))]
         # the vectorised pass itself, not its fallback, gave these bits
         with open(path, encoding="utf-8", newline="") as fh:
             next(csv.reader(fh))
-            x, y, _ = data._parse_columns(fh, 1, [0])
+            x, y, _, kept = data._parse_columns(fh, 1, [0])
         assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
+        assert kept.tolist() == ds.source_rows.tolist()
 
     @pytest.mark.parametrize("body, outcome", [
         ("#1,2\n3,4\n", "row 2, column 'a': unparseable value '#1'"),
@@ -221,6 +225,7 @@ class TestColumnWiseIo:
             assert ds.x.tobytes() == want[0].tobytes() and ds.y.tobytes() == want[1].tobytes()
             assert ds.x.shape == (outcome[0], 1)
             assert ds.n_dropped == want[2] == outcome[1]
+            assert ds.source_rows.tolist() == want[3].tolist()
 
 
 class TestSplits:

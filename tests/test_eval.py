@@ -135,12 +135,25 @@ class TestSymmetricInterval:
         n = 100000
         y = sample(params, n, seed=12)
         pv = TghParams(*(np.full(n, v) for v in (0.0, 1.0, 0.4, 0.15)))
-        table = coverage_table(y, pv)
+        table = coverage_table(residuals(y, pv).u)
         assert set(table) == {"0.5", "0.8", "0.9", "0.95", "0.99"}
         for key, got in table.items():
             want = float(key)
             se = math.sqrt(want * (1 - want) / n)
             assert got == pytest.approx(want, abs=4 * se), key
+
+
+    def test_coverage_table_equals_symmetric_interval_coverage(self):
+        # the quantile function is monotone, so u alone decides coverage
+        rng = np.random.default_rng(13)
+        n = 50000
+        params = TghParams(rng.normal(size=n), rng.uniform(0.2, 2.0, n),
+                           rng.uniform(-0.8, 0.8, n), rng.uniform(0.0, 0.4, n))
+        y = sample(params, n, seed=14)
+        table = coverage_table(residuals(y, params).u)
+        for alpha in (0.5, 0.2, 0.1, 0.05, 0.01):
+            iv = symmetric_interval(params, alpha)
+            assert table[f"{1 - alpha:g}"] == interval_coverage(y, iv.lower, iv.upper)
 
 
 class TestShortestInterval:
@@ -220,8 +233,8 @@ class TestShortestInterval:
         assert np.count_nonzero(slope_sign[1:] != slope_sign[:-1]) == 1
         # mass between the returned endpoints, solved back to z-space
         iv = shortest_interval(params, alpha)
-        z_lo = tgh.tau_inverse(iv.lower, params.shape)
-        z_hi = tgh.tau_inverse(iv.upper, params.shape)
+        z_lo = tgh.tau_inverse(iv.lower, ShapeParams(g, h))
+        z_hi = tgh.tau_inverse(iv.upper, ShapeParams(g, h))
         mass = standard_normal_cdf(z_hi) - standard_normal_cdf(z_lo)
         assert mass == pytest.approx(1.0 - alpha, abs=1e-12)
 

@@ -1,5 +1,6 @@
 """Module boundaries: no tghnet module imports another's private names,
-config and nn import in either order, and data imports only errors."""
+config and nn import in either order, data imports only errors, and the
+g -> 0 limit of tgh lives in its two kernels."""
 
 import ast
 import os
@@ -48,3 +49,18 @@ def test_data_does_not_import_nn():
                   "print(sorted(m for m in sys.modules if m.startswith('tghnet.')))")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "['tghnet.data', 'tghnet.errors']"
+
+
+def test_small_g_is_read_only_by_the_two_kernels():
+    tree = ast.parse((PACKAGE / "tgh.py").read_text(encoding="utf-8"))
+
+    def reads(node):
+        return sum(isinstance(n, ast.Name) and n.id == "SMALL_G" and isinstance(n.ctx, ast.Load)
+                   for n in ast.walk(node))
+
+    kernels = [f for f in tree.body
+               if isinstance(f, ast.FunctionDef) and f.name in ("_tau_parts", "_log_bracket")]
+    assert len(kernels) == 2 and all(reads(f) for f in kernels)
+    assert reads(tree) == sum(map(reads, kernels))
+    names = {getattr(n, "id", None) or getattr(n, "arg", None) for n in ast.walk(tree)}
+    assert "g_safe" not in names

@@ -196,7 +196,7 @@ class TestNllAndGrad:
         g = np.concatenate([rng.uniform(-2, 2, n - 1000), rng.uniform(-2e-5, 2e-5, 1000)])
         h = rng.choice([0.0, 1e-300, 0.1, 0.5], n) * rng.uniform(0, 1, n)
         params = TghParams(rng.normal(0, 2, n), rng.uniform(0.1, 5, n), g, h)
-        y = params.mu + params.sigma * tgh.tau(rng.normal(0, 3, n), params.shape)
+        y = params.mu + params.sigma * tgh.tau(rng.normal(0, 3, n), tgh.ShapeParams(g, h))
         value = nll_and_grad(y, params).value
         want = -tgh.log_density(y, params) - 0.5 * math.log(2 * math.pi)
         assert np.all(np.abs(value - want) <= 1e-14 * np.maximum(1.0, np.abs(value)))

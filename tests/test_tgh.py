@@ -66,7 +66,7 @@ def _tau_derivatives(z, g, h):
         d/dh = z tau/tau' + z^2/2 + d/dmu dtau/dh.
     """
     params = TghParams(0.0, 1.0, g, h)
-    t = np.asarray(tau(z, params.shape))
+    t = np.asarray(tau(z, ShapeParams(g, h)))
     zh = np.asarray(tgh.z_hat(t, params, TIGHT))
     slope = _tau_prime(zh, g, h)
     grad = np.asarray(nll_and_grad(t, params, TIGHT).grad)

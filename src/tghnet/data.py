@@ -7,9 +7,11 @@ never contains NaN.  Re-emitting a dataset with write_csv reproduces the
 parsed numbers bit-exactly (shortest round-trip float formatting).
 
 load_csv reads the header with csv.reader and parses the declared columns
-of the body in one np.loadtxt pass, bit-equal to float() on every cell.
-When that pass raises (an empty, "na", non-ASCII or "1_0" cell, a short or
-whitespace-only row) or a kept row has a non-finite feature, the file is
+of the body in one np.loadtxt pass, bit-equal to float() on every cell; the
+target column goes through _target_value, the missing-target rule, so an
+empty or "na" target keeps the file vectorised.  When that pass raises (a
+non-ASCII or "1_0" feature cell, a short or whitespace-only row, an
+unparseable target) or a kept row has a non-finite feature, the file is
 parsed again by the per-cell loop, which is the reference: it names the
 failing row and column.  write_csv formats whole columns at a time (repr
 of each float, joined per row) in blocks of _WRITE_BLOCK rows; its bytes
@@ -125,7 +127,7 @@ def load_csv(path, target_column: str, feature_columns: list[str] | tuple[str, .
             x, y, n_dropped, kept = _parse_columns(fh, target_pos, feature_pos)
         except ValueError:
             # The per-row loop is the reference: it names the failing row and
-            # column, and it applies the ""/na/nan target rule.
+            # column.
             fh.seek(0)
             reader = csv.reader(fh)
             next(reader)
@@ -134,18 +136,32 @@ def load_csv(path, target_column: str, feature_columns: list[str] | tuple[str, .
     return Dataset(x, y, feature_columns, target_column, n_dropped=n_dropped, source_rows=kept)
 
 
+def _target_value(cell: str) -> float:
+    """A target cell's value: NaN for a missing target ("", "na" or "nan",
+    any case, around whitespace), else float(); a non-finite value drops
+    the row.  Raises ValueError for an unparseable cell."""
+    try:
+        return float(cell)
+    except ValueError:
+        if cell.strip().lower() in ("", "na"):
+            return math.nan
+        raise
+
+
 def _parse_columns(fh, target_pos: int, feature_pos: list[int]):
     """(x, y, n_dropped, kept rows) from the rest of fh in one vectorised pass.
 
-    np.loadtxt accepts a subset of what the per-row loop accepts (ASCII
-    cells only, no "1_0" underscores, no empty or "na" cells, no
-    whitespace-only lines) and parses every accepted cell bit-equal to
-    float(); anything else raises ValueError, as does a non-finite feature
-    in a kept row, and the caller falls back to the loop.
+    The target cells go through _target_value, one Python call per row.
+    For the feature cells np.loadtxt accepts a subset of what the per-row
+    loop accepts (ASCII cells only, no "1_0" underscores, no empty or "na"
+    cells, no whitespace-only lines) and parses every accepted cell
+    bit-equal to float(); anything else raises ValueError, as does a
+    non-finite feature in a kept row, and the caller falls back to the loop.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
         cells = np.loadtxt(fh, delimiter=",", usecols=(target_pos, *feature_pos),
+                           converters={target_pos: _target_value},
                            comments=None, quotechar='"', ndmin=2)
     keep = np.isfinite(cells[:, 0])
     x = cells[keep, 1:]
@@ -172,18 +188,14 @@ def _parse_rows(path, reader, target_column: str, feature_columns: tuple[str, ..
                 f"{path}: row {line_no} has {len(record)} cells, "
                 f"expected at least {min_cells}"
             )
-        cell = record[target_pos].strip()
-        missing = cell == "" or cell.lower() in ("nan", "na")
-        if not missing:
-            try:
-                t = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"{path}: row {line_no}, column {target_column!r}: "
-                    f"unparseable value {cell!r}"
-                ) from None
-            missing = not math.isfinite(t)
-        if missing:
+        try:
+            t = _target_value(record[target_pos])
+        except ValueError:
+            raise DataError(
+                f"{path}: row {line_no}, column {target_column!r}: "
+                f"unparseable value {record[target_pos].strip()!r}"
+            ) from None
+        if not math.isfinite(t):
             n_dropped += 1
             continue
         feats = []

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import NumericalError
 from .tgh import DEFAULT_SOLVER, InverseSolverConfig, LossValueAndGrad, TghParams, nll_and_grad
@@ -57,6 +56,13 @@ def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
+def _expit(x):
+    """Logistic 1/(1 + exp(-x)), read as e/(1 + e) for x < 0 with
+    e = exp(-|x|), so that exp never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def link(raw, cfg: LinkConfig = DEFAULT_LINK, rows=None):
     """Map raw head outputs (..., 4) to valid g-and-h parameters.
 
@@ -76,13 +82,13 @@ def link(raw, cfg: LinkConfig = DEFAULT_LINK, rows=None):
                              f"{i if rows is None else int(rows[i])}")
     mu = raw[..., 0]
     sigma = _softplus(raw[..., 1]) + cfg.sigma_floor
-    derivs = [np.ones_like(mu), expit(raw[..., 1])]
+    derivs = [np.ones_like(mu), _expit(raw[..., 1])]
     if raw.shape[-1] == 2:
         g = h = np.zeros_like(mu)
     else:
         tg = np.tanh(raw[..., 2])
         g = cfg.g_max * tg
-        sh = expit(raw[..., 3])
+        sh = _expit(raw[..., 3])
         h = cfg.h_max * sh
         derivs += [cfg.g_max * (1.0 - tg * tg), cfg.h_max * sh * (1.0 - sh)]
     return TghParams(mu, sigma, g, h), np.stack(derivs, axis=-1)

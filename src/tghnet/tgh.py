@@ -15,6 +15,10 @@ no closed form.  A variable
 distribution: g controls skewness, h tail weight, and (g, h) = (0, 0)
 recovers the normal distribution.
 
+The normal quantile behind quantile and the intervals is Wichura's AS241
+(PPND16, Applied Statistics 37(3), 1988), and the normal CDF is
+erfc(-z/sqrt(2))/2 from the math module, so the package needs numpy only.
+
 Two private kernels hold every exp(g*z) and expm1(g*z), and each applies
 the g -> 0 limit itself.  _tau_parts (behind the solver, tau, quantile and
 sample) costs one expm1 and one exp; the solver forms tau' from it only
@@ -37,7 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import SolverError
 
@@ -434,17 +437,77 @@ def sample(params: TghParams, n: int, seed: int) -> np.ndarray:
     return np.asarray(params.mu) + np.asarray(params.sigma) * np.asarray(tau(z, params))
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
 def standard_normal_cdf(z):
-    """Phi(z), the standard normal CDF."""
+    """Phi(z), the standard normal CDF, as erfc(-z/sqrt(2))/2."""
     scalar = _is_scalar(z)
-    out = ndtr(np.asarray(z, dtype=float))
-    return _ret(out, scalar)
+    x = np.asarray(z, dtype=float) * -math.sqrt(0.5)
+    return _ret(0.5 * np.asarray(_erfc(x), dtype=float), scalar)
+
+
+# AS241 (PPND16), Wichura, Applied Statistics 37(3), 1988: rational
+# approximations in q = p - 1/2 for |q| <= 0.425, and in
+# r = sqrt(-log(min(p, 1 - p))) for r <= 5 and beyond; coefficients from
+# the constant term up.
+_AS241_CENTRAL = (
+    (3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3,
+     1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
+     3.3430575583588128105e4, 2.5090809287301226727e3),
+    (1.0, 4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3,
+     2.1213794301586595867e4, 3.9307895800092710610e4, 2.8729085735721942674e4,
+     5.2264952788528545610e3),
+)
+_AS241_NEAR = (
+    (1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
+     3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
+     2.27238449892691845833e-2, 7.74545014278341407640e-4),
+    (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
+     1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4,
+     1.05075007164441684324e-9),
+)
+_AS241_FAR = (
+    (6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0,
+     2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
+     2.71155556874348757815e-5, 2.01033439929228813265e-7),
+    (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
+     7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
+     2.04426310338993978564e-15),
+)
+
+
+def _rational(coeffs, x):
+    """num(x)/den(x) for one (num, den) pair of AS241, each by Horner's
+    rule in place."""
+    num, den = (np.full_like(x, c[-1]) for c in coeffs)
+    for a, b in zip(coeffs[0][-2::-1], coeffs[1][-2::-1]):
+        num *= x
+        num += a
+        den *= x
+        den += b
+    return num / den
 
 
 def standard_normal_quantile(alpha):
-    """Phi^{-1}(alpha); raises on alpha outside (0, 1)."""
+    """Phi^{-1}(alpha) by AS241 (within a few ulp of a correctly rounded
+    quantile on (0, 1)); raises on alpha outside (0, 1)."""
     arr = np.asarray(alpha, dtype=float)
     if np.any(arr <= 0) or np.any(arr >= 1):
         raise ValueError("alpha must lie strictly inside (0, 1)")
     scalar = _is_scalar(alpha)
-    return _ret(ndtri(arr), scalar)
+    p = arr.ravel()
+    q = p - 0.5
+    out = np.empty_like(p)
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    out[central] = qc * _rational(_AS241_CENTRAL, 0.180625 - qc * qc)
+    tail = ~central
+    pt = p[tail]
+    r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+    near = r <= 5.0
+    z = np.empty_like(r)
+    z[near] = _rational(_AS241_NEAR, r[near] - 1.6)
+    z[~near] = _rational(_AS241_FAR, r[~near] - 5.0)
+    out[tail] = np.copysign(z, q[tail])
+    return _ret(out.reshape(arr.shape), scalar)

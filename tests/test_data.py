@@ -147,6 +147,12 @@ def csv_cells(draw):
     return cell, text
 
 
+# missing-target cells as written, each with no float() text
+MISSING_TARGETS = [(cell, None) for cell in
+                   ["", " ", '""', "na", "NA", " nA ", "nan", "NaN", "-nan", '"nan"',
+                    "inf", "-inf", "Infinity", "1e999"]]
+
+
 class TestColumnWiseIo:
     @given(columns=csv_columns())
     def test_write_csv_matches_per_row_writer(self, tmp_path_factory, columns):
@@ -163,16 +169,15 @@ class TestColumnWiseIo:
         _per_row_csv(tmp_path / "rows.csv", columns)
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
-    @given(rows=st.lists(st.tuples(csv_cells(), csv_cells()), max_size=12))
+    @given(rows=st.lists(st.tuples(csv_cells(), csv_cells() | st.sampled_from(MISSING_TARGETS)),
+                         max_size=12))
     def test_load_csv_is_bit_equal_to_float(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("r") / "data.csv"
         lines = ["a,y"] + [f"{a},{y}" for (a, _), (y, _) in rows]
         path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
-        want_x, want_y = [], []
-        for (_, a), (_, y) in rows:
-            if np.isfinite(float(y)):
-                want_x.append(float(a))
-                want_y.append(float(y))
+        kept = [i for i, (_, (_, y)) in enumerate(rows) if y is not None and np.isfinite(float(y))]
+        want_x = [float(rows[i][0][1]) for i in kept]
+        want_y = [float(rows[i][1][1]) for i in kept]
         if not np.all(np.isfinite(want_x)):
             with pytest.raises(DataError, match="non-finite"):
                 load_csv(path, "y", ["a"])
@@ -182,15 +187,14 @@ class TestColumnWiseIo:
         ds = load_csv(path, "y", ["a"])
         assert ds.x.tobytes() == want_x.tobytes()
         assert ds.y.tobytes() == want_y.tobytes()
-        assert ds.n_dropped == len(rows) - len(want_y)
-        assert ds.source_rows.tolist() == [i for i, (_, (_, y)) in enumerate(rows)
-                                           if np.isfinite(float(y))]
+        assert ds.n_dropped == len(rows) - len(kept)
+        assert ds.source_rows.tolist() == kept
         # the vectorised pass itself, not its fallback, gave these bits
         with open(path, encoding="utf-8", newline="") as fh:
             next(csv.reader(fh))
-            x, y, _, kept = data._parse_columns(fh, 1, [0])
+            x, y, n_dropped, source_rows = data._parse_columns(fh, 1, [0])
         assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
-        assert kept.tolist() == ds.source_rows.tolist()
+        assert n_dropped == ds.n_dropped and source_rows.tolist() == kept
 
     @pytest.mark.parametrize("body, outcome", [
         ("#1,2\n3,4\n", "row 2, column 'a': unparseable value '#1'"),

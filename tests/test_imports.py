@@ -1,8 +1,9 @@
 """Module boundaries: no tghnet module imports another's private names,
-config and nn import in either order, data imports only errors, and the
-g -> 0 limit of tgh lives in its two kernels."""
+config and nn import in either order, data imports only errors, no command
+imports scipy, and the g -> 0 limit of tgh lives in its two kernels."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -49,6 +50,27 @@ def test_data_does_not_import_nn():
                   "print(sorted(m for m in sys.modules if m.startswith('tghnet.')))")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "['tghnet.data', 'tghnet.errors']"
+
+
+def test_no_command_imports_scipy(tmp_path):
+    # scipy is a test oracle only; the runtime needs numpy alone
+    config = {"loss": "tukey", "data": {"target": "y", "features": ["x"]},
+              "network": {"hidden": [8]}, "training": {"epochs": 1, "batch_size": 64},
+              "split": {"rule": "fraction", "fraction": 0.8, "seed": 0}}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    commands = [
+        "simulate --design gandh --n 200 --out sim.csv",
+        "train --config cfg.json --data sim.csv --out model.tghn --svg loss.svg",
+        "evaluate --model model.tghn --data sim.csv --split val --out report --svg qq.svg",
+        "intervals --model model.tghn --data sim.csv --split val --variant shortest --out s.csv",
+        "intervals --model model.tghn --data sim.csv --split val --variant symmetric --out c.csv",
+        "density --model model.tghn --features 0.5 --y-grid=-3:3:11 --out curves.csv",
+    ]
+    result = _run(f"import os, sys; os.chdir({str(tmp_path)!r}); from tghnet.cli import main\n"
+                  f"for c in {commands!r}: assert main(c.split()) == 0, c\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def test_small_g_is_read_only_by_the_two_kernels():

@@ -54,6 +54,14 @@ class TestLink:
             fd = (getattr(pu, fields[j]) - getattr(pd, fields[j])) / 2e-6
             np.testing.assert_allclose(derivs[j], fd, rtol=1e-6, atol=1e-12)
 
+    def test_logistic_matches_scipy_expit(self):
+        expit = pytest.importorskip("scipy.special").expit
+        x = np.linspace(-50.0, 50.0, 100_001)
+        _, derivs = link(np.stack([np.zeros_like(x), x], axis=-1))
+        np.testing.assert_allclose(derivs[:, 1], expit(x), rtol=0, atol=4.5e-16)
+        # the h behind test_h_just_above_underflow_keeps_its_value, bit for bit
+        assert link(np.array([0.0, 0.0, 0.0, -40.0]))[0].h == 0.5 * expit(-40.0)
+
     def test_batch_shapes(self):
         raws = np.zeros((7, 4))
         params, derivs = link(raws)

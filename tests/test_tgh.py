@@ -592,3 +592,56 @@ class TestStandardNormal:
         for bad in (0.0, 1.0, 2.0):
             with pytest.raises(ValueError):
                 standard_normal_quantile(bad)
+
+    def test_scalar_and_0d_inputs_give_floats(self):
+        for value in (0.3, np.float64(0.3), np.array(0.3)):
+            assert type(standard_normal_cdf(value)) is float
+            assert type(standard_normal_quantile(value)) is float
+        assert np.shape(standard_normal_cdf(np.full((2, 1), 0.3))) == (2, 1)
+        assert np.shape(standard_normal_quantile(np.full((2, 1), 0.3))) == (2, 1)
+
+
+def _quantile_oracle_points():
+    """Uniform p, log-uniform tail p down to 1e-300 on either side, the
+    extreme doubles 5e-324 and 1 - 2^-53, and both AS241 branch edges
+    (|p - 1/2| = 0.425, r = 5) with their neighbouring doubles."""
+    rng = np.random.default_rng(14)
+    edges = np.array([0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0)])
+    tail = 10.0 ** rng.uniform(-300.0, 0.0, 300)
+    return np.concatenate([
+        rng.uniform(size=300), tail, 1.0 - tail[tail > 1e-16], [5e-324, 1.0 - 2.0 ** -53],
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+    ])
+
+
+class TestStandardNormalOracles:
+    """The numpy-only normal CDF and quantile against scipy and 40-digit mpmath."""
+
+    def test_quantile_against_a_40_digit_reference(self):
+        mp = pytest.importorskip("mpmath").mp
+        p = _quantile_oracle_points()
+        got = standard_normal_quantile(p)
+        with mp.workdps(40):
+            want = np.array([float(mp.findroot(lambda x, a=mp.mpf(float(a)): mp.ncdf(x) - a,
+                                               mp.mpf(float(z))))
+                             for a, z in zip(p, got)])
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+    def test_quantile_against_scipy(self):
+        ndtri = pytest.importorskip("scipy.special").ndtri
+        rng = np.random.default_rng(15)
+        p = np.concatenate([_quantile_oracle_points(), rng.uniform(size=200_000),
+                            10.0 ** rng.uniform(-300.0, 0.0, 100_000)])
+        # scipy's ndtri is up to 8.2e-16 and AS241 up to 6.4e-16 off the
+        # 40-digit quantile (20k central p), so the two differ by up to the sum
+        np.testing.assert_allclose(standard_normal_quantile(p), ndtri(p), rtol=1.5e-15, atol=0)
+
+    @pytest.mark.parametrize("lo, hi, rtol", [(-8.0, 8.0, 1e-14), (-37.5, -5.0, 5e-13)])
+    def test_cdf_against_a_40_digit_reference(self, lo, hi, rtol):
+        # erfc of z/sqrt(2), whose rounding is amplified by about z^2 in the
+        # tail: scipy's ndtr is off by 1.04e-14 and 2.2e-13 on these ranges
+        mp = pytest.importorskip("mpmath").mp
+        z = np.random.default_rng(16).uniform(lo, hi, 2000)
+        with mp.workdps(40):
+            want = np.array([float(mp.ncdf(float(v))) for v in z])
+        np.testing.assert_allclose(standard_normal_cdf(z), want, rtol=rtol, atol=0)

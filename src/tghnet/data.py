@@ -109,7 +109,7 @@ def load_csv(path, target_column: str, feature_columns: list[str] | tuple[str, .
     """
     feature_columns = tuple(feature_columns)
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:

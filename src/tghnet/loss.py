@@ -6,7 +6,10 @@ is built on the exact NLL and gradient in tgh.nll_and_grad.
 The training loss drops the additive log(2*pi)/2 constant; reported
 evaluation likelihoods (tgh.log_density) keep it.  Both read log tau' from
 the same tgh kernel at the same solved residual, so by construction the
-two differ by that constant per sample, up to rounding.
+two differ by that constant per sample, up to rounding.  Which rows have
+a finite loss is tgh.tau_inverse's rule alone, as in scoring: a row it
+cannot solve, such as a target outside tau's one-sided support where the
+link's h underflows to 0, raises its SolverError naming the row.
 """
 
 from __future__ import annotations
@@ -126,11 +129,6 @@ def tukey_head_loss(y, raw, link_cfg: LinkConfig = DEFAULT_LINK,
     parameter gradients of one vectorized nll_and_grad are pulled through
     the diagonal link derivatives and scaled by 1/n.  The mean (rather
     than the sum) keeps the learning rate invariant to the batch size.
-
-    For very negative raw h the link's h underflows to exactly 0.  The
-    support of tau is then one-sided (1 + g*tau > 0), and a row whose
-    z_tilde = (y - mu)/sigma lies outside it has an infinite NLL: that
-    raises NumericalError naming the row, before any solve.
     """
     params, derivs = link(raw, link_cfg)
     y = np.asarray(y, dtype=float)
@@ -138,17 +136,6 @@ def tukey_head_loss(y, raw, link_cfg: LinkConfig = DEFAULT_LINK,
         raise ValueError("y must be one-dimensional")
     if params.mu.ndim == 1 and len(params.mu) != len(y):
         raise ValueError(f"length mismatch: {len(y)} targets vs {len(params.mu)} parameter rows")
-    h_zero = params.h == 0
-    if np.any(h_zero):
-        z_tilde = (y - params.mu) / params.sigma
-        outside = np.ravel(h_zero & (params.g * z_tilde <= -1.0))
-        if np.any(outside):
-            i = int(np.argmax(outside))
-            raise NumericalError(
-                f"infinite NLL at row {i}: the link's h underflowed to 0, and "
-                f"z_tilde={float(np.ravel(z_tilde)[i])!r} lies outside the "
-                f"one-sided support 1 + g*z_tilde > 0 for g={float(np.ravel(params.g)[i])!r}"
-            )
     out = nll_and_grad(y, params, solver_cfg)
     values = np.asarray(out.value)
     return float(np.mean(values)), out.grad * derivs / len(values), params

@@ -71,6 +71,22 @@ class NetworkSpec:
                     f"layers: layer {i} expects in_dim {expected}, got {self.layers[i].in_dim}"
                 )
 
+    def state_shapes(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """Shapes of the arrays in a Network's state, in its model-file order:
+        the parameters, then the batch-norm running statistics."""
+        shapes, stats = [], []
+        for layer in self.layers:
+            shapes += [(layer.in_dim, layer.out_dim), (layer.out_dim,)]
+            if layer.batch_norm:
+                shapes += [(layer.out_dim,)] * 2
+                stats += [(layer.out_dim,)] * 2
+        return shapes, stats
+
+    @property
+    def state_size(self) -> int:
+        """Length of the state vector, known before any array is allocated."""
+        return sum(math.prod(s) for part in self.state_shapes() for s in part)
+
     @property
     def base_features(self) -> int:
         first = self.layers[0].in_dim
@@ -211,14 +227,9 @@ class Network:
 
     def __init__(self, spec: NetworkSpec, seed: int = 0):
         self.spec = spec
-        shapes, stats = [], []
-        for layer in spec.layers:
-            shapes += [(layer.in_dim, layer.out_dim), (layer.out_dim,)]
-            if layer.batch_norm:
-                shapes += [(layer.out_dim,)] * 2
-                stats += [(layer.out_dim,)] * 2
+        shapes, stats = spec.state_shapes()
         n_params = sum(math.prod(s) for s in shapes)
-        self.state = np.empty(n_params + sum(math.prod(s) for s in stats))
+        self.state = np.empty(spec.state_size)
         self.params = self.state[:n_params]
         self.grad = np.zeros(n_params)
         views = _views(self.state, shapes + stats)

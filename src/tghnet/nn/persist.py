@@ -152,15 +152,17 @@ def load_model(path) -> ModelBundle:
 
     try:
         header = read(ModelHeader, json.loads(blob[12:offset].decode("utf-8")), "header")
-        bundle = ModelBundle(header, Network(header.network, seed=0))
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataError(f"{path}: bad header at byte 12: {exc!r}") from exc
 
-    state = bundle.network.state
-    if len(blob) - offset != state.nbytes:
+    # checked before the network is built: a header asks for no more than its file holds
+    size = header.network.state_size
+    if len(blob) - offset != 8 * size:
         raise DataError(f"{path}: parameter blob at byte {offset} holds "
-                        f"{len(blob) - offset} bytes, the header's network needs {state.nbytes}")
-    state[...] = np.frombuffer(blob, "<f8", state.size, offset)
+                        f"{len(blob) - offset} bytes, the header's network needs {8 * size}")
+    bundle = ModelBundle(header, Network(header.network, seed=0))
+    state = bundle.network.state
+    state[...] = np.frombuffer(blob, "<f8", size, offset)
     bad = ~np.isfinite(state)
     if np.any(bad):
         i = int(np.argmax(bad))

@@ -8,12 +8,13 @@ The transform is
     tau(z) = ((exp(g*z) - 1) / g) * exp(h * z^2 / 2)
 
 continuously extended to ``z * exp(h*z^2/2)`` at g = 0.  For h >= 0 it is
-strictly increasing in z, so its inverse can be bracketed and found to any
-requested tolerance by Newton steps that fall back to bisection; there is
-no closed form.  A variable
-``mu + sigma * tau(Z)`` with Z standard normal follows the g-and-h
-distribution: g controls skewness, h tail weight, and (g, h) = (0, 0)
-recovers the normal distribution.
+strictly increasing in z with tau(0) = 0, so each root of tau(z) = z_tilde
+can be bracketed between 0 and a point on the target's side and found to
+any requested tolerance by Newton steps that fall back to bisection; there
+is no closed form.  At h = 0 the range is one-sided (1 + g*tau > 0), and
+tau_inverse alone rejects a target beyond it.  A variable mu + sigma *
+tau(Z) with Z standard normal follows the g-and-h distribution: g controls
+skewness, h tail weight, and (g, h) = (0, 0) recovers the normal.
 
 The normal quantile behind quantile and the intervals is Wichura's AS241
 (PPND16, Applied Statistics 37(3), 1988), and the normal CDF is
@@ -122,9 +123,9 @@ class InverseSolverConfig:
     abs_tolerance is the Newton step or bracket width (in z units) at which
     a row stops.  max_bisection_iters caps the iterations of either kind,
     Newton or bisection; the name predates the Newton steps and is kept so
-    that saved models and configs still load.  Bracketing starts at
-    [-initial_half_width, +initial_half_width] and doubles each endpoint
-    that does not yet enclose the target.
+    that saved models and configs still load.  The bracket starts at [0, w]
+    or [-w, 0] on the target's side (w = initial_half_width; tau(0) = 0),
+    and its far end doubles, at most max_bracket_doublings times.
     """
 
     abs_tolerance: float = 1e-12
@@ -221,20 +222,25 @@ def _tau_parts(z, g, h):
 
 
 def _row_error(message: str, bad: np.ndarray, zt, g, h) -> SolverError:
-    """SolverError naming the first row flagged in bad."""
+    """SolverError naming the first row flagged in bad, and the one-sided
+    support of tau at h = 0 when that row's target lies outside it."""
     i = np.unravel_index(np.argmax(bad), bad.shape) if bad.ndim else ()
     at = int(i[0]) if len(i) == 1 else tuple(int(k) for k in i)
+    outside = h[i] == 0 and 1.0 + g[i] * zt[i] <= 0
     return SolverError(
         f"{message} at sample index {at}: "
         f"z_tilde={float(zt[i])!r}, g={float(g[i])!r}, h={float(h[i])!r}"
+        + ("; the target lies outside tau's one-sided support "
+           "1 + g*z_tilde > 0 at h = 0" if outside else "")
     )
 
 
 def tau_inverse(z_tilde, p: ShapeParams | TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER):
     """Invert tau by bracket doubling followed by safeguarded Newton steps.
 
-    The initial bracket [-w, w] (w = cfg.initial_half_width) is widened by
-    doubling each failing endpoint until tau(lo) <= z_tilde <= tau(hi).
+    tau is increasing with tau(0) = 0, so each root lies between 0 and
+    end = copysign(cfg.initial_half_width, z_tilde), and end doubles while
+    |tau(end)| < |z_tilde|: one tau evaluation per bracket pass.
     Every row then starts at z = 0 and takes Newton steps on
     F(z) = asinh(tau(z)) - asinh(z_tilde), which is far less curved than
     tau itself in the exp(h*z^2/2) tail, while the sign of
@@ -249,11 +255,10 @@ def tau_inverse(z_tilde, p: ShapeParams | TghParams, cfg: InverseSolverConfig = 
     every representable one.  Only p.g and p.h are read, so z_hat passes
     its TghParams, whose (g, h) are already checked.
 
-    Raises SolverError if no bracket is found within
-    cfg.max_bracket_doublings doublings (e.g. a target outside the closure
-    of the range of tau, which is bounded on one side when h = 0 and
-    g != 0), or if a row has not stopped after cfg.max_bisection_iters
-    iterations.
+    Raises SolverError naming the first row not bracketed within
+    cfg.max_bracket_doublings doublings, with the reason where h = 0 and
+    1 + g*z_tilde <= 0 (outside tau's one-sided range), or the first row
+    not stopped after cfg.max_bisection_iters iterations.
     """
     scalar = _is_scalar(z_tilde, p.g, p.h)
     zt = _validate_finite("z_tilde", z_tilde)
@@ -262,31 +267,24 @@ def tau_inverse(z_tilde, p: ShapeParams | TghParams, cfg: InverseSolverConfig = 
     zt, g, h = np.broadcast_arrays(zt, g, h)
     zt = zt.astype(float)
 
-    lo = np.full(zt.shape, -cfg.initial_half_width)
-    hi = np.full(zt.shape, cfg.initial_half_width)
-    t_lo = _tau_parts(lo, g, h)[0]
-    t_hi = _tau_parts(hi, g, h)[0]
+    end = np.copysign(np.full(zt.shape, cfg.initial_half_width), zt)
+    abs_zt = np.abs(zt)
+    need = np.abs(_tau_parts(end, g, h)[0]) < abs_zt
     for _ in range(cfg.max_bracket_doublings):
-        need_lo = t_lo > zt
-        need_hi = t_hi < zt
-        if not (np.any(need_lo) or np.any(need_hi)):
+        if not need.any():
             break
-        lo = np.where(need_lo, 2.0 * lo, lo)
-        hi = np.where(need_hi, 2.0 * hi, hi)
-        if np.any(need_lo):
-            t_lo = np.where(need_lo, _tau_parts(lo, g, h)[0], t_lo)
-        if np.any(need_hi):
-            t_hi = np.where(need_hi, _tau_parts(hi, g, h)[0], t_hi)
-    bad = (t_lo > zt) | (t_hi < zt)
-    if np.any(bad):
+        end = np.where(need, 2.0 * end, end)
+        need &= np.abs(_tau_parts(end, g, h)[0]) < abs_zt
+    if need.any():
         raise _row_error(
             "no bracket for inverse transform after "
-            f"{cfg.max_bracket_doublings} doublings", bad, zt, g, h)
+            f"{cfg.max_bracket_doublings} doublings", need, zt, g, h)
 
     # tau(0) = 0 and tau'(0) = 1 for every (g, h), so z = 0 costs nothing.
     z = np.zeros(zt.shape)
     t = np.zeros(zt.shape)
     t_p = np.ones(zt.shape)
+    lo, hi = np.minimum(end, z), np.maximum(end, z)
     target = np.arcsinh(zt)
     step_abs = step_abs_old = hi - lo
     done = np.zeros(zt.shape, dtype=bool)

@@ -1,6 +1,7 @@
 """CLI commands: golden-format stability, exit codes, artifact contents."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from tghnet import tgh
 from tghnet.cli import main
 from tghnet.data import FractionSplit, load_csv
 from tghnet.errors import DataError
-from tghnet.nn import load_model
+from tghnet.nn import load_model, persist, save_model
+from tghnet.nn.network import LayerSpec, NetworkSpec
 
 CONFIG = {
     "seed": 0,
@@ -205,6 +207,28 @@ class TestEvaluate:
             assert main(["evaluate", "--model", str(path), "--data", str(sim_csv),
                          "--split", "val", "--out", str(tmp_path / "e")]) == 3
 
+    def test_huge_header_network_is_not_built(self, tmp_path, monkeypatch, capsys,
+                                              trained_model, sim_csv):
+        # two 10^5-wide hidden layers would take about 80 GB; the blob check
+        # must come first, and the spy fails the test instead of allocating
+        good = trained_model.read_bytes()
+        hlen = int.from_bytes(good[8:12], "little")
+        header = json.loads(good[12:12 + hlen])
+        first, hidden, head = header["network"]["layers"]
+        wide = 10**5
+        layers = [dict(first, out_dim=wide), dict(hidden, in_dim=wide, out_dim=wide),
+                  dict(head, in_dim=wide)]
+        bad = json.dumps(dict(header, network=dict(header["network"], layers=layers))).encode()
+        path = tmp_path / "huge.tghn"
+        path.write_bytes(good[:8] + len(bad).to_bytes(4, "little") + bad + good[12 + hlen:])
+        monkeypatch.setattr(persist, "Network", lambda *a, **k: pytest.fail("built a Network"))
+        assert main(["evaluate", "--model", str(path), "--data", str(sim_csv),
+                     "--split", "val", "--out", str(tmp_path / "e")]) == 3
+        err = capsys.readouterr().err
+        needs = 8 * NetworkSpec(tuple(LayerSpec(**layer) for layer in layers)).state_size
+        assert f"huge.tghn: parameter blob at byte {12 + len(bad)} holds " in err
+        assert f" bytes, the header's network needs {needs}\n" in err
+
     def test_non_finite_weight_exits_3(self, tmp_path, trained_model, sim_csv):
         good = trained_model.read_bytes()
         blob_at = 12 + int.from_bytes(good[8:12], "little")
@@ -281,6 +305,20 @@ EXIT_PROBES = {
 }
 
 
+@pytest.fixture(scope="module")
+def h_zero_model(tmp_path_factory, trained_model):
+    """The trained model with a zero head and bias (0, 0, -5, -800): g is
+    2 tanh(-5) ~ -2 and h = 0.5 expit(-800) underflows to 0, so every row's
+    support is z_tilde = (y - mu)/sigma < 1/|g| ~ 0.5, or y below about 0.35."""
+    bundle = load_model(trained_model)
+    head = bundle.network.linears[-1]
+    head.w[...] = 0.0
+    head.b[...] = [0.0, 0.0, -5.0, -800.0]
+    path = tmp_path_factory.mktemp("h0") / "h0.tghn"
+    save_model(path, bundle)
+    return path
+
+
 class TestExitCodes:
     """Bad inputs, outputs and arguments exit 2 (usage or output), 3 (data)
     or 4 (numerical) with one stderr line that names them; never 1."""
@@ -307,6 +345,27 @@ class TestExitCodes:
         assert main(["intervals", *(a.format(model=trained_model, sim=sim_csv)
                                     for a in _SCORE),
                      "--alpha", "1e-13", "--variant", "symmetric", "--out", out]) == 0
+
+    # scoring meets the solver's h = 0 rule as training does: a target
+    # outside the one-sided support exits 4 and says why
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--data", "{sim}", "--split", "val", "--out", "{tmp}/e"],
+        ["density", "--features", "0.5", "--y-grid=-1:1:5", "--out", "{tmp}/d.csv"],
+    ], ids=["evaluate", "density"])
+    def test_target_outside_support_exits_4(self, tmp_path, capsys, h_zero_model, sim_csv,
+                                            argv):
+        fill = dict(sim=sim_csv, tmp=tmp_path)
+        assert main([argv[0], "--model", str(h_zero_model),
+                     *(a.format(**fill) for a in argv[1:])]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert re.fullmatch(r"numerical failure: .* at sample index (\d+|\(\d+, \d+\)): "
+                            r".*, h=0\.0; the target lies outside tau's one-sided support "
+                            r"1 \+ g\*z_tilde > 0 at h = 0\n", err), err
+
+    def test_targets_inside_support_score(self, tmp_path, h_zero_model):
+        assert main(["density", "--model", str(h_zero_model), "--features", "0.5",
+                     "--y-grid=-1:0.3:5", "--out", str(tmp_path / "d.csv")]) == 0
 
 
 class TestThreadCap:

@@ -77,6 +77,23 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.x, [[2, 1]])
 
 
+    @pytest.mark.parametrize("first, fallbacks", [("1.5", 0), ("1_0", 1)],
+                             ids=["vectorised", "per_cell"])
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path, count_calls, first, fallbacks):
+        # a "1_0" feature cell sends the file to the per-cell loop
+        body = f"x,y\r\n{first},2.0\r\n3.0,4.0\r\n"
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + body.encode())
+        loops = count_calls(data, "_parse_rows")
+        ds = load_csv(path, "y", ["x"])
+        assert len(loops) == fallbacks
+        assert ds.x.tolist() == [[float(first)], [3.0]] and ds.y.tolist() == [2.0, 4.0]
+        # write_csv adds no mark: its bytes are the file's after the mark
+        write_csv(tmp_path / "out.csv", {"x": ds.x[:, 0], "y": ds.y})
+        want = body.replace("1_0", "10.0").encode()
+        assert (tmp_path / "out.csv").read_bytes() == want
+
+
 class TestRoundtrip:
     def test_reemission_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)

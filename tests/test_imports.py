@@ -1,6 +1,7 @@
 """Module boundaries: no tghnet module imports another's private names,
 config and nn import in either order, data imports only errors, no command
-imports scipy, and the g -> 0 limit of tgh lives in its two kernels."""
+imports scipy, the benchmark tracer's wrapped names exist, and the g -> 0
+limit of tgh lives in its two kernels."""
 
 import ast
 import json
@@ -71,6 +72,34 @@ def test_no_command_imports_scipy(tmp_path):
                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_perfbench_tracer_wraps_names_that_exist(tmp_path):
+    # a traced benchmark run wraps tghnet names by string; a renamed one
+    # fails here rather than inside the benchmark, and perfbench/ gets no
+    # bytecode cache
+    child = PACKAGE.parents[1] / "perfbench" / "child.py"
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"loss": "tukey", "data": {"target": "y", "features": ["x"]},
+         "network": {"hidden": [8]}, "training": {"epochs": 1, "batch_size": 64},
+         "split": {"rule": "fraction", "fraction": 0.8, "seed": 0}}))
+    commands = [
+        "simulate --design gandh --n 200 --out sim.csv",
+        "train --config cfg.json --data sim.csv --out model.tghn",
+        "evaluate --model model.tghn --data sim.csv --split val --out report",
+        "intervals --model model.tghn --data sim.csv --split val --out iv.csv",
+        "density --model model.tghn --features 0.5 --y-grid=-3:3:11 --out curves.csv",
+    ]
+    names = set()
+    for i, command in enumerate(commands):
+        spans = tmp_path / f"spans{i}.json"
+        result = subprocess.run([sys.executable, str(child), "--trace-out", str(spans), "--",
+                                 *command.split()], capture_output=True, text=True,
+                                cwd=tmp_path, timeout=120,
+                                env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+        assert result.returncode == 0, (command, result.stderr)
+        names |= {span[0] for span in json.loads(spans.read_text())["spans"]}
+    assert {"tgh.tau_inverse", "loss.tukey_head_loss", "evaluate.residuals"} <= names
 
 
 def test_small_g_is_read_only_by_the_two_kernels():

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tghnet import tgh
-from tghnet.errors import NumericalError
+from tghnet.errors import NumericalError, SolverError
 from tghnet.loss import (
     LinkConfig,
     gaussian_head_loss,
@@ -311,7 +311,8 @@ class TestHeadLosses:
         # h = h_max * expit(-800) is exactly 0; with g < 0 the support of tau
         # is bounded above by 1/|g| ~ 0.5, and z_tilde ~ 14.4 lies beyond it
         raw = np.array([[0.0, 0.0, -5.0, 0.0], [0.0, 0.0, -5.0, -800.0]])
-        with pytest.raises(NumericalError, match=r"infinite NLL at row 1: .*h underflowed to 0"):
+        with pytest.raises(SolverError, match=r"at sample index 1: .*h=0\.0; the target lies "
+                           r"outside tau's one-sided support 1 \+ g\*z_tilde > 0 at h = 0$"):
             tukey_head_loss(np.array([10.0, 10.0]), raw)
         # inside the one-sided support the loss stays finite
         mean, head_grad, params = tukey_head_loss(np.array([-1.0]), raw[1:])

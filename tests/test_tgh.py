@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tghnet import tgh
@@ -305,6 +305,52 @@ class TestTauInverse:
         out = tau_inverse(zt, p)
         assert len(calls) <= 12
         assert np.max(np.abs(out - z)) <= 1e-12
+
+    def test_one_sided_bracket_budget(self, count_calls):
+        # the batch above: a two-sided bracket [-w, w] took 8 calls
+        rng = np.random.default_rng(20)
+        z = rng.standard_normal(512)
+        p = ShapeParams(rng.uniform(-0.8, 0.8, 512), rng.uniform(0.0, 0.35, 512))
+        zt = np.asarray(tau(z, p))
+        calls = count_calls(tgh, "_tau_parts")
+        out = tau_inverse(zt, p)
+        assert len(calls) <= 7
+        assert np.max(np.abs(out - z)) <= 1e-12
+
+    def test_bracket_inside_initial_width_is_one_evaluation(self, monkeypatch):
+        # every root lies in [-w, w]: the bracket evaluates tau once, at the
+        # end on each target's side, and the Newton loop stays inside it
+        w = tgh.DEFAULT_SOLVER.initial_half_width
+        p = ShapeParams(np.linspace(-2.0, 2.0, 101), np.linspace(0.0, 0.5, 101))
+        zt = np.asarray(tau(np.linspace(-7.9, 7.9, 101), p))
+        points, inner = [], tgh._tau_parts
+        monkeypatch.setattr(tgh, "_tau_parts", lambda z, g, h: points.append(z) or inner(z, g, h))
+        tau_inverse(zt, p)
+        np.testing.assert_array_equal(points[0], np.copysign(w, zt))
+        assert len(points) > 1 and all(np.all(np.abs(z) < w) for z in points[1:])
+
+    @settings(max_examples=400)  # about 40 of them lie outside the h = 0 support
+    @given(
+        g=st.floats(-LinkConfig().g_max, LinkConfig().g_max),
+        h=st.just(0.0) | st.floats(0.0, LinkConfig().h_max),
+        zt=st.just(0.0) | st.floats(-1e4, -8.0, exclude_max=True)
+        | st.floats(8.0, 1e4, exclude_min=True) | st.floats(-8.0, 8.0),
+    )
+    def test_round_trip_over_the_link_box(self, g, h, zt):
+        # |zt| <= 1e4 keeps a target outside the h = 0 support off the
+        # |g| < SMALL_G rows, whose kernel reads tau as z
+        p = ShapeParams(g, h)
+        outside = h == 0.0 and 1.0 + g * zt <= 0.0
+        assume(1.0 + g * zt != 0.0)  # the h = 0 bound itself, which tau rounds onto
+        # a subnormal h > 0 may not reach a far target within the doublings
+        cfg = tgh.DEFAULT_SOLVER
+        far = math.copysign(cfg.initial_half_width * 2.0**cfg.max_bracket_doublings, zt)
+        if outside or abs(tau(far, p)) < abs(zt):
+            with pytest.raises(SolverError, match="no bracket") as err:
+                tau_inverse(zt, p)
+            assert ("one-sided support" in str(err.value)) == outside
+            return
+        assert abs(tau(tau_inverse(zt, p), p) - zt) <= 1e-10 * max(1.0, abs(zt))
 
     def test_loops_call_no_public_kernel(self, count_calls):
         taus = count_calls(tgh, "tau")

@@ -269,15 +269,12 @@ def cmd_density(args) -> int:
             if chunk.strip()
         ]
         lo, hi, count = args.y_grid.split(":")
-        grid = np.linspace(float(lo), float(hi), int(count))
+        lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         print("bad --features or --y-grid syntax", file=sys.stderr)
         return 2
     if not points:
         print("no feature points given", file=sys.stderr)
-        return 2
-    if not len(grid) or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) < 0):
-        print("--y-grid needs finite min <= max and count >= 1", file=sys.stderr)
         return 2
     if not all(np.all(np.isfinite(pt)) for pt in points):
         print("--features must be finite", file=sys.stderr)
@@ -287,8 +284,16 @@ def cmd_density(args) -> int:
     if any(len(pt) != width for pt in points):
         print(f"each feature point needs {width} component(s)", file=sys.stderr)
         return 2
-    x = np.asarray(points, dtype=float)
-    p = bundle.predict_params(x)
+    p = bundle.predict_params(np.asarray(points, dtype=float))
+    with np.errstate(over="ignore"):  # reported below; the float hi - lo never warns
+        ends = (np.array([lo, hi]) - p.mu[:, None]) / p.sigma[:, None]
+    need = ("count >= 1" if count < 1 else "finite min <= max" if not -np.inf < lo <= hi < np.inf
+            else "a span max - min within the double range" if hi - lo == np.inf
+            else "(y - mu)/sigma finite at both ends" if not np.all(np.isfinite(ends)) else "")
+    if need:
+        print(f"--y-grid needs {need}", file=sys.stderr)
+        return 2
+    grid = np.linspace(lo, hi, count)
     # one (points, grid) batch: each row's solve is independent of the rest
     curves = density_curve(TghParams(p.mu[:, None], p.sigma[:, None], p.g[:, None],
                                      p.h[:, None]), grid)

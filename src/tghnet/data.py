@@ -303,8 +303,8 @@ def standardize(dataset: Dataset) -> Dataset:
     """Shift/scale every feature by training-split statistics.
 
     The fitted transform is attached to the returned dataset and is applied
-    to all splits; a zero-variance training feature is an error naming the
-    column.  The target is left untouched.
+    to all splits; a zero or non-finite training scale (or mean) is an error
+    naming the column.  The target is left untouched.
     """
     if dataset.split is None:
         raise DataError("standardize requires split labels")
@@ -312,12 +312,12 @@ def standardize(dataset: Dataset) -> Dataset:
     if len(train_rows) == 0:
         raise DataError("standardize requires a non-empty train split")
     xt = dataset.x[train_rows]
-    mean = xt.mean(axis=0)
-    scale = xt.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        mean = xt.mean(axis=0)
+        scale = xt.std(axis=0)
     for j, s in enumerate(scale):
-        if s == 0.0:
-            raise DataError(
-                f"zero-variance feature {dataset.columns[j]!r} in the train split"
-            )
+        if s == 0.0 or not (np.isfinite(mean[j]) and np.isfinite(s)):
+            what = "zero-variance" if s == 0.0 else "non-finite mean or scale of"
+            raise DataError(f"{what} feature {dataset.columns[j]!r} in the train split")
     transform = Standardization(columns=dataset.columns, mean=mean, scale=scale)
     return replace(dataset, x=transform.apply(dataset.x), standardization=transform)

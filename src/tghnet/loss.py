@@ -7,9 +7,9 @@ The training loss drops the additive log(2*pi)/2 constant; reported
 evaluation likelihoods (tgh.log_density) keep it.  Both read log tau' from
 the same tgh kernel at the same solved residual, so by construction the
 two differ by that constant per sample, up to rounding.  Which rows have
-a finite loss is tgh.tau_inverse's rule alone, as in scoring: a row it
-cannot solve, such as a target outside tau's one-sided support where the
-link's h underflows to 0, raises its SolverError naming the row.
+a finite loss is tgh.tau_inverse's rule alone, as in scoring: a target on
+or beyond tau's one-sided support bound, where the link's h underflows to
+0, raises its SolverError naming the row before any solve starts.
 """
 
 from __future__ import annotations

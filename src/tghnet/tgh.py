@@ -12,9 +12,10 @@ strictly increasing in z with tau(0) = 0, so each root of tau(z) = z_tilde
 can be bracketed between 0 and a point on the target's side and found to
 any requested tolerance by Newton steps that fall back to bisection; there
 is no closed form.  At h = 0 the range is one-sided (1 + g*tau > 0), and
-tau_inverse alone rejects a target beyond it.  A variable mu + sigma *
-tau(Z) with Z standard normal follows the g-and-h distribution: g controls
-skewness, h tail weight, and (g, h) = (0, 0) recovers the normal.
+tau_inverse rejects a target on or beyond its bound before any bracket
+pass.  A variable mu + sigma * tau(Z) with Z standard normal follows the
+g-and-h distribution: g controls skewness, h tail weight, and (g, h) =
+(0, 0) recovers the normal.
 
 The normal quantile behind quantile and the intervals is Wichura's AS241
 (PPND16, Applied Statistics 37(3), 1988), and the normal CDF is
@@ -221,18 +222,12 @@ def _tau_parts(z, g, h):
         return ez * eh, eh
 
 
-def _row_error(message: str, bad: np.ndarray, zt, g, h) -> SolverError:
-    """SolverError naming the first row flagged in bad, and the one-sided
-    support of tau at h = 0 when that row's target lies outside it."""
+def _row_error(message: str, bad: np.ndarray, zt, g, h, reason: str = "") -> SolverError:
+    """SolverError naming the first row flagged in bad, then the reason."""
     i = np.unravel_index(np.argmax(bad), bad.shape) if bad.ndim else ()
     at = int(i[0]) if len(i) == 1 else tuple(int(k) for k in i)
-    outside = h[i] == 0 and 1.0 + g[i] * zt[i] <= 0
-    return SolverError(
-        f"{message} at sample index {at}: "
-        f"z_tilde={float(zt[i])!r}, g={float(g[i])!r}, h={float(h[i])!r}"
-        + ("; the target lies outside tau's one-sided support "
-           "1 + g*z_tilde > 0 at h = 0" if outside else "")
-    )
+    return SolverError(f"{message} at sample index {at}: z_tilde={float(zt[i])!r}, "
+                       f"g={float(g[i])!r}, h={float(h[i])!r}{reason}")
 
 
 def tau_inverse(z_tilde, p: ShapeParams | TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER):
@@ -255,10 +250,10 @@ def tau_inverse(z_tilde, p: ShapeParams | TghParams, cfg: InverseSolverConfig = 
     every representable one.  Only p.g and p.h are read, so z_hat passes
     its TghParams, whose (g, h) are already checked.
 
-    Raises SolverError naming the first row not bracketed within
-    cfg.max_bracket_doublings doublings, with the reason where h = 0 and
-    1 + g*z_tilde <= 0 (outside tau's one-sided range), or the first row
-    not stopped after cfg.max_bisection_iters iterations.
+    Raises SolverError naming a row: before any tau evaluation, the first
+    with h = 0 and 1 + g*z_tilde <= 0 (outside tau's one-sided range);
+    then the first (h > 0) not bracketed in cfg.max_bracket_doublings
+    doublings, or not stopped after cfg.max_bisection_iters iterations.
     """
     scalar = _is_scalar(z_tilde, p.g, p.h)
     zt = _validate_finite("z_tilde", z_tilde)
@@ -266,6 +261,11 @@ def tau_inverse(z_tilde, p: ShapeParams | TghParams, cfg: InverseSolverConfig = 
     h = np.asarray(p.h, dtype=float)
     zt, g, h = np.broadcast_arrays(zt, g, h)
     zt = zt.astype(float)
+    with np.errstate(over="ignore"):  # g*zt = -inf lies outside too
+        outside = (h == 0) & (1.0 + g * zt <= 0)
+    if outside.any():
+        raise _row_error("no root for inverse transform", outside, zt, g, h, "; the target "
+                         "lies outside tau's one-sided support 1 + g*z_tilde > 0 at h = 0")
 
     end = np.copysign(np.full(zt.shape, cfg.initial_half_width), zt)
     abs_zt = np.abs(zt)
@@ -276,9 +276,8 @@ def tau_inverse(z_tilde, p: ShapeParams | TghParams, cfg: InverseSolverConfig = 
         end = np.where(need, 2.0 * end, end)
         need &= np.abs(_tau_parts(end, g, h)[0]) < abs_zt
     if need.any():
-        raise _row_error(
-            "no bracket for inverse transform after "
-            f"{cfg.max_bracket_doublings} doublings", need, zt, g, h)
+        raise _row_error("no bracket for inverse transform after "
+                         f"{cfg.max_bracket_doublings} doublings", need, zt, g, h)
 
     # tau(0) = 0 and tau'(0) = 1 for every (g, h), so z = 0 costs nothing.
     z = np.zeros(zt.shape)
@@ -317,9 +316,8 @@ def tau_inverse(z_tilde, p: ShapeParams | TghParams, cfg: InverseSolverConfig = 
             # a bad Newton step, so the row bisects.
             t_p = eh + (g + h * z) * t
         else:
-            raise _row_error(
-                "inverse transform did not converge in "
-                f"{cfg.max_bisection_iters} iterations", ~done, zt, g, h)
+            raise _row_error("inverse transform did not converge in "
+                             f"{cfg.max_bisection_iters} iterations", ~done, zt, g, h)
     return _ret(z, scalar)
 
 

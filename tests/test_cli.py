@@ -1,10 +1,14 @@
 """CLI commands: golden-format stability, exit codes, artifact contents."""
 
+import contextlib
+import io
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tghnet import tgh
 from tghnet.cli import main
@@ -107,6 +111,25 @@ class TestTrain:
         code = main(["train", "--config", str(cfg), "--data", str(data),
                      "--out", str(tmp_path / "m.tghn")])
         assert code == 4
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("column", ["alternating", "uniform"])
+    def test_overflowing_feature_statistics_exit_3(self, tmp_path, capsys, column):
+        # +-1e307 features: the variance overflows (an alternating column once
+        # saved "scale": [Infinity], which evaluate rejects) or the mean does
+        rng = np.random.default_rng(0)
+        x = (np.where(np.arange(200) % 2, 1e307, -1e307) if column == "alternating"
+             else rng.uniform(-1e307, 1e307, 200))
+        data = tmp_path / "huge.csv"
+        data.write_text("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in
+                                          zip(x.tolist(), rng.normal(size=200).tolist())))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(CONFIG))
+        assert main(["train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "m.tghn")]) == 3
+        assert capsys.readouterr().err == ("data error: non-finite mean or scale of feature "
+                                           "'x' in the train split\n")
+        assert not (tmp_path / "m.tghn").exists()
 
     def test_config_error_exits_2(self, tmp_path, sim_csv):
         cfg = tmp_path / "bad.json"
@@ -394,6 +417,21 @@ class TestThreadCap:
 
 
 class TestDensity:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200)
+    @given(lo=st.floats() | st.sampled_from([-1e308, 1e308]),
+           hi=st.floats() | st.sampled_from([-1e308, 1e308]), count=st.integers(-1, 50))
+    def test_any_y_grid_exits_0_or_2(self, tmp_path_factory, trained_model, lo, hi, count):
+        # ends that are not finite, unordered, a span max - min or a
+        # (y - mu)/sigma that overflows: exit 2 naming --y-grid, never a warning
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["density", "--model", str(trained_model), "--features", "0.5",
+                         f"--y-grid={lo!r}:{hi!r}:{count}",
+                         "--out", str(tmp_path_factory.getbasetemp() / "any_grid.csv")])
+        assert code == 0 or (code == 2 and err.getvalue().startswith("--y-grid needs ")), \
+            err.getvalue()
+
     def test_four_points_emit_four_blocks(self, tmp_path, trained_model):
         out = tmp_path / "dens.csv"
         assert main(["density", "--model", str(trained_model), "--features",

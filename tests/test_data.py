@@ -327,6 +327,18 @@ class TestStandardize:
         with pytest.raises(DataError, match="'flat'"):
             standardize(ds)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("column", [
+        [-1e307, 1e307] * 4,  # mean 0, but the variance overflows
+        [1e308, 1.5e308] * 4,  # the sum, and so the mean, overflows
+    ], ids=["scale_overflows", "mean_overflows"])
+    def test_overflowing_feature_named(self, column):
+        x = np.column_stack([np.arange(len(column), dtype=float), column])
+        ds = Dataset(x, np.zeros(len(column)), ("ok", "huge"), "y")
+        ds.split = np.array(["train"] * len(column))
+        with pytest.raises(DataError, match="non-finite mean or scale of feature 'huge'"):
+            standardize(ds)
+
     def test_requires_split(self):
         ds = Dataset(np.ones((2, 1)), np.zeros(2), ("a",), "y")
         with pytest.raises(DataError, match="split"):

@@ -318,6 +318,18 @@ class TestHeadLosses:
         mean, head_grad, params = tukey_head_loss(np.array([-1.0]), raw[1:])
         assert params.h[0] == 0.0 and np.isfinite(mean) and np.all(np.isfinite(head_grad))
 
+    def test_target_on_the_h_zero_bound_raises(self):
+        # 1 + g*z_tilde == 0 exactly: tau only tends to the bound 1/|g| (it
+        # rounds onto it far out), so the target lies outside the support
+        raw = np.array([[0.0, 0.0, -0.0625, -800.0]])
+        params, _ = link(raw)
+        y = -params.sigma / params.g
+        assert params.h[0] == 0.0 and 1.0 + params.g[0] * ((y[0] - params.mu[0])
+                                                          / params.sigma[0]) == 0.0
+        with pytest.raises(SolverError, match=r"at sample index 0: .*h=0\.0; the target lies "
+                           r"outside tau's one-sided support 1 \+ g\*z_tilde > 0 at h = 0$"):
+            tukey_head_loss(y, raw)
+
     def test_h_just_above_underflow_keeps_its_value(self):
         # h = 2.1e-18 > 0: the solve brackets, and the loss is today's
         mean, _, params = tukey_head_loss(np.array([10.0]), np.array([[0.0, 0.0, -5.0, -40.0]]))

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tghnet import tgh
@@ -34,6 +34,9 @@ from tghnet.tgh import (
 )
 
 TIGHT = InverseSolverConfig(abs_tolerance=1e-15)
+
+# the end of the SolverError for a target outside tau's range at h = 0
+ONE_SIDED = r"; the target lies outside tau's one-sided support 1 \+ g\*z_tilde > 0 at h = 0$"
 
 # frozen 50-digit oracle values
 TAU_1_05_01 = 1.3639638429827424      # ((e^0.5-1)/0.5) * e^0.05
@@ -269,8 +272,29 @@ class TestTauInverse:
 
     def test_unreachable_target_raises(self):
         # for g < 0, h = 0 the transform is bounded above by 1/|g|
-        with pytest.raises(SolverError, match="bracket"):
+        with pytest.raises(SolverError, match=ONE_SIDED):
             tau_inverse(10.0, ShapeParams(-0.5, 0.0))
+
+    @pytest.mark.parametrize("call", [
+        # exactly on the bound 1/|g| = 8, which tau rounds onto at z ~ 386
+        lambda: tau_inverse(8.0, ShapeParams(-0.125, 0.0)),
+        # beyond the bound 5e5, where the |g| < SMALL_G kernel reads tau as z
+        lambda: tau_inverse(1e6, ShapeParams(-2e-6, 0.0)),
+        lambda: log_density(8.0, TghParams(0.0, 1.0, -0.125, 0.0)),
+    ], ids=["on_the_bound", "small_g_beyond_the_bound", "log_density_on_the_bound"])
+    def test_h_zero_target_on_or_beyond_the_bound_raises(self, call):
+        with pytest.raises(SolverError, match=ONE_SIDED):
+            call()
+
+    def test_outside_row_raises_before_any_tau_evaluation(self, count_calls):
+        # the h = 0 support is decided before the bracket: no doubling is spent
+        zt, h = np.linspace(-3.0, 3.0, 512), np.full(512, 0.2)
+        zt[300], h[300] = 10.0, 0.0
+        calls = count_calls(tgh, "_tau_parts")
+        with pytest.raises(SolverError, match=r"at sample index 300: z_tilde=10\.0, g=-0\.5, "
+                           r"h=0\.0" + ONE_SIDED):
+            tau_inverse(zt, ShapeParams(-0.5, h))
+        assert calls == []
 
     def test_rejects_non_finite_target(self):
         with pytest.raises(ValueError):
@@ -329,26 +353,27 @@ class TestTauInverse:
         np.testing.assert_array_equal(points[0], np.copysign(w, zt))
         assert len(points) > 1 and all(np.all(np.abs(z) < w) for z in points[1:])
 
-    @settings(max_examples=400)  # about 40 of them lie outside the h = 0 support
+    @settings(max_examples=400)
     @given(
         g=st.floats(-LinkConfig().g_max, LinkConfig().g_max),
         h=st.just(0.0) | st.floats(0.0, LinkConfig().h_max),
-        zt=st.just(0.0) | st.floats(-1e4, -8.0, exclude_max=True)
-        | st.floats(8.0, 1e4, exclude_min=True) | st.floats(-8.0, 8.0),
+        zt=st.just(0.0) | st.floats(-1e300, -8.0, exclude_max=True)
+        | st.floats(8.0, 1e300, exclude_min=True) | st.floats(-8.0, 8.0),
     )
     def test_round_trip_over_the_link_box(self, g, h, zt):
-        # |zt| <= 1e4 keeps a target outside the h = 0 support off the
-        # |g| < SMALL_G rows, whose kernel reads tau as z
         p = ShapeParams(g, h)
-        outside = h == 0.0 and 1.0 + g * zt <= 0.0
-        assume(1.0 + g * zt != 0.0)  # the h = 0 bound itself, which tau rounds onto
-        # a subnormal h > 0 may not reach a far target within the doublings
+        if h == 0.0 and 1.0 + g * zt <= 0.0:
+            with pytest.raises(SolverError, match=ONE_SIDED):
+                tau_inverse(zt, p)
+            return
+        # a subnormal h > 0, or a |g| < SMALL_G row, whose kernel reads tau
+        # as z at h = 0, may not reach a far target within the doublings
         cfg = tgh.DEFAULT_SOLVER
         far = math.copysign(cfg.initial_half_width * 2.0**cfg.max_bracket_doublings, zt)
-        if outside or abs(tau(far, p)) < abs(zt):
+        if abs(tau(far, p)) < abs(zt):
             with pytest.raises(SolverError, match="no bracket") as err:
                 tau_inverse(zt, p)
-            assert ("one-sided support" in str(err.value)) == outside
+            assert "one-sided support" not in str(err.value)
             return
         assert abs(tau(tau_inverse(zt, p), p) - zt) <= 1e-10 * max(1.0, abs(zt))
 

@@ -148,7 +148,7 @@ def cmd_train(args) -> int:
     history = train(
         net, dataset.x, dataset.y,
         dataset.rows("train"), dataset.rows("val"),
-        cfg.loss, cfg.optimizer, cfg.training, cfg.link, cfg.solver, seed=cfg.seed,
+        cfg.optimizer, cfg.training, cfg.link, cfg.solver, seed=cfg.seed,
     )
     save_model(args.out, ModelBundle(header, net))
     write_csv(
@@ -296,7 +296,7 @@ def cmd_density(args) -> int:
     grid = np.linspace(lo, hi, count)
     # one (points, grid) batch: each row's solve is independent of the rest
     curves = density_curve(TghParams(p.mu[:, None], p.sigma[:, None], p.g[:, None],
-                                     p.h[:, None]), grid)
+                                     p.h[:, None]), grid, bundle.header.solver)
     write_csv(args.out, {
         "point": np.repeat(np.arange(len(points), dtype=float), len(grid)),
         "y": np.tile(grid, len(points)),

@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 
 from .data import ByColumnSplit, FractionSplit
 from .errors import ConfigError
-from .loss import LinkConfig
+from .loss import LOSS_KINDS, LinkConfig
 from .nn.optim import AdamConfig
-from .nn.train import LOSS_KINDS, TrainConfig
+from .nn.train import TrainConfig
 from .tgh import InverseSolverConfig
 
 

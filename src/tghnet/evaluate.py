@@ -233,12 +233,13 @@ def coverage_table(u, alphas=(0.5, 0.2, 0.1, 0.05, 0.01)) -> dict[str, float]:
             for alpha in alphas}
 
 
-def density_curve(params: TghParams, y_grid) -> np.ndarray:
-    """Density values exp(log_density) on a sorted target grid."""
+def density_curve(params: TghParams, y_grid,
+                  cfg: InverseSolverConfig = DEFAULT_SOLVER) -> np.ndarray:
+    """Density values exp(log_density) on a sorted target grid, solved with cfg."""
     y_grid = np.asarray(y_grid, dtype=float)
     if np.any(np.diff(y_grid) < 0):
         raise ValueError("y_grid must be sorted ascending")
-    return np.exp(np.asarray(tgh.log_density(y_grid, params)))
+    return np.exp(np.asarray(tgh.log_density(y_grid, params, cfg)))
 
 
 def binned_residual_summary(feature, u, n_bins: int = 10):

@@ -1,7 +1,8 @@
-"""Training losses: the link that maps a raw 4- or 2-wide network head onto
-g-and-h parameters (the Gaussian model is g = h = 0), the Gaussian baseline
-loss, and the two head losses, which share one signature; the g-and-h one
-is built on the exact NLL and gradient in tgh.nll_and_grad.
+"""Training losses: the link that maps a raw network head, as wide as its
+loss kind (LOSS_KINDS), onto g-and-h parameters (the Gaussian model is
+g = h = 0), the Gaussian baseline loss, and the two head losses, which
+share one signature and one body; the g-and-h one is built on the exact
+NLL and gradient in tgh.nll_and_grad.
 
 The training loss drops the additive log(2*pi)/2 constant; reported
 evaluation likelihoods (tgh.log_density) keep it.  Both read log tau' from
@@ -22,6 +23,7 @@ from .errors import NumericalError
 from .tgh import DEFAULT_SOLVER, InverseSolverConfig, LossValueAndGrad, TghParams, nll_and_grad
 
 __all__ = [
+    "LOSS_KINDS",
     "LinkConfig",
     "link",
     "gaussian_nll_and_grad",
@@ -54,6 +56,10 @@ class LinkConfig:
 
 DEFAULT_LINK = LinkConfig()
 
+# each loss kind and the width of the raw head it reads; link tells the two
+# apart by that width alone
+LOSS_KINDS = {"tukey": 4, "gaussian": 2}
+
 
 def _softplus(x):
     return np.logaddexp(0.0, x)
@@ -76,7 +82,7 @@ def link(raw, cfg: LinkConfig = DEFAULT_LINK, rows=None):
     rows[i] when the caller labels the rows.
     """
     raw = np.asarray(raw, dtype=float)
-    if raw.ndim == 0 or raw.shape[-1] not in (2, 4):
+    if raw.ndim == 0 or raw.shape[-1] not in LOSS_KINDS.values():
         raise ValueError("raw head must have 2 or 4 components")
     finite = np.isfinite(raw)
     if not finite.all():
@@ -86,7 +92,7 @@ def link(raw, cfg: LinkConfig = DEFAULT_LINK, rows=None):
     mu = raw[..., 0]
     sigma = _softplus(raw[..., 1]) + cfg.sigma_floor
     derivs = [np.ones_like(mu), _expit(raw[..., 1])]
-    if raw.shape[-1] == 2:
+    if raw.shape[-1] == LOSS_KINDS["gaussian"]:
         g = h = np.zeros_like(mu)
     else:
         tg = np.tanh(raw[..., 2])
@@ -120,32 +126,32 @@ def gaussian_nll_and_grad(y, mu, sigma):
     return LossValueAndGrad(value, grad)
 
 
-def tukey_head_loss(y, raw, link_cfg: LinkConfig = DEFAULT_LINK,
-                    solver_cfg: InverseSolverConfig = DEFAULT_SOLVER):
-    """Mean g-and-h loss of a raw (n, 4) head, d(mean)/d(raw), and the
-    linked parameters.
-
-    This is the node the network backward pass consumes: the per-sample
-    parameter gradients of one vectorized nll_and_grad are pulled through
-    the diagonal link derivatives and scaled by 1/n.  The mean (rather
-    than the sum) keeps the learning rate invariant to the batch size.
-    """
+def _batch_mean(y, raw, link_cfg: LinkConfig, per_sample):
+    """The body of both head losses: link the raw head, check y against it,
+    and pull per_sample(y, params)'s per-sample gradients through the
+    diagonal link derivatives, scaled by 1/n.  The mean (rather than the
+    sum) keeps the learning rate invariant to the batch size."""
     params, derivs = link(raw, link_cfg)
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError("y must be one-dimensional")
     if params.mu.ndim == 1 and len(params.mu) != len(y):
         raise ValueError(f"length mismatch: {len(y)} targets vs {len(params.mu)} parameter rows")
-    out = nll_and_grad(y, params, solver_cfg)
+    out = per_sample(y, params)
     values = np.asarray(out.value)
     return float(np.mean(values)), out.grad * derivs / len(values), params
+
+
+def tukey_head_loss(y, raw, link_cfg: LinkConfig = DEFAULT_LINK,
+                    solver_cfg: InverseSolverConfig = DEFAULT_SOLVER):
+    """Mean g-and-h loss of a raw (n, 4) head, d(mean)/d(raw), and the
+    linked parameters, from one vectorized nll_and_grad: the node the
+    network backward pass consumes."""
+    return _batch_mean(y, raw, link_cfg, lambda y, p: nll_and_grad(y, p, solver_cfg))
 
 
 def gaussian_head_loss(y, raw, link_cfg: LinkConfig = DEFAULT_LINK,
                        solver_cfg: InverseSolverConfig = DEFAULT_SOLVER):
-    """Mean Gaussian loss of a raw (n, 2) head, with tukey_head_loss's
-    signature and returns; g = h = 0 needs no solve, so solver_cfg is unused."""
-    params, derivs = link(raw, link_cfg)
-    out = gaussian_nll_and_grad(y, params.mu, params.sigma)
-    values = np.asarray(out.value)
-    return float(np.mean(values)), out.grad * derivs / len(values), params
+    """Mean Gaussian loss of a raw (n, 2) head, as tukey_head_loss; g = h = 0
+    needs no solve, so solver_cfg is unused."""
+    return _batch_mean(y, raw, link_cfg, lambda y, p: gaussian_nll_and_grad(y, p.mu, p.sigma))

@@ -29,10 +29,9 @@ import numpy as np
 
 from ..data import ByColumnSplit, FractionSplit, Standardization, write_json
 from ..errors import ConfigError, DataError
-from ..loss import LinkConfig, link
+from ..loss import LOSS_KINDS, LinkConfig, link
 from ..tgh import InverseSolverConfig, TghParams
 from .network import EVAL_CHUNK, Network, NetworkSpec
-from .train import LOSS_KINDS
 
 MAGIC = b"TGHN"
 FORMAT_VERSION = 1

@@ -1,4 +1,5 @@
-"""Mini-batch training loop for the g-and-h and Gaussian heads.
+"""Mini-batch training loop for the g-and-h and Gaussian heads; the
+network's head width picks the head loss (loss.LOSS_KINDS).
 
 Shuffling is driven by a single seeded generator so a fixed seed gives a
 bitwise-identical run.  Validation uses eval-mode batch norm; the
@@ -12,18 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NumericalError
-from ..loss import (
-    DEFAULT_LINK,
-    LinkConfig,
-    gaussian_head_loss,
-    tukey_head_loss,
-)
+from ..loss import DEFAULT_LINK, LOSS_KINDS, LinkConfig, gaussian_head_loss, tukey_head_loss
 from ..tgh import DEFAULT_SOLVER, InverseSolverConfig
 from .network import EVAL_CHUNK, Network
 from .optim import Adam, AdamConfig, effective_lr
-
-# each loss kind and the number of head outputs it reads
-LOSS_KINDS = {"tukey": 4, "gaussian": 2}
 
 
 @dataclass(frozen=True)
@@ -55,20 +48,19 @@ class TrainHistory:
         return len(self.epoch)
 
 
-def _head_loss(kind: str):
-    """The head loss for a loss kind, looked up in this module when called so
-    that a wrapper installed here on either head loss sees every call."""
-    if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}")
-    return tukey_head_loss if kind == "tukey" else gaussian_head_loss
+def _head_loss(net: Network):
+    """The head loss for net's head width, looked up in this module when
+    called so that a wrapper installed here on either head loss sees every
+    call.  A width no loss reads fails in loss.link on the first batch."""
+    return tukey_head_loss if net.spec.head_dim == LOSS_KINDS["tukey"] else gaussian_head_loss
 
 
-def evaluate_mean_loss(net: Network, x: np.ndarray, y: np.ndarray, kind: str,
+def evaluate_mean_loss(net: Network, x: np.ndarray, y: np.ndarray,
                        link_cfg: LinkConfig = DEFAULT_LINK,
                        solver_cfg: InverseSolverConfig = DEFAULT_SOLVER) -> float:
-    """Mean head loss over a dataset with eval-mode batch norm, EVAL_CHUNK
-    rows at a time."""
-    head_loss = _head_loss(kind)
+    """Mean loss of net's head over a dataset with eval-mode batch norm,
+    EVAL_CHUNK rows at a time."""
+    head_loss = _head_loss(net)
     total = 0.0
     n = len(y)
     for start in range(0, n, EVAL_CHUNK):
@@ -80,19 +72,19 @@ def evaluate_mean_loss(net: Network, x: np.ndarray, y: np.ndarray, kind: str,
 
 
 def train(net: Network, x: np.ndarray, y: np.ndarray,
-          train_idx: np.ndarray, val_idx: np.ndarray, kind: str,
+          train_idx: np.ndarray, val_idx: np.ndarray,
           adam_cfg: AdamConfig, train_cfg: TrainConfig,
           link_cfg: LinkConfig = DEFAULT_LINK,
           solver_cfg: InverseSolverConfig = DEFAULT_SOLVER, seed: int = 0) -> TrainHistory:
-    """Train the network in place, shuffling the training rows with a
-    generator seeded by seed; returns the per-epoch history.
+    """Train the network in place under its head width's loss, shuffling the
+    training rows with a generator seeded by seed; returns the history.
 
     After the last epoch the network is reset to the parameters (and
     batch-norm running statistics) of the epoch with the lowest
     validation loss.  Raises NumericalError with epoch/batch context if a
     batch loss turns non-finite.
     """
-    head_loss = _head_loss(kind)
+    head_loss = _head_loss(net)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(train_idx) == 0 or len(val_idx) == 0:
@@ -124,7 +116,7 @@ def train(net: Network, x: np.ndarray, y: np.ndarray,
             epoch_sum += mean * len(rows)
         train_loss = epoch_sum / len(train_idx)
         val_loss = evaluate_mean_loss(
-            net, x[val_idx], y[val_idx], kind, link_cfg, solver_cfg
+            net, x[val_idx], y[val_idx], link_cfg, solver_cfg
         )
         if not np.isfinite(val_loss):
             raise NumericalError(f"non-finite validation loss at epoch {epoch}")

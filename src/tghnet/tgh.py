@@ -222,11 +222,12 @@ def _tau_parts(z, g, h):
         return ez * eh, eh
 
 
-def _row_error(message: str, bad: np.ndarray, zt, g, h, reason: str = "") -> SolverError:
-    """SolverError naming the first row flagged in bad, then the reason."""
-    i = np.unravel_index(np.argmax(bad), bad.shape) if bad.ndim else ()
-    at = int(i[0]) if len(i) == 1 else tuple(int(k) for k in i)
-    return SolverError(f"{message} at sample index {at}: z_tilde={float(zt[i])!r}, "
+def _row_error(message: str, bad, zt, g, h, reason: str = "") -> SolverError:
+    """SolverError naming bad's first flagged row (none when 0-d), its values and the reason."""
+    bad, zt, g, h = np.broadcast_arrays(bad, zt, g, h)
+    i = np.unravel_index(np.argmax(bad), bad.shape)
+    at = f" at sample index {int(i[0]) if len(i) == 1 else tuple(map(int, i))}" if i else ""
+    return SolverError(f"{message}{at}: z_tilde={float(zt[i])!r}, "
                        f"g={float(g[i])!r}, h={float(h[i])!r}{reason}")
 
 
@@ -323,11 +324,15 @@ def tau_inverse(z_tilde, p: ShapeParams | TghParams, cfg: InverseSolverConfig = 
 
 def z_hat(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER):
     """Solved residual tau^{-1}((y - mu)/sigma), standard normal under a
-    correct model: the one solve behind every likelihood and residual."""
+    correct model: the one solve behind every likelihood and residual.  An
+    overflowing (y - mu)/sigma raises SolverError naming its row."""
     y = _validate_finite("y", y)
-    mu = np.asarray(params.mu, dtype=float)
-    sigma = np.asarray(params.sigma, dtype=float)
-    return tau_inverse((y - mu) / sigma, params, cfg)
+    with np.errstate(over="ignore"):
+        zt = (y - params.mu) / params.sigma
+    if not np.all(np.isfinite(zt)):
+        raise _row_error("no finite target for inverse transform", ~np.isfinite(zt), zt,
+                         params.g, params.h, "; (y - mu)/sigma overflows the double range")
+    return tau_inverse(zt, params, cfg)
 
 
 def log_density(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER):

@@ -1,6 +1,7 @@
 """CLI commands: golden-format stability, exit codes, artifact contents."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -342,6 +343,17 @@ def h_zero_model(tmp_path_factory, trained_model):
     return path
 
 
+@pytest.fixture(scope="module")
+def two_iteration_model(tmp_path_factory, trained_model):
+    """The trained model with a header solver capped at 2 iterations."""
+    bundle = load_model(trained_model)
+    solver = dataclasses.replace(bundle.header.solver, max_bisection_iters=2)
+    path = tmp_path_factory.mktemp("iters") / "iters.tghn"
+    save_model(path, dataclasses.replace(bundle, header=dataclasses.replace(bundle.header,
+                                                                            solver=solver)))
+    return path
+
+
 class TestExitCodes:
     """Bad inputs, outputs and arguments exit 2 (usage or output), 3 (data)
     or 4 (numerical) with one stderr line that names them; never 1."""
@@ -385,6 +397,30 @@ class TestExitCodes:
         assert re.fullmatch(r"numerical failure: .* at sample index (\d+|\(\d+, \d+\)): "
                             r".*, h=0\.0; the target lies outside tau's one-sided support "
                             r"1 \+ g\*z_tilde > 0 at h = 0\n", err), err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_standardized_target_exits_4(self, tmp_path, capsys, trained_model):
+        # sigma ~ 0.8 at x = 0.5, so (y - mu)/sigma exceeds the double range
+        huge = tmp_path / "huge_y.csv"
+        huge.write_text("x,y\n" + "0.5,1.7e308\n" * 20)
+        assert main(["evaluate", "--model", str(trained_model), "--data", str(huge),
+                     "--split", "val", "--out", str(tmp_path / "e")]) == 4
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"numerical failure: .* at sample index \d+: z_tilde=inf, .*; "
+                            r"\(y - mu\)/sigma overflows the double range\n", err), err
+
+    # density solves with the model's own solver settings, as evaluate does
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--data", "{sim}", "--split", "val", "--out", "{tmp}/e"],
+        ["density", "--features", "0.5", "--y-grid=-1:1:5", "--out", "{tmp}/d.csv"],
+    ], ids=["evaluate", "density"])
+    def test_header_solver_settings_apply(self, tmp_path, capsys, two_iteration_model, sim_csv,
+                                          argv):
+        fill = dict(sim=sim_csv, tmp=tmp_path)
+        assert main([argv[0], "--model", str(two_iteration_model),
+                     *(a.format(**fill) for a in argv[1:])]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "did not converge in 2 iterations" in err, err
 
     def test_targets_inside_support_score(self, tmp_path, h_zero_model):
         assert main(["density", "--model", str(h_zero_model), "--features", "0.5",

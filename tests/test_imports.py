@@ -79,13 +79,15 @@ def test_perfbench_tracer_wraps_names_that_exist(tmp_path):
     # fails here rather than inside the benchmark, and perfbench/ gets no
     # bytecode cache
     child = PACKAGE.parents[1] / "perfbench" / "child.py"
-    (tmp_path / "cfg.json").write_text(json.dumps(
-        {"loss": "tukey", "data": {"target": "y", "features": ["x"]},
-         "network": {"hidden": [8]}, "training": {"epochs": 1, "batch_size": 64},
-         "split": {"rule": "fraction", "fraction": 0.8, "seed": 0}}))
+    for loss in ("tukey", "gaussian"):
+        (tmp_path / f"{loss}.json").write_text(json.dumps(
+            {"loss": loss, "data": {"target": "y", "features": ["x"]},
+             "network": {"hidden": [8]}, "training": {"epochs": 1, "batch_size": 64},
+             "split": {"rule": "fraction", "fraction": 0.8, "seed": 0}}))
     commands = [
         "simulate --design gandh --n 200 --out sim.csv",
-        "train --config cfg.json --data sim.csv --out model.tghn",
+        "train --config gaussian.json --data sim.csv --out gaussian.tghn",
+        "train --config tukey.json --data sim.csv --out model.tghn",
         "evaluate --model model.tghn --data sim.csv --split val --out report",
         "intervals --model model.tghn --data sim.csv --split val --out iv.csv",
         "density --model model.tghn --features 0.5 --y-grid=-3:3:11 --out curves.csv",
@@ -99,7 +101,8 @@ def test_perfbench_tracer_wraps_names_that_exist(tmp_path):
                                 env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
         assert result.returncode == 0, (command, result.stderr)
         names |= {span[0] for span in json.loads(spans.read_text())["spans"]}
-    assert {"tgh.tau_inverse", "loss.tukey_head_loss", "evaluate.residuals"} <= names
+    assert {"tgh.tau_inverse", "loss.tukey_head_loss", "loss.gaussian_head_loss",
+            "nn.train.evaluate_mean_loss", "evaluate.residuals"} <= names
 
 
 def test_small_g_is_read_only_by_the_two_kernels():

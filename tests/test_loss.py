@@ -2,6 +2,7 @@
 reduction, batch semantics, and the one-solve-per-evaluation contract."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -346,6 +347,15 @@ class TestHeadLosses:
         assert mean == pytest.approx(np.mean(tk.value), rel=1e-12)
         want = tk.grad[:, :2] * link(raw)[1] / len(y)
         np.testing.assert_allclose(head_grad, want, rtol=1e-9, atol=1e-15)
+
+    @pytest.mark.parametrize("y", [np.zeros((2, 1)), np.array([0.5])],
+                             ids=["two_dimensional_y", "one_target_for_two_rows"])
+    def test_gaussian_head_checks_targets_as_the_tukey_head(self, y):
+        # one body checks y for both heads: no silent broadcast over the rows
+        with pytest.raises(ValueError) as tukey:
+            tukey_head_loss(y, np.zeros((2, 4)))
+        with pytest.raises(ValueError, match=re.escape(str(tukey.value))):
+            gaussian_head_loss(y, np.zeros((2, 2)))
 
     def test_gaussian_head_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(22)

@@ -315,7 +315,7 @@ class TestTrain:
         x, y, tr, va = _toy_data(200)
         net = Network(dense_spec(1, [8], head_dim=2), seed=0)
         before = [p.copy() for p in net.parameters()]
-        hist = train(net, x, y, tr, va, "gaussian", AdamConfig(), TrainConfig(epochs=0))
+        hist = train(net, x, y, tr, va, AdamConfig(), TrainConfig(epochs=0))
         assert len(hist) == 0
         for p, b in zip(net.parameters(), before):
             np.testing.assert_array_equal(p, b)
@@ -326,7 +326,7 @@ class TestTrain:
         for _ in range(2):
             net = Network(dense_spec(1, [8, 8], head_dim=2), seed=3)
             hist = train(
-                net, x, y, tr, va, "gaussian",
+                net, x, y, tr, va,
                 AdamConfig(lr=1e-3), TrainConfig(epochs=3, batch_size=64), seed=5,
             )
             results.append((
@@ -344,7 +344,7 @@ class TestTrain:
         x, y, tr, va = _toy_data(4000, sigma=sigma)
         net = Network(dense_spec(1, [16, 16], head_dim=2), seed=0)
         hist = train(
-            net, x, y, tr, va, "gaussian",
+            net, x, y, tr, va,
             AdamConfig(lr=5e-3, lr_drop_epochs=(30,)),
             TrainConfig(epochs=40, batch_size=256), seed=4,
         )
@@ -355,10 +355,10 @@ class TestTrain:
         x, y, tr, va = _toy_data(500)
         net = Network(dense_spec(1, [8], head_dim=2), seed=1)
         hist = train(
-            net, x, y, tr, va, "gaussian",
+            net, x, y, tr, va,
             AdamConfig(lr=1e-2), TrainConfig(epochs=5, batch_size=64), seed=2,
         )
-        restored = evaluate_mean_loss(net, x[va], y[va], "gaussian")
+        restored = evaluate_mean_loss(net, x[va], y[va])
         assert restored == pytest.approx(min(hist.val_loss), rel=1e-12)
         assert hist.best_epoch == int(np.argmin(hist.val_loss))
 
@@ -367,7 +367,7 @@ class TestTrain:
         y = np.full(8, 1e300)  # squared residual overflows
         net = Network(dense_spec(1, [4], head_dim=2, batch_norm=False), seed=0)
         with pytest.raises(NumericalError, match="epoch 0"):
-            train(net, x, y, np.arange(6), np.arange(6, 8), "gaussian",
+            train(net, x, y, np.arange(6), np.arange(6, 8),
                   AdamConfig(), TrainConfig(epochs=1, batch_size=4))
 
     @pytest.mark.parametrize("kind, head_dim", [("tukey", 4), ("gaussian", 2)])
@@ -383,16 +383,21 @@ class TestTrain:
                                 lambda y, *a, f=inner, s=seen: s.append(len(y)) or f(y, *a))
         x, y, _, _ = _toy_data(100 + EVAL_CHUNK + 5)
         net = Network(dense_spec(1, [4], head_dim=head_dim), seed=0)
-        train(net, x, y, np.arange(100), np.arange(100, len(y)), kind,
+        train(net, x, y, np.arange(100), np.arange(100, len(y)),
               AdamConfig(), TrainConfig(epochs=2, batch_size=32))
         assert rows.pop(f"{kind}_head_loss") == [32, 32, 32, 4, EVAL_CHUNK, 5] * 2
         assert rows.popitem()[1] == []
 
-    def test_unknown_loss_kind(self):
+    def test_head_width_no_loss_reads(self):
+        # the head width picks the loss, so a 3-wide head fails in the link
+        # on the first batch, before Adam moves a parameter (no batch norm,
+        # so the state is the parameters alone)
         x, y, tr, va = _toy_data(100)
-        net = Network(dense_spec(1, [4], head_dim=2), seed=0)
-        with pytest.raises(ValueError, match="loss kind"):
-            train(net, x, y, tr, va, "poisson", AdamConfig(), TrainConfig(epochs=1))
+        net = Network(dense_spec(1, [4], head_dim=3, batch_norm=False), seed=0)
+        before = net.state.copy()
+        with pytest.raises(ValueError, match="raw head must have 2 or 4 components"):
+            train(net, x, y, tr, va, AdamConfig(), TrainConfig(epochs=1))
+        assert net.state.tobytes() == before.tobytes()
 
 
 class TestGradientClipping:
@@ -412,7 +417,7 @@ class TestGradientClipping:
 
         monkeypatch.setattr(Network, "backward", spy_backward)
         monkeypatch.setattr(Adam, "step", lambda self, p, grad, epoch: stepped.append(grad.copy()))
-        train(net, x, y, tr, va, "gaussian", AdamConfig(),
+        train(net, x, y, tr, va, AdamConfig(),
               TrainConfig(epochs=1, batch_size=64, clip_norm=clip_norm))
         assert len(raw) == len(stepped) == 4
         return raw, stepped
@@ -573,7 +578,7 @@ class TestChunkedEvalForward:
         net = Network(dense_spec(1, [8], head_dim=4), seed=1)
         raw = net.forward(x, train=False)
         whole, _, _ = tukey_head_loss(y, raw)
-        assert evaluate_mean_loss(net, x, y, "tukey") == pytest.approx(whole, rel=1e-12)
+        assert evaluate_mean_loss(net, x, y) == pytest.approx(whole, rel=1e-12)
 
     def test_predict_params_memory_is_its_output(self):
         net = Network(dense_spec(1, [64, 64, 64, 64], head_dim=4), seed=0)

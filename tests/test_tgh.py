@@ -296,9 +296,25 @@ class TestTauInverse:
             tau_inverse(zt, ShapeParams(-0.5, h))
         assert calls == []
 
+    def test_scalar_solve_names_no_row(self):
+        with pytest.raises(SolverError, match=r"^no root for inverse transform: z_tilde=10\.0, "
+                           r"g=-0\.5, h=0\.0" + ONE_SIDED):
+            tau_inverse(10.0, ShapeParams(-0.5, 0.0))
+
     def test_rejects_non_finite_target(self):
         with pytest.raises(ValueError):
             tau_inverse(math.inf, ShapeParams(0.0, 0.0))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_z_hat_overflow_names_the_row(self, count_calls):
+        # a finite target whose (y - mu)/sigma exceeds the double range fails
+        # before the solve, without a numpy warning
+        solves = count_calls(tgh, "tau_inverse")
+        params = TghParams(np.zeros(3), np.array([1.0, 0.8, 1.0]), 0.1, 0.2)
+        with pytest.raises(SolverError, match=r"at sample index 1: z_tilde=inf, g=0\.1, "
+                           r"h=0\.2; \(y - mu\)/sigma overflows the double range$"):
+            tgh.z_hat(np.array([0.5, 1.7e308, -1.7e308]), params)
+        assert solves == []
 
     def test_solve_counter_increments(self, count_calls):
         # a vectorised log_density over many rows is a single solve

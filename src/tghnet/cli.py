@@ -122,7 +122,7 @@ def cmd_train(args) -> int:
 
     from .config import load_config
     from .data import load_csv, standardize, write_csv
-    from .nn import ModelBundle, Network, dense_spec, save_model, train
+    from .nn import ModelBundle, Network, save_model, train
     from .nn.persist import DataColumns, ModelHeader
 
     cfg = load_config(args.config)
@@ -135,16 +135,12 @@ def cmd_train(args) -> int:
     if data.standardize:
         dataset = standardize(dataset)
 
-    spec = dense_spec(
-        len(data.features), list(cfg.network.hidden), cfg.head_dim,
-        late_features=len(data.late_columns), batch_norm=cfg.network.batch_norm,
-    )
     header = ModelHeader(
-        cfg.loss, spec, cfg.link, cfg.solver,
+        cfg.loss, cfg.network, cfg.link, cfg.solver,
         DataColumns(ordered, data.late_columns, data.target, dataset.standardization),
         cfg.split,
     )
-    net = Network(header.network, seed=cfg.seed)
+    net = Network(header.spec, seed=cfg.seed)
     history = train(
         net, dataset.x, dataset.y,
         dataset.rows("train"), dataset.rows("val"),

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from .data import ByColumnSplit, FractionSplit
 from .errors import ConfigError
 from .loss import LOSS_KINDS, LinkConfig
+from .nn.network import NetworkConfig
 from .nn.optim import AdamConfig
 from .nn.train import TrainConfig
 from .tgh import InverseSolverConfig
@@ -55,18 +56,6 @@ class DataConfig:
 
 
 @dataclass(frozen=True)
-class NetworkConfig:
-    """The "network" section: hidden-layer widths and batch norm."""
-
-    hidden: tuple[int, ...]
-    batch_norm: bool = True
-
-    def __post_init__(self):
-        if not self.hidden or min(self.hidden) < 1:
-            raise ValueError("hidden: expected a non-empty list of ints >= 1")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     loss: str
     data: DataConfig
@@ -81,10 +70,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.loss not in LOSS_KINDS:
             raise ValueError(f"loss: expected 'tukey' or 'gaussian', got {self.loss!r}")
-
-    @property
-    def head_dim(self) -> int:
-        return LOSS_KINDS[self.loss]
 
 
 _JSON_TYPE = {bool: "true or false", int: "an integer", float: "a finite number",

@@ -1,15 +1,14 @@
 """Minimal dense network with reverse-mode gradients, Adam, and persistence."""
 
-from .network import LayerSpec, NetworkSpec, Network, dense_spec
+from .network import NetworkConfig, NetworkSpec, Network
 from .optim import AdamConfig, Adam, effective_lr
 from .train import TrainConfig, TrainHistory, train
 from .persist import ModelBundle, save_model, load_model
 
 __all__ = [
-    "LayerSpec",
+    "NetworkConfig",
     "NetworkSpec",
     "Network",
-    "dense_spec",
     "AdamConfig",
     "Adam",
     "effective_lr",

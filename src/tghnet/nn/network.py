@@ -1,10 +1,12 @@
 """Dense feed-forward network: linear layers, ReLU, batch normalization,
 and late-feature injection, with hand-written reverse-mode gradients.
 
-The input matrix carries the base features first and the late-injected
-columns last; late columns bypass the early layers and are concatenated to
-the activations feeding the penultimate layer.  The final (head) layer is
-always linear with no batch norm.
+A NetworkSpec is the whole shape: every hidden layer is linear, then
+batch norm when the spec asks for it, then ReLU; the head is linear.  The
+input matrix carries the base features first and the late-injected columns
+last; late columns bypass the early layers and join the input of the last
+hidden layer.  NetworkConfig is the "network" object of a config and of a
+model header; persist.ModelHeader.spec turns it into a NetworkSpec.
 """
 
 from __future__ import annotations
@@ -14,114 +16,69 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ACTIVATIONS = ("relu", "identity")
-
 # Rows per eval-mode forward when scoring or validating: a chunk's
 # activations stay in cache, and memory does not grow with the row count.
 EVAL_CHUNK = 1024
 
 
 @dataclass(frozen=True)
-class LayerSpec:
-    in_dim: int
-    out_dim: int
-    activation: str = "relu"
-    batch_norm: bool = False
+class NetworkConfig:
+    """The "network" object: hidden-layer widths and batch norm."""
+
+    hidden: tuple[int, ...]
+    batch_norm: bool = True
 
     def __post_init__(self):
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise ValueError(f"in_dim, out_dim: expected >= 1, got {self.in_dim}, {self.out_dim}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation: expected one of {ACTIVATIONS}, got {self.activation!r}")
+        if not self.hidden or min(self.hidden) < 1:
+            raise ValueError("hidden: expected a non-empty list of ints >= 1")
 
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Ordered layer specs plus the late-injection column count.
+    """input_dim columns, the last late_features of them injected late, the
+    hidden widths, batch norm on every hidden layer or none, and a linear
+    head of head_dim outputs."""
 
-    ``late_features`` input columns skip the early layers and are
-    concatenated immediately before the penultimate layer, whose in_dim
-    must account for them.  The head (last layer) must be identity with
-    no batch norm and out_dim equal to head_dim.
-    """
-
-    layers: tuple[LayerSpec, ...]
+    input_dim: int
+    hidden: tuple[int, ...]
+    head_dim: int
     late_features: int = 0
-    head_dim: int = 4
+    batch_norm: bool = True
 
     def __post_init__(self):
-        if not self.layers:
-            raise ValueError("layers: expected at least one layer")
         if self.late_features < 0:
             raise ValueError(f"late_features: expected >= 0, got {self.late_features}")
-        if self.late_features > 0 and len(self.layers) < 2:
-            raise ValueError("late_features: late injection needs at least two layers")
-        head = self.layers[-1]
-        if head.activation != "identity" or head.batch_norm:
-            raise ValueError("layers: the head layer must be identity without batch norm")
-        if head.out_dim != self.head_dim:
-            raise ValueError(f"head_dim: {self.head_dim} != head out_dim {head.out_dim}")
-        penult = len(self.layers) - 2
-        for i in range(1, len(self.layers)):
-            expected = self.layers[i - 1].out_dim
-            if i == penult:
-                expected += self.late_features
-            if self.layers[i].in_dim != expected:
-                raise ValueError(
-                    f"layers: layer {i} expects in_dim {expected}, got {self.layers[i].in_dim}"
-                )
+        if self.late_features > 0 and not self.hidden:
+            raise ValueError("late_features: late injection needs a hidden layer")
+        if min(self.base_features, self.head_dim, *self.hidden) < 1:
+            raise ValueError(f"layers: expected widths >= 1, got {self.layer_dims()}")
+
+    @property
+    def base_features(self) -> int:
+        return self.input_dim - self.late_features
+
+    def layer_dims(self) -> list[tuple[int, int]]:
+        """(in_dim, out_dim) of each linear layer, the head last."""
+        ins = [self.base_features, *self.hidden]
+        if self.late_features > 0:
+            ins[-2] += self.late_features
+        return list(zip(ins, [*self.hidden, self.head_dim]))
 
     def state_shapes(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
         """Shapes of the arrays in a Network's state, in its model-file order:
         the parameters, then the batch-norm running statistics."""
         shapes, stats = [], []
-        for layer in self.layers:
-            shapes += [(layer.in_dim, layer.out_dim), (layer.out_dim,)]
-            if layer.batch_norm:
-                shapes += [(layer.out_dim,)] * 2
-                stats += [(layer.out_dim,)] * 2
+        for i, (n_in, n_out) in enumerate(self.layer_dims()):
+            shapes += [(n_in, n_out), (n_out,)]
+            if self.batch_norm and i < len(self.hidden):
+                shapes += [(n_out,)] * 2
+                stats += [(n_out,)] * 2
         return shapes, stats
 
     @property
     def state_size(self) -> int:
         """Length of the state vector, known before any array is allocated."""
         return sum(math.prod(s) for part in self.state_shapes() for s in part)
-
-    @property
-    def base_features(self) -> int:
-        first = self.layers[0].in_dim
-        if len(self.layers) >= 2 and len(self.layers) - 2 == 0:
-            first -= self.late_features
-        return first
-
-    @property
-    def input_dim(self) -> int:
-        return self.base_features + self.late_features
-
-
-def dense_spec(in_features: int, hidden: list[int] | tuple[int, ...], head_dim: int,
-               late_features: int = 0, batch_norm: bool = True) -> NetworkSpec:
-    """Build the spec for a fully connected ReLU stack with a linear head."""
-    base = in_features - late_features
-    if base < 1:
-        raise ValueError("at least one base (non-late) feature is required")
-    dims = [base] + list(hidden) + [head_dim]
-    n_layers = len(dims) - 1
-    layers = []
-    for i in range(n_layers):
-        in_dim = dims[i]
-        if i == n_layers - 2:
-            in_dim += late_features
-        is_head = i == n_layers - 1
-        layers.append(
-            LayerSpec(
-                in_dim=in_dim,
-                out_dim=dims[i + 1],
-                activation="identity" if is_head else "relu",
-                batch_norm=batch_norm and not is_head,
-            )
-        )
-    return NetworkSpec(tuple(layers), late_features=late_features, head_dim=head_dim)
 
 
 class BatchNorm:
@@ -239,12 +196,12 @@ class Network:
         rng = np.random.default_rng(seed)
         self.linears: list[Linear] = []
         self.norms: list[BatchNorm | None] = []
-        for layer in spec.layers:
+        n_hidden = len(spec.hidden)
+        for i, (_, n_out) in enumerate(spec.layer_dims()):
             self.linears.append(Linear(next(p), next(p), next(g), next(g), rng))
-            self.norms.append(BatchNorm(
-                layer.out_dim, arrays=tuple(next(it) for it in (p, p, s, s, g, g)))
-                if layer.batch_norm else None)
-        self._relu_masks: list[np.ndarray | None] = [None] * len(spec.layers)
+            self.norms.append(BatchNorm(n_out, arrays=tuple(next(it) for it in (p, p, s, s, g, g)))
+                              if spec.batch_norm and i < n_hidden else None)
+        self._relu_masks: list[np.ndarray | None] = [None] * n_hidden
         self._trained_forward = False
 
     def parameters(self) -> list[np.ndarray]:
@@ -257,27 +214,20 @@ class Network:
             raise ValueError(
                 f"expected input of shape (n, {self.spec.input_dim}), got {x.shape}"
             )
-        late = self.spec.late_features
-        base = self.spec.base_features
+        late, base = self.spec.late_features, self.spec.base_features
         h = x[:, :base]
-        x_late = x[:, base:]
-        penult = len(self.spec.layers) - 2
-        for i, layer in enumerate(self.spec.layers):
-            if i == penult and late > 0:
-                h = np.concatenate([h, x_late], axis=1)
+        last = len(self.spec.hidden) - 1
+        for i in range(last + 1):
+            if i == last and late > 0:
+                h = np.concatenate([h, x[:, base:]], axis=1)
             z = self.linears[i].forward(h, cache=train)
-            bn = self.norms[i]
-            if bn is not None:
-                z = bn.forward(z, train=train)
-            if layer.activation == "relu":
-                mask = z > 0
-                h = np.multiply(z, mask, out=z)  # z is this forward's own array
-                self._relu_masks[i] = mask if train else None
-            else:
-                h = z
-                self._relu_masks[i] = None
+            if self.norms[i] is not None:
+                z = self.norms[i].forward(z, train=train)
+            mask = z > 0
+            h = np.multiply(z, mask, out=z)  # z is this forward's own array
+            self._relu_masks[i] = mask if train else None
         self._trained_forward = train
-        return h
+        return self.linears[-1].forward(h, cache=train)
 
     def backward(self, head_grad: np.ndarray) -> list[np.ndarray]:
         """Fill grad with the gradient of every parameter given d(loss)/d(head).
@@ -287,14 +237,13 @@ class Network:
         """
         if not self._trained_forward:
             raise RuntimeError("backward requires a train-mode forward first")
-        d = np.asarray(head_grad, dtype=float)
-        penult = len(self.spec.layers) - 2
-        for i in range(len(self.spec.layers) - 1, -1, -1):
-            if self.spec.layers[i].activation == "relu":
-                d = d * self._relu_masks[i]
+        d = self.linears[-1].backward(np.asarray(head_grad, dtype=float))
+        late, last = self.spec.late_features, len(self.spec.hidden) - 1
+        for i in range(last, -1, -1):
+            d = d * self._relu_masks[i]
             if self.norms[i] is not None:
                 d = self.norms[i].backward(d)
             d = self.linears[i].backward(d)
-            if i == penult and self.spec.late_features > 0:
-                d = d[:, : -self.spec.late_features]
+            if i == last and late > 0:
+                d = d[:, :-late]
         return list(self._grad_views)

@@ -327,11 +327,15 @@ def z_hat(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER):
     correct model: the one solve behind every likelihood and residual.  An
     overflowing (y - mu)/sigma raises SolverError naming its row."""
     y = _validate_finite("y", y)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         zt = (y - params.mu) / params.sigma
-    if not np.all(np.isfinite(zt)):
-        raise _row_error("no finite target for inverse transform", ~np.isfinite(zt), zt,
-                         params.g, params.h, "; (y - mu)/sigma overflows the double range")
+        if not np.all(np.isfinite(zt)):  # y - mu alone may overflow where the quotient does not
+            alt = y / params.sigma - params.mu / params.sigma
+            zt = np.where(np.isfinite(zt) | np.isnan(alt), zt, alt)
+            if not np.all(np.isfinite(zt)):
+                raise _row_error("no finite target for inverse transform", ~np.isfinite(zt),
+                                 zt, params.g, params.h,
+                                 "; (y - mu)/sigma overflows the double range")
     return tau_inverse(zt, params, cfg)
 
 

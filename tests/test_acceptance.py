@@ -19,7 +19,7 @@ from tghnet.cli import main
 from tghnet.data import Dataset, load_csv, split_by_column_values, write_csv
 from tghnet.evaluate import shortest_interval, symmetric_interval
 from tghnet.loss import gaussian_nll_and_grad, link, nll_and_grad, tukey_head_loss
-from tghnet.nn import Network, dense_spec, load_model
+from tghnet.nn import Network, NetworkSpec, load_model
 from tghnet.synth import GANDH_DESIGNS, generate_gandh
 from tghnet.tgh import InverseSolverConfig, ShapeParams, TghParams, tau, tau_inverse
 
@@ -190,7 +190,7 @@ def test_criterion_2_gradient_suite():
         np.testing.assert_allclose(analytic, fd, rtol=1e-4, atol=1e-7)
 
     # (b) network weights on a 3-layer toy
-    net = Network(dense_spec(2, [8, 6], head_dim=4, batch_norm=True), seed=5)
+    net = Network(NetworkSpec(2, (8, 6), head_dim=4, batch_norm=True), seed=5)
     x = rng.normal(size=(24, 2))
     y = rng.normal(size=24)
 
@@ -310,8 +310,8 @@ def test_criterion_7_croplike_pipeline(crop_run):
     assert set(labeled.column("year")[labeled.rows("test")]) == TEST_YEARS
 
     # late-injection architecture: shape and gradient checks
-    spec = dense_spec(3, [8, 6], head_dim=4, late_features=1, batch_norm=True)
-    assert [(l.in_dim, l.out_dim) for l in spec.layers] == [(2, 8), (9, 6), (6, 4)]
+    spec = NetworkSpec(3, (8, 6), head_dim=4, late_features=1, batch_norm=True)
+    assert spec.layer_dims() == [(2, 8), (9, 6), (6, 4)]
     net = Network(spec, seed=3)
     rng = np.random.default_rng(4)
     x = rng.normal(size=(16, 3))

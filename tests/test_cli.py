@@ -16,7 +16,7 @@ from tghnet.cli import main
 from tghnet.data import FractionSplit, load_csv
 from tghnet.errors import DataError
 from tghnet.nn import load_model, persist, save_model
-from tghnet.nn.network import LayerSpec, NetworkSpec
+from tghnet.nn.network import NetworkSpec
 
 CONFIG = {
     "seed": 0,
@@ -99,9 +99,7 @@ class TestTrain:
             model = tmp_path / f"{loss}.tghn"
             assert main(["train", "--config", str(cfg), "--data", str(sim_csv),
                          "--out", str(model)]) == 0
-            spec = json.loads((tmp_path / f"{loss}.tghn.json").read_text())
-            assert spec["network"]["head_dim"] == want
-            assert spec["network"]["layers"][-1]["out_dim"] == want
+            assert load_model(model).network.spec.head_dim == want
 
     def test_nan_abort_exits_4(self, tmp_path):
         data = tmp_path / "bad.csv"
@@ -199,7 +197,6 @@ class TestEvaluate:
         keyless = json.dumps({k: v for k, v in header.items() if k != "loss"}).encode()
         data, network = header["data"], header["network"]
         st = data["standardization"]
-        layers = network["layers"]
         damaged = [good[:cut] for cut in cuts] + [
             good + b"\0",
             good[:12] + b"[" + good[13:],
@@ -216,8 +213,7 @@ class TestEvaluate:
             with_header("data", dict(data, standardization=dict(st, scale=[0.0]))),
             with_header("data", dict(data, feature_columns=["x", "true_g"])),
             with_header("data", dict(data, feature_columns="x")),
-            with_header("network", dict(network, layers=[dict(layers[0], batch_norm=1),
-                                                         *layers[1:]])),
+            with_header("network", dict(network, batch_norm=1)),
             with_header("data", dict(data, late_columns=["x"])),
             with_header("data", dict(data, extra=1)),
             with_header("network", dict(network, extra=1)),
@@ -231,6 +227,47 @@ class TestEvaluate:
             assert main(["evaluate", "--model", str(path), "--data", str(sim_csv),
                          "--split", "val", "--out", str(tmp_path / "e")]) == 3
 
+    def test_format_1_model_scores_and_damaged_exits_3(self, tmp_path, trained_model, sim_csv):
+        # format 1 wrote the network as its list of layers; a file as it
+        # wrote it scores as its format-2 twin, and one it never wrote fails
+        good = trained_model.read_bytes()
+        hlen = int.from_bytes(good[8:12], "little")
+        header = json.loads(good[12:12 + hlen])
+        relu = {"activation": "relu", "batch_norm": True}
+        layers = [dict(relu, in_dim=1, out_dim=16), dict(relu, in_dim=16, out_dim=16),
+                  {"activation": "identity", "batch_norm": False, "in_dim": 16, "out_dim": 4}]
+
+        def format_1(**edits):
+            network = dict({"head_dim": 4, "late_features": 0, "layers": layers}, **edits)
+            old = json.dumps(dict(header, format=1, network=network)).encode()
+            return (b"TGHN" + (1).to_bytes(4, "little") + len(old).to_bytes(4, "little")
+                    + old + good[12 + hlen:])
+
+        def evaluate(model, out):
+            return main(["evaluate", "--model", str(model), "--data", str(sim_csv),
+                         "--split", "val", "--out", str(tmp_path / out)])
+
+        path = tmp_path / "old.tghn"
+        path.write_bytes(format_1())
+        assert evaluate(trained_model, "new") == evaluate(path, "old") == 0
+        for name in ("report.csv", "qq.csv"):
+            assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
+        damaged = [
+            format_1(layers=[]),
+            format_1(layers="x"),
+            format_1(layers={"out_dim": 16}),
+            format_1(layers=[dict(layers[0], activation="identity"), *layers[1:]]),
+            format_1(layers=[dict(layers[0], batch_norm=False), *layers[1:]]),
+            format_1(layers=[*layers[:2], dict(layers[2], batch_norm=True)]),
+            format_1(late_features=1),
+            format_1(head_dim=2),
+        ]
+        for blob in damaged:
+            path.write_bytes(blob)
+            with pytest.raises(DataError, match="old.tghn: bad header at byte 12"):
+                load_model(path)
+            assert evaluate(path, "e") == 3
+
     def test_huge_header_network_is_not_built(self, tmp_path, monkeypatch, capsys,
                                               trained_model, sim_csv):
         # two 10^5-wide hidden layers would take about 80 GB; the blob check
@@ -238,18 +275,15 @@ class TestEvaluate:
         good = trained_model.read_bytes()
         hlen = int.from_bytes(good[8:12], "little")
         header = json.loads(good[12:12 + hlen])
-        first, hidden, head = header["network"]["layers"]
-        wide = 10**5
-        layers = [dict(first, out_dim=wide), dict(hidden, in_dim=wide, out_dim=wide),
-                  dict(head, in_dim=wide)]
-        bad = json.dumps(dict(header, network=dict(header["network"], layers=layers))).encode()
+        hidden = [10**5, 10**5]
+        bad = json.dumps(dict(header, network=dict(header["network"], hidden=hidden))).encode()
         path = tmp_path / "huge.tghn"
         path.write_bytes(good[:8] + len(bad).to_bytes(4, "little") + bad + good[12 + hlen:])
         monkeypatch.setattr(persist, "Network", lambda *a, **k: pytest.fail("built a Network"))
         assert main(["evaluate", "--model", str(path), "--data", str(sim_csv),
                      "--split", "val", "--out", str(tmp_path / "e")]) == 3
         err = capsys.readouterr().err
-        needs = 8 * NetworkSpec(tuple(LayerSpec(**layer) for layer in layers)).state_size
+        needs = 8 * NetworkSpec(1, tuple(hidden), 4).state_size
         assert f"huge.tghn: parameter blob at byte {12 + len(bad)} holds " in err
         assert f" bytes, the header's network needs {needs}\n" in err
 

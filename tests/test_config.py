@@ -12,7 +12,7 @@ from tghnet.config import load_config, parse_config, read
 from tghnet.data import ByColumnSplit, FractionSplit, Standardization
 from tghnet.errors import ConfigError
 from tghnet.loss import LinkConfig
-from tghnet.nn import AdamConfig, TrainConfig, dense_spec
+from tghnet.nn import AdamConfig, NetworkConfig, TrainConfig
 from tghnet.nn.persist import DataColumns, ModelHeader
 from tghnet.tgh import InverseSolverConfig
 
@@ -27,10 +27,16 @@ MINIMAL = {
 }
 
 
+def _head_dim(cfg):
+    """The head width of the network train builds for cfg."""
+    data = DataColumns(cfg.data.features, (), cfg.data.target, None)
+    return ModelHeader(cfg.loss, cfg.network, cfg.link, cfg.solver, data).spec.head_dim
+
+
 def test_minimal_config_defaults():
     cfg = parse_config(json.loads(json.dumps(MINIMAL)))
     assert cfg.loss == "tukey"
-    assert cfg.head_dim == 4
+    assert _head_dim(cfg) == 4
     assert cfg.training.batch_size == 4096
     assert cfg.training.clip_norm == 10.0
     assert cfg.optimizer.lr == 1e-4
@@ -59,7 +65,7 @@ def test_readme_example_parses():
 
 def test_gaussian_head_dim():
     raw = dict(MINIMAL, loss="gaussian")
-    assert parse_config(raw).head_dim == 2
+    assert _head_dim(parse_config(raw)) == 2
 
 
 def test_unknown_top_level_key_rejected():
@@ -116,7 +122,7 @@ def test_by_column_split_parsed():
 def test_header_json_roundtrip(split, standardized, late):
     columns = ("lat", "lon", "year")
     st = Standardization(columns, (1.0, 2.0, 2000.0), (3.0, 4.0, 10.0)) if standardized else None
-    header = ModelHeader("tukey", dense_spec(3, [6, 5], 4, late_features=len(late)),
+    header = ModelHeader("tukey", NetworkConfig((6, 5)),
                          LinkConfig(h_max=0.4), InverseSolverConfig(),
                          DataColumns(columns, late, "y", st), split)
     assert read(ModelHeader, json.loads(json.dumps(asdict(header)))) == header
@@ -129,7 +135,7 @@ def test_header_json_roundtrip(split, standardized, late):
 ], ids=["no_format", "string_format", "no_rule"])
 def test_header_constants_are_required_keys(edit, message):
     # format and rule are no __init__ arguments, but their keys are checked
-    header = ModelHeader("gaussian", dense_spec(1, [4], 2), LinkConfig(), InverseSolverConfig(),
+    header = ModelHeader("gaussian", NetworkConfig((4,)), LinkConfig(), InverseSolverConfig(),
                          DataColumns(("x",), (), "y", None), FractionSplit(0.8))
     obj = json.loads(json.dumps(asdict(header)))
     edit(obj)

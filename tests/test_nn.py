@@ -2,11 +2,17 @@
 and model persistence."""
 
 import importlib
+import json
 import math
+import tempfile
 import tracemalloc
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tghnet.data import FractionSplit
 from tghnet.errors import DataError, NumericalError
@@ -17,60 +23,53 @@ from tghnet.nn import (
     ModelBundle,
     Network,
     TrainConfig,
-    dense_spec,
     effective_lr,
     load_model,
     save_model,
     train,
 )
-from tghnet.nn.network import EVAL_CHUNK, BatchNorm, LayerSpec, NetworkSpec
+from tghnet.nn.network import EVAL_CHUNK, BatchNorm, NetworkConfig, NetworkSpec
 from tghnet.nn.persist import DataColumns, ModelHeader, Standardization
 from tghnet.nn.train import evaluate_mean_loss
 from tghnet.tgh import InverseSolverConfig
 
 TIGHT = InverseSolverConfig(abs_tolerance=1e-15)
 
+# the header format-1 save_model wrote for TestPersistence._bundle()
+FORMAT_1_HEADER = (
+    '{"data": {"feature_columns": ["lat", "lon", "year"], "late_columns": ["year"], '
+    '"standardization": {"columns": ["lat", "lon", "year"], '
+    '"mean": [1.0, 2.0, 2000.0], "scale": [3.0, 4.0, 10.0]}, "target_column": "y"}, '
+    '"format": 1, "link": {"g_max": 2.0, "h_max": 0.5, "sigma_floor": 0.0001}, '
+    '"loss": "tukey", "network": {"head_dim": 4, "late_features": 1, "layers": ['
+    '{"activation": "relu", "batch_norm": true, "in_dim": 2, "out_dim": 6}, '
+    '{"activation": "relu", "batch_norm": true, "in_dim": 7, "out_dim": 5}, '
+    '{"activation": "identity", "batch_norm": false, "in_dim": 5, "out_dim": 4}]}, '
+    '"solver": {"abs_tolerance": 1e-12, "initial_half_width": 8.0, '
+    '"max_bisection_iters": 200, "max_bracket_doublings": 60}, '
+    '"split_rule": {"fraction": 0.8, "rule": "fraction", "seed": 0}}'
+)
+
 
 class TestSpecs:
     def test_dense_spec_shapes(self):
-        spec = dense_spec(3, [8, 6], head_dim=4, late_features=1)
-        dims = [(l.in_dim, l.out_dim) for l in spec.layers]
-        assert dims == [(2, 8), (9, 6), (6, 4)]
+        spec = NetworkSpec(3, (8, 6), head_dim=4, late_features=1)
+        assert spec.layer_dims() == [(2, 8), (9, 6), (6, 4)]
         assert spec.base_features == 2
         assert spec.input_dim == 3
 
     def test_late_injection_at_first_layer_for_two_layer_net(self):
-        spec = dense_spec(3, [8], head_dim=2, late_features=1)
-        assert [(l.in_dim, l.out_dim) for l in spec.layers] == [(3, 8), (8, 2)]
-
-    def test_head_constraints(self):
-        with pytest.raises(ValueError, match="head"):
-            NetworkSpec((LayerSpec(2, 4, "relu", False),), head_dim=4)
-        with pytest.raises(ValueError, match="head"):
-            NetworkSpec(
-                (LayerSpec(2, 4, "identity", True),), head_dim=4
-            )
-
-    def test_dim_chain_validation(self):
-        with pytest.raises(ValueError, match="expects in_dim"):
-            NetworkSpec(
-                (LayerSpec(2, 4), LayerSpec(5, 3, "identity", False)),
-                late_features=0, head_dim=3,
-            )
+        spec = NetworkSpec(3, (8,), head_dim=2, late_features=1)
+        assert spec.layer_dims() == [(3, 8), (8, 2)]
 
     def test_late_injection_needs_two_layers(self):
-        with pytest.raises(ValueError, match="two layers"):
-            NetworkSpec(
-                (LayerSpec(2, 4, "identity", False),), late_features=1, head_dim=4
-            )
+        with pytest.raises(ValueError, match="needs a hidden layer"):
+            NetworkSpec(2, (), head_dim=4, late_features=1)
 
     @pytest.mark.parametrize("make, field", [
-        (lambda: LayerSpec(0, 4), "in_dim"),
-        (lambda: LayerSpec(2, 4, "tanh"), "activation"),
-        (lambda: NetworkSpec(()), "layers"),
-        (lambda: NetworkSpec((LayerSpec(2, 4, "identity"),), late_features=-1), "late_features"),
-        (lambda: NetworkSpec((LayerSpec(2, 3, "identity"),), head_dim=4), "head_dim"),
-    ], ids=["in_dim", "activation", "layers", "late_features", "head_dim"])
+        (lambda: NetworkSpec(2, (0,), 4), "layers"),
+        (lambda: NetworkSpec(2, (4,), 4, late_features=-1), "late_features"),
+    ], ids=["layers", "late_features"])
     def test_messages_open_with_the_field(self, make, field):
         # config.read puts the dotted section key in front of them
         with pytest.raises(ValueError, match=f"^{field}"):
@@ -79,7 +78,7 @@ class TestSpecs:
 
 class TestForward:
     def test_zero_weights_give_zero_head(self):
-        spec = dense_spec(2, [4, 4], head_dim=3, batch_norm=False)
+        spec = NetworkSpec(2, (4, 4), head_dim=3, batch_norm=False)
         net = Network(spec, seed=0)
         for lin in net.linears:
             lin.w[...] = 0.0
@@ -87,7 +86,7 @@ class TestForward:
         np.testing.assert_array_equal(out, np.zeros((5, 3)))
 
     def test_single_linear_layer_is_matrix_multiply(self):
-        spec = NetworkSpec((LayerSpec(2, 2, "identity", False),), head_dim=2)
+        spec = NetworkSpec(2, (), head_dim=2)
         net = Network(spec, seed=0)
         net.linears[0].w[...] = [[1.0, 2.0], [3.0, 4.0]]
         net.linears[0].b[...] = [0.5, -0.5]
@@ -123,7 +122,7 @@ class TestForward:
         assert np.all(np.abs(bn.forward(x, train=False) - want) <= 1e-15 * scale.max())
 
     def test_late_column_skips_early_layers(self):
-        spec = dense_spec(2, [4, 4], head_dim=1, late_features=1, batch_norm=False)
+        spec = NetworkSpec(2, (4, 4), head_dim=1, late_features=1, batch_norm=False)
         net = Network(spec, seed=3)
         x = np.array([[0.3, 7.0], [0.3, -2.0]])  # same base value, late differs
         h_first = [net.linears[0].forward(x[:1, :1], cache=False),
@@ -133,14 +132,14 @@ class TestForward:
         assert out[0, 0] != out[1, 0]
 
     def test_input_width_validation(self):
-        net = Network(dense_spec(2, [4], head_dim=2), seed=0)
+        net = Network(NetworkSpec(2, (4,), head_dim=2), seed=0)
         with pytest.raises(ValueError, match="shape"):
             net.forward(np.zeros((3, 5)))
 
 
 class TestBackward:
     def test_zero_head_grad_gives_zero_grads(self):
-        net = Network(dense_spec(2, [4, 4], head_dim=3), seed=1)
+        net = Network(NetworkSpec(2, (4, 4), head_dim=3), seed=1)
         x = np.random.default_rng(0).normal(size=(8, 2))
         net.forward(x, train=True)
         grads = net.backward(np.zeros((8, 3)))
@@ -149,7 +148,7 @@ class TestBackward:
 
     def test_linear_least_squares_closed_form(self):
         # scalar loss mean((x@w - y)^2): dL/dw = 2/n * x^T (x@w - y)
-        spec = NetworkSpec((LayerSpec(3, 1, "identity", False),), head_dim=1)
+        spec = NetworkSpec(3, (), head_dim=1)
         net = Network(spec, seed=2)
         rng = np.random.default_rng(4)
         x = rng.normal(size=(32, 3))
@@ -161,7 +160,7 @@ class TestBackward:
         np.testing.assert_allclose(dw, want, rtol=1e-12)
 
     def test_full_pipeline_finite_differences(self):
-        spec = dense_spec(3, [8, 6], head_dim=4, late_features=1, batch_norm=True)
+        spec = NetworkSpec(3, (8, 6), head_dim=4, late_features=1, batch_norm=True)
         net = Network(spec, seed=1)
         rng = np.random.default_rng(2)
         x = rng.normal(size=(16, 3))
@@ -190,7 +189,7 @@ class TestBackward:
             np.testing.assert_allclose(grads[pi][idx], fd, rtol=1e-4, atol=1e-7)
 
     def test_backward_requires_train_forward(self):
-        net = Network(dense_spec(2, [4], head_dim=2), seed=0)
+        net = Network(NetworkSpec(2, (4,), head_dim=2), seed=0)
         with pytest.raises(RuntimeError, match="train-mode forward"):
             net.backward(np.zeros((3, 2)))
         net.forward(np.zeros((3, 2)), train=False)
@@ -256,7 +255,7 @@ class TestAdam:
 
     def test_vector_step_matches_per_array_loop(self):
         # reference: the same update applied array by array
-        net = Network(dense_spec(1, [64, 64, 64, 64], head_dim=4), seed=0)
+        net = Network(NetworkSpec(1, (64, 64, 64, 64), head_dim=4), seed=0)
         cfg = AdamConfig(lr=3e-3, lr_drop_epochs=(2, 4))
         ref = [p.copy() for p in net.parameters()]
         m = [np.zeros_like(p) for p in ref]
@@ -313,7 +312,7 @@ def _toy_data(n=2000, sigma=0.3, seed=6):
 class TestTrain:
     def test_zero_epochs_returns_initial_network(self):
         x, y, tr, va = _toy_data(200)
-        net = Network(dense_spec(1, [8], head_dim=2), seed=0)
+        net = Network(NetworkSpec(1, (8,), head_dim=2), seed=0)
         before = [p.copy() for p in net.parameters()]
         hist = train(net, x, y, tr, va, AdamConfig(), TrainConfig(epochs=0))
         assert len(hist) == 0
@@ -324,7 +323,7 @@ class TestTrain:
         x, y, tr, va = _toy_data(500)
         results = []
         for _ in range(2):
-            net = Network(dense_spec(1, [8, 8], head_dim=2), seed=3)
+            net = Network(NetworkSpec(1, (8, 8), head_dim=2), seed=3)
             hist = train(
                 net, x, y, tr, va,
                 AdamConfig(lr=1e-3), TrainConfig(epochs=3, batch_size=64), seed=5,
@@ -342,7 +341,7 @@ class TestTrain:
         # optimal mean NLL (constant dropped) is log(sigma) + 1/2
         sigma = 0.3
         x, y, tr, va = _toy_data(4000, sigma=sigma)
-        net = Network(dense_spec(1, [16, 16], head_dim=2), seed=0)
+        net = Network(NetworkSpec(1, (16, 16), head_dim=2), seed=0)
         hist = train(
             net, x, y, tr, va,
             AdamConfig(lr=5e-3, lr_drop_epochs=(30,)),
@@ -353,7 +352,7 @@ class TestTrain:
 
     def test_best_validation_parameters_are_retained(self):
         x, y, tr, va = _toy_data(500)
-        net = Network(dense_spec(1, [8], head_dim=2), seed=1)
+        net = Network(NetworkSpec(1, (8,), head_dim=2), seed=1)
         hist = train(
             net, x, y, tr, va,
             AdamConfig(lr=1e-2), TrainConfig(epochs=5, batch_size=64), seed=2,
@@ -365,7 +364,7 @@ class TestTrain:
     def test_non_finite_loss_aborts_with_context(self):
         x = np.zeros((8, 1))
         y = np.full(8, 1e300)  # squared residual overflows
-        net = Network(dense_spec(1, [4], head_dim=2, batch_norm=False), seed=0)
+        net = Network(NetworkSpec(1, (4,), head_dim=2, batch_norm=False), seed=0)
         with pytest.raises(NumericalError, match="epoch 0"):
             train(net, x, y, np.arange(6), np.arange(6, 8),
                   AdamConfig(), TrainConfig(epochs=1, batch_size=4))
@@ -382,7 +381,7 @@ class TestTrain:
             monkeypatch.setattr(nn_train, name,
                                 lambda y, *a, f=inner, s=seen: s.append(len(y)) or f(y, *a))
         x, y, _, _ = _toy_data(100 + EVAL_CHUNK + 5)
-        net = Network(dense_spec(1, [4], head_dim=head_dim), seed=0)
+        net = Network(NetworkSpec(1, (4,), head_dim=head_dim), seed=0)
         train(net, x, y, np.arange(100), np.arange(100, len(y)),
               AdamConfig(), TrainConfig(epochs=2, batch_size=32))
         assert rows.pop(f"{kind}_head_loss") == [32, 32, 32, 4, EVAL_CHUNK, 5] * 2
@@ -393,7 +392,7 @@ class TestTrain:
         # on the first batch, before Adam moves a parameter (no batch norm,
         # so the state is the parameters alone)
         x, y, tr, va = _toy_data(100)
-        net = Network(dense_spec(1, [4], head_dim=3, batch_norm=False), seed=0)
+        net = Network(NetworkSpec(1, (4,), head_dim=3, batch_norm=False), seed=0)
         before = net.state.copy()
         with pytest.raises(ValueError, match="raw head must have 2 or 4 components"):
             train(net, x, y, tr, va, AdamConfig(), TrainConfig(epochs=1))
@@ -406,7 +405,7 @@ class TestGradientClipping:
         """Per batch of one epoch: the gradient backward() left in net.grad
         and the gradient Adam.step received."""
         x, y, tr, va = _toy_data(300)
-        net = Network(dense_spec(1, [8, 8], head_dim=2), seed=0)
+        net = Network(NetworkSpec(1, (8, 8), head_dim=2), seed=0)
         raw, stepped = [], []
         backward = Network.backward
 
@@ -449,7 +448,7 @@ def _documented_blob(net):
 
 class TestStateLayout:
     def test_parameter_and_gradient_views_share_the_vectors(self):
-        net = Network(dense_spec(3, [6, 5], head_dim=4, late_features=1), seed=0)
+        net = Network(NetworkSpec(3, (6, 5), head_dim=4, late_features=1), seed=0)
         rng = np.random.default_rng(0)
         assert np.shares_memory(net.params, net.state)
         assert net.grad.shape == net.params.shape
@@ -468,13 +467,38 @@ class TestStateLayout:
 
 def _bundle_of(net, loss, columns, late_columns=(), standardization=None, split_rule=None):
     data = DataColumns(columns, late_columns, "y", standardization)
-    return ModelBundle(ModelHeader(loss, net.spec, LinkConfig(), InverseSolverConfig(),
+    network = NetworkConfig(net.spec.hidden, net.spec.batch_norm)
+    return ModelBundle(ModelHeader(loss, network, LinkConfig(), InverseSolverConfig(),
                                    data, split_rule), net)
+
+
+def _format_1_network(n_features, hidden, head_dim, late=0, batch_norm=True):
+    """The header's network object as format 1 wrote it: one entry per layer,
+    the late columns widening the input of the last hidden layer."""
+    outs = [*hidden, head_dim]
+    ins = [n_features - late, *hidden]
+    ins[len(hidden) - 1] += late
+    return {"head_dim": head_dim, "late_features": late, "layers": [
+        {"activation": "relu" if i < len(hidden) else "identity",
+         "batch_norm": batch_norm and i < len(hidden), "in_dim": n_in, "out_dim": n_out}
+        for i, (n_in, n_out) in enumerate(zip(ins, outs))]}
+
+
+def _write_format_1(path, header: dict, blob: bytes):
+    """A model file of format 1 with the given header object and blob."""
+    encoded = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(b"TGHN" + (1).to_bytes(4, "little") + len(encoded).to_bytes(4, "little")
+                     + encoded + blob)
+
+
+def _assert_same_bundle(got, want):
+    assert got.header == want.header
+    assert got.network.state.tobytes() == want.network.state.tobytes()
 
 
 class TestPersistence:
     def _bundle(self, seed=0):
-        net = Network(dense_spec(3, [6, 5], head_dim=4, late_features=1), seed=seed)
+        net = Network(NetworkSpec(3, (6, 5), head_dim=4, late_features=1), seed=seed)
         # make running stats non-trivial
         net.forward(np.random.default_rng(seed).normal(size=(64, 3)), train=True)
         columns = ("lat", "lon", "year")
@@ -516,7 +540,14 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded.forward(x), other.forward(x))
 
     def test_header_bytes_are_format_1(self, tmp_path):
-        # the header save_model has written since the first model file
+        # the header format-1 save_model wrote for this bundle still loads
+        bundle = self._bundle()
+        path = tmp_path / "model.tghn"
+        _write_format_1(path, json.loads(FORMAT_1_HEADER), bundle.network.state.tobytes())
+        assert path.read_bytes()[12:12 + len(FORMAT_1_HEADER)].decode() == FORMAT_1_HEADER
+        _assert_same_bundle(load_model(path), bundle)
+
+    def test_header_bytes_are_format_2(self, tmp_path):
         path = tmp_path / "model.tghn"
         save_model(path, self._bundle())
         raw = path.read_bytes()
@@ -525,22 +556,48 @@ class TestPersistence:
             '{"data": {"feature_columns": ["lat", "lon", "year"], "late_columns": ["year"], '
             '"standardization": {"columns": ["lat", "lon", "year"], '
             '"mean": [1.0, 2.0, 2000.0], "scale": [3.0, 4.0, 10.0]}, "target_column": "y"}, '
-            '"format": 1, "link": {"g_max": 2.0, "h_max": 0.5, "sigma_floor": 0.0001}, '
-            '"loss": "tukey", "network": {"head_dim": 4, "late_features": 1, "layers": ['
-            '{"activation": "relu", "batch_norm": true, "in_dim": 2, "out_dim": 6}, '
-            '{"activation": "relu", "batch_norm": true, "in_dim": 7, "out_dim": 5}, '
-            '{"activation": "identity", "batch_norm": false, "in_dim": 5, "out_dim": 4}]}, '
+            '"format": 2, "link": {"g_max": 2.0, "h_max": 0.5, "sigma_floor": 0.0001}, '
+            '"loss": "tukey", "network": {"batch_norm": true, "hidden": [6, 5]}, '
             '"solver": {"abs_tolerance": 1e-12, "initial_half_width": 8.0, '
             '"max_bisection_iters": 200, "max_bracket_doublings": 60}, '
             '"split_rule": {"fraction": 0.8, "rule": "fraction", "seed": 0}}'
         )
-        assert raw[:12] == b"TGHN" + (1).to_bytes(4, "little") + hlen.to_bytes(4, "little")
+        assert raw[:12] == b"TGHN" + (2).to_bytes(4, "little") + hlen.to_bytes(4, "little")
+
+    @given(loss=st.sampled_from(["tukey", "gaussian"]), n=st.integers(1, 4), data=st.data(),
+           hidden=st.lists(st.integers(1, 16), min_size=1, max_size=3),
+           batch_norm=st.booleans(), standardized=st.booleans())
+    @settings(max_examples=40)
+    def test_network_section_round_trips(self, loss, n, data, hidden, batch_norm, standardized):
+        late = data.draw(st.integers(0, n - 1), label="late")
+        columns = tuple(f"c{i}" for i in range(n))
+        scale = np.arange(1.0, n + 1.0)
+        header = ModelHeader(loss, NetworkConfig(tuple(hidden), batch_norm), LinkConfig(),
+                             InverseSolverConfig(),
+                             DataColumns(columns, columns[n - late:], "y",
+                                         Standardization(columns, -scale, scale)
+                                         if standardized else None))
+        bundle = ModelBundle(header, Network(header.spec, seed=n))
+        x = np.random.default_rng(n).normal(size=(32, n))
+        bundle.network.forward(x, train=True)  # non-trivial running statistics
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.tghn"
+            save_model(path, bundle)
+            loaded = load_model(path)
+            _assert_same_bundle(loaded, bundle)
+            want, got = bundle.predict_params(x), loaded.predict_params(x)
+            for name in ("mu", "sigma", "g", "h"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            old = dict(asdict(header), format=1, network=_format_1_network(
+                n, hidden, 4 if loss == "tukey" else 2, late, batch_norm))
+            _write_format_1(path, old, bundle.network.state.tobytes())
+            _assert_same_bundle(load_model(path), bundle)
 
     def test_sidecar_json_written(self, tmp_path):
         path = tmp_path / "model.tghn"
         save_model(path, self._bundle())
-        sidecar = (tmp_path / "model.tghn.json").read_text()
-        assert '"late_features": 1' in sidecar
+        sidecar = json.loads((tmp_path / "model.tghn.json").read_text())
+        assert sidecar["network"] == {"batch_norm": True, "hidden": [6, 5]}
 
     def test_saves_are_bitwise_identical(self, tmp_path):
         save_model(tmp_path / "a.tghn", self._bundle())
@@ -554,7 +611,7 @@ class TestPersistence:
             load_model(path)
 
     def test_predict_params_gaussian_head_fills_zero_shape(self, tmp_path):
-        net = Network(dense_spec(1, [4], head_dim=2, batch_norm=False), seed=0)
+        net = Network(NetworkSpec(1, (4,), head_dim=2, batch_norm=False), seed=0)
         bundle = _bundle_of(net, "gaussian", ("x",))
         params = bundle.predict_params(np.zeros((5, 1)))
         np.testing.assert_array_equal(np.asarray(params.g), np.zeros(5))
@@ -575,13 +632,13 @@ class TestChunkedEvalForward:
 
     def test_evaluate_mean_loss_matches_one_piece(self):
         x, y, _, _ = _toy_data(3 * EVAL_CHUNK)
-        net = Network(dense_spec(1, [8], head_dim=4), seed=1)
+        net = Network(NetworkSpec(1, (8,), head_dim=4), seed=1)
         raw = net.forward(x, train=False)
         whole, _, _ = tukey_head_loss(y, raw)
         assert evaluate_mean_loss(net, x, y) == pytest.approx(whole, rel=1e-12)
 
     def test_predict_params_memory_is_its_output(self):
-        net = Network(dense_spec(1, [64, 64, 64, 64], head_dim=4), seed=0)
+        net = Network(NetworkSpec(1, (64, 64, 64, 64), head_dim=4), seed=0)
         bundle = _bundle_of(net, "tukey", ("x",),
                             standardization=Standardization(("x",), (0.5,), (0.3,)))
         x = np.random.default_rng(0).uniform(size=(200_000, 1))

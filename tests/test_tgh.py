@@ -316,6 +316,19 @@ class TestTauInverse:
             tgh.z_hat(np.array([0.5, 1.7e308, -1.7e308]), params)
         assert solves == []
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_z_hat_quotient_in_range_when_difference_overflows(self):
+        # y - mu = 2e308 overflows, (y - mu)/sigma = 2e307 does not; the
+        # in-range rows keep the bits of (y - mu)/sigma
+        y, mu = np.array([1e308, 0.7, 1e308]), np.array([-1e308, 0.2, -1e308])
+        got = tgh.z_hat(y, TghParams(mu, np.array([10.0, 3.0, 10.0]), 0.0, 0.5))
+        want = tau_inverse(np.array([2e307, (0.7 - 0.2) / 3.0, 2e307]), ShapeParams(0.0, 0.5))
+        assert got.tobytes() == want.tobytes()
+        assert tgh.z_hat(1e308, TghParams(-1e308, 10.0, 0.0, 0.5)) == want[0]
+        with pytest.raises(SolverError, match=r"at sample index 2: z_tilde=inf, g=0\.0, "
+                           r"h=0\.5; \(y - mu\)/sigma overflows the double range$"):
+            tgh.z_hat(y, TghParams(mu, np.array([10.0, 3.0, 0.5]), 0.0, 0.5))
+
     def test_solve_counter_increments(self, count_calls):
         # a vectorised log_density over many rows is a single solve
         solves = count_calls(tgh, "tau_inverse")

@@ -1,9 +1,10 @@
 """Command-line interface: simulate, train, evaluate, intervals, density.
 
 Exit codes: 0 success, 2 usage or configuration error or an unwritable
-output, 3 data error, 4 numerical failure.  TGH_THREADS caps the BLAS
-worker pools; it is applied before numpy is imported, which is why all
-heavy imports live inside the command functions.
+output, 3 data error, 4 numerical failure.  Commands raise; main alone
+maps a failure to its code and one stderr line.  TGH_THREADS caps the BLAS
+worker pools before numpy is imported: all heavy imports live inside the
+command functions, and errors imports nothing.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+from .errors import ConfigError, DataError, NumericalError, SolverError, UsageError
 
 
 def _apply_thread_cap() -> None:
@@ -74,7 +77,6 @@ def _score_split(args):
     split rule puts in --split.  A non-finite head names its data row of
     --data, counting rows with a dropped target."""
     from .data import load_csv
-    from .errors import DataError
     from .nn import load_model
 
     bundle = load_model(args.model)
@@ -89,19 +91,18 @@ def _score_split(args):
     return header, x, dataset.y[rows], bundle.predict_params(x, dataset.source_rows[rows])
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     from . import synth
     from .data import write_csv, write_json
 
     registry = synth.GANDH_DESIGNS if args.design == "gandh" else synth.STUDENT_T_DESIGNS
     if args.curves not in registry:
-        print(f"unknown curve set {args.curves!r} for design {args.design!r}",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"unknown curve set {args.curves!r} for design {args.design!r}")
     fns = registry[args.curves]
     if args.n < 1:
-        print("--n must be >= 1", file=sys.stderr)
-        return 2
+        raise UsageError("--n must be >= 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     if args.design == "gandh":
         ds = synth.generate_gandh(args.n, fns, args.seed)
     else:
@@ -114,10 +115,9 @@ def cmd_simulate(args) -> int:
         "seed": args.seed,
         "columns": ["x", "y", *ds.true_values],
     })
-    return 0
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     import numpy as np
 
     from .config import load_config
@@ -141,11 +141,12 @@ def cmd_train(args) -> int:
         cfg.split,
     )
     net = Network(header.spec, seed=cfg.seed)
-    history = train(
-        net, dataset.x, dataset.y,
-        dataset.rows("train"), dataset.rows("val"),
-        cfg.optimizer, cfg.training, cfg.link, cfg.solver, seed=cfg.seed,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # link or a loss check names a divergence
+        history = train(
+            net, dataset.x, dataset.y,
+            dataset.rows("train"), dataset.rows("val"),
+            cfg.optimizer, cfg.training, cfg.link, cfg.solver, seed=cfg.seed,
+        )
     save_model(args.out, ModelBundle(header, net))
     write_csv(
         f"{args.out}.history.csv",
@@ -169,38 +170,39 @@ def cmd_train(args) -> int:
     best = history.best_epoch if history.best_epoch is not None else -1
     print(f"trained {cfg.loss} head for {cfg.training.epochs} epochs; "
           f"best validation loss at epoch {best}")
-    return 0
 
 
-def cmd_evaluate(args) -> int:
-    from .evaluate import (
-        binned_residual_summary,
-        coverage_table,
-        residuals,
-        write_qq_csv,
-        write_report_csv,
-        write_summary_json,
-    )
+def cmd_evaluate(args) -> None:
+    import numpy as np
+
+    from .data import write_csv, write_json
+    from .evaluate import binned_residual_summary, coverage_table, ks_critical_value, residuals
 
     header, x, y, params = _score_split(args)
     report = residuals(y, params, header.solver)
 
     os.makedirs(args.out, exist_ok=True)
-    write_report_csv(os.path.join(args.out, "report.csv"), y, params, report)
-    write_qq_csv(os.path.join(args.out, "qq.csv"), report)
+    write_csv(os.path.join(args.out, "report.csv"), {
+        "y": y, "mu": params.mu, "sigma": params.sigma, "g": params.g, "h": params.h,
+        "z_hat": report.z_hat, "u": report.u,
+    })
+    write_csv(os.path.join(args.out, "qq.csv"),
+              {"theoretical": report.qq_theoretical, "empirical": report.qq_empirical})
     edges, means, counts = binned_residual_summary(x[:, 0], report.u)
-    write_summary_json(
-        os.path.join(args.out, "summary.json"),
-        report,
-        extra={
-            "split": args.split,
-            "loss": header.loss,
-            "coverage": coverage_table(report.u),
-            "u_bin_edges": [float(v) for v in edges],
-            "u_bin_means": [None if v != v else float(v) for v in means],
-            "u_bin_counts": [int(v) for v in counts],
-        },
-    )
+    write_json(os.path.join(args.out, "summary.json"), {
+        "n": len(y),
+        "mean_nll": report.mean_nll,
+        "ks_statistic": report.ks_statistic,
+        "ks_critical_1pct": ks_critical_value(len(y), 0.01),
+        "z_hat_mean": float(np.mean(report.z_hat)),
+        "z_hat_var": float(np.var(report.z_hat)),
+        "split": args.split,
+        "loss": header.loss,
+        "coverage": coverage_table(report.u),
+        "u_bin_edges": [float(v) for v in edges],
+        "u_bin_means": [None if v != v else float(v) for v in means],
+        "u_bin_counts": [int(v) for v in counts],
+    })
     if args.svg:
         from .svg import render_plot
 
@@ -212,10 +214,9 @@ def cmd_evaluate(args) -> int:
         )
     print(f"evaluated {len(y)} rows: mean NLL {report.mean_nll:.6f}, "
           f"KS {report.ks_statistic:.6f}")
-    return 0
 
 
-def cmd_intervals(args) -> int:
+def cmd_intervals(args) -> None:
     import numpy as np
 
     from .data import write_csv, write_json
@@ -224,8 +225,7 @@ def cmd_intervals(args) -> int:
     try:
         check_alpha(args.alpha, args.variant)
     except ValueError as exc:
-        print(f"--alpha: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--alpha: {exc}") from None
     _, _, y, params = _score_split(args)
     if args.variant == "symmetric":
         iv = symmetric_interval(params, args.alpha)
@@ -247,10 +247,9 @@ def cmd_intervals(args) -> int:
     })
     print(f"{args.variant} {1 - args.alpha:.0%} intervals on {len(y)} rows: "
           f"coverage {coverage:.4f}")
-    return 0
 
 
-def cmd_density(args) -> int:
+def cmd_density(args) -> None:
     import numpy as np
 
     from .data import write_csv
@@ -267,19 +266,15 @@ def cmd_density(args) -> int:
         lo, hi, count = args.y_grid.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
-        print("bad --features or --y-grid syntax", file=sys.stderr)
-        return 2
+        raise UsageError("bad --features or --y-grid syntax") from None
     if not points:
-        print("no feature points given", file=sys.stderr)
-        return 2
+        raise UsageError("no feature points given")
     if not all(np.all(np.isfinite(pt)) for pt in points):
-        print("--features must be finite", file=sys.stderr)
-        return 2
+        raise UsageError("--features must be finite")
     bundle = load_model(args.model)
     width = len(bundle.header.data.feature_columns)
     if any(len(pt) != width for pt in points):
-        print(f"each feature point needs {width} component(s)", file=sys.stderr)
-        return 2
+        raise UsageError(f"each feature point needs {width} component(s)")
     p = bundle.predict_params(np.asarray(points, dtype=float))
     with np.errstate(over="ignore"):  # reported below; the float hi - lo never warns
         ends = (np.array([lo, hi]) - p.mu[:, None]) / p.sigma[:, None]
@@ -287,8 +282,7 @@ def cmd_density(args) -> int:
             else "a span max - min within the double range" if hi - lo == np.inf
             else "(y - mu)/sigma finite at both ends" if not np.all(np.isfinite(ends)) else "")
     if need:
-        print(f"--y-grid needs {need}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--y-grid needs {need}")
     grid = np.linspace(lo, hi, count)
     # one (points, grid) batch: each row's solve is independent of the rest
     curves = density_curve(TghParams(p.mu[:, None], p.sigma[:, None], p.g[:, None],
@@ -299,7 +293,6 @@ def cmd_density(args) -> int:
         "density": curves.ravel(),
     })
     print(f"wrote {len(points)} density curve(s) of {len(grid)} points")
-    return 0
 
 
 _COMMANDS = {
@@ -313,13 +306,14 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     _apply_thread_cap()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    from .errors import ConfigError, DataError, NumericalError, SolverError
-
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        if [] in vars(args).values():  # argparse reads the value of --flag=-- as []
+            raise UsageError("'--' is not an argument value")
+        _COMMANDS[args.command](args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -333,6 +327,7 @@ def main(argv: list[str] | None = None) -> int:
         # inputs are opened under DataError or ConfigError, so this is an output
         print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

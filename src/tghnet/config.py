@@ -70,6 +70,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.loss not in LOSS_KINDS:
             raise ValueError(f"loss: expected 'tukey' or 'gaussian', got {self.loss!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed: expected an integer >= 0, got {self.seed}")
 
 
 _JSON_TYPE = {bool: "true or false", int: "an integer", float: "a finite number",

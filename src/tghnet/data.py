@@ -284,6 +284,10 @@ class FractionSplit:
     seed: int = 0
     rule: str = field(default="fraction", init=False)
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed: expected an integer >= 0, got {self.seed}")
+
     def apply(self, dataset: Dataset) -> Dataset:
         return split_fraction(dataset, self.fraction, self.seed)
 

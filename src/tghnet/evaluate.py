@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tgh
-from .data import write_csv, write_json
 from .tgh import (
     DEFAULT_SOLVER,
     InverseSolverConfig,
@@ -44,9 +43,6 @@ __all__ = [
     "coverage_table",
     "density_curve",
     "binned_residual_summary",
-    "write_report_csv",
-    "write_qq_csv",
-    "write_summary_json",
 ]
 
 # shortest_interval's bisection stops at this gamma bracket width, and
@@ -261,43 +257,3 @@ def binned_residual_summary(feature, u, n_bins: int = 10):
             means[b] = float(np.mean(u[mask]))
     return edges, means, counts
 
-
-def write_report_csv(path, y, params: TghParams, report: ResidualReport) -> None:
-    """One row per sample: y, mu, sigma, g, h, z_hat, u."""
-    n = len(report.z_hat)
-    write_csv(
-        path,
-        {
-            "y": np.asarray(y, dtype=float),
-            "mu": np.broadcast_to(np.asarray(params.mu, dtype=float), (n,)),
-            "sigma": np.broadcast_to(np.asarray(params.sigma, dtype=float), (n,)),
-            "g": np.broadcast_to(np.asarray(params.g, dtype=float), (n,)),
-            "h": np.broadcast_to(np.asarray(params.h, dtype=float), (n,)),
-            "z_hat": report.z_hat,
-            "u": report.u,
-        },
-    )
-
-
-def write_qq_csv(path, report: ResidualReport) -> None:
-    write_csv(
-        path,
-        {
-            "theoretical": report.qq_theoretical,
-            "empirical": report.qq_empirical,
-        },
-    )
-
-
-def write_summary_json(path, report: ResidualReport, extra: dict | None = None) -> None:
-    summary = {
-        "n": len(report.z_hat),
-        "mean_nll": report.mean_nll,
-        "ks_statistic": report.ks_statistic,
-        "ks_critical_1pct": ks_critical_value(len(report.z_hat), 0.01),
-        "z_hat_mean": float(np.mean(report.z_hat)),
-        "z_hat_var": float(np.var(report.z_hat)),
-    }
-    if extra:
-        summary.update(extra)
-    write_json(path, summary)

@@ -112,6 +112,18 @@ class TestTrain:
         assert code == 4
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_run_prints_one_line(self, tmp_path, capsys, sim_csv):
+        # lr 1e300 overflows the weights in the first step; link names the
+        # row, and numpy warns about none of the overflows on the way
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(CONFIG, optimizer={"lr": 1e300},
+                                       training={"epochs": 1, "batch_size": 256})))
+        assert main(["train", "--config", str(cfg), "--data", str(sim_csv),
+                     "--out", str(tmp_path / "m.tghn")]) == 4
+        assert capsys.readouterr().err == ("numerical failure: non-finite network output "
+                                           "at input row 0\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("column", ["alternating", "uniform"])
     def test_overflowing_feature_statistics_exit_3(self, tmp_path, capsys, column):
         # +-1e307 features: the variance overflows (an alternating column once
@@ -204,6 +216,7 @@ class TestEvaluate:
             with_header("split_rule", {"rule": "fraction"}),
             with_header("split_rule", {"rule": "fraction", "fraction": "0.8", "seed": 0}),
             with_header("split_rule", "x"),
+            with_header("split_rule", {"rule": "fraction", "fraction": 0.8, "seed": -1}),
             with_header("link", dict(header["link"], g_max=True)),
             with_header("link", dict(header["link"], g_max=float("inf"))),
             with_header("solver", dict(header["solver"], max_bisection_iters=2.5)),
@@ -360,7 +373,40 @@ EXIT_PROBES = {
        for a in ("1e-16", "1e-300") for v in ("symmetric", "shortest")},
     "empty_y_grid": (["density", "--model", "{model}", "--features", "0.5", "--y-grid=0:1:0",
                       "--out", "{tmp}/d.csv"], 2, "--y-grid"),
+    "negative_seed": (["simulate", "--design", "gandh", "--n", "10", "--seed=-1",
+                       "--out", "{tmp}/s.csv"], 2, "--seed"),
+    # argparse (3.11) reads the value of --features=-- as [], which no
+    # command checks for; where it keeps "--", that is a syntax error
+    "double_dash_features": (["density", "--model", "{model}", "--features=--",
+                              "--y-grid=0:1:3", "--out", "{tmp}/d.csv"], 2, "--"),
 }
+
+
+# floats at the edges of each numeric argument's range, as argv text
+_EDGE_FLOATS = ("0", "5e-324", "1e-300", "1e-13", "0.05", "1", "nan", "inf", "-0.1")
+
+
+@st.composite
+def _any_arguments(draw):
+    """One command's argv with {model}, {sim} and {tmp} to fill: every value
+    as --flag=value, so that argparse reads none of them as a flag, and
+    every count small, so that no example allocates a large array."""
+    command = draw(st.sampled_from(["simulate", "intervals", "density"]))
+    if command == "simulate":
+        args = {"design": draw(st.sampled_from(["gandh", "student_t"])),
+                "curves": draw(st.sampled_from(["reference", "constant_normal", "nope"])),
+                "n": draw(st.integers(-3, 40)), "seed": draw(st.integers(-2**70, 2**70))}
+    elif command == "intervals":
+        args = {"model": "{model}", "data": "{sim}", "alpha": draw(st.sampled_from(_EDGE_FLOATS)),
+                "variant": draw(st.sampled_from(["symmetric", "shortest"])),
+                "split": draw(st.sampled_from(["train", "val", "test"]))}
+    else:
+        end = st.sampled_from(_EDGE_FLOATS + ("-inf", "-1e308", "1e308"))
+        args = {"model": "{model}", "features": draw(st.text("0123456789.,;-ena", max_size=12)),
+                "y-grid": f"{draw(end)}:{draw(end)}:{draw(st.integers(-2, 40))}"}
+    # an --out under a regular file cannot be written
+    out = draw(st.sampled_from(["{tmp}/out.csv", "{sim}/out.csv"]))
+    return [command, *(f"--{k}={v}" for k, v in args.items()), f"--out={out}"]
 
 
 @pytest.fixture(scope="module")
@@ -459,6 +505,21 @@ class TestExitCodes:
     def test_targets_inside_support_score(self, tmp_path, h_zero_model):
         assert main(["density", "--model", str(h_zero_model), "--features", "0.5",
                      "--y-grid=-1:0.3:5", "--out", str(tmp_path / "d.csv")]) == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=1000)
+    @given(argv=_any_arguments())
+    def test_any_arguments_exit_with_one_line(self, tmp_path_factory, trained_model, sim_csv,
+                                              argv):
+        # 0, 2, 3 or 4 and never a traceback; one stderr line unless 0
+        fill = dict(model=trained_model, sim=sim_csv, tmp=tmp_path_factory.getbasetemp())
+        argv = [a.format(**fill) for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        lines = err.getvalue().splitlines(keepends=True)
+        assert code in (0, 2, 3, 4) and len(lines) == (code != 0), (argv, lines)
+        assert all(line.endswith("\n") for line in lines), (argv, lines)
 
 
 class TestThreadCap:

@@ -219,6 +219,7 @@ def test_optimizer_overrides_roundtrip():
     ("optimizer", {"lr": 10 ** 400}),
     ("data", {"target": "y", "features": ["x"], "late_columns": ["x"]}),
     ("data", {"target": "y", "features": ["x", "x"], "late_columns": ["x"]}),
+    ("split", {"rule": "fraction", "fraction": 0.8, "seed": -2}),
 ], ids=["negative_epochs", "zero_batch_size", "negative_clip_norm", "string_epochs",
         "string_fraction", "string_standardize", "string_batch_norm", "float_epochs",
         "string_batch_size", "bool_epochs", "float_split_seed", "float_max_iters",
@@ -226,7 +227,7 @@ def test_optimizer_overrides_roundtrip():
         "bool_fraction", "bool_h_max", "bool_lr", "bool_abs_tolerance",
         "string_drop_epoch", "int_target", "int_split_column", "infinite_g_max",
         "infinite_abs_tolerance", "infinite_eps", "nan_fraction", "overflowing_int_lr",
-        "every_feature_late", "repeated_feature"])
+        "every_feature_late", "repeated_feature", "negative_split_seed"])
 def test_bad_values_are_config_errors(tmp_path, capsys, section, values):
     raw = dict(json.loads(json.dumps(MINIMAL)), **{section: values})
     with pytest.raises(ConfigError):
@@ -237,6 +238,14 @@ def test_bad_values_are_config_errors(tmp_path, capsys, section, values):
                  "--out", str(tmp_path / "m.tghn")]) == 2
     # the message names the dotted key
     assert capsys.readouterr().err.startswith(f"config error: {section}.")
+
+
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(MINIMAL, seed=-1)))
+    assert main(["train", "--config", str(path), "--data", str(tmp_path / "d.csv"),
+                 "--out", str(tmp_path / "m.tghn")]) == 2
+    assert capsys.readouterr().err == "config error: seed: expected an integer >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("raw", [

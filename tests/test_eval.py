@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import optimize, stats
 
 from tghnet import tgh
+from tghnet.cli import main
 from tghnet.data import load_csv
 from tghnet.evaluate import (
     binned_residual_summary,
@@ -21,11 +22,9 @@ from tghnet.evaluate import (
     residuals,
     shortest_interval,
     symmetric_interval,
-    write_qq_csv,
-    write_report_csv,
-    write_summary_json,
 )
 from tghnet.loss import LinkConfig
+from tghnet.nn import load_model
 from tghnet.tgh import ShapeParams, TghParams, sample, standard_normal_cdf, tau
 
 Z_975 = 1.9599639845400542
@@ -297,24 +296,30 @@ class TestBinnedResiduals:
 
 class TestReportWriters:
     def test_written_report_roundtrips(self, tmp_path):
-        params = TghParams(0.2, 1.1, 0.4, 0.1)
-        y = sample(params, 200, seed=9)
-        pv = TghParams(*(np.full(200, v) for v in (0.2, 1.1, 0.4, 0.1)))
-        report = residuals(y, pv)
-        csv_path = tmp_path / "report.csv"
-        write_report_csv(csv_path, y, pv, report)
-        ds = load_csv(csv_path, "y", ["mu", "sigma", "g", "h", "z_hat", "u"])
-        np.testing.assert_array_equal(ds.y, y)
-        np.testing.assert_array_equal(ds.column("z_hat"), report.z_hat)
+        # the files evaluate writes hold the residuals of the model's own
+        # predicted parameters, bit for bit
+        sim, cfg, model, out = (tmp_path / n for n in ("sim.csv", "cfg.json", "m.tghn", "e"))
+        assert main(["simulate", "--design", "gandh", "--n", "500", "--out", str(sim)]) == 0
+        cfg.write_text(json.dumps({
+            "loss": "tukey", "data": {"target": "y", "features": ["x"]},
+            "network": {"hidden": [8]}, "training": {"epochs": 1, "batch_size": 64},
+            "split": {"rule": "fraction", "fraction": 0.6, "seed": 0}}))
+        assert main(["train", "--config", str(cfg), "--data", str(sim),
+                     "--out", str(model)]) == 0
+        assert main(["evaluate", "--model", str(model), "--data", str(sim), "--split", "val",
+                     "--out", str(out)]) == 0
+        bundle = load_model(model)
+        ds = load_csv(sim, "y", ["x"])
+        val = bundle.header.split_rule.apply(ds).rows("val")
+        y = ds.y[val]
+        report = residuals(y, bundle.predict_params(ds.x[val]))
 
-        qq_path = tmp_path / "qq.csv"
-        write_qq_csv(qq_path, report)
-        qq = load_csv(qq_path, "empirical", ["theoretical"])
+        written = load_csv(out / "report.csv", "y", ["mu", "sigma", "g", "h", "z_hat", "u"])
+        np.testing.assert_array_equal(written.y, y)
+        np.testing.assert_array_equal(written.column("z_hat"), report.z_hat)
+        qq = load_csv(out / "qq.csv", "empirical", ["theoretical"])
         np.testing.assert_array_equal(qq.y, report.qq_empirical)
-
-        json_path = tmp_path / "summary.json"
-        write_summary_json(json_path, report, extra={"split": "val"})
-        summary = json.loads(json_path.read_text())
-        assert summary["n"] == 200
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["n"] == len(y) == 200
         assert summary["split"] == "val"
         assert summary["ks_statistic"] == report.ks_statistic

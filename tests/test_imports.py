@@ -1,7 +1,8 @@
 """Module boundaries: no tghnet module imports another's private names,
-config and nn import in either order, data imports only errors, no command
-imports scipy, the benchmark tracer's wrapped names exist, and the g -> 0
-limit of tgh lives in its two kernels."""
+config and nn import in either order, data imports only errors, evaluate
+only tgh, no command imports scipy, the benchmark tracer's wrapped names
+exist, the g -> 0 limit of tgh lives in its two kernels, and cli.main alone
+decides exit codes."""
 
 import ast
 import json
@@ -118,3 +119,31 @@ def test_small_g_is_read_only_by_the_two_kernels():
     assert reads(tree) == sum(map(reads, kernels))
     names = {getattr(n, "id", None) or getattr(n, "arg", None) for n in ast.walk(tree)}
     assert "g_safe" not in names
+
+
+def test_evaluate_imports_no_tghnet_module_but_tgh():
+    # evaluate is numerics only: cli writes the scoring files (tgh imports errors)
+    result = _run("import sys, tghnet.evaluate; "
+                  "print(sorted(m for m in sys.modules if m.startswith('tghnet.')))")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "['tghnet.errors', 'tghnet.evaluate', 'tghnet.tgh']"
+
+
+def test_only_cli_main_decides_exit_codes():
+    # commands raise; main alone prints a failure line and returns its code
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+
+    def exits(node):
+        return [n for n in ast.walk(node)
+                if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "print"
+                and any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr"
+                        for k in n.keywords)
+                or isinstance(n, ast.Return) and isinstance(n.value, ast.Constant)
+                and type(n.value.value) is int and n.value.value != 0]
+
+    assert len(exits(tree)) == len(exits(functions["main"])) > 0
+    commands = [f for name, f in functions.items() if name.startswith("cmd_")]
+    assert len(commands) == 5
+    assert [f.name for f in commands for n in ast.walk(f)
+            if isinstance(n, ast.Return) and n.value is not None] == []

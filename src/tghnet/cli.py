@@ -15,6 +15,10 @@ import sys
 
 from .errors import ConfigError, DataError, NumericalError, SolverError, UsageError
 
+# ceilings on what a count argument may allocate: simulated rows, density values
+MAX_SIMULATE_ROWS = 10**7
+MAX_DENSITY_VALUES = 10**6
+
 
 def _apply_thread_cap() -> None:
     cap = os.environ.get("TGH_THREADS")
@@ -99,8 +103,8 @@ def cmd_simulate(args) -> None:
     if args.curves not in registry:
         raise UsageError(f"unknown curve set {args.curves!r} for design {args.design!r}")
     fns = registry[args.curves]
-    if args.n < 1:
-        raise UsageError("--n must be >= 1")
+    if not 1 <= args.n <= MAX_SIMULATE_ROWS:
+        raise UsageError(f"--n must lie in [1, {MAX_SIMULATE_ROWS}]")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
     if args.design == "gandh":
@@ -231,11 +235,7 @@ def cmd_intervals(args) -> None:
         iv = symmetric_interval(params, args.alpha)
     else:
         iv = shortest_interval(params, args.alpha)
-    gamma = np.broadcast_to(np.asarray(iv.gamma, dtype=float), (len(y),))
-    write_csv(
-        args.out,
-        {"y": y, "lower": iv.lower, "upper": iv.upper, "gamma": gamma},
-    )
+    write_csv(args.out, {"y": y, "lower": iv.lower, "upper": iv.upper, "gamma": iv.gamma})
     coverage = interval_coverage(y, iv.lower, iv.upper)
     write_json(f"{args.out}.summary.json", {
         "alpha": args.alpha,
@@ -243,7 +243,7 @@ def cmd_intervals(args) -> None:
         "split": args.split,
         "n": len(y),
         "coverage": coverage,
-        "mean_length": float(np.mean(np.asarray(iv.upper) - np.asarray(iv.lower))),
+        "mean_length": float(np.mean(iv.upper - iv.lower)),
     })
     print(f"{args.variant} {1 - args.alpha:.0%} intervals on {len(y)} rows: "
           f"coverage {coverage:.4f}")
@@ -271,6 +271,8 @@ def cmd_density(args) -> None:
         raise UsageError("no feature points given")
     if not all(np.all(np.isfinite(pt)) for pt in points):
         raise UsageError("--features must be finite")
+    if count * len(points) > MAX_DENSITY_VALUES:
+        raise UsageError(f"--y-grid count x feature points must be <= {MAX_DENSITY_VALUES}")
     bundle = load_model(args.model)
     width = len(bundle.header.data.feature_columns)
     if any(len(pt) != width for pt in points):

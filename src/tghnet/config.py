@@ -72,6 +72,8 @@ class ExperimentConfig:
             raise ValueError(f"loss: expected 'tukey' or 'gaussian', got {self.loss!r}")
         if self.seed < 0:
             raise ValueError(f"seed: expected an integer >= 0, got {self.seed}")
+        if isinstance(self.split, ByColumnSplit) and self.split.column not in self.data.features:
+            raise ValueError(f"split.column: {self.split.column!r} is not among data.features")
 
 
 _JSON_TYPE = {bool: "true or false", int: "an integer", float: "a finite number",

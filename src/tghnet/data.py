@@ -246,61 +246,62 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def split_fraction(dataset: Dataset, fraction: float, seed: int) -> Dataset:
-    """Shuffle rows with the seed, first `fraction` to train, rest to val."""
-    if not 0.0 < fraction < 1.0:
-        raise DataError("fraction must lie strictly inside (0, 1)")
-    n = len(dataset)
-    n_train = int(fraction * n + 0.5)
-    if n_train == 0 or n_train == n:
-        raise DataError(f"fraction {fraction} leaves an empty split for n={n}")
-    order = np.random.default_rng(seed).permutation(n)
-    labels = np.empty(n, dtype="U5")
-    labels[order[:n_train]] = "train"
-    labels[order[n_train:]] = "val"
-    return replace(dataset, split=labels)
-
-
-def split_by_column_values(dataset: Dataset, column: str, val_values, test_values) -> Dataset:
-    """Label rows val/test by exact column-value match, remainder train."""
-    col = dataset.column(column)
-    val_values = set(float(v) for v in val_values)
-    test_values = set(float(v) for v in test_values)
-    overlap = val_values & test_values
-    if overlap:
-        raise DataError(f"val and test values overlap: {sorted(overlap)}")
-    labels = np.full(len(dataset), "train", dtype="U5")
-    labels[np.isin(col, sorted(val_values))] = "val"
-    labels[np.isin(col, sorted(test_values))] = "test"
-    for name in SPLIT_LABELS:
-        if not np.any(labels == name):
-            raise DataError(f"by-column split produced an empty {name} split")
-    return replace(dataset, split=labels)
-
-
 @dataclass(frozen=True)
 class FractionSplit:
+    """Rows shuffled with the seed: the first `fraction` train, the rest val.
+    A fraction outside (0, 1) or a negative seed fails when the rule is
+    built; one that leaves a split empty for this n fails in apply."""
+
     fraction: float
     seed: int = 0
     rule: str = field(default="fraction", init=False)
 
     def __post_init__(self):
+        if not 0.0 < self.fraction < 1.0:
+            raise ValueError(f"fraction: expected a number inside (0, 1), got {self.fraction}")
         if self.seed < 0:
             raise ValueError(f"seed: expected an integer >= 0, got {self.seed}")
 
     def apply(self, dataset: Dataset) -> Dataset:
-        return split_fraction(dataset, self.fraction, self.seed)
+        n = len(dataset)
+        n_train = int(self.fraction * n + 0.5)
+        if n_train == 0 or n_train == n:
+            raise DataError(f"fraction {self.fraction} leaves an empty split for n={n}")
+        order = np.random.default_rng(self.seed).permutation(n)
+        labels = np.empty(n, dtype="U5")
+        labels[order[:n_train]] = "train"
+        labels[order[n_train:]] = "val"
+        return replace(dataset, split=labels)
 
 
 @dataclass(frozen=True)
 class ByColumnSplit:
+    """Rows whose `column` value is among val_values are val, among
+    test_values test, the rest train.  Empty or overlapping value lists fail
+    when the rule is built; a split that matches no rows fails in apply."""
+
     column: str
     val_values: tuple[float, ...]
     test_values: tuple[float, ...]
     rule: str = field(default="by_column_values", init=False)
 
+    def __post_init__(self):
+        for key in ("val_values", "test_values"):
+            if not getattr(self, key):
+                raise ValueError(f"{key}: expected at least one value")
+        overlap = set(map(float, self.val_values)) & set(map(float, self.test_values))
+        if overlap:
+            raise ValueError(f"test_values: overlap with val_values: {sorted(overlap)}")
+
     def apply(self, dataset: Dataset) -> Dataset:
-        return split_by_column_values(dataset, self.column, self.val_values, self.test_values)
+        col = dataset.column(self.column)
+        labels = np.full(len(dataset), "train", dtype="U5")
+        labels[np.isin(col, self.val_values)] = "val"
+        labels[np.isin(col, self.test_values)] = "test"
+        for name in SPLIT_LABELS:
+            if not np.any(labels == name):
+                raise DataError(f"by-column split produced an empty {name} split")
+        return replace(dataset, split=labels)
 
 
 def standardize(dataset: Dataset) -> Dataset:

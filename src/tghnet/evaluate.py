@@ -18,6 +18,7 @@ Berger, Statistical Inference, Thm 9.3.2), found by bisection in gamma.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,30 +64,19 @@ class ResidualReport:
     mean_nll: float
 
 
-@dataclass(frozen=True)
-class PredictionInterval:
-    """Interval endpoints in target units.
+class PredictionInterval(NamedTuple):
+    """Interval ends in target units and the upper-tail mass gamma, each of
+    the parameters' broadcast shape.
 
-    gamma is the upper-tail mass of the shortest variant: the interval runs
-    from the alpha - gamma to the 1 - gamma quantile.  The symmetric variant
-    stores the 0 sentinel with variant="symmetric".  Fields are arrays when
-    built from per-row parameters.
+    The interval runs from the alpha - gamma to the 1 - gamma quantile; the
+    symmetric variant stores the sentinel gamma = 0.  Its builders
+    guarantee the rest: alpha passed check_alpha, lower <= upper because
+    the quantile is monotone, and gamma lies in [0, alpha].
     """
 
     lower: np.ndarray | float
     upper: np.ndarray | float
-    alpha: float
     gamma: np.ndarray | float
-    variant: str
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly inside (0, 1)")
-        if np.any(np.asarray(self.lower) > np.asarray(self.upper)):
-            raise ValueError("interval endpoints out of order")
-        gamma = np.asarray(self.gamma)
-        if np.any(gamma < 0) or np.any(gamma > self.alpha):
-            raise ValueError("gamma must lie in [0, alpha]")
 
 
 def ks_uniform(u: np.ndarray) -> float:
@@ -120,17 +110,13 @@ def residuals(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER) -
     mu = np.asarray(params.mu, dtype=float)
     if mu.ndim == 1 and len(mu) != len(y):
         raise ValueError(f"length mismatch: {len(y)} targets vs {len(mu)} parameter rows")
-    z_hat = np.asarray(tgh.z_hat(y, params, cfg))
-    u = np.clip(
-        np.asarray(standard_normal_cdf(z_hat)),
-        np.nextafter(0.0, 1.0),
-        np.nextafter(1.0, 0.0),
-    )
+    z_hat = tgh.z_hat(y, params, cfg)
+    u = np.clip(standard_normal_cdf(z_hat), np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
     n = len(y)
     positions = np.arange(1, n + 1) / (n + 1.0)
-    qq_theoretical = np.asarray(standard_normal_quantile(positions))
+    qq_theoretical = standard_normal_quantile(positions)
     qq_empirical = np.sort(z_hat)
-    mean_nll = float(np.mean(-np.asarray(tgh.log_density_from_z(z_hat, params))))
+    mean_nll = float(np.mean(-tgh.log_density_from_z(z_hat, params)))
     return ResidualReport(
         z_hat=z_hat,
         u=u,
@@ -154,7 +140,6 @@ def check_alpha(alpha: float, variant: str) -> None:
 
 def _interval_at_gamma(params: TghParams, alpha: float, gamma):
     """Quantiles at alpha - gamma and 1 - gamma: coverage 1 - alpha."""
-    gamma = np.asarray(gamma)
     return tgh.quantile(alpha - gamma, params), tgh.quantile(1.0 - gamma, params)
 
 
@@ -162,8 +147,7 @@ def symmetric_interval(params: TghParams, alpha: float) -> PredictionInterval:
     """Central interval with alpha/2 tail mass on each side."""
     check_alpha(alpha, "symmetric")
     lower, upper = _interval_at_gamma(params, alpha, alpha / 2.0)
-    gamma = np.zeros_like(lower) if np.ndim(lower) else 0.0
-    return PredictionInterval(lower, upper, alpha, gamma, "symmetric")
+    return PredictionInterval(lower, upper, np.zeros_like(lower))
 
 
 def shortest_interval(params: TghParams, alpha: float) -> PredictionInterval:
@@ -176,36 +160,26 @@ def shortest_interval(params: TghParams, alpha: float) -> PredictionInterval:
     narrows [eps, alpha - eps] to _GAMMA_TOL; the shortest of the bracket
     ends, their midpoint and the symmetric gamma = alpha/2 is returned, so
     an optimum at the edge of the range is kept and the result is never
-    longer than the symmetric interval.
+    longer than the symmetric interval.  Each entry of the parameters'
+    broadcast shape is searched on its own, and the result has that shape.
     """
     check_alpha(alpha, "shortest")
-    scalar = np.ndim(params.mu) == 0
-    mu = np.atleast_1d(np.asarray(params.mu, dtype=float))
-    sigma = np.atleast_1d(np.asarray(params.sigma, dtype=float))
-    g = np.broadcast_to(np.asarray(params.g, dtype=float), mu.shape)
-    h = np.broadcast_to(np.asarray(params.h, dtype=float), mu.shape)
-    vec = TghParams(mu, sigma, g, h)
-
+    shape = np.broadcast_shapes(*map(np.shape, (params.mu, params.sigma, params.g, params.h)))
     eps = alpha * _GAMMA_EDGE
-    a = np.full_like(mu, eps)
-    b = np.full_like(mu, alpha - eps)
+    a = np.full(shape, eps)
+    b = np.full(shape, alpha - eps)
     while np.max(b - a) > _GAMMA_TOL:
         mid = 0.5 * (a + b)
         z_ends = standard_normal_quantile(np.stack([alpha - mid, 1.0 - mid]))
-        log_f = tgh.log_density_from_z(z_ends, vec)
+        log_f = tgh.log_density_from_z(z_ends, params)
         lower_denser = log_f[0] > log_f[1]
         a = np.where(lower_denser, mid, a)
         b = np.where(lower_denser, b, mid)
 
-    cand = np.stack([a, b, 0.5 * (a + b), np.full_like(a, alpha / 2.0)])
-    lower, upper = _interval_at_gamma(vec, alpha, cand)
-    pick = np.argmin(upper - lower, axis=0), np.arange(len(mu))
-    gamma_star, lower, upper = cand[pick], lower[pick], upper[pick]
-    if scalar:
-        return PredictionInterval(
-            float(lower[0]), float(upper[0]), alpha, float(gamma_star[0]), "shortest"
-        )
-    return PredictionInterval(lower, upper, alpha, gamma_star, "shortest")
+    cand = np.stack([a, b, 0.5 * (a + b), np.full(shape, alpha / 2.0)])
+    lower, upper = _interval_at_gamma(params, alpha, cand)
+    pick = np.argmin(upper - lower, axis=0, keepdims=True)
+    return PredictionInterval(*(np.take_along_axis(v, pick, 0)[0] for v in (lower, upper, cand)))
 
 
 def interval_coverage(y, lower, upper) -> float:

@@ -109,7 +109,6 @@ def gaussian_nll_and_grad(y, mu, sigma):
     Constant dropped, matching nll_and_grad at g = h = 0.  Gradient is the
     2-vector (d/dmu, d/dsigma).
     """
-    scalar = np.ndim(y) == np.ndim(mu) == np.ndim(sigma) == 0
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
@@ -120,10 +119,7 @@ def gaussian_nll_and_grad(y, mu, sigma):
         value = np.log(sigma) + 0.5 * r * r / (sigma * sigma)
         d_mu = -r / (sigma * sigma)
         d_sigma = 1.0 / sigma - r * r / (sigma * sigma * sigma)
-    grad = np.stack([d_mu, d_sigma], axis=-1)
-    if scalar:
-        return LossValueAndGrad(float(value), grad.reshape(2))
-    return LossValueAndGrad(value, grad)
+    return LossValueAndGrad(value, np.stack([d_mu, d_sigma], axis=-1))
 
 
 def _batch_mean(y, raw, link_cfg: LinkConfig, per_sample):

@@ -29,12 +29,12 @@ solver's bisection fallback absorbs.  _log_bracket, behind
 log_density_from_z and nll_and_grad, builds log tau' and the gradient
 factors from exp(-|g*z|) and expm1(-|g*z|), which never overflow.
 
-All functions accept scalars or numpy arrays (broadcast against each other)
-and return a scalar when every input is scalar.  They are pure and safe to
-call concurrently.  When an exp term exceeds the double range the forward
-map saturates to +/-inf with the correct sign rather than producing NaN;
-a saturated value compares correctly against any finite target, which is
-what the solver's bracket relies on.
+All functions broadcast scalar and array inputs as numpy does, and _ret
+makes a result a Python float exactly when its broadcast shape is 0-d.
+They are pure and safe to call concurrently.  When an exp term exceeds
+the double range the forward map saturates to +/-inf with the correct
+sign rather than producing NaN; a saturated value compares correctly
+against any finite target, which is what the solver's bracket relies on.
 """
 
 from __future__ import annotations
@@ -148,12 +148,10 @@ class InverseSolverConfig:
 DEFAULT_SOLVER = InverseSolverConfig()
 
 
-def _is_scalar(*values) -> bool:
-    return all(np.ndim(v) == 0 for v in values)
-
-
-def _ret(value: np.ndarray, scalar: bool):
-    return float(value) if scalar else value
+def _ret(value):
+    """value as a Python float when it is 0-d, else value itself: the one
+    place that decides a result's type, from the result's shape alone."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def _log_bracket(z, g, h, grad=False):
@@ -204,9 +202,8 @@ def tau(z, p: ShapeParams | TghParams):
     Strictly increasing in z for h >= 0 and tau(0) = 0.  Saturates to
     +/-inf (never NaN) when the exp terms overflow the double range.
     """
-    scalar = _is_scalar(z, p.g, p.h)
     g, h = np.asarray(p.g, dtype=float), np.asarray(p.h, dtype=float)
-    return _ret(_tau_parts(_validate_finite("z", z), g, h)[0], scalar)
+    return _ret(_tau_parts(_validate_finite("z", z), g, h)[0])
 
 
 def _tau_parts(z, g, h):
@@ -256,7 +253,6 @@ def tau_inverse(z_tilde, p: ShapeParams | TghParams, cfg: InverseSolverConfig = 
     then the first (h > 0) not bracketed in cfg.max_bracket_doublings
     doublings, or not stopped after cfg.max_bisection_iters iterations.
     """
-    scalar = _is_scalar(z_tilde, p.g, p.h)
     zt = _validate_finite("z_tilde", z_tilde)
     g = np.asarray(p.g, dtype=float)
     h = np.asarray(p.h, dtype=float)
@@ -319,7 +315,7 @@ def tau_inverse(z_tilde, p: ShapeParams | TghParams, cfg: InverseSolverConfig = 
         else:
             raise _row_error("inverse transform did not converge in "
                              f"{cfg.max_bisection_iters} iterations", ~done, zt, g, h)
-    return _ret(z, scalar)
+    return _ret(z)
 
 
 def z_hat(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER):
@@ -352,26 +348,29 @@ def log_density_from_z(z_hat, params: TghParams):
     tau' is evaluated in log space so large |g*z_hat| cannot overflow.
     Callers that already hold z_hat (residual reports) skip a second solve.
     """
-    scalar = _is_scalar(z_hat, params.mu, params.sigma, params.g, params.h)
     z_hat = np.asarray(z_hat, dtype=float)
     sigma = np.asarray(params.sigma, dtype=float)
     h = np.asarray(params.h, dtype=float)
     log_b = _log_bracket(z_hat, np.asarray(params.g, dtype=float), h)
     out = -np.log(sigma) - log_b - 0.5 * (1.0 + h) * z_hat * z_hat - HALF_LOG_TWO_PI
-    return _ret(out, scalar)
+    return _ret(out)
 
 
 @dataclass(frozen=True)
 class LossValueAndGrad:
     """Loss value(s) and gradient w.r.t. the distribution parameters.
 
-    For a scalar sample: value is a float and grad has shape (4,)
-    (d/dmu, d/dsigma, d/dg, d/dh) — (2,) for the Gaussian loss.  For a
-    batch of n samples: value has shape (n,) and grad (n, 4) or (n, 2).
+    For a scalar sample: value is a float (the value goes through _ret)
+    and grad has shape (4,) (d/dmu, d/dsigma, d/dg, d/dh) — (2,) for the
+    Gaussian loss.  For a batch of n samples: value has shape (n,) and
+    grad (n, 4) or (n, 2).
     """
 
     value: float | np.ndarray
     grad: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", _ret(self.value))
 
 
 def nll_and_grad(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER):
@@ -384,7 +383,6 @@ def nll_and_grad(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER
     the inverse-transform sensitivities; everything reuses the single
     inverse solve performed here and the exp/expm1 pair of _log_bracket.
     """
-    scalar = _is_scalar(y, params.mu, params.sigma, params.g, params.h)
     zh = np.asarray(z_hat(y, params, cfg))
     sigma = np.asarray(params.sigma, dtype=float)
     g = np.asarray(params.g, dtype=float)
@@ -411,10 +409,7 @@ def nll_and_grad(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER
         d_g = db_dg / bracket + a * (-dk / bracket)
         d_h = db_dh / bracket + 0.5 * zh * zh + a * (-0.5 * zh * zh * ez / bracket)
 
-    grad = np.stack([d_mu, d_sigma, d_g, d_h], axis=-1)
-    if scalar:
-        return LossValueAndGrad(float(value), grad.reshape(4))
-    return LossValueAndGrad(value, grad)
+    return LossValueAndGrad(value, np.stack([d_mu, d_sigma, d_g, d_h], axis=-1))
 
 
 def quantile(alpha, params: TghParams):
@@ -422,11 +417,10 @@ def quantile(alpha, params: TghParams):
 
     Monotone non-decreasing in alpha; alpha = 0.5 gives mu exactly.
     """
-    scalar = _is_scalar(alpha, params.mu, params.sigma, params.g, params.h)
     z = standard_normal_quantile(alpha)
     g, h = np.asarray(params.g, dtype=float), np.asarray(params.h, dtype=float)
     out = np.asarray(params.mu) + np.asarray(params.sigma) * _tau_parts(z, g, h)[0]
-    return _ret(out, scalar)
+    return _ret(out)
 
 
 def sample(params: TghParams, n: int, seed: int) -> np.ndarray:
@@ -447,9 +441,8 @@ _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 def standard_normal_cdf(z):
     """Phi(z), the standard normal CDF, as erfc(-z/sqrt(2))/2."""
-    scalar = _is_scalar(z)
     x = np.asarray(z, dtype=float) * -math.sqrt(0.5)
-    return _ret(0.5 * np.asarray(_erfc(x), dtype=float), scalar)
+    return _ret(0.5 * np.asarray(_erfc(x), dtype=float))
 
 
 # AS241 (PPND16), Wichura, Applied Statistics 37(3), 1988: rational
@@ -500,7 +493,6 @@ def standard_normal_quantile(alpha):
     arr = np.asarray(alpha, dtype=float)
     if np.any(arr <= 0) or np.any(arr >= 1):
         raise ValueError("alpha must lie strictly inside (0, 1)")
-    scalar = _is_scalar(alpha)
     p = arr.ravel()
     q = p - 0.5
     out = np.empty_like(p)
@@ -515,4 +507,4 @@ def standard_normal_quantile(alpha):
     z[near] = _rational(_AS241_NEAR, r[near] - 1.6)
     z[~near] = _rational(_AS241_FAR, r[~near] - 5.0)
     out[tail] = np.copysign(z, q[tail])
-    return _ret(out.reshape(arr.shape), scalar)
+    return _ret(out.reshape(arr.shape))

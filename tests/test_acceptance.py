@@ -16,7 +16,7 @@ import pytest
 
 from tghnet import tgh
 from tghnet.cli import main
-from tghnet.data import Dataset, load_csv, split_by_column_values, write_csv
+from tghnet.data import ByColumnSplit, Dataset, load_csv, write_csv
 from tghnet.evaluate import shortest_interval, symmetric_interval
 from tghnet.loss import gaussian_nll_and_grad, link, nll_and_grad, tukey_head_loss
 from tghnet.nn import Network, NetworkSpec, load_model
@@ -242,9 +242,7 @@ def test_criterion_4_well_specified_recovery(gandh_run):
     bundle = load_model(gandh_run["model"])
     dataset = load_csv(gandh_run["data"], "y", bundle.header.data.feature_columns)
     rule = bundle.header.split_rule
-    from tghnet.data import split_fraction
-
-    labeled = split_fraction(dataset, rule.fraction, rule.seed)
+    labeled = rule.apply(dataset)
     rows = labeled.rows("val")
     x_val = labeled.x[rows][:, 0]
     y_val = labeled.y[rows]
@@ -303,9 +301,8 @@ def test_criterion_7_croplike_pipeline(crop_run):
         np.column_stack([np.zeros_like(years), years]),
         np.zeros_like(years), ("lat", "year"), "y",
     )
-    labeled = split_by_column_values(
-        fixture, "year", sorted(VAL_YEARS), sorted(TEST_YEARS)
-    )
+    split = ByColumnSplit("year", tuple(sorted(VAL_YEARS)), tuple(sorted(TEST_YEARS)))
+    labeled = split.apply(fixture)
     assert set(labeled.column("year")[labeled.rows("val")]) == VAL_YEARS
     assert set(labeled.column("year")[labeled.rows("test")]) == TEST_YEARS
 

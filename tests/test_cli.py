@@ -375,6 +375,11 @@ EXIT_PROBES = {
                       "--out", "{tmp}/d.csv"], 2, "--y-grid"),
     "negative_seed": (["simulate", "--design", "gandh", "--n", "10", "--seed=-1",
                        "--out", "{tmp}/s.csv"], 2, "--seed"),
+    # a count above its ceiling is refused before any array is allocated
+    "huge_simulate_n": (["simulate", "--design", "gandh", "--n", str(10**18),
+                         "--out", "{tmp}/s.csv"], 2, "--n"),
+    "huge_y_grid_count": (["density", "--model", "{model}", "--features", "0.5",
+                           f"--y-grid=0:1:{10**18}", "--out", "{tmp}/d.csv"], 2, "--y-grid"),
     # argparse (3.11) reads the value of --features=-- as [], which no
     # command checks for; where it keeps "--", that is a syntax error
     "double_dash_features": (["density", "--model", "{model}", "--features=--",
@@ -390,20 +395,22 @@ _EDGE_FLOATS = ("0", "5e-324", "1e-300", "1e-13", "0.05", "1", "nan", "inf", "-0
 def _any_arguments(draw):
     """One command's argv with {model}, {sim} and {tmp} to fill: every value
     as --flag=value, so that argparse reads none of them as a flag, and
-    every count small, so that no example allocates a large array."""
+    every count small or 10^18, above its ceiling, so that no example
+    allocates a large array."""
     command = draw(st.sampled_from(["simulate", "intervals", "density"]))
     if command == "simulate":
         args = {"design": draw(st.sampled_from(["gandh", "student_t"])),
                 "curves": draw(st.sampled_from(["reference", "constant_normal", "nope"])),
-                "n": draw(st.integers(-3, 40)), "seed": draw(st.integers(-2**70, 2**70))}
+                "n": draw(st.integers(-3, 40) | st.just(10**18)), "seed": draw(st.integers(-2**70, 2**70))}
     elif command == "intervals":
         args = {"model": "{model}", "data": "{sim}", "alpha": draw(st.sampled_from(_EDGE_FLOATS)),
                 "variant": draw(st.sampled_from(["symmetric", "shortest"])),
                 "split": draw(st.sampled_from(["train", "val", "test"]))}
     else:
         end = st.sampled_from(_EDGE_FLOATS + ("-inf", "-1e308", "1e308"))
+        count = draw(st.integers(-2, 40) | st.just(10**18))
         args = {"model": "{model}", "features": draw(st.text("0123456789.,;-ena", max_size=12)),
-                "y-grid": f"{draw(end)}:{draw(end)}:{draw(st.integers(-2, 40))}"}
+                "y-grid": f"{draw(end)}:{draw(end)}:{count}"}
     # an --out under a regular file cannot be written
     out = draw(st.sampled_from(["{tmp}/out.csv", "{sim}/out.csv"]))
     return [command, *(f"--{k}={v}" for k, v in args.items()), f"--out={out}"]

@@ -102,6 +102,7 @@ def test_bad_loss_value():
 
 def test_by_column_split_parsed():
     raw = json.loads(json.dumps(MINIMAL))
+    raw["data"]["features"] = ["x", "year"]
     raw["split"] = {
         "rule": "by_column_values",
         "column": "year",
@@ -220,6 +221,13 @@ def test_optimizer_overrides_roundtrip():
     ("data", {"target": "y", "features": ["x"], "late_columns": ["x"]}),
     ("data", {"target": "y", "features": ["x", "x"], "late_columns": ["x"]}),
     ("split", {"rule": "fraction", "fraction": 0.8, "seed": -2}),
+    ("split", {"rule": "fraction", "fraction": 1.5, "seed": 0}),
+    ("split", {"rule": "by_column_values", "column": "x", "val_values": [1.0],
+               "test_values": [1.0]}),
+    ("split", {"rule": "by_column_values", "column": "true_g", "val_values": [1.0],
+               "test_values": [2.0]}),
+    ("split", {"rule": "by_column_values", "column": "x", "val_values": [],
+               "test_values": [2.0]}),
 ], ids=["negative_epochs", "zero_batch_size", "negative_clip_norm", "string_epochs",
         "string_fraction", "string_standardize", "string_batch_norm", "float_epochs",
         "string_batch_size", "bool_epochs", "float_split_seed", "float_max_iters",
@@ -227,7 +235,9 @@ def test_optimizer_overrides_roundtrip():
         "bool_fraction", "bool_h_max", "bool_lr", "bool_abs_tolerance",
         "string_drop_epoch", "int_target", "int_split_column", "infinite_g_max",
         "infinite_abs_tolerance", "infinite_eps", "nan_fraction", "overflowing_int_lr",
-        "every_feature_late", "repeated_feature", "negative_split_seed"])
+        "every_feature_late", "repeated_feature", "negative_split_seed",
+        "fraction_above_one", "overlapping_split_values", "split_column_not_a_feature",
+        "empty_val_values"])
 def test_bad_values_are_config_errors(tmp_path, capsys, section, values):
     raw = dict(json.loads(json.dumps(MINIMAL)), **{section: values})
     with pytest.raises(ConfigError):

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from tghnet import data
 from tghnet.data import (
+    ByColumnSplit,
     Dataset,
+    FractionSplit,
     load_csv,
-    split_by_column_values,
-    split_fraction,
     standardize,
     write_csv,
 )
@@ -255,28 +255,26 @@ class TestSplits:
         return Dataset(x, np.arange(n, dtype=float), ("a", "b"), "y")
 
     def test_fraction_counts(self):
-        ds = split_fraction(self._dataset(10), 0.8, seed=0)
+        ds = FractionSplit(0.8, seed=0).apply(self._dataset(10))
         assert np.sum(ds.split == "train") == 8
         assert np.sum(ds.split == "val") == 2
         assert np.sum(ds.split == "test") == 0
 
     def test_fraction_deterministic(self):
-        a = split_fraction(self._dataset(50), 0.8, seed=9)
-        b = split_fraction(self._dataset(50), 0.8, seed=9)
+        a = FractionSplit(0.8, seed=9).apply(self._dataset(50))
+        b = FractionSplit(0.8, seed=9).apply(self._dataset(50))
         np.testing.assert_array_equal(a.split, b.split)
 
     def test_fraction_empty_split_rejected(self):
         with pytest.raises(DataError, match="empty"):
-            split_fraction(self._dataset(3), 0.01, seed=0)
+            FractionSplit(0.01, seed=0).apply(self._dataset(3))
 
     def test_by_column_year_membership(self):
         years = np.arange(1981.0, 2017.0)
         n = len(years)
         ds = Dataset(np.column_stack([np.zeros(n), years]),
                      np.zeros(n), ("lat", "year"), "y")
-        out = split_by_column_values(
-            ds, "year", [1985, 1995, 2005, 2015], [1986, 1996, 2006, 2016]
-        )
+        out = ByColumnSplit("year", (1985, 1995, 2005, 2015), (1986, 1996, 2006, 2016)).apply(ds)
         val_years = set(out.column("year")[out.rows("val")])
         test_years = set(out.column("year")[out.rows("test")])
         train_years = set(out.column("year")[out.rows("train")])
@@ -287,11 +285,11 @@ class TestSplits:
     def test_by_column_empty_split_rejected(self):
         ds = self._dataset(4)
         with pytest.raises(DataError, match="empty"):
-            split_by_column_values(ds, "a", [999.0], [0.0])
+            ByColumnSplit("a", (999.0,), (0.0,)).apply(ds)
 
     def test_overlapping_values_rejected(self):
-        with pytest.raises(DataError, match="overlap"):
-            split_by_column_values(self._dataset(4), "a", [0.0], [0.0])
+        with pytest.raises(ValueError, match="overlap"):
+            ByColumnSplit("a", (0.0,), (0.0,))
 
 
 class TestStandardize:

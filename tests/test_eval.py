@@ -110,7 +110,6 @@ class TestSymmetricInterval:
         assert iv.lower == pytest.approx(-Z_975, abs=1e-9)
         assert iv.upper == pytest.approx(Z_975, abs=1e-9)
         assert iv.gamma == 0.0
-        assert iv.variant == "symmetric"
 
     def test_location_equivariance(self):
         base = symmetric_interval(TghParams(0.0, 1.0, 0.7, 0.2), 0.1)
@@ -188,6 +187,18 @@ class TestShortestInterval:
         iv = shortest_interval(TghParams(0.0, 1.0, 0.0, 0.0), 0.5)
         assert iv.lower == pytest.approx(quantile(0.25, TghParams(0.0, 1.0, 0.0, 0.0)), abs=1e-5)
         assert iv.upper == pytest.approx(quantile(0.75, TghParams(0.0, 1.0, 0.0, 0.0)), abs=1e-5)
+
+    @pytest.mark.parametrize("interval", [symmetric_interval, shortest_interval],
+                             ids=["symmetric", "shortest"])
+    def test_any_parameter_shape(self, interval):
+        # (2, 3) parameters give, bitwise, the 1-D results of the same six rows
+        rng = np.random.default_rng(20)
+        fields = (rng.normal(size=(2, 3)), rng.uniform(0.3, 2.0, 3),
+                  rng.uniform(-1.0, 1.0, (2, 3)), rng.uniform(0.0, 0.5, (2, 1)))
+        grid = interval(TghParams(*fields), 0.05)
+        rows = interval(TghParams(*(np.broadcast_to(f, (2, 3)).ravel() for f in fields)), 0.05)
+        for got, want in zip(grid, rows):
+            assert got.shape == (2, 3) and got.ravel().tobytes() == want.tobytes()
 
     def test_exact_coverage_at_any_gamma(self):
         # mass between the interval's z-levels is (1 - gamma) - (alpha - gamma)

@@ -1,8 +1,8 @@
 """Module boundaries: no tghnet module imports another's private names,
 config and nn import in either order, data imports only errors, evaluate
 only tgh, no command imports scipy, the benchmark tracer's wrapped names
-exist, the g -> 0 limit of tgh lives in its two kernels, and cli.main alone
-decides exit codes."""
+exist, the g -> 0 limit of tgh lives in its two kernels, tgh._ret alone
+decides that a result is a float, and cli.main alone decides exit codes."""
 
 import ast
 import json
@@ -119,6 +119,21 @@ def test_small_g_is_read_only_by_the_two_kernels():
     assert reads(tree) == sum(map(reads, kernels))
     names = {getattr(n, "id", None) or getattr(n, "arg", None) for n in ast.walk(tree)}
     assert "g_safe" not in names
+
+
+def test_only_tgh_ret_tests_for_scalars():
+    # a result is a float because it is 0-d: no function inspects its inputs
+    offenders = []
+    for module in ("tgh", "loss", "evaluate"):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        ret = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_ret"]
+        inside = {id(n) for f in ret for n in ast.walk(f)}
+        offenders += [
+            f"{module}.py:{n.lineno}" for n in ast.walk(tree) if id(n) not in inside and (
+                isinstance(n, ast.Call) and ast.unparse(n.func) in ("np.ndim", "np.atleast_1d")
+                or getattr(n, "id", getattr(n, "name", None)) == "_is_scalar")]
+        assert (module == "tgh") == (len(ret) == 1)
+    assert offenders == []
 
 
 def test_evaluate_imports_no_tghnet_module_but_tgh():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from tghnet import tgh
 from tghnet.errors import SolverError
-from tghnet.loss import LinkConfig
+from tghnet.loss import LinkConfig, gaussian_nll_and_grad
 from tghnet.tgh import (
     InverseSolverConfig,
     ShapeParams,
@@ -699,6 +699,45 @@ class TestStandardNormal:
             assert type(standard_normal_quantile(value)) is float
         assert np.shape(standard_normal_cdf(np.full((2, 1), 0.3))) == (2, 1)
         assert np.shape(standard_normal_quantile(np.full((2, 1), 0.3))) == (2, 1)
+
+
+# each function under the one shape rule, called with a sample value x in
+# (0, 1) and parameters p, and whether its result broadcasts against p
+_SHAPE_RULE = {
+    "tau": (tau, True),
+    "tau_inverse": (tau_inverse, True),
+    "z_hat": (tgh.z_hat, True),
+    "log_density": (log_density, True),
+    "log_density_from_z": (log_density_from_z, True),
+    "nll_and_grad": (nll_and_grad, True),
+    "quantile": (quantile, True),
+    "standard_normal_cdf": (lambda x, p: standard_normal_cdf(x), False),
+    "standard_normal_quantile": (lambda x, p: standard_normal_quantile(x), False),
+    "gaussian_nll_and_grad": (lambda x, p: gaussian_nll_and_grad(x, p.mu, p.sigma), True),
+}
+_SHAPE_INPUTS = {
+    "python": (0.3, (0.1, 1.2, 0.2, 0.1)),
+    "0-d": (np.array(0.3), tuple(map(np.array, (0.1, 1.2, 0.2, 0.1)))),
+    "(3,)": (np.array([0.3, 0.5, 0.7]), (0.1, 1.2, np.array([0.2, -0.3, 0.0]), 0.1)),
+    "(2, 3)": (np.array([[0.3], [0.6]]),
+               (0.1, np.array([1.2, 0.8, 2.0]), np.array([0.2, -0.3, 0.0]), np.full(3, 0.1))),
+}
+
+
+@pytest.mark.parametrize("inputs", _SHAPE_INPUTS)
+@pytest.mark.parametrize("name", _SHAPE_RULE)
+def test_a_result_is_a_float_exactly_when_it_is_0d(name, inputs):
+    call, reads_params = _SHAPE_RULE[name]
+    x, fields = _SHAPE_INPUTS[inputs]
+    out = call(x, TghParams(*fields))
+    shape = np.broadcast_shapes(np.shape(x), *map(np.shape, fields if reads_params else ()))
+    value = out.value if name.endswith("nll_and_grad") else out
+    if shape == ():
+        assert type(value) is float
+    else:
+        assert type(value) is np.ndarray and value.shape == shape
+    if name.endswith("nll_and_grad"):
+        assert out.grad.shape == shape + ((4,) if name == "nll_and_grad" else (2,))
 
 
 def _quantile_oracle_points():

@@ -12,7 +12,7 @@ variant spends the tail budget asymmetrically, minimizing
 tgh.quantile(1 - gamma) - tgh.quantile(alpha - gamma) over the upper-tail
 mass gamma.  Coverage is exactly 1 - alpha for every gamma by
 construction.  The minimizer has equal density at both ends (Casella &
-Berger, Statistical Inference, Thm 9.3.2), found by bisection in gamma.
+Berger, Statistical Inference, Thm 9.3.2), found by tgh.safeguarded_newton.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ __all__ = [
     "binned_residual_summary",
 ]
 
-# shortest_interval's bisection stops at this gamma bracket width, and
-# searches gamma in [alpha * _GAMMA_EDGE, alpha * (1 - _GAMMA_EDGE)]
-_GAMMA_TOL = 1e-9
+# shortest_interval searches logit(gamma/alpha) in [-_X_EDGE, _X_EDGE] to a step of _X_TOL
 _GAMMA_EDGE = 1e-4
+_X_EDGE = np.log((1.0 - _GAMMA_EDGE) / _GAMMA_EDGE)
+_X_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -154,29 +154,37 @@ def shortest_interval(params: TghParams, alpha: float) -> PredictionInterval:
     """Interval of minimal length among all with coverage 1 - alpha.
 
     With gamma the upper-tail mass, d(length)/d(gamma) has the sign of
-    1/f(lower) - 1/f(upper): the length falls while the lower end is the
-    denser one and rises after, a single sign change for the unimodal
-    g-and-h density.  Bisection on the sign of log f(lower) - log f(upper)
-    narrows [eps, alpha - eps] to _GAMMA_TOL; the shortest of the bracket
-    ends, their midpoint and the symmetric gamma = alpha/2 is returned, so
-    an optimum at the edge of the range is kept and the result is never
-    longer than the symmetric interval.  Each entry of the parameters'
-    broadcast shape is searched on its own, and the result has that shape.
+    1/f(lower) - 1/f(upper), which changes once for the unimodal g-and-h
+    density.  So F = log f(upper) - log f(lower) rises through 0, and
+    tgh.safeguarded_newton finds its root in x = logit(gamma/alpha) with
+    secant steps from one density pass at each end of the range; a row
+    whose F has one sign there stays at an end.  The shorter of that and
+    the symmetric gamma = alpha/2 is returned.  Each entry of the
+    parameters' broadcast shape is searched on its own.
     """
     check_alpha(alpha, "shortest")
     shape = np.broadcast_shapes(*map(np.shape, (params.mu, params.sigma, params.g, params.h)))
-    eps = alpha * _GAMMA_EDGE
-    a = np.full(shape, eps)
-    b = np.full(shape, alpha - eps)
-    while np.max(b - a) > _GAMMA_TOL:
-        mid = 0.5 * (a + b)
-        z_ends = standard_normal_quantile(np.stack([alpha - mid, 1.0 - mid]))
-        log_f = tgh.log_density_from_z(z_ends, params)
-        lower_denser = log_f[0] > log_f[1]
-        a = np.where(lower_denser, mid, a)
-        b = np.where(lower_denser, b, mid)
+    lo, hi = np.full(shape, -_X_EDGE), np.full(shape, _X_EDGE)
+    x_prev = f_prev = 0.0  # the first call's step is never used
 
-    cand = np.stack([a, b, 0.5 * (a + b), np.full(shape, alpha / 2.0)])
+    def gap_and_secant(x):
+        nonlocal x_prev, f_prev
+        gamma = alpha / (1.0 + np.exp(-x))
+        log_f = tgh.log_density_from_z(
+            standard_normal_quantile(np.stack([alpha - gamma, 1.0 - gamma])), params)
+        f = log_f[1] - log_f[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = f * (x - x_prev) / (f - f_prev)
+        x_prev, f_prev = x, f
+        return f, step
+
+    f_lo, _ = gap_and_secant(lo)
+    f_hi, step = gap_and_secant(hi)
+    # F >= 0 at lo or <= 0 at hi: that end is the optimum, and f = 0 keeps the row there
+    x, _ = tgh.safeguarded_newton(gap_and_secant, np.where(f_lo >= 0, lo, hi),
+                                  np.where((f_lo >= 0) | (f_hi <= 0), 0.0, f_hi), step,
+                                  lo, hi, _X_TOL, 100)
+    cand = np.stack([alpha / (1.0 + np.exp(-x)), np.full(shape, alpha / 2.0)])
     lower, upper = _interval_at_gamma(params, alpha, cand)
     pick = np.argmin(upper - lower, axis=0, keepdims=True)
     return PredictionInterval(*(np.take_along_axis(v, pick, 0)[0] for v in (lower, upper, cand)))

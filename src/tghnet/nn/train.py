@@ -109,7 +109,8 @@ def train(net: Network, x: np.ndarray, y: np.ndarray,
                 )
             net.backward(head_grad)
             if train_cfg.clip_norm is not None:
-                norm = np.sqrt(net.grad @ net.grad)
+                # a pairwise sum, not a BLAS dot: the same bits at any thread count
+                norm = np.sqrt(np.add.reduce(net.grad * net.grad))
                 if norm > train_cfg.clip_norm:
                     net.grad *= train_cfg.clip_norm / norm
             opt.step(net.params, net.grad, epoch)

@@ -10,12 +10,12 @@ The transform is
 continuously extended to ``z * exp(h*z^2/2)`` at g = 0.  For h >= 0 it is
 strictly increasing in z with tau(0) = 0, so each root of tau(z) = z_tilde
 can be bracketed between 0 and a point on the target's side and found to
-any requested tolerance by Newton steps that fall back to bisection; there
-is no closed form.  At h = 0 the range is one-sided (1 + g*tau > 0), and
-tau_inverse rejects a target on or beyond its bound before any bracket
-pass.  A variable mu + sigma * tau(Z) with Z standard normal follows the
-g-and-h distribution: g controls skewness, h tail weight, and (g, h) =
-(0, 0) recovers the normal.
+any requested tolerance by safeguarded_newton, the one root search of the
+package; there is no closed form.  At h = 0 the range is one-sided
+(1 + g*tau > 0), and tau_inverse rejects a target on or beyond its bound
+before any bracket pass.  A variable mu + sigma * tau(Z) with Z standard
+normal follows the g-and-h distribution: g controls skewness, h tail
+weight, and (g, h) = (0, 0) recovers the normal.
 
 The normal quantile behind quantile and the intervals is Wichura's AS241
 (PPND16, Applied Statistics 37(3), 1988), and the normal CDF is
@@ -52,6 +52,7 @@ __all__ = [
     "InverseSolverConfig",
     "DEFAULT_SOLVER",
     "tau",
+    "safeguarded_newton",
     "tau_inverse",
     "z_hat",
     "log_density",
@@ -228,25 +229,54 @@ def _row_error(message: str, bad, zt, g, h, reason: str = "") -> SolverError:
                        f"g={float(g[i])!r}, h={float(h[i])!r}{reason}")
 
 
+def safeguarded_newton(value_and_step, x, f, step, lo, hi, tol, max_iter):
+    """Root of an increasing f on each row's bracket [lo, hi]; returns (x, done).
+
+    Each row starts at x in its bracket with f = f(x) and a step.  The sign
+    of f narrows [lo, hi], and the row moves to x - step, or bisects when
+    that point leaves the bracket, is NaN, or would not halve the step
+    before last (rtsafe, Numerical Recipes section 9.4).  A row stops when
+    its step or bracket is at most tol, when the bracket ends are adjacent
+    doubles, or when f == 0, so a row given f = 0 never moves.
+    value_and_step(x) gives every row's next (f, step), inside this loop's
+    np.errstate; done is False on rows max_iter iterations did not stop.
+    """
+    step_abs = step_abs_old = hi - lo
+    done = np.zeros(np.shape(x), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(max_iter):
+            lo = np.where(f < 0, x, lo)
+            hi = np.where(f > 0, x, hi)
+            newton = x - step
+            mid = 0.5 * (lo + hi)
+            newton_abs = np.abs(step)
+            # NR's |2F| <= |dx_old * F'| reads 2|step| <= |step before last|.
+            use_newton = ((lo <= newton) & (newton <= hi)
+                          & (2.0 * newton_abs <= step_abs_old))
+            step_abs_old = step_abs
+            step_abs = np.where(use_newton, newton_abs, 0.5 * (hi - lo))
+            # x sits on lo or hi unless f == 0, so every step stays inside
+            # [lo, hi] and a bracket at most tol wide means a step too.
+            keep = done | (f == 0)
+            x = np.where(keep, x, np.where(use_newton, newton, mid))
+            done = keep | (step_abs <= tol) | (mid == lo) | (mid == hi)
+            if done.all():
+                break
+            f, step = value_and_step(x)
+    return x, done
+
+
 def tau_inverse(z_tilde, p: ShapeParams | TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER):
     """Invert tau by bracket doubling followed by safeguarded Newton steps.
 
     tau is increasing with tau(0) = 0, so each root lies between 0 and
     end = copysign(cfg.initial_half_width, z_tilde), and end doubles while
     |tau(end)| < |z_tilde|: one tau evaluation per bracket pass.
-    Every row then starts at z = 0 and takes Newton steps on
-    F(z) = asinh(tau(z)) - asinh(z_tilde), which is far less curved than
-    tau itself in the exp(h*z^2/2) tail, while the sign of
-    tau(z) - z_tilde narrows [lo, hi].  A row bisects instead when the
-    Newton point leaves the bracket or would not halve the step before
-    last (rtsafe, Numerical Recipes section 9.4), so convergence is
-    unconditional.  A row stops when its step or its bracket is at most
-    cfg.abs_tolerance, when the bracket ends are adjacent doubles (a
-    tolerance below one ulp of the root cannot be met), or when
-    tau(z) == z_tilde.  Saturated (+/-inf) tau values compare correctly
-    against the finite target, because a saturated magnitude exceeds
-    every representable one.  Only p.g and p.h are read, so z_hat passes
-    its TghParams, whose (g, h) are already checked.
+    Every row then starts safeguarded_newton at z = 0 with f = tau(z) -
+    z_tilde and Newton steps on asinh(tau(z)) - asinh(z_tilde), which is
+    far less curved than tau in the exp(h*z^2/2) tail.  A saturated (+/-inf)
+    tau compares correctly against the finite target.  Only p.g and p.h
+    are read, so z_hat passes its TghParams, whose (g, h) are checked.
 
     Raises SolverError naming a row: before any tau evaluation, the first
     with h = 0 and 1 + g*z_tilde <= 0 (outside tau's one-sided range);
@@ -276,45 +306,22 @@ def tau_inverse(z_tilde, p: ShapeParams | TghParams, cfg: InverseSolverConfig = 
         raise _row_error("no bracket for inverse transform after "
                          f"{cfg.max_bracket_doublings} doublings", need, zt, g, h)
 
-    # tau(0) = 0 and tau'(0) = 1 for every (g, h), so z = 0 costs nothing.
-    z = np.zeros(zt.shape)
-    t = np.zeros(zt.shape)
-    t_p = np.ones(zt.shape)
-    lo, hi = np.minimum(end, z), np.maximum(end, z)
     target = np.arcsinh(zt)
-    step_abs = step_abs_old = hi - lo
-    done = np.zeros(zt.shape, dtype=bool)
-    tol = cfg.abs_tolerance
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(cfg.max_bisection_iters):
-            lo = np.where(t < zt, z, lo)
-            hi = np.where(t > zt, z, hi)
-            # Newton on F = asinh(tau) - asinh(z_tilde), F' = tau'/sqrt(1 + tau^2);
-            # a NaN or infinite step fails every comparison and bisects.
-            step = (np.arcsinh(t) - target) * np.sqrt(1.0 + t * t) / t_p
-            newton = z - step
-            mid = 0.5 * (lo + hi)
-            newton_abs = np.abs(step)
-            # NR's |2F| <= |dx_old * F'| reads 2|step| <= |step before last|.
-            use_newton = ((lo <= newton) & (newton <= hi)
-                          & (2.0 * newton_abs <= step_abs_old))
-            step_abs_old = step_abs
-            step_abs = np.where(use_newton, newton_abs, 0.5 * (hi - lo))
-            # z sits on lo or hi unless tau(z) == z_tilde, so every step stays
-            # inside [lo, hi] and a bracket at most tol wide means a step too.
-            keep = done | (t == zt)
-            z = np.where(keep, z, np.where(use_newton, newton, mid))
-            done = keep | (step_abs <= tol) | (mid == lo) | (mid == hi)
-            if done.all():
-                break
-            t, eh = _tau_parts(z, g, h)
-            # tau' cancels where g*z << 0 (1 + g*ez -> 0) and may lose every
-            # digit, and it may be inf or NaN where tau saturates: either way
-            # a bad Newton step, so the row bisects.
-            t_p = eh + (g + h * z) * t
-        else:
-            raise _row_error("inverse transform did not converge in "
-                             f"{cfg.max_bisection_iters} iterations", ~done, zt, g, h)
+
+    def value_and_step(z):
+        t, eh = _tau_parts(z, g, h)
+        # F = asinh(tau) - asinh(z_tilde), F' = tau'/sqrt(1 + tau^2); tau' cancels
+        # where g*z << 0 and is inf or NaN where tau saturates, and such rows bisect.
+        t_p = eh + (g + h * z) * t
+        return t - zt, (np.arcsinh(t) - target) * np.sqrt(1.0 + t * t) / t_p
+
+    # tau(0) = 0 and tau'(0) = 1 for every (g, h), so z = 0 costs nothing.
+    z, done = safeguarded_newton(value_and_step, np.zeros(zt.shape), -zt, -target,
+                                 np.minimum(end, 0.0), np.maximum(end, 0.0),
+                                 cfg.abs_tolerance, cfg.max_bisection_iters)
+    if not done.all():
+        raise _row_error("inverse transform did not converge in "
+                         f"{cfg.max_bisection_iters} iterations", ~done, zt, g, h)
     return _ret(z)
 
 

@@ -4,7 +4,11 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -552,6 +556,36 @@ class TestThreadCap:
         import os
 
         assert os.environ["OMP_NUM_THREADS"] == "8"
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                        reason="OpenBLAS runs one thread on one CPU, so the thread count "
+                               "cannot change a summation order here")
+    def test_model_bits_do_not_depend_on_the_thread_count(self, tmp_path):
+        # the README network has 13 380 gradient entries, a dot product long
+        # enough for OpenBLAS to split across two threads; clip_norm 1 clips
+        # the batches, so a clipping norm summed in another order moves the weights
+        data = tmp_path / "sim.csv"
+        assert main(["simulate", "--design", "gandh", "--n", "20000", "--seed", "3",
+                     "--out", str(data)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**CONFIG, "network": {"hidden": [64, 64, 64, 64]},
+                                   "training": {"epochs": 2, "batch_size": 512,
+                                                "clip_norm": 1.0}}))
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                            "NUMEXPR_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            model = tmp_path / f"threads{threads}.tghn"
+            result = subprocess.run([sys.executable, "-m", "tghnet.cli", "train", "--config",
+                                     str(cfg), "--data", str(data), "--out", str(model)],
+                                    capture_output=True, text=True, timeout=300,
+                                    env=dict(env, TGH_THREADS=threads))
+            assert result.returncode == 0, result.stderr
+            outputs.append((model.read_bytes(),
+                            Path(f"{model}.history.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestDensity:

@@ -228,6 +228,30 @@ class TestShortestInterval:
         iv = shortest_interval(TghParams(np.zeros_like(g), np.ones_like(g), g, h), alpha)
         assert np.all(iv.upper - iv.lower <= best * (1.0 + 1e-9))
 
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.5, 0.9])
+    def test_gamma_search_passes_and_equal_end_densities(self, alpha, count_calls):
+        # the rows of the brute-force test above; a bisection to a 1e-9 gamma
+        # bracket took 24 to 30 density passes and left gaps up to 1.9e-5
+        rng = np.random.default_rng(11)
+        g = np.concatenate([rng.uniform(-2.0, 2.0, 60), [-1.9, 1.97, 2.0, -2.0, 2.0, -2.0]])
+        h = np.concatenate([rng.uniform(0.0, 0.5, 60), [3e-4, 5e-4, 0.0, 0.0, 0.5, 0.5]])
+        params = TghParams(np.zeros_like(g), np.ones_like(g), g, h)
+        passes = count_calls(tgh, "log_density_from_z")
+        iv = shortest_interval(params, alpha)
+        assert len(passes) <= 16
+
+        def gap(z_lo, z_hi):
+            return tgh.log_density_from_z(z_hi, params) - tgh.log_density_from_z(z_lo, params)
+
+        # interior rows: the gap changes sign inside the searched gamma range
+        eps = alpha * 1e-4
+        z_eps, z_far = stats.norm.ppf(1.0 - eps), stats.norm.ppf(1.0 - alpha + eps)
+        interior = (gap(-z_far, z_eps) < 0) & (gap(-z_eps, z_far) > 0)
+        assert interior.sum() >= 60
+        shape = ShapeParams(g, h)
+        ends = gap(tgh.tau_inverse(iv.lower, shape), tgh.tau_inverse(iv.upper, shape))
+        assert np.max(np.abs(ends[interior])) <= 1e-9
+
     @settings(max_examples=200)
     @given(
         g=st.floats(-LinkConfig().g_max, LinkConfig().g_max),

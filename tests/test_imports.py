@@ -91,6 +91,8 @@ def test_perfbench_tracer_wraps_names_that_exist(tmp_path):
         "train --config tukey.json --data sim.csv --out model.tghn",
         "evaluate --model model.tghn --data sim.csv --split val --out report",
         "intervals --model model.tghn --data sim.csv --split val --out iv.csv",
+        "intervals --model model.tghn --data sim.csv --split val --variant shortest "
+        "--out shortest.csv",
         "density --model model.tghn --features 0.5 --y-grid=-3:3:11 --out curves.csv",
     ]
     names = set()
@@ -103,7 +105,8 @@ def test_perfbench_tracer_wraps_names_that_exist(tmp_path):
         assert result.returncode == 0, (command, result.stderr)
         names |= {span[0] for span in json.loads(spans.read_text())["spans"]}
     assert {"tgh.tau_inverse", "loss.tukey_head_loss", "loss.gaussian_head_loss",
-            "nn.train.evaluate_mean_loss", "evaluate.residuals"} <= names
+            "nn.train.evaluate_mean_loss", "evaluate.residuals",
+            "evaluate.shortest_interval"} <= names
 
 
 def test_small_g_is_read_only_by_the_two_kernels():

@@ -432,6 +432,68 @@ class TestTauInverse:
             )
 
 
+def _newton_rows(func, slope, x):
+    """The first four arguments of safeguarded_newton for Newton's method on
+    func, started at x."""
+
+    def value_and_step(x):
+        f = func(x)
+        return f, f / slope(x)
+
+    return (value_and_step, x, *value_and_step(x))
+
+
+class TestSafeguardedNewton:
+    """The driver behind tau_inverse and evaluate.shortest_interval, called
+    directly."""
+
+    def test_cube_roots(self):
+        c = np.linspace(1.0, 50.0, 64)
+        out, done = tgh.safeguarded_newton(
+            *_newton_rows(lambda x: x**3 - c, lambda x: 3 * x * x, np.full(64, 4.0)),
+            np.full(64, 0.5), np.full(64, 4.0), 1e-14, 100)
+        assert done.all()
+        np.testing.assert_allclose(out, np.cbrt(c), rtol=0, atol=4e-15)
+
+    def test_newton_point_outside_the_bracket_bisects(self):
+        # Newton on atan(x - 0.3) from x = 4 lands near -15, outside [-5, 4]
+        points = []
+        value_and_step, x, f, step = _newton_rows(lambda x: points.append(x) or np.arctan(x - 0.3),
+                                                  lambda x: 1.0 / (1.0 + (x - 0.3) ** 2),
+                                                  np.array([4.0]))
+        assert not -5.0 <= x[0] - step[0] <= 4.0
+        out, done = tgh.safeguarded_newton(value_and_step, x, f, step, np.array([-5.0]), x,
+                                           1e-13, 100)
+        assert done.all() and abs(out[0] - 0.3) <= 1e-13
+        assert points[1][0] == -0.5  # the first move is to the bracket's midpoint
+
+    def test_row_given_zero_f_never_moves(self):
+        # row 0 reports f = 0 at the start; the callback disagrees later, in vain
+        x = np.array([1.0, 3.0])
+        value_and_step, x, f, step = _newton_rows(lambda x: x - 1.7, np.ones_like, x)
+        out, done = tgh.safeguarded_newton(value_and_step, x, np.array([0.0, f[1]]), step,
+                                           np.zeros(2), np.full(2, 3.0), 1e-12, 50)
+        assert done.all() and out[0] == 1.0 and out[1] == pytest.approx(1.7, abs=1e-12)
+
+    def test_adjacent_doubles_stop_a_sub_ulp_tolerance(self):
+        # x*x - 2 is never exactly 0 in doubles, and no step is within 1e-300
+        calls = []
+        out, done = tgh.safeguarded_newton(
+            *_newton_rows(lambda x: calls.append(1) or x * x - 2.0, lambda x: 2.0 * x,
+                          np.array([2.0])),
+            np.array([1.0]), np.array([2.0]), 1e-300, 200)
+        assert done.all() and len(calls) <= 12
+        assert abs(out[0] - math.sqrt(2.0)) <= np.spacing(math.sqrt(2.0))
+
+    def test_max_iter_exhaustion_flags_only_the_unconverged_rows(self):
+        # row 0 starts on its root, row 1 needs more than two iterations
+        out, done = tgh.safeguarded_newton(
+            *_newton_rows(lambda x: x**3 - np.array([1.0, 2.0]), lambda x: 3 * x * x,
+                          np.array([1.0, 5.0])),
+            np.array([0.0, 0.0]), np.array([2.0, 5.0]), 1e-12, 2)
+        assert done.tolist() == [True, False] and out[0] == 1.0
+
+
 def _bisection_inverse(zt, g, h, tol):
     """Reference inverse: bracket doubling, then pure bisection on tau."""
     p = ShapeParams(g, h)

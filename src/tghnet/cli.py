@@ -18,6 +18,7 @@ from .errors import ConfigError, DataError, NumericalError, SolverError, UsageEr
 # ceilings on what a count argument may allocate: simulated rows, density values
 MAX_SIMULATE_ROWS = 10**7
 MAX_DENSITY_VALUES = 10**6
+MAX_NETWORK_VALUES = 10**7  # in the network's state vector, and in one activation
 
 
 def _apply_thread_cap() -> None:
@@ -127,6 +128,7 @@ def cmd_train(args) -> None:
     from .config import load_config
     from .data import load_csv, standardize, write_csv
     from .nn import ModelBundle, Network, save_model, train
+    from .nn.network import EVAL_CHUNK
     from .nn.persist import DataColumns, ModelHeader
 
     cfg = load_config(args.config)
@@ -144,7 +146,15 @@ def cmd_train(args) -> None:
         DataColumns(ordered, data.late_columns, data.target, dataset.standardization),
         cfg.split,
     )
-    net = Network(header.spec, seed=cfg.seed)
+    # checked before any network array exists; a forward takes a batch or EVAL_CHUNK rows
+    spec, n_train = header.spec, len(dataset.rows("train"))
+    width = max(map(max, spec.layer_dims()))
+    for key, size in (("network.hidden", max(spec.state_size, width * EVAL_CHUNK)),
+                      ("training.batch_size", width * min(cfg.training.batch_size, n_train))):
+        if size > MAX_NETWORK_VALUES:
+            raise ConfigError(f"{key}: the network would hold {size} values in one array, "
+                              f"more than {MAX_NETWORK_VALUES}")
+    net = Network(spec, seed=cfg.seed)
     with np.errstate(over="ignore", invalid="ignore"):  # link or a loss check names a divergence
         history = train(
             net, dataset.x, dataset.y,

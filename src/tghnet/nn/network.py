@@ -5,8 +5,9 @@ A NetworkSpec is the whole shape: every hidden layer is linear, then
 batch norm when the spec asks for it, then ReLU; the head is linear.  The
 input matrix carries the base features first and the late-injected columns
 last; late columns bypass the early layers and join the input of the last
-hidden layer.  NetworkConfig is the "network" object of a config and of a
-model header; persist.ModelHeader.spec turns it into a NetworkSpec.
+hidden layer.  Network runs the layers as one loop over views of its state
+vector.  NetworkConfig is the "network" object of a config and of a model
+header; persist.ModelHeader.spec turns it into a NetworkSpec.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ import numpy as np
 # Rows per eval-mode forward when scoring or validating: a chunk's
 # activations stay in cache, and memory does not grow with the row count.
 EVAL_CHUNK = 1024
+# batch norm: the running statistics' update weight, and the variance offset
+MOMENTUM = 0.1
+EPS = 1e-5
 
 
 @dataclass(frozen=True)
@@ -81,86 +85,6 @@ class NetworkSpec:
         return sum(math.prod(s) for part in self.state_shapes() for s in part)
 
 
-class BatchNorm:
-    """Per-feature batch normalization with running statistics.
-
-    Train mode normalizes with the batch mean and (biased) batch variance
-    and updates the running statistics in place with momentum
-    ``running = (1 - m) * running + m * batch`` (unbiased variance for the
-    running update).  Eval mode normalizes with the running statistics.
-
-    ``arrays`` are the (gamma, beta, running_mean, running_var, dgamma,
-    dbeta) vectors to work in, views into a Network's state and gradient;
-    a stand-alone layer allocates its own.
-    """
-
-    def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5,
-                 arrays: tuple[np.ndarray, ...] | None = None):
-        self.momentum = momentum
-        self.eps = eps
-        (self.gamma, self.beta, self.running_mean, self.running_var,
-         self.dgamma, self.dbeta) = np.empty((6, dim)) if arrays is None else arrays
-        self.gamma[...], self.beta[...] = 1.0, 0.0
-        self.running_mean[...], self.running_var[...] = 0.0, 1.0
-        self._cache = None
-
-    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        if train:
-            n = x.shape[0]
-            mean = x.mean(axis=0)
-            centered = x - mean
-            var = np.mean(centered * centered, axis=0)
-            inv_std = 1.0 / np.sqrt(var + self.eps)
-            x_hat = centered * inv_std
-            m = self.momentum
-            self.running_mean[...] = (1.0 - m) * self.running_mean + m * mean
-            unbiased = var * n / max(n - 1, 1)
-            self.running_var[...] = (1.0 - m) * self.running_var + m * unbiased
-            self._cache = (inv_std, x_hat)
-            return self.gamma * x_hat + self.beta
-        # gamma * (x - running_mean) / sqrt(running_var + eps) + beta as one
-        # per-feature affine map: two passes over x instead of four
-        self._cache = None
-        scale = self.gamma / np.sqrt(self.running_var + self.eps)
-        return x * scale + (self.beta - self.running_mean * scale)
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        """Write dgamma and dbeta in place and return d(loss)/dx."""
-        if self._cache is None:
-            raise RuntimeError("batch-norm backward without a cached train forward")
-        inv_std, x_hat = self._cache
-        n = dout.shape[0]
-        np.sum(dout * x_hat, axis=0, out=self.dgamma)
-        np.sum(dout, axis=0, out=self.dbeta)
-        # closed form of the gradient through the batch mean and variance
-        return (self.gamma * inv_std / n) * (n * dout - self.dbeta - x_hat * self.dgamma)
-
-
-class Linear:
-    """x @ w + b on the views (w, b, dw, db); w is drawn uniform in
-    +-sqrt(6 / in_dim) from rng and b starts at zero."""
-
-    def __init__(self, w: np.ndarray, b: np.ndarray, dw: np.ndarray, db: np.ndarray,
-                 rng: np.random.Generator):
-        bound = np.sqrt(6.0 / w.shape[0])
-        w[...] = rng.uniform(-bound, bound, size=w.shape)
-        b[...] = 0.0
-        self.w, self.b, self.dw, self.db = w, b, dw, db
-        self._x = None
-
-    def forward(self, x: np.ndarray, cache: bool) -> np.ndarray:
-        self._x = x if cache else None
-        return x @ self.w + self.b
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        """Write dw and db in place and return d(loss)/dx."""
-        if self._x is None:
-            raise RuntimeError("linear backward without a cached forward")
-        np.matmul(self._x.T, dout, out=self.dw)
-        np.sum(dout, axis=0, out=self.db)
-        return dout @ self.w.T
-
-
 def _views(vec: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
     """Consecutive views of vec with the given shapes."""
     ends = np.cumsum([math.prod(shape) for shape in shapes])
@@ -173,20 +97,24 @@ class Network:
     All parameters and batch-norm running statistics live in one float64
     vector ``state``, in model-file order: per layer W (row-major), b, and
     gamma, beta for batch-norm layers; then running_mean, running_var per
-    batch-norm layer.  ``params`` is its leading parameter part, ``grad``
-    (filled by backward()) has the same layout, and the layers hold views
-    into both.
+    batch-norm layer.  ``params`` is its leading parameter part and ``grad``
+    (filled by backward()) has the same layout.  ``layers`` holds per layer
+    the views (w, b, dw, db, bn) into both, bn being (gamma, beta,
+    running_mean, running_var, dgamma, dbeta) or None.  W starts uniform in
+    +-sqrt(6 / in_dim) from the seed, b and beta at 0, gamma at 1.
 
-    forward(X, train=True) caches activations for a following backward();
-    forward in eval mode uses batch-norm running statistics and caches
-    nothing.  Initialization is deterministic for a fixed seed.
+    Batch norm normalizes with the batch mean and (biased) variance in
+    train mode, moving the running statistics MOMENTUM of the way to the
+    batch's (unbiased variance), and with the running ones in eval mode.
+    A train-mode forward replaces, layer by layer, the list of (input,
+    batch-norm cache, ReLU mask) that backward() reads; eval mode drops it.
     """
 
     def __init__(self, spec: NetworkSpec, seed: int = 0):
         self.spec = spec
         shapes, stats = spec.state_shapes()
         n_params = sum(math.prod(s) for s in shapes)
-        self.state = np.empty(spec.state_size)
+        self.state = np.zeros(spec.state_size)
         self.params = self.state[:n_params]
         self.grad = np.zeros(n_params)
         views = _views(self.state, shapes + stats)
@@ -194,15 +122,17 @@ class Network:
         self._grad_views = _views(self.grad, shapes)
         p, s, g = iter(self._param_views), iter(views[len(shapes):]), iter(self._grad_views)
         rng = np.random.default_rng(seed)
-        self.linears: list[Linear] = []
-        self.norms: list[BatchNorm | None] = []
-        n_hidden = len(spec.hidden)
-        for i, (_, n_out) in enumerate(spec.layer_dims()):
-            self.linears.append(Linear(next(p), next(p), next(g), next(g), rng))
-            self.norms.append(BatchNorm(n_out, arrays=tuple(next(it) for it in (p, p, s, s, g, g)))
-                              if spec.batch_norm and i < n_hidden else None)
-        self._relu_masks: list[np.ndarray | None] = [None] * n_hidden
-        self._trained_forward = False
+        self.layers: list[tuple] = []
+        for i in range(len(spec.hidden) + 1):
+            w, b, dw, db = next(p), next(p), next(g), next(g)
+            bound = np.sqrt(6.0 / w.shape[0])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+            bn = None
+            if spec.batch_norm and i < len(spec.hidden):
+                bn = tuple(next(it) for it in (p, p, s, s, g, g))
+                bn[0][...] = bn[3][...] = 1.0  # gamma, running_var; the rest starts at 0
+            self.layers.append((w, b, dw, db, bn))
+        self._cache: list[tuple] | None = None
 
     def parameters(self) -> list[np.ndarray]:
         """Per-array views into params: per layer W, b (, gamma, beta)."""
@@ -211,23 +141,43 @@ class Network:
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
-            raise ValueError(
-                f"expected input of shape (n, {self.spec.input_dim}), got {x.shape}"
-            )
-        late, base = self.spec.late_features, self.spec.base_features
+            raise ValueError(f"expected input of shape (n, {self.spec.input_dim}), got {x.shape}")
+        # overwritten per layer: freeing a batch at once lets malloc trim, then refault, the heap
+        self._cache = cache = (self._cache or [None] * len(self.layers)) if train else None
+        spec = self.spec
+        late, base, n_hidden = spec.late_features, spec.base_features, len(spec.hidden)
         h = x[:, :base]
-        last = len(self.spec.hidden) - 1
-        for i in range(last + 1):
-            if i == last and late > 0:
+        for i, (w, b, _, _, bn) in enumerate(self.layers):
+            if i == n_hidden - 1 and late > 0:
                 h = np.concatenate([h, x[:, base:]], axis=1)
-            z = self.linears[i].forward(h, cache=train)
-            if self.norms[i] is not None:
-                z = self.norms[i].forward(z, train=train)
-            mask = z > 0
-            h = np.multiply(z, mask, out=z)  # z is this forward's own array
-            self._relu_masks[i] = mask if train else None
-        self._trained_forward = train
-        return self.linears[-1].forward(h, cache=train)
+            z = h @ w + b
+            norm = mask = None
+            if bn is not None and train:
+                gamma, beta, running_mean, running_var = bn[:4]
+                n = z.shape[0]
+                mean = z.mean(axis=0)
+                centered = z - mean
+                var = np.mean(centered * centered, axis=0)
+                inv_std = 1.0 / np.sqrt(var + EPS)
+                x_hat = centered * inv_std
+                running_mean[...] = (1.0 - MOMENTUM) * running_mean + MOMENTUM * mean
+                unbiased = var * n / max(n - 1, 1)
+                running_var[...] = (1.0 - MOMENTUM) * running_var + MOMENTUM * unbiased
+                norm = (inv_std, x_hat)
+                z = gamma * x_hat + beta
+            elif bn is not None:
+                # gamma * (z - running_mean) / sqrt(running_var + EPS) + beta
+                # as one affine map: two passes over z instead of four
+                gamma, beta, running_mean, running_var = bn[:4]
+                scale = gamma / np.sqrt(running_var + EPS)
+                z = z * scale + (beta - running_mean * scale)
+            if i < n_hidden:
+                mask = z > 0
+                np.multiply(z, mask, out=z)  # z is this forward's own array
+            if train:
+                cache[i] = (h, norm, mask)
+            h = z
+        return h
 
     def backward(self, head_grad: np.ndarray) -> list[np.ndarray]:
         """Fill grad with the gradient of every parameter given d(loss)/d(head).
@@ -235,15 +185,24 @@ class Network:
         Returns per-array views into grad, aligned with parameters().
         Requires a preceding train-mode forward on the same batch.
         """
-        if not self._trained_forward:
+        if self._cache is None:
             raise RuntimeError("backward requires a train-mode forward first")
-        d = self.linears[-1].backward(np.asarray(head_grad, dtype=float))
-        late, last = self.spec.late_features, len(self.spec.hidden) - 1
-        for i in range(last, -1, -1):
-            d = d * self._relu_masks[i]
-            if self.norms[i] is not None:
-                d = self.norms[i].backward(d)
-            d = self.linears[i].backward(d)
-            if i == last and late > 0:
+        d = np.asarray(head_grad, dtype=float)
+        late, n_hidden = self.spec.late_features, len(self.spec.hidden)
+        for i in range(n_hidden, -1, -1):
+            (w, _, dw, db, bn), (h, norm, mask) = self.layers[i], self._cache[i]
+            if mask is not None:
+                d = d * mask
+            if bn is not None:
+                gamma, dgamma, dbeta = bn[0], bn[4], bn[5]
+                (inv_std, x_hat), n = norm, d.shape[0]
+                np.sum(d * x_hat, axis=0, out=dgamma)
+                np.sum(d, axis=0, out=dbeta)
+                # closed form of the gradient through the batch mean and variance
+                d = (gamma * inv_std / n) * (n * d - dbeta - x_hat * dgamma)
+            np.matmul(h.T, d, out=dw)
+            np.sum(d, axis=0, out=db)
+            d = d @ w.T
+            if i == n_hidden - 1 and late > 0:
                 d = d[:, :-late]
         return list(self._grad_views)

@@ -118,9 +118,9 @@ class ModelBundle:
 
 
 def save_model(path, bundle: ModelBundle) -> None:
-    """Write the binary model file and its JSON sidecar."""
+    """Write the model file and its JSON sidecar; a non-finite header number raises first."""
     header = asdict(bundle.header)
-    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+    encoded = json.dumps(header, sort_keys=True, allow_nan=False).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))

@@ -146,6 +146,30 @@ class TestTrain:
                                            "'x' in the train split\n")
         assert not (tmp_path / "m.tghn").exists()
 
+    @pytest.mark.parametrize("network, batch_size, key", [
+        ({"hidden": [10**6, 10**6]}, 512, "network.hidden"),  # a 7.28 TiB state vector
+        ({"hidden": [9000]}, 1200, "training.batch_size"),  # 1200 rows x 9000 units
+    ], ids=["state", "activation"])
+    def test_oversized_network_exits_2(self, tmp_path, monkeypatch, capsys, sim_csv,
+                                       network, batch_size, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(CONFIG, network=network,
+                                       training={"epochs": 1, "batch_size": batch_size})))
+        monkeypatch.setattr("tghnet.nn.Network", lambda *a, **k: pytest.fail("built a Network"))
+        assert main(["train", "--config", str(cfg), "--data", str(sim_csv),
+                     "--out", str(tmp_path / "m.tghn")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1
+        assert "10000000" in err and not (tmp_path / "m.tghn").exists()
+
+    def test_batch_size_is_capped_at_the_training_rows(self, tmp_path, sim_csv):
+        # 10^9 rows x 16 units would exceed the ceiling; the 1600 training rows do not
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(CONFIG, network={"hidden": [16]},
+                                       training={"epochs": 1, "batch_size": 10**9})))
+        assert main(["train", "--config", str(cfg), "--data", str(sim_csv),
+                     "--out", str(tmp_path / "m.tghn")]) == 0
+
     def test_config_error_exits_2(self, tmp_path, sim_csv):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(dict(CONFIG, mystery=1)))
@@ -426,9 +450,9 @@ def h_zero_model(tmp_path_factory, trained_model):
     2 tanh(-5) ~ -2 and h = 0.5 expit(-800) underflows to 0, so every row's
     support is z_tilde = (y - mu)/sigma < 1/|g| ~ 0.5, or y below about 0.35."""
     bundle = load_model(trained_model)
-    head = bundle.network.linears[-1]
-    head.w[...] = 0.0
-    head.b[...] = [0.0, 0.0, -5.0, -800.0]
+    head_w, head_b = bundle.network.layers[-1][:2]
+    head_w[...] = 0.0
+    head_b[...] = [0.0, 0.0, -5.0, -800.0]
     path = tmp_path_factory.mktemp("h0") / "h0.tghn"
     save_model(path, bundle)
     return path

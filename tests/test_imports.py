@@ -2,7 +2,8 @@
 config and nn import in either order, data imports only errors, evaluate
 only tgh, no command imports scipy, the benchmark tracer's wrapped names
 exist, the g -> 0 limit of tgh lives in its two kernels, tgh._ret alone
-decides that a result is a float, and cli.main alone decides exit codes."""
+decides that a result is a float, cli.main alone decides exit codes, and
+the network keeps its state in no object but itself."""
 
 import ast
 import json
@@ -165,3 +166,21 @@ def test_only_cli_main_decides_exit_codes():
     assert len(commands) == 5
     assert [f.name for f in commands for n in ast.walk(f)
             if isinstance(n, ast.Return) and n.value is not None] == []
+
+
+def test_network_is_one_layer_loop_with_one_cache():
+    # no layer objects: Network alone holds state, set in __init__ but for
+    # the activation cache that forward replaces
+    tree = ast.parse((PACKAGE / "nn" / "network.py").read_text(encoding="utf-8"))
+    classes = {c.name: c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)}
+    assert set(classes) == {"NetworkConfig", "NetworkSpec", "Network"}
+
+    def stores(node):
+        return [ast.unparse(n) for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                and isinstance(n.ctx, (ast.Store, ast.Del)) and ast.unparse(n.value) == "self"]
+
+    methods = {f.name: f for f in classes["Network"].body if isinstance(f, ast.FunctionDef)}
+    assert stores(methods["__init__"])
+    assert [(name, attr) for name, f in methods.items() if name != "__init__"
+            for attr in stores(f)] == [("forward", "self._cache")]
+    assert len(stores(tree)) == len(stores(methods["__init__"])) + 1

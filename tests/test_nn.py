@@ -1,6 +1,7 @@
 """Network forward/backward, batch norm, Adam, scheduler, training loop,
 and model persistence."""
 
+import dataclasses
 import importlib
 import json
 import math
@@ -28,7 +29,7 @@ from tghnet.nn import (
     save_model,
     train,
 )
-from tghnet.nn.network import EVAL_CHUNK, BatchNorm, NetworkConfig, NetworkSpec
+from tghnet.nn.network import EPS, EVAL_CHUNK, MOMENTUM, NetworkConfig, NetworkSpec
 from tghnet.nn.persist import DataColumns, ModelHeader, Standardization
 from tghnet.nn.train import evaluate_mean_loss
 from tghnet.tgh import InverseSolverConfig
@@ -76,60 +77,81 @@ class TestSpecs:
             make()
 
 
+# beta offset that keeps every ReLU of a batch-norm probe open
+SHIFT = 100.0
+
+
+def _batch_norm_probe(w0, gamma=1.0, beta=0.0):
+    """A network of one batch-norm hidden layer whose head returns that
+    layer's batch norm of x @ w0, and the layer's batch-norm views: beta +
+    SHIFT keeps every ReLU open, and the identity head subtracts SHIFT
+    again, exactly while the batch-norm output stays within SHIFT / 2."""
+    n_in, width = np.shape(w0)
+    net = Network(NetworkSpec(n_in, (width,), head_dim=width), seed=0)
+    (w, _, _, _, bn), (head_w, head_b, *_) = net.layers
+    w[...], bn[0][...], bn[1][...] = w0, gamma, np.add(beta, SHIFT)
+    head_w[...], head_b[...] = np.eye(width), -SHIFT
+    return net, bn
+
+
 class TestForward:
     def test_zero_weights_give_zero_head(self):
         spec = NetworkSpec(2, (4, 4), head_dim=3, batch_norm=False)
         net = Network(spec, seed=0)
-        for lin in net.linears:
-            lin.w[...] = 0.0
+        for w, *_ in net.layers:
+            w[...] = 0.0
         out = net.forward(np.random.default_rng(0).normal(size=(5, 2)))
         np.testing.assert_array_equal(out, np.zeros((5, 3)))
 
     def test_single_linear_layer_is_matrix_multiply(self):
         spec = NetworkSpec(2, (), head_dim=2)
         net = Network(spec, seed=0)
-        net.linears[0].w[...] = [[1.0, 2.0], [3.0, 4.0]]
-        net.linears[0].b[...] = [0.5, -0.5]
+        w, b = net.layers[0][:2]
+        w[...] = [[1.0, 2.0], [3.0, 4.0]]
+        b[...] = [0.5, -0.5]
         x = np.array([[1.0, 1.0], [2.0, 0.0]])
         want = x @ np.array([[1.0, 2.0], [3.0, 4.0]]) + [0.5, -0.5]
         np.testing.assert_allclose(net.forward(x), want)
 
     def test_batch_norm_train_mode_standardizes(self):
-        bn = BatchNorm(3)
+        net, _ = _batch_norm_probe(np.eye(3))
         x = np.random.default_rng(1).normal(2.0, 5.0, size=(256, 3))
-        out = bn.forward(x, train=True)
+        out = net.forward(x, train=True)
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-3)
 
     def test_eval_uses_running_statistics(self):
-        bn = BatchNorm(2)
+        net, bn = _batch_norm_probe(np.eye(2))
         rng = np.random.default_rng(2)
         for _ in range(50):
-            bn.forward(rng.normal(1.0, 2.0, size=(128, 2)), train=True)
-        x = np.zeros((4, 2))
-        out = bn.forward(x, train=False)
-        want = (0.0 - bn.running_mean) / np.sqrt(bn.running_var + bn.eps)
+            net.forward(rng.normal(1.0, 2.0, size=(128, 2)), train=True)
+        out = net.forward(np.zeros((4, 2)), train=False)
+        running_mean, running_var = bn[2:4]
+        want = (0.0 - running_mean) / np.sqrt(running_var + EPS)
         np.testing.assert_allclose(out, np.broadcast_to(want, (4, 2)))
 
     def test_eval_affine_map_matches_normalize_then_scale(self):
         rng = np.random.default_rng(4)
-        bn = BatchNorm(64)
-        bn.gamma[...], bn.beta[...] = rng.normal(1.0, 0.5, 64), rng.normal(0.0, 2.0, 64)
-        bn.running_mean[...], bn.running_var[...] = rng.normal(0.0, 3.0, 64), rng.uniform(0.1, 9.0, 64)
-        x = rng.normal(bn.running_mean, np.sqrt(bn.running_var), size=(512, 64))
-        want = bn.gamma * (x - bn.running_mean) / np.sqrt(bn.running_var + bn.eps) + bn.beta
-        scale = np.abs(bn.gamma * x / np.sqrt(bn.running_var + bn.eps)) + np.abs(bn.beta)
-        assert np.all(np.abs(bn.forward(x, train=False) - want) <= 1e-15 * scale.max())
+        net, bn = _batch_norm_probe(np.eye(64), rng.normal(1.0, 0.5, 64), rng.normal(0.0, 2.0, 64))
+        gamma, beta, running_mean, running_var = bn[:4]
+        running_mean[...], running_var[...] = rng.normal(0.0, 3.0, 64), rng.uniform(0.1, 9.0, 64)
+        x = rng.normal(running_mean, np.sqrt(running_var), size=(512, 64))
+        want = gamma * (x - running_mean) / np.sqrt(running_var + EPS) + beta
+        scale = np.abs(gamma * x / np.sqrt(running_var + EPS)) + np.abs(beta)
+        # the probe's head takes SHIFT off both sides exactly
+        got = net.forward(x, train=False)
+        assert np.all(np.abs(got - (want - SHIFT)) <= 1e-15 * scale.max())
 
     def test_late_column_skips_early_layers(self):
         spec = NetworkSpec(2, (4, 4), head_dim=1, late_features=1, batch_norm=False)
         net = Network(spec, seed=3)
         x = np.array([[0.3, 7.0], [0.3, -2.0]])  # same base value, late differs
-        h_first = [net.linears[0].forward(x[:1, :1], cache=False),
-                   net.linears[0].forward(x[1:, :1], cache=False)]
-        np.testing.assert_array_equal(h_first[0], h_first[1])
+        assert [w.shape for w, *_ in net.layers] == [(1, 4), (5, 4), (4, 1)]
         out = net.forward(x)
         assert out[0, 0] != out[1, 0]
+        net.layers[1][0][-1] = 0.0  # the late column's weights, its only way in
+        out = net.forward(x)
+        assert out[0, 0] == out[1, 0]
 
     def test_input_width_validation(self):
         net = Network(NetworkSpec(2, (4,), head_dim=2), seed=0)
@@ -156,7 +178,8 @@ class TestBackward:
         pred = net.forward(x, train=True)
         head_grad = 2.0 * (pred - y) / len(x)
         dw = net.backward(head_grad)[0]
-        want = 2.0 / len(x) * x.T @ (x @ net.linears[0].w + net.linears[0].b - y)
+        w, b = net.layers[0][:2]
+        want = 2.0 / len(x) * x.T @ (x @ w + b - y)
         np.testing.assert_allclose(dw, want, rtol=1e-12)
 
     def test_full_pipeline_finite_differences(self):
@@ -199,12 +222,12 @@ class TestBackward:
 
 class TestBatchNormRunningStats:
     def test_converges_to_population_statistics(self):
-        bn = BatchNorm(1)
+        net, bn = _batch_norm_probe(np.eye(1))
         rng = np.random.default_rng(8)
         for _ in range(1000):
-            bn.forward(rng.normal(3.0, 2.0, size=(256, 1)), train=True)
-        assert bn.running_mean[0] == pytest.approx(3.0, abs=1e-2 * 3.0)
-        assert bn.running_var[0] == pytest.approx(4.0, abs=1e-2 * 4.0 * 2)
+            net.forward(rng.normal(3.0, 2.0, size=(256, 1)), train=True)
+        assert bn[2][0] == pytest.approx(3.0, abs=1e-2 * 3.0)
+        assert bn[3][0] == pytest.approx(4.0, abs=1e-2 * 4.0 * 2)
 
 
 class TestBatchNormBackward:
@@ -220,21 +243,91 @@ class TestBatchNormBackward:
         return dx_hat * inv_std + (2.0 / n) * dvar * centered + dmean / n
 
     def test_closed_form_matches_three_term_formula(self):
+        # the identity input makes the first layer's batch-norm input its
+        # weights x, and its weight gradient the batch norm's dx
         rng = np.random.default_rng(12)
-        bn = BatchNorm(64)
-        bn.gamma[...] = rng.normal(1.0, 0.5, size=64)
         x = rng.normal(2.0, 3.0, size=(512, 64))
+        net, bn = _batch_norm_probe(x, gamma=rng.normal(1.0, 0.5, size=64))
         dout = rng.normal(size=(512, 64))
-        bn.forward(x, train=True)
-        dx = bn.backward(dout)
-        want = self._three_term_dx(dout, x, bn.gamma, bn.eps)
+        net.forward(np.eye(512), train=True)
+        dx = net.backward(dout)[0]
+        gamma, dgamma, dbeta = bn[0], bn[4], bn[5]
+        want = self._three_term_dx(dout, x, gamma, EPS)
         # relative to the largest entry: entries near zero carry the rounding
         # of the larger terms that cancel in them
         np.testing.assert_allclose(dx, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
         centered = x - x.mean(axis=0)
-        x_hat = centered / np.sqrt(np.mean(centered * centered, axis=0) + bn.eps)
-        np.testing.assert_allclose(bn.dgamma, np.sum(dout * x_hat, axis=0), rtol=1e-12)
-        np.testing.assert_allclose(bn.dbeta, np.sum(dout, axis=0), rtol=1e-12)
+        x_hat = centered / np.sqrt(np.mean(centered * centered, axis=0) + EPS)
+        np.testing.assert_allclose(dgamma, np.sum(dout * x_hat, axis=0), rtol=1e-12)
+        np.testing.assert_allclose(dbeta, np.sum(dout, axis=0), rtol=1e-12)
+
+
+class TestLayerLoop:
+    @staticmethod
+    def _reference(layers, x, head_grad, x_eval):
+        """The train forward, the gradients in parameters() order and the
+        eval forward of a two-hidden-layer batch-norm network whose last
+        input column is late, layer by layer, on copies of its arrays."""
+        h, saved = x[:, :-1], []
+        for i, (w, b, gamma, beta, running_mean, running_var) in enumerate(layers[:2]):
+            if i == 1:
+                h = np.concatenate([h, x[:, -1:]], axis=1)
+            z = h @ w + b
+            n = z.shape[0]
+            mean = z.mean(axis=0)
+            centered = z - mean
+            var = np.mean(centered * centered, axis=0)
+            inv_std = 1.0 / np.sqrt(var + EPS)
+            x_hat = centered * inv_std
+            running_mean[...] = (1.0 - MOMENTUM) * running_mean + MOMENTUM * mean
+            running_var[...] = ((1.0 - MOMENTUM) * running_var
+                                + MOMENTUM * (var * n / max(n - 1, 1)))
+            a = gamma * x_hat + beta
+            mask = a > 0
+            saved.append((h, inv_std, x_hat, mask))
+            h = a * mask
+        head_w, head_b = layers[2]
+        out = h @ head_w + head_b
+        grads = [h.T @ head_grad, np.sum(head_grad, axis=0)]
+        d = head_grad @ head_w.T
+        for i in (1, 0):
+            w, _, gamma = layers[i][:3]
+            h, inv_std, x_hat, mask = saved[i]
+            d = d * mask
+            dgamma, dbeta = np.sum(d * x_hat, axis=0), np.sum(d, axis=0)
+            n = d.shape[0]
+            d = (gamma * inv_std / n) * (n * d - dbeta - x_hat * dgamma)
+            grads[:0] = [h.T @ d, np.sum(d, axis=0), dgamma, dbeta]
+            if i == 1:
+                d = (d @ w.T)[:, :-1]  # the late column's gradient stops here
+        h = x_eval[:, :-1]
+        for i, (w, b, gamma, beta, running_mean, running_var) in enumerate(layers[:2]):
+            if i == 1:
+                h = np.concatenate([h, x_eval[:, -1:]], axis=1)
+            z = h @ w + b
+            scale = gamma / np.sqrt(running_var + EPS)
+            z = z * scale + (beta - running_mean * scale)
+            h = z * (z > 0)
+        return out, grads, [layers[i][k] for i in (0, 1) for k in (4, 5)], h @ head_w + head_b
+
+    def test_matches_a_per_layer_reference(self):
+        net = Network(NetworkSpec(3, (16, 12), head_dim=4, late_features=1), seed=7)
+        rng = np.random.default_rng(7)
+        for *_, bn in net.layers[:2]:
+            for view in bn[:4]:  # gamma, beta and running statistics away from 1, 0, 0, 1
+                view[...] = rng.uniform(0.5, 2.0, view.shape)
+        layers = [[a.copy() for a in (w, b, *(bn[:4] if bn else ()))]
+                  for w, b, _, _, bn in net.layers]
+        x, head_grad, x_eval = (rng.normal(size=(64, 3)), rng.normal(size=(64, 4)),
+                                rng.normal(size=(9, 3)))
+        out, grads, running, eval_out = self._reference(layers, x, head_grad, x_eval)
+        np.testing.assert_array_equal(net.forward(x, train=True), out)
+        for got, want in zip(net.backward(head_grad), grads, strict=True):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip([v for *_, bn in net.layers[:2] for v in bn[2:4]], running,
+                             strict=True):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(net.forward(x_eval), eval_out)
 
 
 class TestAdam:
@@ -440,9 +533,9 @@ def _documented_blob(net):
     """The model-file blob as the persist docstring documents it:
     parameters(), then running_mean and running_var per batch-norm layer."""
     arrays = list(net.parameters())
-    for bn in net.norms:
+    for *_, bn in net.layers:
         if bn is not None:
-            arrays += [bn.running_mean, bn.running_var]
+            arrays += bn[2:4]
     return b"".join(a.astype("<f8").tobytes() for a in arrays)
 
 
@@ -603,6 +696,15 @@ class TestPersistence:
         save_model(tmp_path / "a.tghn", self._bundle())
         save_model(tmp_path / "b.tghn", self._bundle())
         assert (tmp_path / "a.tghn").read_bytes() == (tmp_path / "b.tghn").read_bytes()
+
+    def test_non_finite_header_number_writes_no_file(self, tmp_path):
+        # json would write Infinity, which load_model rejects
+        bundle = self._bundle()
+        header = dataclasses.replace(bundle.header, link=LinkConfig(g_max=math.inf))
+        path = tmp_path / "model.tghn"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_model(path, dataclasses.replace(bundle, header=header))
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.tghn"

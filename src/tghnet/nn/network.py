@@ -107,7 +107,9 @@ class Network:
     train mode, moving the running statistics MOMENTUM of the way to the
     batch's (unbiased variance), and with the running ones in eval mode.
     A train-mode forward replaces, layer by layer, the list of (input,
-    batch-norm cache, ReLU mask) that backward() reads; eval mode drops it.
+    (inv_std, x_hat), ReLU mask) that backward() reads; eval mode drops it.
+    x_hat is its layer's h @ w + b, centred and scaled in place; backward()
+    writes only arrays it made and grad, so a second call repeats the gradients.
     """
 
     def __init__(self, spec: NetworkSpec, seed: int = 0):
@@ -150,27 +152,28 @@ class Network:
         for i, (w, b, _, _, bn) in enumerate(self.layers):
             if i == n_hidden - 1 and late > 0:
                 h = np.concatenate([h, x[:, base:]], axis=1)
-            z = h @ w + b
+            z = h @ w
+            z += b
             norm = mask = None
             if bn is not None and train:
                 gamma, beta, running_mean, running_var = bn[:4]
                 n = z.shape[0]
-                mean = z.mean(axis=0)
-                centered = z - mean
-                var = np.mean(centered * centered, axis=0)
+                mean = np.add.reduce(z, 0) / n
+                z -= mean
+                var = np.einsum("ij,ij->j", z, z) / n
                 inv_std = 1.0 / np.sqrt(var + EPS)
-                x_hat = centered * inv_std
+                z *= inv_std
                 running_mean[...] = (1.0 - MOMENTUM) * running_mean + MOMENTUM * mean
                 unbiased = var * n / max(n - 1, 1)
                 running_var[...] = (1.0 - MOMENTUM) * running_var + MOMENTUM * unbiased
-                norm = (inv_std, x_hat)
-                z = gamma * x_hat + beta
+                norm, z = (inv_std, z), gamma * z  # the cache keeps x_hat itself
+                z += beta
             elif bn is not None:
-                # gamma * (z - running_mean) / sqrt(running_var + EPS) + beta
-                # as one affine map: two passes over z instead of four
+                # gamma * (z - running_mean) / sqrt(running_var + EPS) + beta in two passes
                 gamma, beta, running_mean, running_var = bn[:4]
                 scale = gamma / np.sqrt(running_var + EPS)
-                z = z * scale + (beta - running_mean * scale)
+                z *= scale
+                z += beta - running_mean * scale
             if i < n_hidden:
                 mask = z > 0
                 np.multiply(z, mask, out=z)  # z is this forward's own array
@@ -192,17 +195,20 @@ class Network:
         for i in range(n_hidden, -1, -1):
             (w, _, dw, db, bn), (h, norm, mask) = self.layers[i], self._cache[i]
             if mask is not None:
-                d = d * mask
+                np.multiply(d, mask, out=d)  # below the head, d is this backward's own array
             if bn is not None:
-                gamma, dgamma, dbeta = bn[0], bn[4], bn[5]
-                (inv_std, x_hat), n = norm, d.shape[0]
-                np.sum(d * x_hat, axis=0, out=dgamma)
-                np.sum(d, axis=0, out=dbeta)
+                (gamma, *_, dgamma, dbeta), (inv_std, x_hat), n = bn, norm, d.shape[0]
+                np.einsum("ij,ij->j", d, x_hat, out=dgamma)
+                np.add.reduce(d, 0, out=dbeta)
                 # closed form of the gradient through the batch mean and variance
-                d = (gamma * inv_std / n) * (n * d - dbeta - x_hat * dgamma)
+                d *= n
+                d -= dbeta
+                d -= x_hat * dgamma
+                d *= gamma * inv_std / n
             np.matmul(h.T, d, out=dw)
-            np.sum(d, axis=0, out=db)
-            d = d @ w.T
-            if i == n_hidden - 1 and late > 0:
-                d = d[:, :-late]
+            np.add.reduce(d, 0, out=db)
+            if i > 0:  # nothing reads the input's gradient
+                d = d @ w.T
+                if i == n_hidden - 1 and late > 0:
+                    d = d[:, :-late]
         return list(self._grad_views)

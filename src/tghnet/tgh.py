@@ -273,10 +273,11 @@ def tau_inverse(z_tilde, p: ShapeParams | TghParams, cfg: InverseSolverConfig = 
     end = copysign(cfg.initial_half_width, z_tilde), and end doubles while
     |tau(end)| < |z_tilde|: one tau evaluation per bracket pass.
     Every row then starts safeguarded_newton at z = 0 with f = tau(z) -
-    z_tilde and Newton steps on asinh(tau(z)) - asinh(z_tilde), which is
-    far less curved than tau in the exp(h*z^2/2) tail.  A saturated (+/-inf)
-    tau compares correctly against the finite target.  Only p.g and p.h
-    are read, so z_hat passes its TghParams, whose (g, h) are checked.
+    z_tilde and Newton steps on asinh(tau(z)) - asinh(z_tilde), far less
+    curved than tau in the exp(h*z^2/2) tail; g = h = 0 rows (tau(z) = z)
+    skip the doubling and start solved, at z = z_tilde with f = 0.  A
+    saturated (+/-inf) tau compares correctly against the finite target.
+    Only p.g and p.h are read, so z_hat passes its checked TghParams.
 
     Raises SolverError naming a row: before any tau evaluation, the first
     with h = 0 and 1 + g*z_tilde <= 0 (outside tau's one-sided range);
@@ -294,9 +295,10 @@ def tau_inverse(z_tilde, p: ShapeParams | TghParams, cfg: InverseSolverConfig = 
         raise _row_error("no root for inverse transform", outside, zt, g, h, "; the target "
                          "lies outside tau's one-sided support 1 + g*z_tilde > 0 at h = 0")
 
+    exact = (g == 0) & (h == 0)
     end = np.copysign(np.full(zt.shape, cfg.initial_half_width), zt)
     abs_zt = np.abs(zt)
-    need = np.abs(_tau_parts(end, g, h)[0]) < abs_zt
+    need = ~exact & (np.abs(_tau_parts(end, g, h)[0]) < abs_zt)
     for _ in range(cfg.max_bracket_doublings):
         if not need.any():
             break
@@ -316,8 +318,8 @@ def tau_inverse(z_tilde, p: ShapeParams | TghParams, cfg: InverseSolverConfig = 
         return t - zt, (np.arcsinh(t) - target) * np.sqrt(1.0 + t * t) / t_p
 
     # tau(0) = 0 and tau'(0) = 1 for every (g, h), so z = 0 costs nothing.
-    z, done = safeguarded_newton(value_and_step, np.zeros(zt.shape), -zt, -target,
-                                 np.minimum(end, 0.0), np.maximum(end, 0.0),
+    z, done = safeguarded_newton(value_and_step, np.where(exact, zt, 0.0), -zt * ~exact,
+                                 -target, np.minimum(end, 0.0), np.maximum(end, 0.0),
                                  cfg.abs_tolerance, cfg.max_bisection_iters)
     if not done.all():
         raise _row_error("inverse transform did not converge in "

@@ -264,14 +264,16 @@ class TestBatchNormBackward:
 
 class TestLayerLoop:
     @staticmethod
-    def _reference(layers, x, head_grad, x_eval):
+    def _reference(layers, x, head_grad, x_eval, late):
         """The train forward, the gradients in parameters() order and the
         eval forward of a two-hidden-layer batch-norm network whose last
-        input column is late, layer by layer, on copies of its arrays."""
-        h, saved = x[:, :-1], []
+        `late` (0 or 1) input columns are late, layer by layer, on copies of
+        its arrays."""
+        base = x.shape[1] - late
+        h, saved = x[:, :base], []
         for i, (w, b, gamma, beta, running_mean, running_var) in enumerate(layers[:2]):
-            if i == 1:
-                h = np.concatenate([h, x[:, -1:]], axis=1)
+            if i == 1 and late:
+                h = np.concatenate([h, x[:, base:]], axis=1)
             z = h @ w + b
             n = z.shape[0]
             mean = z.mean(axis=0)
@@ -299,11 +301,11 @@ class TestLayerLoop:
             d = (gamma * inv_std / n) * (n * d - dbeta - x_hat * dgamma)
             grads[:0] = [h.T @ d, np.sum(d, axis=0), dgamma, dbeta]
             if i == 1:
-                d = (d @ w.T)[:, :-1]  # the late column's gradient stops here
-        h = x_eval[:, :-1]
+                d = (d @ w.T)[:, :w.shape[0] - late]  # the late column's gradient stops here
+        h = x_eval[:, :base]
         for i, (w, b, gamma, beta, running_mean, running_var) in enumerate(layers[:2]):
-            if i == 1:
-                h = np.concatenate([h, x_eval[:, -1:]], axis=1)
+            if i == 1 and late:
+                h = np.concatenate([h, x_eval[:, base:]], axis=1)
             z = h @ w + b
             scale = gamma / np.sqrt(running_var + EPS)
             z = z * scale + (beta - running_mean * scale)
@@ -311,23 +313,68 @@ class TestLayerLoop:
         return out, grads, [layers[i][k] for i in (0, 1) for k in (4, 5)], h @ head_w + head_b
 
     def test_matches_a_per_layer_reference(self):
-        net = Network(NetworkSpec(3, (16, 12), head_dim=4, late_features=1), seed=7)
-        rng = np.random.default_rng(7)
-        for *_, bn in net.layers[:2]:
-            for view in bn[:4]:  # gamma, beta and running statistics away from 1, 0, 0, 1
-                view[...] = rng.uniform(0.5, 2.0, view.shape)
-        layers = [[a.copy() for a in (w, b, *(bn[:4] if bn else ()))]
-                  for w, b, _, _, bn in net.layers]
-        x, head_grad, x_eval = (rng.normal(size=(64, 3)), rng.normal(size=(64, 4)),
-                                rng.normal(size=(9, 3)))
-        out, grads, running, eval_out = self._reference(layers, x, head_grad, x_eval)
-        np.testing.assert_array_equal(net.forward(x, train=True), out)
-        for got, want in zip(net.backward(head_grad), grads, strict=True):
-            np.testing.assert_array_equal(got, want)
-        for got, want in zip([v for *_, bn in net.layers[:2] for v in bn[2:4]], running,
-                             strict=True):
-            np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(net.forward(x_eval), eval_out)
+        # with and without a late column, over consecutive steps at two full
+        # batches, an epoch's short tail and an odd size: the batch sums'
+        # order must match mean() and sum()
+        for late in (0, 1):
+            net = Network(NetworkSpec(3, (16, 12), head_dim=4, late_features=late), seed=7)
+            rng = np.random.default_rng(7)
+            for *_, bn in net.layers[:2]:
+                for view in bn[:4]:  # gamma, beta and running statistics away from 1, 0, 0, 1
+                    view[...] = rng.uniform(0.5, 2.0, view.shape)
+            for n in (512, 512, 256, 7):
+                layers = [[a.copy() for a in (w, b, *(bn[:4] if bn else ()))]
+                          for w, b, _, _, bn in net.layers]
+                x, head_grad, x_eval = (rng.normal(size=(n, 3)), rng.normal(size=(n, 4)),
+                                        rng.normal(size=(9, 3)))
+                out, grads, running, eval_out = self._reference(layers, x, head_grad, x_eval,
+                                                                late)
+                np.testing.assert_array_equal(net.forward(x, train=True), out)
+                for got, want in zip(net.backward(head_grad), grads, strict=True):
+                    np.testing.assert_array_equal(got, want)
+                for got, want in zip([v for *_, bn in net.layers[:2] for v in bn[2:4]],
+                                     running, strict=True):
+                    np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(net.forward(x_eval), eval_out)
+                net.params -= 1e-2 * net.grad
+
+    @pytest.mark.parametrize("late", [0, 1], ids=["no_late_column", "late_column"])
+    def test_step_leaves_its_inputs_and_cache_intact(self, late):
+        # the step works in place only on arrays it made: x, head_grad and
+        # the cache survive, so a second backward() repeats the gradients
+        net = Network(NetworkSpec(3, (16, 12), head_dim=4, late_features=late), seed=3)
+        rng = np.random.default_rng(3)
+        x, head_grad = rng.normal(size=(64, 3)), rng.normal(size=(64, 4))
+        x_bits, head_grad_bits = x.tobytes(), head_grad.tobytes()
+        net.forward(x, train=True)
+        assert x.tobytes() == x_bits
+        net.backward(head_grad)
+        first = net.grad.copy()
+        assert head_grad.tobytes() == head_grad_bits
+        net.grad[...] = np.nan
+        net.backward(head_grad)
+        assert net.grad.tobytes() == first.tobytes()
+
+    def test_train_step_allocates_at_most_one_mib(self):
+        # the README network at batch 512, after a warm-up step that fills
+        # the activation cache: a forward plus backward peaked 1604 KiB
+        # above its start with fresh temporaries per elementwise step, and
+        # 868 KiB (the forward's peak) once they work in place
+        net = Network(NetworkSpec(1, (64, 64, 64, 64), head_dim=4), seed=0)
+        rng = np.random.default_rng(0)
+        x, head_grad = rng.normal(size=(512, 1)), rng.normal(size=(512, 4))
+        tracemalloc.start()
+        try:
+            net.forward(x, train=True)
+            net.backward(head_grad)
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            net.forward(x, train=True)
+            net.backward(head_grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 2 ** 20
 
 
 class TestAdam:

@@ -37,6 +37,8 @@ TIGHT = InverseSolverConfig(abs_tolerance=1e-15)
 
 # the end of the SolverError for a target outside tau's range at h = 0
 ONE_SIDED = r"; the target lies outside tau's one-sided support 1 \+ g\*z_tilde > 0 at h = 0$"
+# tau(z) = z to the last bit, but unlike g = h = 0 (no iteration) solved by Newton steps
+NEAR_IDENTITY = ShapeParams(0.0, 1e-300)
 
 # frozen 50-digit oracle values
 TAU_1_05_01 = 1.3639638429827424      # ((e^0.5-1)/0.5) * e^0.05
@@ -267,7 +269,7 @@ class TestTauInverse:
 
     def test_bracket_expansion_beyond_initial_width(self):
         # target far outside [-8, 8]
-        p = ShapeParams(0.0, 0.0)
+        p = NEAR_IDENTITY
         assert tau_inverse(1234.5, p) == pytest.approx(1234.5, abs=1e-9)
 
     def test_unreachable_target_raises(self):
@@ -329,6 +331,22 @@ class TestTauInverse:
                            r"h=0\.5; \(y - mu\)/sigma overflows the double range$"):
             tgh.z_hat(y, TghParams(mu, np.array([10.0, 3.0, 0.5]), 0.0, 0.5))
 
+    def test_g_and_h_zero_rows_start_solved(self, count_calls):
+        # tau(z) = z: such rows return z_tilde bitwise, with no Newton pass,
+        # even beyond the reach of the bracket's 60 doublings
+        zt = np.concatenate([np.random.default_rng(4).normal(0.0, 3.0, 1000), [1e300, -2e307]])
+        calls = count_calls(tgh, "_tau_parts")
+        assert tau_inverse(zt, ShapeParams(0.0, 0.0)).tobytes() == zt.tobytes()
+        assert len(calls) == 1  # the bracket's first pass; 10 before
+        assert tgh.z_hat(1e308, TghParams(-1e308, 10.0, 0.0, 0.0)) == 2e307
+        # the other rows of a mixed batch keep the bits they solve to alone
+        kind = np.arange(len(zt)) % 3
+        g, h = np.where(kind == 2, 0.3, 0.0), np.where(kind > 0, 0.2, 0.0)
+        mixed, solved = tau_inverse(zt, ShapeParams(g, h)), kind > 0
+        assert mixed[~solved].tobytes() == zt[~solved].tobytes()
+        alone = tau_inverse(zt[solved], ShapeParams(g[solved], h[solved]))
+        assert mixed[solved].tobytes() == alone.tobytes()
+
     def test_solve_counter_increments(self, count_calls):
         # a vectorised log_density over many rows is a single solve
         solves = count_calls(tgh, "tau_inverse")
@@ -338,13 +356,13 @@ class TestTauInverse:
     def test_sub_ulp_tolerance_stops_at_adjacent_doubles(self, count_calls):
         # one ulp of 9.2 is 1.8e-15, so a 1e-15 bracket width is unreachable
         calls = count_calls(tgh, "_tau_parts")
-        out = tau_inverse(9.2, ShapeParams(0.0, 0.0), TIGHT)
+        out = tau_inverse(9.2, NEAR_IDENTITY, TIGHT)
         assert 0 < len(calls) <= 60
         assert abs(out - 9.2) <= np.spacing(9.2)
         calls.clear()
         batch = np.linspace(-3.0, 3.0, 512)
         batch[7] = 9.2
-        out = tau_inverse(batch, ShapeParams(0.0, 0.0), TIGHT)
+        out = tau_inverse(batch, NEAR_IDENTITY, TIGHT)
         assert 0 < len(calls) <= 60
         assert abs(out[7] - 9.2) <= np.spacing(9.2)
 
@@ -395,11 +413,12 @@ class TestTauInverse:
             with pytest.raises(SolverError, match=ONE_SIDED):
                 tau_inverse(zt, p)
             return
-        # a subnormal h > 0, or a |g| < SMALL_G row, whose kernel reads tau
-        # as z at h = 0, may not reach a far target within the doublings
+        # a subnormal h > 0, or a 0 < |g| < SMALL_G row, whose kernel reads
+        # tau as z at h = 0, may not reach a far target within the doublings;
+        # a g = h = 0 row needs no bracket
         cfg = tgh.DEFAULT_SOLVER
         far = math.copysign(cfg.initial_half_width * 2.0**cfg.max_bracket_doublings, zt)
-        if abs(tau(far, p)) < abs(zt):
+        if (g, h) != (0.0, 0.0) and abs(tau(far, p)) < abs(zt):
             with pytest.raises(SolverError, match="no bracket") as err:
                 tau_inverse(zt, p)
             assert "one-sided support" not in str(err.value)
@@ -417,8 +436,8 @@ class TestTauInverse:
         # more than two iterations
         # plain floats, not np.float64(...) reprs
         with pytest.raises(SolverError, match=r"did not converge in 2 iterations "
-                           r"at sample index 1: z_tilde=5\.0, g=0\.0, h=0\.0$"):
-            tau_inverse(np.array([0.0, 5.0]), ShapeParams(0.0, 0.0),
+                           r"at sample index 1: z_tilde=5\.0, g=0\.0, h=1e-300$"):
+            tau_inverse(np.array([0.0, 5.0]), NEAR_IDENTITY,
                         InverseSolverConfig(max_bisection_iters=2))
 
     def test_vectorized_broadcast(self):

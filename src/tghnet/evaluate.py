@@ -23,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tgh
+from .errors import SolverError
 from .tgh import (
     DEFAULT_SOLVER,
     InverseSolverConfig,
@@ -50,6 +51,9 @@ __all__ = [
 _GAMMA_EDGE = 1e-4
 _X_EDGE = np.log((1.0 - _GAMMA_EDGE) / _GAMMA_EDGE)
 _X_TOL = 1e-10
+# Rows per block of the row-wise scoring work, the size write_csv writes
+# by: a block's temporaries reuse freed pages instead of faulting in new ones.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -99,31 +103,55 @@ def ks_critical_value(n: int, level: float = 0.01) -> float:
     return float(np.sqrt(-0.5 * np.log(level / 2.0)) / np.sqrt(n))
 
 
+def _by_blocks(solve, *arrays):
+    """solve(*arrays) _BLOCK rows at a time along the first axis of their
+    broadcast shape (0-d is one row), equal to one call bitwise as each
+    row's arithmetic is its own.  A SolverError repeats that one call,
+    which names the row by its index in the arrays."""
+    shape = np.broadcast_shapes(*map(np.shape, arrays))
+    rows = [np.broadcast_to(a, shape).reshape(-1, *shape[1:]) for a in arrays]
+    outs = None
+    for i in range(0, max(len(rows[0]), 1), _BLOCK):  # no rows: one empty block
+        try:
+            got = solve(*(a[i:i + _BLOCK] for a in rows))
+        except SolverError:
+            solve(*arrays)
+            raise
+        outs = outs or [np.empty(rows[0].shape) for _ in got]
+        for out, value in zip(outs, got):
+            out[i:i + _BLOCK] = value
+    return [out.reshape(shape) for out in outs]
+
+
+def _residual_block(y, mu, sigma, g, h, cfg):
+    """z_hat, u and the negative log density of each row, from one solve."""
+    params = TghParams(mu, sigma, g, h)
+    z_hat = tgh.z_hat(y, params, cfg)
+    u = np.clip(standard_normal_cdf(z_hat), np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    return z_hat, u, -tgh.log_density_from_z(z_hat, params)
+
+
 def residuals(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER) -> ResidualReport:
     """Residual report of targets against per-sample parameters.
 
-    One inverse solve gives z_hat, from which u and mean_nll follow.
-    Uniform residuals are clipped into the open interval at the float
-    boundary (Phi saturates to exactly 0/1 for |z_hat| beyond ~39).
+    One inverse solve gives z_hat, from which u and mean_nll follow, by
+    blocks of rows.  Uniform residuals are clipped into the open interval
+    at the float boundary (Phi saturates to exactly 0/1 for |z_hat| beyond
+    ~39).
     """
-    y = np.asarray(y, dtype=float)
-    mu = np.asarray(params.mu, dtype=float)
-    if mu.ndim == 1 and len(mu) != len(y):
-        raise ValueError(f"length mismatch: {len(y)} targets vs {len(mu)} parameter rows")
-    z_hat = tgh.z_hat(y, params, cfg)
-    u = np.clip(standard_normal_cdf(z_hat), np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
-    n = len(y)
+    z_hat, u, nll = _by_blocks(lambda *rows: _residual_block(*rows, cfg), y, params.mu,
+                               params.sigma, params.g, params.h)
+    n = len(z_hat)
     positions = np.arange(1, n + 1) / (n + 1.0)
     qq_theoretical = standard_normal_quantile(positions)
     qq_empirical = np.sort(z_hat)
-    mean_nll = float(np.mean(-tgh.log_density_from_z(z_hat, params)))
     return ResidualReport(
         z_hat=z_hat,
         u=u,
         qq_theoretical=qq_theoretical,
         qq_empirical=qq_empirical,
         ks_statistic=ks_uniform(u),
-        mean_nll=mean_nll,
+        mean_nll=float(np.mean(nll)),
     )
 
 
@@ -160,9 +188,15 @@ def shortest_interval(params: TghParams, alpha: float) -> PredictionInterval:
     secant steps from one density pass at each end of the range; a row
     whose F has one sign there stays at an end.  The shorter of that and
     the symmetric gamma = alpha/2 is returned.  Each entry of the
-    parameters' broadcast shape is searched on its own.
+    parameters' broadcast shape is searched on its own, by blocks of rows.
     """
     check_alpha(alpha, "shortest")
+    return PredictionInterval(*_by_blocks(lambda *p: _shortest_block(TghParams(*p), alpha),
+                                          params.mu, params.sigma, params.g, params.h))
+
+
+def _shortest_block(params: TghParams, alpha: float):
+    """shortest_interval's (lower, upper, gamma) for one block of rows."""
     shape = np.broadcast_shapes(*map(np.shape, (params.mu, params.sigma, params.g, params.h)))
     lo, hi = np.full(shape, -_X_EDGE), np.full(shape, _X_EDGE)
     x_prev = f_prev = 0.0  # the first call's step is never used
@@ -187,7 +221,7 @@ def shortest_interval(params: TghParams, alpha: float) -> PredictionInterval:
     cand = np.stack([alpha / (1.0 + np.exp(-x)), np.full(shape, alpha / 2.0)])
     lower, upper = _interval_at_gamma(params, alpha, cand)
     pick = np.argmin(upper - lower, axis=0, keepdims=True)
-    return PredictionInterval(*(np.take_along_axis(v, pick, 0)[0] for v in (lower, upper, cand)))
+    return tuple(np.take_along_axis(v, pick, 0)[0] for v in (lower, upper, cand))
 
 
 def interval_coverage(y, lower, upper) -> float:

@@ -105,7 +105,9 @@ class Network:
 
     Batch norm normalizes with the batch mean and (biased) variance in
     train mode, moving the running statistics MOMENTUM of the way to the
-    batch's (unbiased variance), and with the running ones in eval mode.
+    batch's (unbiased variance).  In eval mode it is folded into its
+    linear layer: with s = gamma / sqrt(running_var + EPS), the layer is
+    h @ (w * s) + ((b - running_mean) * s + beta), then ReLU by np.maximum.
     A train-mode forward replaces, layer by layer, the list of (input,
     (inv_std, x_hat), ReLU mask) that backward() reads; eval mode drops it.
     x_hat is its layer's h @ w + b, centred and scaled in place; backward()
@@ -152,8 +154,14 @@ class Network:
         for i, (w, b, _, _, bn) in enumerate(self.layers):
             if i == n_hidden - 1 and late > 0:
                 h = np.concatenate([h, x[:, base:]], axis=1)
-            z = h @ w
-            z += b
+            if bn is None or train:
+                z = h @ w
+                z += b
+            else:  # eval-mode batch norm folded into the layer, from state on every call
+                gamma, beta, running_mean, running_var = bn[:4]
+                scale = gamma / np.sqrt(running_var + EPS)
+                z = h @ (w * scale)
+                z += (b - running_mean) * scale + beta
             norm = mask = None
             if bn is not None and train:
                 gamma, beta, running_mean, running_var = bn[:4]
@@ -168,15 +176,11 @@ class Network:
                 running_var[...] = (1.0 - MOMENTUM) * running_var + MOMENTUM * unbiased
                 norm, z = (inv_std, z), gamma * z  # the cache keeps x_hat itself
                 z += beta
-            elif bn is not None:
-                # gamma * (z - running_mean) / sqrt(running_var + EPS) + beta in two passes
-                gamma, beta, running_mean, running_var = bn[:4]
-                scale = gamma / np.sqrt(running_var + EPS)
-                z *= scale
-                z += beta - running_mean * scale
-            if i < n_hidden:
+            if i < n_hidden and train:
                 mask = z > 0
                 np.multiply(z, mask, out=z)  # z is this forward's own array
+            elif i < n_hidden:
+                np.maximum(z, 0.0, out=z)
             if train:
                 cache[i] = (h, norm, mask)
             h = z

@@ -275,7 +275,7 @@ def tau_inverse(z_tilde, p: ShapeParams | TghParams, cfg: InverseSolverConfig = 
     Every row then starts safeguarded_newton at z = 0 with f = tau(z) -
     z_tilde and Newton steps on asinh(tau(z)) - asinh(z_tilde), far less
     curved than tau in the exp(h*z^2/2) tail; g = h = 0 rows (tau(z) = z)
-    skip the doubling and start solved, at z = z_tilde with f = 0.  A
+    skip every bracket pass and start solved, at z = z_tilde with f = 0.  A
     saturated (+/-inf) tau compares correctly against the finite target.
     Only p.g and p.h are read, so z_hat passes its checked TghParams.
 
@@ -298,12 +298,12 @@ def tau_inverse(z_tilde, p: ShapeParams | TghParams, cfg: InverseSolverConfig = 
     exact = (g == 0) & (h == 0)
     end = np.copysign(np.full(zt.shape, cfg.initial_half_width), zt)
     abs_zt = np.abs(zt)
-    need = ~exact & (np.abs(_tau_parts(end, g, h)[0]) < abs_zt)
-    for _ in range(cfg.max_bracket_doublings):
+    need = ~exact
+    for _ in range(cfg.max_bracket_doublings + 1):  # a pass at end, then the doublings
         if not need.any():
             break
-        end = np.where(need, 2.0 * end, end)
         need &= np.abs(_tau_parts(end, g, h)[0]) < abs_zt
+        end = np.where(need, 2.0 * end, end)
     if need.any():
         raise _row_error("no bracket for inverse transform after "
                          f"{cfg.max_bracket_doublings} doublings", need, zt, g, h)

@@ -372,6 +372,27 @@ class TestIntervals:
                      "--out", str(tmp_path / "iv.csv")]) == 2
 
 
+def test_scoring_calls_its_public_function_once(tmp_path, trained_model, count_calls):
+    # the scoring blocks run through private helpers, so the benchmark
+    # tracer's spans of evaluate.residuals and evaluate.shortest_interval,
+    # which wrap the module names, do not nest
+    from tghnet import evaluate
+
+    sim = tmp_path / "sim.csv"
+    assert main(["simulate", "--design", "gandh", "--n", "6000", "--seed", "1",
+                 "--out", str(sim)]) == 0
+    public = [count_calls(evaluate, name) for name in ("residuals", "shortest_interval")]
+    searches = count_calls(tgh, "safeguarded_newton")
+    score = ["--model", str(trained_model), "--data", str(sim), "--split", "train"]
+    assert main(["evaluate", *score, "--out", str(tmp_path / "e")]) == 0
+    assert main(["intervals", *score, "--variant", "shortest",
+                 "--out", str(tmp_path / "iv.csv")]) == 0
+    assert [len(calls) for calls in public] == [1, 1]
+    # 4800 rows are two blocks: two tau_inverse solves, then two gamma searches
+    assert json.loads((tmp_path / "e" / "summary.json").read_text())["n"] == 4800
+    assert len(searches) == 4
+
+
 _SCORE = ["--model", "{model}", "--data", "{sim}", "--split", "val"]
 EXIT_PROBES = {
     # a non-finite network output, from a feature whose standardized

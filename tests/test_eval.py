@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
 
-from tghnet import tgh
+from tghnet import evaluate, tgh
 from tghnet.cli import main
 from tghnet.data import load_csv
+from tghnet.errors import SolverError
 from tghnet.evaluate import (
     binned_residual_summary,
     coverage_table,
@@ -82,14 +84,93 @@ class TestResiduals:
         report = residuals(y, params)
         assert report.mean_nll == pytest.approx(0.5 * math.log(2 * math.pi), abs=1e-10)
 
-    def test_exactly_one_solve(self, count_calls):
-        params = TghParams(*(np.full(200, v) for v in (0.5, 1.5, 0.6, 0.2)))
-        y = sample(params, 200, seed=4)
+    def test_exactly_one_solve(self, monkeypatch):
+        # every row is solved once: one solve per block of rows
+        n = 2 * evaluate._BLOCK + 37
+        params = TghParams(*(np.full(n, v) for v in (0.5, 1.5, 0.6, 0.2)))
+        y = sample(params, n, seed=4)
         want = float(np.mean(-np.asarray(tgh.log_density(y, params))))
-        solves = count_calls(tgh, "tau_inverse")
+        solved, inner = [], tgh.tau_inverse
+        monkeypatch.setattr(tgh, "tau_inverse", lambda zt, *a: solved.append(len(zt))
+                            or inner(zt, *a))
         report = residuals(y, params)
-        assert len(solves) == 1
+        assert solved == [evaluate._BLOCK, evaluate._BLOCK, 37]
         assert report.mean_nll == want
+
+
+def _link_box_rows(n, seed):
+    """Targets and per-row parameters over the link's (g, h) box."""
+    rng = np.random.default_rng(seed)
+    params = TghParams(rng.normal(size=n), rng.uniform(0.3, 2.0, n),
+                       rng.uniform(-2.0, 2.0, n), rng.uniform(0.0, 0.5, n))
+    return sample(params, n, seed=seed), params
+
+
+class TestScoringBlocks:
+    N = 2 * evaluate._BLOCK + 37
+    BAD = evaluate._BLOCK + 5  # a row of the second block
+
+    def test_residuals_equal_one_block(self, monkeypatch):
+        y, params = _link_box_rows(self.N, 30)
+        blocked = residuals(y, params)
+        monkeypatch.setattr(evaluate, "_BLOCK", self.N)
+        whole = residuals(y, params)
+        for name in ("z_hat", "u", "qq_empirical"):
+            np.testing.assert_array_equal(getattr(blocked, name), getattr(whole, name))
+        assert blocked.mean_nll == whole.mean_nll
+        assert blocked.ks_statistic == whole.ks_statistic
+
+    def test_shortest_interval_equals_one_block(self, monkeypatch):
+        _, params = _link_box_rows(self.N, 31)
+        blocked = shortest_interval(params, 0.05)
+        monkeypatch.setattr(evaluate, "_BLOCK", self.N)
+        for got, want in zip(blocked, shortest_interval(params, 0.05), strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("g, h, z_tilde, why", [
+        (-0.5, 0.0, 10.0, "outside tau's one-sided support"),
+        (0.0, 1e-300, 1e300, "no bracket"),
+    ], ids=["outside_support", "no_bracket"])
+    def test_residual_error_names_the_whole_array_row(self, monkeypatch, g, h, z_tilde, why):
+        y, params = _link_box_rows(self.N, 32)
+        fields = [np.array(f) for f in (params.mu, params.sigma, params.g, params.h)]
+        fields[2][self.BAD], fields[3][self.BAD] = g, h
+        y[self.BAD] = fields[0][self.BAD] + fields[1][self.BAD] * z_tilde
+        params = TghParams(*fields)
+        with pytest.raises(SolverError, match=why) as blocked:
+            residuals(y, params)
+        monkeypatch.setattr(evaluate, "_BLOCK", self.N)
+        with pytest.raises(SolverError) as whole:
+            residuals(y, params)
+        assert f"at sample index {self.BAD}:" in str(blocked.value)
+        assert str(blocked.value) == str(whole.value)
+
+    def test_shortest_interval_row_the_search_cannot_settle(self, monkeypatch):
+        # shortest_interval raises no row error: a row whose density
+        # underflows at both ends (a NaN gap) runs to the iteration cap and
+        # gets the symmetric interval, in its block as in one piece
+        _, params = _link_box_rows(self.N, 33)
+        h = np.array(params.h)
+        h[self.BAD] = 1e300
+        params = TghParams(params.mu, params.sigma, params.g, h)
+        blocked = shortest_interval(params, 0.05)
+        assert blocked.lower[self.BAD] == -np.inf and blocked.upper[self.BAD] == np.inf
+        monkeypatch.setattr(evaluate, "_BLOCK", self.N)
+        for got, want in zip(blocked, shortest_interval(params, 0.05), strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    def test_shortest_interval_memory_is_its_output(self):
+        # over 200k rows the one-piece search's full-width temporaries
+        # peaked 55 MiB above its 4.6 MiB output; by blocks, 1.3 MiB above
+        _, params = _link_box_rows(200_000, 34)
+        tracemalloc.start()
+        try:
+            iv = shortest_interval(params, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(v.nbytes for v in iv)
+        assert peak < returned + 2 * 2 ** 20
 
 
 class TestKs:

@@ -93,7 +93,12 @@ def _score_split(args):
     if len(rows) == 0:
         raise DataError(f"split {args.split!r} is empty for this dataset")
     x = dataset.x[rows]
-    return header, x, dataset.y[rows], bundle.predict_params(x, dataset.source_rows[rows])
+    try:
+        params = bundle.predict_params(x)
+    except NumericalError as exc:
+        exc.row = (dataset.source_rows[rows[exc.row]],)
+        raise
+    return header, x, dataset.y[rows], params
 
 
 def cmd_simulate(args) -> None:
@@ -296,7 +301,7 @@ def cmd_density(args) -> None:
     if need:
         raise UsageError(f"--y-grid needs {need}")
     grid = np.linspace(lo, hi, count)
-    # one (points, grid) batch: each row's solve is independent of the rest
+    # a (points, grid) batch, which density_curve solves by blocks along the grid
     curves = density_curve(TghParams(p.mu[:, None], p.sigma[:, None], p.g[:, None],
                                      p.h[:, None]), grid, bundle.header.solver)
     write_csv(args.out, {

@@ -51,8 +51,11 @@ __all__ = [
 _GAMMA_EDGE = 1e-4
 _X_EDGE = np.log((1.0 - _GAMMA_EDGE) / _GAMMA_EDGE)
 _X_TOL = 1e-10
-# Rows per block of the row-wise scoring work, the size write_csv writes
-# by: a block's temporaries reuse freed pages instead of faulting in new ones.
+# shortest_interval stops a row's search after this many secant steps
+_MAX_STEPS = 100
+# Rows per block of the row-wise solves (residuals, intervals, density), the
+# size write_csv writes by: a block's temporaries reuse freed pages instead
+# of faulting in new ones.  At 4096 rows a solve runs faster than at 1024.
 _BLOCK = 4096
 
 
@@ -103,26 +106,6 @@ def ks_critical_value(n: int, level: float = 0.01) -> float:
     return float(np.sqrt(-0.5 * np.log(level / 2.0)) / np.sqrt(n))
 
 
-def _by_blocks(solve, *arrays):
-    """solve(*arrays) _BLOCK rows at a time along the first axis of their
-    broadcast shape (0-d is one row), equal to one call bitwise as each
-    row's arithmetic is its own.  A SolverError repeats that one call,
-    which names the row by its index in the arrays."""
-    shape = np.broadcast_shapes(*map(np.shape, arrays))
-    rows = [np.broadcast_to(a, shape).reshape(-1, *shape[1:]) for a in arrays]
-    outs = None
-    for i in range(0, max(len(rows[0]), 1), _BLOCK):  # no rows: one empty block
-        try:
-            got = solve(*(a[i:i + _BLOCK] for a in rows))
-        except SolverError:
-            solve(*arrays)
-            raise
-        outs = outs or [np.empty(rows[0].shape) for _ in got]
-        for out, value in zip(outs, got):
-            out[i:i + _BLOCK] = value
-    return [out.reshape(shape) for out in outs]
-
-
 def _residual_block(y, mu, sigma, g, h, cfg):
     """z_hat, u and the negative log density of each row, from one solve."""
     params = TghParams(mu, sigma, g, h)
@@ -139,8 +122,9 @@ def residuals(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER) -
     at the float boundary (Phi saturates to exactly 0/1 for |z_hat| beyond
     ~39).
     """
-    z_hat, u, nll = _by_blocks(lambda *rows: _residual_block(*rows, cfg), y, params.mu,
-                               params.sigma, params.g, params.h)
+    z_hat, u, nll = tgh.by_blocks(lambda *rows: _residual_block(*rows, cfg), _BLOCK,
+                                  *np.broadcast_arrays(y, params.mu, params.sigma, params.g,
+                                                       params.h))
     n = len(z_hat)
     positions = np.arange(1, n + 1) / (n + 1.0)
     qq_theoretical = standard_normal_quantile(positions)
@@ -188,11 +172,15 @@ def shortest_interval(params: TghParams, alpha: float) -> PredictionInterval:
     secant steps from one density pass at each end of the range; a row
     whose F has one sign there stays at an end.  The shorter of that and
     the symmetric gamma = alpha/2 is returned.  Each entry of the
-    parameters' broadcast shape is searched on its own, by blocks of rows.
+    parameters' broadcast shape is searched on its own, by blocks of rows
+    (0-d is one row); a row whose search does not stop in _MAX_STEPS steps
+    raises SolverError naming it.
     """
     check_alpha(alpha, "shortest")
-    return PredictionInterval(*_by_blocks(lambda *p: _shortest_block(TghParams(*p), alpha),
-                                          params.mu, params.sigma, params.g, params.h))
+    fields = np.broadcast_arrays(params.mu, params.sigma, params.g, params.h)
+    got = tgh.by_blocks(lambda *p: _shortest_block(TghParams(*p), alpha), _BLOCK,
+                        *map(np.atleast_1d, fields))
+    return PredictionInterval(*(v.reshape(fields[0].shape) for v in got))
 
 
 def _shortest_block(params: TghParams, alpha: float):
@@ -215,9 +203,14 @@ def _shortest_block(params: TghParams, alpha: float):
     f_lo, _ = gap_and_secant(lo)
     f_hi, step = gap_and_secant(hi)
     # F >= 0 at lo or <= 0 at hi: that end is the optimum, and f = 0 keeps the row there
-    x, _ = tgh.safeguarded_newton(gap_and_secant, np.where(f_lo >= 0, lo, hi),
-                                  np.where((f_lo >= 0) | (f_hi <= 0), 0.0, f_hi), step,
-                                  lo, hi, _X_TOL, 100)
+    x, done = tgh.safeguarded_newton(gap_and_secant, np.where(f_lo >= 0, lo, hi),
+                                     np.where((f_lo >= 0) | (f_hi <= 0), 0.0, f_hi), step,
+                                     lo, hi, _X_TOL, _MAX_STEPS)
+    if not done.all():
+        i = np.unravel_index(np.argmin(done), shape)
+        raise SolverError(f"no shortest interval: the search in gamma did not stop in "
+                          f"{_MAX_STEPS} steps at sample index {{row}}: "
+                          f"g={float(params.g[i])!r}, h={float(params.h[i])!r}", i)
     cand = np.stack([alpha / (1.0 + np.exp(-x)), np.full(shape, alpha / 2.0)])
     lower, upper = _interval_at_gamma(params, alpha, cand)
     pick = np.argmin(upper - lower, axis=0, keepdims=True)
@@ -247,11 +240,17 @@ def coverage_table(u, alphas=(0.5, 0.2, 0.1, 0.05, 0.01)) -> dict[str, float]:
 
 def density_curve(params: TghParams, y_grid,
                   cfg: InverseSolverConfig = DEFAULT_SOLVER) -> np.ndarray:
-    """Density values exp(log_density) on a sorted target grid, solved with cfg."""
+    """Density values exp(log_density) on a sorted target grid, solved with
+    cfg by blocks along the last axis of the broadcast shape, each about
+    _BLOCK values, so that memory beyond the result does not grow with
+    the grid."""
     y_grid = np.asarray(y_grid, dtype=float)
     if np.any(np.diff(y_grid) < 0):
         raise ValueError("y_grid must be sorted ascending")
-    return np.exp(np.asarray(tgh.log_density(y_grid, params, cfg)))
+    fields = np.broadcast_arrays(y_grid, params.mu, params.sigma, params.g, params.h)
+    curves = max(1, int(np.prod(fields[0].shape[:-1])))
+    return tgh.by_blocks(lambda y, *p: (np.exp(tgh.log_density(y, TghParams(*p), cfg)),),
+                         max(1, _BLOCK // curves), *fields, axis=-1)[0]
 
 
 def binned_residual_summary(feature, u, n_bins: int = 10):

@@ -72,23 +72,22 @@ def _expit(x):
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def link(raw, cfg: LinkConfig = DEFAULT_LINK, rows=None):
+def link(raw, cfg: LinkConfig = DEFAULT_LINK):
     """Map raw head outputs (..., 4) to valid g-and-h parameters.
 
     A (..., 2) head is the Gaussian model: it gives mu and sigma, with
     g = h = 0.  Returns (TghParams, derivs) where derivs[..., j] is the
     derivative of parameter j w.r.t. raw output j (the link is diagonal).
-    A non-finite output raises NumericalError naming its row i, or
-    rows[i] when the caller labels the rows.
+    A non-finite output raises NumericalError at its row (i,), i counting
+    heads in row-major order.
     """
     raw = np.asarray(raw, dtype=float)
     if raw.ndim == 0 or raw.shape[-1] not in LOSS_KINDS.values():
         raise ValueError("raw head must have 2 or 4 components")
     finite = np.isfinite(raw)
     if not finite.all():
-        i = int(np.argmin(np.ravel(finite.all(axis=-1))))
-        raise NumericalError(f"non-finite network output at input row "
-                             f"{i if rows is None else int(rows[i])}")
+        raise NumericalError("non-finite network output at input row {row}",
+                             (np.argmin(np.ravel(finite.all(axis=-1))),))
     mu = raw[..., 0]
     sigma = _softplus(raw[..., 1]) + cfg.sigma_floor
     derivs = [np.ones_like(mu), _expit(raw[..., 1])]

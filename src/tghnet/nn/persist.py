@@ -33,7 +33,7 @@ import numpy as np
 from ..data import ByColumnSplit, FractionSplit, Standardization, write_json
 from ..errors import ConfigError, DataError
 from ..loss import LOSS_KINDS, LinkConfig, link
-from ..tgh import InverseSolverConfig, TghParams
+from ..tgh import InverseSolverConfig, TghParams, by_blocks
 from .network import EVAL_CHUNK, Network, NetworkConfig, NetworkSpec
 
 MAGIC = b"TGHN"
@@ -92,29 +92,26 @@ class ModelBundle:
     header: ModelHeader
     network: Network
 
-    def predict_params(self, x: np.ndarray, rows=None) -> TghParams:
+    def predict_params(self, x: np.ndarray) -> TghParams:
         """Predicted distribution parameters for raw (unstandardized)
         features, as a TghParams of arrays.
 
         Both heads pass through the one link, so Gaussian models come back
-        with g = h = 0.  The eval-mode forward and the link run EVAL_CHUNK
-        rows at a time, so beyond the four returned arrays memory does not
-        grow with the row count.  A non-finite head raises NumericalError
-        naming the row: rows[i] for row i of x, or i itself without rows.
+        with g = h = 0.  The eval-mode forward and the link run by blocks
+        of EVAL_CHUNK rows, so beyond the four returned arrays memory does
+        not grow with the row count.  A non-finite head raises
+        NumericalError at its row of x.
         """
-        x = np.asarray(x, dtype=float)
-        labels = range(len(x)) if rows is None else rows
         st = self.header.data.standardization
-        out = np.empty((4, len(x)))  # mu, sigma, g, h
-        for start in range(0, len(x), EVAL_CHUNK):
-            chunk = slice(start, start + EVAL_CHUNK)
+
+        def params(x):
             # overflow is not warned about: link names the row
             with np.errstate(over="ignore", invalid="ignore"):
-                raw = self.network.forward(x[chunk] if st is None else st.apply(x[chunk]),
-                                           train=False)
-            p = link(raw, self.header.link, labels[chunk])[0]
-            out[:, chunk] = p.mu, p.sigma, p.g, p.h
-        return TghParams(*out)
+                raw = self.network.forward(x if st is None else st.apply(x), train=False)
+            p = link(raw, self.header.link)[0]
+            return p.mu, p.sigma, p.g, p.h
+
+        return TghParams(*by_blocks(params, EVAL_CHUNK, np.asarray(x, dtype=float)))
 
 
 def save_model(path, bundle: ModelBundle) -> None:

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import NumericalError
 from ..loss import DEFAULT_LINK, LOSS_KINDS, LinkConfig, gaussian_head_loss, tukey_head_loss
-from ..tgh import DEFAULT_SOLVER, InverseSolverConfig
+from ..tgh import DEFAULT_SOLVER, InverseSolverConfig, by_blocks
 from .network import EVAL_CHUNK, Network
 from .optim import Adam, AdamConfig, effective_lr
 
@@ -59,16 +59,18 @@ def evaluate_mean_loss(net: Network, x: np.ndarray, y: np.ndarray,
                        link_cfg: LinkConfig = DEFAULT_LINK,
                        solver_cfg: InverseSolverConfig = DEFAULT_SOLVER) -> float:
     """Mean loss of net's head over a dataset with eval-mode batch norm,
-    EVAL_CHUNK rows at a time."""
+    summed as each block of EVAL_CHUNK rows' mean times its row count.  An
+    error names its row of x."""
     head_loss = _head_loss(net)
     total = 0.0
-    n = len(y)
-    for start in range(0, n, EVAL_CHUNK):
-        stop = min(start + EVAL_CHUNK, n)
-        raw = net.forward(x[start:stop], train=False)
-        mean = head_loss(y[start:stop], raw, link_cfg, solver_cfg)[0]
-        total += mean * (stop - start)
-    return total / n
+
+    def add_block(x, y):
+        nonlocal total
+        total += head_loss(y, net.forward(x, train=False), link_cfg, solver_cfg)[0] * len(y)
+        return ()
+
+    by_blocks(add_block, EVAL_CHUNK, x, y)
+    return total / len(y)
 
 
 def train(net: Network, x: np.ndarray, y: np.ndarray,

@@ -44,13 +44,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import SolverError, TghError
 
 __all__ = [
     "ShapeParams",
     "TghParams",
     "InverseSolverConfig",
     "DEFAULT_SOLVER",
+    "by_blocks",
     "tau",
     "safeguarded_newton",
     "tau_inverse",
@@ -155,6 +156,30 @@ def _ret(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
+def by_blocks(fn, block: int, *arrays, axis: int = 0):
+    """The one row-block loop: fn(*parts) on blocks of at most `block`
+    entries along the first (axis=0) or last (axis=-1) axis of the arrays,
+    its outputs joined along that axis (no entries: one empty call).  Each
+    entry's arithmetic must be its own, so the result is one call's bitwise.
+    A TghError leaves with the block's start added to its row; nothing runs
+    again."""
+    n = np.shape(arrays[0])[axis]
+    outs = None
+    for start in range(0, max(n, 1), block):
+        at = np.s_[start:start + block] if axis == 0 else np.s_[..., start:start + block]
+        try:
+            got = fn(*(a[at] for a in arrays))
+        except TghError as exc:
+            if exc.row:
+                exc.row = (*exc.row[:axis], exc.row[axis] + start, *exc.row[axis:][1:])
+            raise
+        if outs is None:
+            outs = [np.empty((*np.shape(v)[:axis], n, *np.shape(v)[axis:][1:])) for v in got]
+        for out, value in zip(outs, got):
+            out[at] = value
+    return outs
+
+
 def _log_bracket(z, g, h, grad=False):
     """log B for B = exp(g*z) + h*z*(exp(g*z) - 1)/g = tau'(z) exp(-h*z^2/2).
 
@@ -221,12 +246,11 @@ def _tau_parts(z, g, h):
 
 
 def _row_error(message: str, bad, zt, g, h, reason: str = "") -> SolverError:
-    """SolverError naming bad's first flagged row (none when 0-d), its values and the reason."""
+    """SolverError at bad's first flagged row (named unless 0-d), its values and the reason."""
     bad, zt, g, h = np.broadcast_arrays(bad, zt, g, h)
     i = np.unravel_index(np.argmax(bad), bad.shape)
-    at = f" at sample index {int(i[0]) if len(i) == 1 else tuple(map(int, i))}" if i else ""
-    return SolverError(f"{message}{at}: z_tilde={float(zt[i])!r}, "
-                       f"g={float(g[i])!r}, h={float(h[i])!r}{reason}")
+    return SolverError(f"{message}{' at sample index {row}' if i else ''}: z_tilde="
+                       f"{float(zt[i])!r}, g={float(g[i])!r}, h={float(h[i])!r}{reason}", i)
 
 
 def safeguarded_newton(value_and_step, x, f, step, lo, hi, tol, max_iter):

@@ -132,32 +132,61 @@ class TestScoringBlocks:
         (0.0, 1e-300, 1e300, "no bracket"),
     ], ids=["outside_support", "no_bracket"])
     def test_residual_error_names_the_whole_array_row(self, monkeypatch, g, h, z_tilde, why):
+        # the failing block's error carries its row, and tgh.by_blocks shifts it
+        # by the block's start: no block after it, and no whole-array solve
         y, params = _link_box_rows(self.N, 32)
         fields = [np.array(f) for f in (params.mu, params.sigma, params.g, params.h)]
         fields[2][self.BAD], fields[3][self.BAD] = g, h
         y[self.BAD] = fields[0][self.BAD] + fields[1][self.BAD] * z_tilde
         params = TghParams(*fields)
+        solved, inner = [], tgh.tau_inverse
+        monkeypatch.setattr(tgh, "tau_inverse", lambda zt, *a: solved.append(len(zt))
+                            or inner(zt, *a))
         with pytest.raises(SolverError, match=why) as blocked:
             residuals(y, params)
+        assert solved == [evaluate._BLOCK, evaluate._BLOCK]
+        assert blocked.value.row == (self.BAD,)
         monkeypatch.setattr(evaluate, "_BLOCK", self.N)
         with pytest.raises(SolverError) as whole:
             residuals(y, params)
         assert f"at sample index {self.BAD}:" in str(blocked.value)
         assert str(blocked.value) == str(whole.value)
 
+    def test_the_first_failing_block_names_its_row(self, monkeypatch):
+        # Row 100 (first block) has no bracket, row BAD (second block) lies
+        # outside tau's support.  By blocks the first block's error is
+        # raised; one piece raises the check that runs first over every
+        # row, the support check, at row BAD.
+        y, params = _link_box_rows(self.N, 34)
+        fields = [np.array(f) for f in (params.mu, params.sigma, params.g, params.h)]
+        for row, g, h, z_tilde in ((100, 0.0, 1e-300, 1e300), (self.BAD, -0.5, 0.0, 10.0)):
+            fields[2][row], fields[3][row] = g, h
+            y[row] = fields[0][row] + fields[1][row] * z_tilde
+        params = TghParams(*fields)
+        with pytest.raises(SolverError, match="no bracket .* at sample index 100:") as blocked:
+            residuals(y, params)
+        assert blocked.value.row == (100,)
+        monkeypatch.setattr(evaluate, "_BLOCK", self.N)
+        with pytest.raises(SolverError, match=f"at sample index {self.BAD}: .*support"):
+            residuals(y, params)
+
     def test_shortest_interval_row_the_search_cannot_settle(self, monkeypatch):
-        # shortest_interval raises no row error: a row whose density
-        # underflows at both ends (a NaN gap) runs to the iteration cap and
-        # gets the symmetric interval, in its block as in one piece
+        # at h = 1e308 the density overflows at every gamma, so the gap is NaN
+        # and the search cannot narrow its bracket: the row raises, named by
+        # its whole-array index, in its block as in one piece.  (At h = 1e300
+        # the search settles at gamma = alpha/2, and the interval is
+        # (-inf, inf) because the quantile overflows.)
         _, params = _link_box_rows(self.N, 33)
         h = np.array(params.h)
-        h[self.BAD] = 1e300
+        h[self.BAD] = 1e308
         params = TghParams(params.mu, params.sigma, params.g, h)
-        blocked = shortest_interval(params, 0.05)
-        assert blocked.lower[self.BAD] == -np.inf and blocked.upper[self.BAD] == np.inf
+        match = rf"did not stop in 100 steps at sample index {self.BAD}: .*h=1e\+308$"
+        with np.errstate(over="ignore"), pytest.raises(SolverError, match=match) as blocked:
+            shortest_interval(params, 0.05)
         monkeypatch.setattr(evaluate, "_BLOCK", self.N)
-        for got, want in zip(blocked, shortest_interval(params, 0.05), strict=True):
-            np.testing.assert_array_equal(got, want)
+        with np.errstate(over="ignore"), pytest.raises(SolverError) as whole:
+            shortest_interval(params, 0.05)
+        assert str(blocked.value) == str(whole.value)
 
     def test_shortest_interval_memory_is_its_output(self):
         # over 200k rows the one-piece search's full-width temporaries
@@ -393,6 +422,56 @@ class TestDensityCurve:
         want = float(tau(z_mode, ShapeParams(0.8, 0.1)))
         assert y_mode == pytest.approx(want, abs=1e-3)
         assert y_mode < 0.0  # right-skew pushes the mode left of the median
+
+    def test_blocks_equal_one_block_with_memory_of_its_output(self, monkeypatch):
+        # 5 points x 200 000 grid values: by blocks along the grid, the same
+        # bits as one block, and within 4 MiB of the 8 MB result (one block
+        # peaks 166 MiB above it)
+        rng = np.random.default_rng(40)
+        params = TghParams(rng.normal(size=(5, 1)), rng.uniform(0.5, 2.0, (5, 1)),
+                           rng.uniform(-1.0, 1.0, (5, 1)), rng.uniform(0.0, 0.5, (5, 1)))
+        grid = np.linspace(-8.0, 8.0, 200_000)
+        tracemalloc.start()
+        try:
+            blocked = density_curve(params, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert blocked.shape == (5, 200_000)
+        assert peak < blocked.nbytes + 4 * 2 ** 20
+        monkeypatch.setattr(evaluate, "_BLOCK", blocked.size)
+        np.testing.assert_array_equal(blocked, density_curve(params, grid))
+
+    def test_error_in_a_later_grid_block_names_point_and_grid_index(self, monkeypatch):
+        # point 3 has h = 0 and g = -0.5, so its support ends at y = 2
+        params = TghParams(0.0, 1.0, np.array([[0.1], [0.2], [0.3], [-0.5], [0.4]]),
+                           np.array([[0.1], [0.1], [0.1], [0.0], [0.1]]))
+        grid = np.linspace(-10.0, 10.0, 200_000)
+        j = int(np.argmax(grid >= 2.0))
+        assert j > evaluate._BLOCK
+        with pytest.raises(SolverError, match=rf"at sample index \(3, {j}\): .*support") as blocked:
+            density_curve(params, grid)
+        assert blocked.value.row == (3, j)
+        monkeypatch.setattr(evaluate, "_BLOCK", 5 * len(grid))
+        with pytest.raises(SolverError) as whole:
+            density_curve(params, grid)
+        assert str(blocked.value) == str(whole.value)
+
+    def test_two_failing_points_name_the_lower_grid_index(self, monkeypatch):
+        # With h = 0, point 1 (g = -0.5) has no density from y = 2 up and
+        # point 3 (g = 0.5) none up to y = -2.  The blocks run along the
+        # grid, so point 3 at grid index 0 is named; one piece names the
+        # first failing entry in row-major order, point 1's.
+        params = TghParams(0.0, 1.0, np.array([[0.1], [-0.5], [0.3], [0.5], [0.4]]),
+                           np.array([[0.1], [0.0], [0.1], [0.0], [0.1]]))
+        grid = np.linspace(-10.0, 10.0, 200_000)
+        j = int(np.argmax(grid >= 2.0))
+        with pytest.raises(SolverError, match=r"at sample index \(3, 0\): ") as blocked:
+            density_curve(params, grid)
+        assert blocked.value.row == (3, 0)
+        monkeypatch.setattr(evaluate, "_BLOCK", 5 * len(grid))
+        with pytest.raises(SolverError, match=rf"at sample index \(1, {j}\): "):
+            density_curve(params, grid)
 
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ValueError, match="sorted"):

@@ -2,8 +2,9 @@
 config and nn import in either order, data imports only errors, evaluate
 only tgh, no command imports scipy, the benchmark tracer's wrapped names
 exist, the g -> 0 limit of tgh lives in its two kernels, tgh._ret alone
-decides that a result is a float, cli.main alone decides exit codes, and
-the network keeps its state in no object but itself."""
+decides that a result is a float, cli.main alone decides exit codes, the
+network keeps its state in no object but itself, and tgh.by_blocks is the
+one row-block loop, with no repeat call on a solver error."""
 
 import ast
 import json
@@ -184,3 +185,40 @@ def test_network_is_one_layer_loop_with_one_cache():
     assert [(name, attr) for name, f in methods.items() if name != "__init__"
             for attr in stores(f)] == [("forward", "self._cache")]
     assert len(stores(tree)) == len(stores(methods["__init__"])) + 1
+
+
+def _nodes_by_function():
+    """(module path:function, node) for every node inside a top-level
+    function or a method of src/, nested functions counted as their outer one."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE).as_posix()
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            methods = top.body if isinstance(top, ast.ClassDef) else [top]
+            for f in methods:
+                if isinstance(f, ast.FunctionDef):
+                    name = f"{module}:{top.name + '.' if f is not top else ''}{f.name}"
+                    yield from ((name, n) for n in ast.walk(f))
+
+
+def test_one_row_block_loop_and_no_repeat_call_on_a_solver_error():
+    # rows are cut into blocks by tgh.by_blocks alone, besides write_csv's
+    # writes and train's batches (a countdown range is no block loop); the
+    # five scoring passes go through it; and a handler that can catch a
+    # SolverError calls nothing, so a failed call is never run again (cli.main
+    # alone prints one)
+    loops, callers, handler_calls = set(), set(), []
+    for name, n in _nodes_by_function():
+        if (isinstance(n, ast.Call) and getattr(n.func, "id", None) == "range"
+                and len(n.args) == 3 and not isinstance(n.args[2], ast.UnaryOp)):
+            loops.add(name)
+        if isinstance(n, ast.Call) and ast.unparse(n.func).split(".")[-1] == "by_blocks":
+            callers.add(name)
+        if isinstance(n, ast.ExceptHandler) and n.type is not None and name != "cli.py:main":
+            caught = n.type.elts if isinstance(n.type, ast.Tuple) else [n.type]
+            if {"SolverError", "TghError"} & {ast.unparse(t) for t in caught}:
+                handler_calls += [name for c in ast.walk(n) if isinstance(c, ast.Call)]
+    assert loops == {"tgh.py:by_blocks", "data.py:write_csv", "nn/train.py:train"}
+    assert callers == {"nn/persist.py:ModelBundle.predict_params",
+                       "nn/train.py:evaluate_mean_loss", "evaluate.py:residuals",
+                       "evaluate.py:shortest_interval", "evaluate.py:density_curve"}
+    assert handler_calls == []

@@ -80,10 +80,14 @@ class TestLink:
             link(np.zeros(3))
         with pytest.raises(NumericalError, match="non-finite network output at input row 0$"):
             link(np.array([0.0, np.nan, 0.0, 0.0]))
+        # the error carries its row as data, for a caller to rewrite
         raw = np.zeros((5, 2))
         raw[3, 1] = np.inf
-        with pytest.raises(NumericalError, match="at input row 17$"):
-            link(raw, rows=np.array([2, 5, 11, 17, 30]))
+        with pytest.raises(NumericalError, match="at input row 3$") as bad:
+            link(raw)
+        assert bad.value.row == (3,)
+        bad.value.row = (17,)
+        assert str(bad.value) == "non-finite network output at input row 17"
         with pytest.raises(ValueError):
             LinkConfig(sigma_floor=0.0)
 

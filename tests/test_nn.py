@@ -813,6 +813,15 @@ class TestChunkedEvalForward:
         whole, _, _ = tukey_head_loss(y, raw)
         assert evaluate_mean_loss(net, x, y) == pytest.approx(whole, rel=1e-12)
 
+    def test_evaluate_mean_loss_names_the_row_of_a_later_block(self):
+        # a non-finite head in the second block names its row of x, not of its block
+        x, y, _, _ = _toy_data(2 * EVAL_CHUNK)
+        x[EVAL_CHUNK + 3] = 1e308
+        net = Network(NetworkSpec(1, (8,), head_dim=4), seed=1)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericalError, match=f"non-finite network output at input row {EVAL_CHUNK + 3}$"):
+            evaluate_mean_loss(net, x, y)
+
     def test_predict_params_memory_is_its_output(self):
         net = Network(NetworkSpec(1, (64, 64, 64, 64), head_dim=4), seed=0)
         bundle = _bundle_of(net, "tukey", ("x",),

@@ -195,13 +195,13 @@ def _shortest_block(params: TghParams, alpha: float):
         log_f = tgh.log_density_from_z(
             standard_normal_quantile(np.stack([alpha - gamma, 1.0 - gamma])), params)
         f = log_f[1] - log_f[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = f * (x - x_prev) / (f - f_prev)
+        step = f * (x - x_prev) / (f - f_prev)
         x_prev, f_prev = x, f
         return f, step
 
-    f_lo, _ = gap_and_secant(lo)
-    f_hi, step = gap_and_secant(hi)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # as in the search
+        f_lo, _ = gap_and_secant(lo)
+        f_hi, step = gap_and_secant(hi)
     # F >= 0 at lo or <= 0 at hi: that end is the optimum, and f = 0 keeps the row there
     x, done = tgh.safeguarded_newton(gap_and_secant, np.where(f_lo >= 0, lo, hi),
                                      np.where((f_lo >= 0) | (f_hi <= 0), 0.0, f_hi), step,

@@ -104,13 +104,15 @@ class Network:
     +-sqrt(6 / in_dim) from the seed, b and beta at 0, gamma at 1.
 
     Batch norm normalizes with the batch mean and (biased) variance in
-    train mode, moving the running statistics MOMENTUM of the way to the
-    batch's (unbiased variance).  In eval mode it is folded into its
-    linear layer: with s = gamma / sqrt(running_var + EPS), the layer is
-    h @ (w * s) + ((b - running_mean) * s + beta), then ReLU by np.maximum.
-    A train-mode forward replaces, layer by layer, the list of (input,
-    (inv_std, x_hat), ReLU mask) that backward() reads; eval mode drops it.
-    x_hat is its layer's h @ w + b, centred and scaled in place; backward()
+    train mode, where the mean cancels b: b is not added there and gets
+    gradient 0, and the running statistics move MOMENTUM of the way to
+    the batch's mean + b and unbiased variance.  In eval mode it is folded
+    into its linear layer: with s = gamma / sqrt(running_var + EPS), the
+    layer is h @ (w * s) + ((b - running_mean) * s + beta).  ReLU is
+    np.maximum.  A train-mode forward replaces, layer by layer, the list of
+    (input, (inv_std, xc) or None) that backward() reads; eval mode drops
+    it.  xc is its layer's h @ w, centred in place, and a ReLU's mask is
+    where the next layer's input, late columns left out, is > 0.  backward()
     writes only arrays it made and grad, so a second call repeats the gradients.
     """
 
@@ -150,39 +152,34 @@ class Network:
         self._cache = cache = (self._cache or [None] * len(self.layers)) if train else None
         spec = self.spec
         late, base, n_hidden = spec.late_features, spec.base_features, len(spec.hidden)
-        h = x[:, :base]
+        h, n, norm = x[:, :base], len(x), None
         for i, (w, b, _, _, bn) in enumerate(self.layers):
             if i == n_hidden - 1 and late > 0:
                 h = np.concatenate([h, x[:, base:]], axis=1)
-            if bn is None or train:
+            if bn is None:
                 z = h @ w
                 z += b
+            elif train:  # the batch mean cancels b, so running_mean tracks mean + b
+                gamma, beta, running_mean, running_var = bn[:4]
+                z = h @ w
+                mean = np.einsum("ij->j", z) / n  # in 0.6x the time of np.add.reduce
+                z -= mean
+                var = np.einsum("ij,ij->j", z, z) / n
+                inv_std = 1.0 / np.sqrt(var + EPS)
+                running_mean[...] = (1.0 - MOMENTUM) * running_mean + MOMENTUM * (mean + b)
+                unbiased = var * n / max(n - 1, 1)
+                running_var[...] = (1.0 - MOMENTUM) * running_var + MOMENTUM * unbiased
+                norm, z = (inv_std, z), z * (gamma * inv_std)  # the cache keeps z centred
+                z += beta
             else:  # eval-mode batch norm folded into the layer, from state on every call
                 gamma, beta, running_mean, running_var = bn[:4]
                 scale = gamma / np.sqrt(running_var + EPS)
                 z = h @ (w * scale)
                 z += (b - running_mean) * scale + beta
-            norm = mask = None
-            if bn is not None and train:
-                gamma, beta, running_mean, running_var = bn[:4]
-                n = z.shape[0]
-                mean = np.add.reduce(z, 0) / n
-                z -= mean
-                var = np.einsum("ij,ij->j", z, z) / n
-                inv_std = 1.0 / np.sqrt(var + EPS)
-                z *= inv_std
-                running_mean[...] = (1.0 - MOMENTUM) * running_mean + MOMENTUM * mean
-                unbiased = var * n / max(n - 1, 1)
-                running_var[...] = (1.0 - MOMENTUM) * running_var + MOMENTUM * unbiased
-                norm, z = (inv_std, z), gamma * z  # the cache keeps x_hat itself
-                z += beta
-            if i < n_hidden and train:
-                mask = z > 0
-                np.multiply(z, mask, out=z)  # z is this forward's own array
-            elif i < n_hidden:
-                np.maximum(z, 0.0, out=z)
+            if i < n_hidden:
+                np.maximum(z, 0.0, out=z)  # z is this forward's own array
             if train:
-                cache[i] = (h, norm, mask)
+                cache[i] = (h, norm if bn else None)
             h = z
         return h
 
@@ -197,20 +194,23 @@ class Network:
         d = np.asarray(head_grad, dtype=float)
         late, n_hidden = self.spec.late_features, len(self.spec.hidden)
         for i in range(n_hidden, -1, -1):
-            (w, _, dw, db, bn), (h, norm, mask) = self.layers[i], self._cache[i]
-            if mask is not None:
-                np.multiply(d, mask, out=d)  # below the head, d is this backward's own array
+            (w, _, dw, db, bn), (h, norm) = self.layers[i], self._cache[i]
+            if i < n_hidden:  # d is this backward's own array; the mask skips late columns
+                np.multiply(d, self._cache[i + 1][0][:, :w.shape[1]] > 0, out=d)
             if bn is not None:
-                (gamma, *_, dgamma, dbeta), (inv_std, x_hat), n = bn, norm, d.shape[0]
-                np.einsum("ij,ij->j", d, x_hat, out=dgamma)
-                np.add.reduce(d, 0, out=dbeta)
-                # closed form of the gradient through the batch mean and variance
-                d *= n
-                d -= dbeta
-                d -= x_hat * dgamma
-                d *= gamma * inv_std / n
+                (gamma, *_, dgamma, dbeta), (inv_std, xc), n = bn, norm, d.shape[0]
+                np.multiply(np.einsum("ij,ij->j", d, xc), inv_std, out=dgamma)
+                np.einsum("ij->j", d, out=dbeta)
+                # through the batch mean and variance; the scale goes onto the products
+                d -= xc * (inv_std * dgamma / n)
+                d -= dbeta / n
+                scale = gamma * inv_std
             np.matmul(h.T, d, out=dw)
-            np.add.reduce(d, 0, out=db)
+            if bn is None:
+                np.add.reduce(d, 0, out=db)
+            else:  # b's true gradient is 0: the batch mean cancels it
+                db[...], w = 0.0, w * scale
+                dw *= scale
             if i > 0:  # nothing reads the input's gradient
                 d = d @ w.T
                 if i == n_hidden - 1 and late > 0:

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,29 @@ class TestScoringBlocks:
         with np.errstate(over="ignore"), pytest.raises(SolverError) as whole:
             shortest_interval(params, 0.05)
         assert str(blocked.value) == str(whole.value)
+
+    def test_shortest_interval_at_huge_h_warns_nothing(self):
+        # the search's two end passes run under its errstate, as its steps
+        # do: at h = 1e307 the row settles at gamma = alpha/2 with the
+        # quantile's (-inf, inf) and every other row keeps its interval; at
+        # h = 1e308 the row raises, named by its whole-array index
+        _, params = _link_box_rows(self.N, 33)
+        want = shortest_interval(params, 0.05)
+
+        def with_h(huge):
+            h = np.array(params.h)
+            h[self.BAD] = huge
+            return TghParams(params.mu, params.sigma, params.g, h)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = shortest_interval(with_h(1e307), 0.05)
+            with pytest.raises(SolverError, match=rf"index {self.BAD}: .*h=1e\+308$"):
+                shortest_interval(with_h(1e308), 0.05)
+        assert (got.lower[self.BAD], got.upper[self.BAD]) == (-np.inf, np.inf)
+        assert got.gamma[self.BAD] == pytest.approx(0.025, rel=1e-12)
+        for got_v, want_v in zip(got, want, strict=True):
+            np.testing.assert_array_equal(np.delete(got_v, self.BAD), np.delete(want_v, self.BAD))
 
     def test_shortest_interval_memory_is_its_output(self):
         # over 200k rows the one-piece search's full-width temporaries

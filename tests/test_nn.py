@@ -294,10 +294,76 @@ class TestBatchNormBackward:
 class TestLayerLoop:
     @staticmethod
     def _reference(layers, x, head_grad, x_eval, late):
-        """The train forward, the gradients in parameters() order and the
-        eval forward of a two-hidden-layer batch-norm network whose last
-        `late` (0 or 1) input columns are late, layer by layer, on copies of
-        its arrays."""
+        """The train forward, the gradients in parameters() order, the
+        running statistics and the eval forward of a two-hidden-layer
+        network whose last `late` (0 or 1) input columns are late, layer by
+        layer on copies of its arrays (w, b[, gamma, beta, running_mean,
+        running_var]), in the network's order of arithmetic: a train-mode
+        batch norm adds no b, sums columns by einsum, keeps z centred and
+        puts gamma * inv_std onto the weight products; a ReLU's mask is
+        where its output is > 0."""
+        bn, base = len(layers[0]) > 2, x.shape[1] - late
+        h, inputs, norms = x[:, :base], [], []
+        for i, (w, b, *stats) in enumerate(layers[:2]):
+            if i == 1 and late:
+                h = np.concatenate([h, x[:, base:]], axis=1)
+            inputs.append(h)
+            z = h @ w
+            if bn:
+                gamma, beta, running_mean, running_var = stats
+                n = len(z)
+                mean = np.einsum("ij->j", z) / n
+                xc = z - mean
+                var = np.einsum("ij,ij->j", xc, xc) / n
+                inv_std = 1.0 / np.sqrt(var + EPS)
+                running_mean[...] = (1.0 - MOMENTUM) * running_mean + MOMENTUM * (mean + b)
+                running_var[...] = ((1.0 - MOMENTUM) * running_var
+                                    + MOMENTUM * (var * n / max(n - 1, 1)))
+                norms.append((inv_std, xc))
+                z = xc * (gamma * inv_std) + beta
+            else:
+                z = z + b
+            h = np.maximum(z, 0.0)
+        inputs.append(h)
+        head_w, head_b = layers[2]
+        out = h @ head_w + head_b
+        grads = [h.T @ head_grad, np.sum(head_grad, axis=0)]
+        d = head_grad @ head_w.T
+        for i in (1, 0):
+            w = layers[i][0]
+            width = w.shape[1]
+            d = d * (inputs[i + 1][:, :width] > 0)
+            if bn:
+                gamma, (inv_std, xc), n = layers[i][2], norms[i], len(d)
+                dgamma = np.einsum("ij,ij->j", d, xc) * inv_std
+                dbeta = np.einsum("ij->j", d)
+                d = d - xc * (inv_std * dgamma / n) - dbeta / n
+                scale = gamma * inv_std
+                grads[:0] = [(inputs[i].T @ d) * scale, np.zeros(width), dgamma, dbeta]
+                w = w * scale
+            else:
+                grads[:0] = [inputs[i].T @ d, np.sum(d, axis=0)]
+            if i == 1:
+                d = (d @ w.T)[:, :w.shape[0] - late]  # the late column's gradient stops here
+        h = x_eval[:, :base]
+        for i, (w, b, *stats) in enumerate(layers[:2]):
+            if i == 1 and late:
+                h = np.concatenate([h, x_eval[:, base:]], axis=1)
+            if bn:  # batch norm folded into the layer
+                gamma, beta, running_mean, running_var = stats
+                scale = gamma / np.sqrt(running_var + EPS)
+                w, b = w * scale, (b - running_mean) * scale + beta
+            h = np.maximum(h @ w + b, 0.0)
+        running = [layers[i][k] for i in (0, 1) for k in (4, 5)] if bn else []
+        return out, grads, running, h @ head_w + head_b
+
+    @staticmethod
+    def _textbook(layers, x, head_grad, late):
+        """The train forward, the gradients and the running statistics of
+        the batch-norm network of _reference, by the textbook formulas:
+        b added and then cancelled by the batch mean, x_hat formed, and
+        the gradient through batch norm as (gamma * inv_std / n) *
+        (n d - dbeta - x_hat dgamma), whose db is 0 up to rounding."""
         base = x.shape[1] - late
         h, saved = x[:, :base], []
         for i, (w, b, gamma, beta, running_mean, running_var) in enumerate(layers[:2]):
@@ -330,40 +396,73 @@ class TestLayerLoop:
             d = (gamma * inv_std / n) * (n * d - dbeta - x_hat * dgamma)
             grads[:0] = [h.T @ d, np.sum(d, axis=0), dgamma, dbeta]
             if i == 1:
-                d = (d @ w.T)[:, :w.shape[0] - late]  # the late column's gradient stops here
-        h = x_eval[:, :base]
-        for i, (w, b, gamma, beta, running_mean, running_var) in enumerate(layers[:2]):
-            if i == 1 and late:
-                h = np.concatenate([h, x_eval[:, base:]], axis=1)
-            scale = gamma / np.sqrt(running_var + EPS)  # batch norm folded into the layer
-            h = np.maximum(h @ (w * scale) + ((b - running_mean) * scale + beta), 0.0)
-        return out, grads, [layers[i][k] for i in (0, 1) for k in (4, 5)], h @ head_w + head_b
+                d = (d @ w.T)[:, :w.shape[0] - late]
+        return out, grads, [layers[i][k] for i in (0, 1) for k in (4, 5)]
+
+    @staticmethod
+    def _network(late, batch_norm, rng):
+        """A two-hidden-layer network whose b, gamma, beta and running
+        statistics are drawn away from 0, 1, 0, 0, 1."""
+        net = Network(NetworkSpec(3, (16, 12), head_dim=4, late_features=late,
+                                  batch_norm=batch_norm), seed=7)
+        for _, b, _, _, bn in net.layers[:2]:
+            for view in (b, *(bn[:4] if bn else ())):
+                view[...] = rng.uniform(0.5, 2.0, view.shape)
+        return net
+
+    @staticmethod
+    def _copies(net):
+        """Per layer, copies of w, b and, with batch norm, gamma, beta,
+        running_mean and running_var."""
+        return [[a.copy() for a in (w, b, *(bn[:4] if bn else ()))]
+                for w, b, _, _, bn in net.layers]
 
     def test_matches_a_per_layer_reference(self):
-        # with and without a late column, over consecutive steps at two full
-        # batches, an epoch's short tail and an odd size: the batch sums'
-        # order must match mean() and sum()
-        for late in (0, 1):
-            net = Network(NetworkSpec(3, (16, 12), head_dim=4, late_features=late), seed=7)
-            rng = np.random.default_rng(7)
-            for *_, bn in net.layers[:2]:
-                for view in bn[:4]:  # gamma, beta and running statistics away from 1, 0, 0, 1
-                    view[...] = rng.uniform(0.5, 2.0, view.shape)
-            for n in (512, 512, 256, 7):
-                layers = [[a.copy() for a in (w, b, *(bn[:4] if bn else ()))]
-                          for w, b, _, _, bn in net.layers]
-                x, head_grad, x_eval = (rng.normal(size=(n, 3)), rng.normal(size=(n, 4)),
-                                        rng.normal(size=(9, 3)))
-                out, grads, running, eval_out = self._reference(layers, x, head_grad, x_eval,
-                                                                late)
-                np.testing.assert_array_equal(net.forward(x, train=True), out)
-                for got, want in zip(net.backward(head_grad), grads, strict=True):
-                    np.testing.assert_array_equal(got, want)
-                for got, want in zip([v for *_, bn in net.layers[:2] for v in bn[2:4]],
-                                     running, strict=True):
-                    np.testing.assert_array_equal(got, want)
-                np.testing.assert_array_equal(net.forward(x_eval), eval_out)
-                net.params -= 1e-2 * net.grad
+        # with and without batch norm and a late column, over consecutive
+        # steps at two full batches, an epoch's short tail and an odd size:
+        # bitwise, so the batch sums' order must match einsum and sum()
+        for batch_norm in (True, False):
+            for late in (0, 1):
+                rng = np.random.default_rng(7)
+                net = self._network(late, batch_norm, rng)
+                for n in (512, 512, 256, 7):
+                    layers = self._copies(net)
+                    x, head_grad, x_eval = (rng.normal(size=(n, 3)), rng.normal(size=(n, 4)),
+                                            rng.normal(size=(9, 3)))
+                    out, grads, running, eval_out = self._reference(layers, x, head_grad,
+                                                                    x_eval, late)
+                    np.testing.assert_array_equal(net.forward(x, train=True), out)
+                    for got, want in zip(net.backward(head_grad), grads, strict=True):
+                        np.testing.assert_array_equal(got, want)
+                    for got, want in zip([v for *_, bn in net.layers[:2] if bn for v in bn[2:4]],
+                                         running, strict=True):
+                        np.testing.assert_array_equal(got, want)
+                    np.testing.assert_array_equal(net.forward(x_eval), eval_out)
+                    net.params -= 1e-2 * net.grad
+
+    @pytest.mark.parametrize("late", [0, 1], ids=["no_late_column", "late_column"])
+    def test_matches_the_textbook_formula(self, late):
+        # the maths, apart from the order of arithmetic, within 1e-12 of the
+        # largest entry of each layer's outputs or gradients: entries near 0
+        # carry the rounding of larger terms that cancel in them, and the
+        # textbook's db is rounding noise where the network writes 0
+        def close(got, want, scale):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+        rng = np.random.default_rng(8)
+        net = self._network(late, True, rng)
+        for n in (512, 256, 7):
+            layers = self._copies(net)
+            x, head_grad = rng.normal(size=(n, 3)), rng.normal(size=(n, 4))
+            out, grads, running = self._textbook(layers, x, head_grad, late)
+            close(net.forward(x, train=True), out, np.abs(out).max())
+            for k, (got, want) in enumerate(zip(net.backward(head_grad), grads, strict=True)):
+                layer = grads[k - k % 4:k - k % 4 + 4] if k < 8 else [want]
+                close(got, want, max(np.abs(g).max() for g in layer))
+            for got, want in zip([v for *_, bn in net.layers[:2] for v in bn[2:4]],
+                                 running, strict=True):
+                close(got, want, np.abs(want).max())
+            net.params -= 1e-2 * net.grad
 
     @pytest.mark.parametrize("late", [0, 1], ids=["no_late_column", "late_column"])
     def test_step_leaves_its_inputs_and_cache_intact(self, late):
@@ -402,6 +501,61 @@ class TestLayerLoop:
         finally:
             tracemalloc.stop()
         assert peak - start <= 2 ** 20
+
+
+class TestPreNormBias:
+    """A batch-norm layer's b: the batch mean cancels it in train mode, so
+    it is not added there and its gradient is exactly 0."""
+
+    def test_backward_writes_zero_over_a_nan_filled_grad(self):
+        net = Network(NetworkSpec(3, (16, 12), head_dim=4, late_features=1), seed=2)
+        rng = np.random.default_rng(2)
+        net.forward(rng.normal(size=(64, 3)), train=True)
+        net.grad[...] = np.nan
+        net.backward(rng.normal(size=(64, 4)))
+        for _, _, _, db, bn in net.layers[:2]:
+            assert bn is not None and np.all(db == 0.0)
+        assert np.all(np.isfinite(net.grad))
+        assert np.all(net.layers[2][3] != 0.0)  # the head's b has a gradient
+
+    def test_training_leaves_it_at_zero(self):
+        x, y, tr, va = _toy_data(500)
+        net = Network(NetworkSpec(1, (8, 8), head_dim=2), seed=3)
+        train(net, x, y, tr, va, AdamConfig(lr=1e-2), TrainConfig(epochs=2, batch_size=64),
+              seed=5)
+        for _, b, _, _, bn in net.layers[:2]:
+            assert bn is not None and np.all(b == 0.0)
+            assert np.all(bn[2] != 0.0)  # running_mean has moved
+
+    def test_non_zero_bias_survives_save_and_load(self, tmp_path):
+        # files from earlier versions can carry a non-zero b next to a
+        # running_mean that includes it; the eval fold reads both
+        net = Network(NetworkSpec(3, (6, 5), head_dim=4, late_features=1), seed=4)
+        rng = np.random.default_rng(4)
+        for _, b, _, _, bn in net.layers[:2]:
+            b[...] = rng.normal(0.0, 2.0, b.shape)
+            bn[0][...], bn[1][...] = rng.uniform(0.5, 2.0, b.shape), rng.normal(size=b.shape)
+            bn[2][...], bn[3][...] = b + rng.normal(size=b.shape), rng.uniform(0.5, 3.0, b.shape)
+        columns = ("lat", "lon", "year")
+        path = tmp_path / "model.tghn"
+        save_model(path, _bundle_of(net, "tukey", columns, ("year",)))
+        loaded = load_model(path)
+        assert loaded.network.state.tobytes() == net.state.tobytes()
+        x = rng.normal(size=(50, 3))
+        h = x[:, :2]
+        for i, (w, b, _, _, bn) in enumerate(net.layers):
+            if i == 1:
+                h = np.concatenate([h, x[:, 2:]], axis=1)
+            if bn is None:
+                h = h @ w + b
+            else:
+                gamma, beta, running_mean, running_var = bn[:4]
+                s = gamma / np.sqrt(running_var + EPS)
+                h = np.maximum(h @ (w * s) + ((b - running_mean) * s + beta), 0.0)
+        np.testing.assert_array_equal(loaded.network.forward(x), h)
+        got, want = loaded.predict_params(x), link(h, loaded.header.link)[0]
+        for name in ("mu", "sigma", "g", "h"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestAdam:

@@ -76,11 +76,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _score_split(args):
-    """The scoring prologue of evaluate and intervals: the model, and the
-    targets and predicted parameters of the rows of --data that the model's
-    split rule puts in --split.  A non-finite head names its data row of
-    --data, counting rows with a dropped target."""
+def _score_split(args, score):
+    """The scoring of evaluate and intervals: the model's header, and the
+    features, targets, predicted parameters and score(y, params, solver
+    settings) of the rows of --data that the model's split rule puts in
+    --split.  An error at a row, from the network's head or from the score's
+    solve, names its data row of --data, counting rows with a dropped target."""
     from .data import load_csv
     from .nn import load_model
 
@@ -92,31 +93,31 @@ def _score_split(args):
     rows = header.split_rule.apply(dataset).rows(args.split)
     if len(rows) == 0:
         raise DataError(f"split {args.split!r} is empty for this dataset")
-    x = dataset.x[rows]
+    x, y, data_rows = dataset.x[rows], dataset.y[rows], dataset.source_rows[rows]
+    del dataset, rows  # the score runs holding the split's rows, not the whole file's
     try:
         params = bundle.predict_params(x)
-    except NumericalError as exc:
-        exc.row = (dataset.source_rows[rows[exc.row]],)
+        return header, x, y, params, score(y, params, header.solver)
+    except (NumericalError, SolverError) as exc:
+        exc.row = (data_rows[exc.row],)
         raise
-    return header, x, dataset.y[rows], params
 
 
 def cmd_simulate(args) -> None:
     from . import synth
     from .data import write_csv, write_json
 
-    registry = synth.GANDH_DESIGNS if args.design == "gandh" else synth.STUDENT_T_DESIGNS
+    registry, generate = {
+        "gandh": (synth.GANDH_DESIGNS, synth.generate_gandh),
+        "student_t": (synth.STUDENT_T_DESIGNS, synth.generate_student_t),
+    }[args.design]
     if args.curves not in registry:
         raise UsageError(f"unknown curve set {args.curves!r} for design {args.design!r}")
-    fns = registry[args.curves]
     if not 1 <= args.n <= MAX_SIMULATE_ROWS:
         raise UsageError(f"--n must lie in [1, {MAX_SIMULATE_ROWS}]")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
-    if args.design == "gandh":
-        ds = synth.generate_gandh(args.n, fns, args.seed)
-    else:
-        ds = synth.generate_student_t(args.n, fns, args.seed)
+    ds = generate(args.n, registry[args.curves], args.seed)
     write_csv(args.out, {"x": ds.x, "y": ds.y, **ds.true_values})
     write_json(f"{args.out}.json", {
         "design": args.design,
@@ -167,23 +168,16 @@ def cmd_train(args) -> None:
             cfg.optimizer, cfg.training, cfg.link, cfg.solver, seed=cfg.seed,
         )
     save_model(args.out, ModelBundle(header, net))
-    write_csv(
-        f"{args.out}.history.csv",
-        {
-            "epoch": np.asarray(history.epoch, dtype=float),
-            "lr": np.asarray(history.lr),
-            "train_loss": np.asarray(history.train_loss),
-            "val_loss": np.asarray(history.val_loss),
-        },
-    )
+    columns = {name: np.asarray(getattr(history, name), dtype=float)
+               for name in ("epoch", "lr", "train_loss", "val_loss")}
+    write_csv(f"{args.out}.history.csv", columns)
     if args.svg:
         from .svg import render_plot
 
-        epochs = np.asarray(history.epoch, dtype=float)
         render_plot(
             args.svg,
-            [(epochs, np.asarray(history.train_loss), "train"),
-             (epochs, np.asarray(history.val_loss), "val")],
+            [(columns["epoch"], columns["train_loss"], "train"),
+             (columns["epoch"], columns["val_loss"], "val")],
             title="mean loss per epoch", xlabel="epoch", ylabel="loss",
         )
     best = history.best_epoch if history.best_epoch is not None else -1
@@ -197,8 +191,7 @@ def cmd_evaluate(args) -> None:
     from .data import write_csv, write_json
     from .evaluate import binned_residual_summary, coverage_table, ks_critical_value, residuals
 
-    header, x, y, params = _score_split(args)
-    report = residuals(y, params, header.solver)
+    header, x, y, params, report = _score_split(args, residuals)
 
     os.makedirs(args.out, exist_ok=True)
     write_csv(os.path.join(args.out, "report.csv"), {
@@ -245,11 +238,8 @@ def cmd_intervals(args) -> None:
         check_alpha(args.alpha, args.variant)
     except ValueError as exc:
         raise UsageError(f"--alpha: {exc}") from None
-    _, _, y, params = _score_split(args)
-    if args.variant == "symmetric":
-        iv = symmetric_interval(params, args.alpha)
-    else:
-        iv = shortest_interval(params, args.alpha)
+    interval = symmetric_interval if args.variant == "symmetric" else shortest_interval
+    _, _, y, _, iv = _score_split(args, lambda y, params, _: interval(params, args.alpha))
     write_csv(args.out, {"y": y, "lower": iv.lower, "upper": iv.upper, "gamma": iv.gamma})
     coverage = interval_coverage(y, iv.lower, iv.upper)
     write_json(f"{args.out}.summary.json", {
@@ -305,9 +295,9 @@ def cmd_density(args) -> None:
     curves = density_curve(TghParams(p.mu[:, None], p.sigma[:, None], p.g[:, None],
                                      p.h[:, None]), grid, bundle.header.solver)
     write_csv(args.out, {
-        "point": np.repeat(np.arange(len(points), dtype=float), len(grid)),
-        "y": np.tile(grid, len(points)),
-        "density": curves.ravel(),
+        "point": np.broadcast_to(np.arange(len(points), dtype=float)[:, None], curves.shape),
+        "y": np.broadcast_to(grid, curves.shape),
+        "density": curves,
     })
     print(f"wrote {len(points)} density curve(s) of {len(grid)} points")
 

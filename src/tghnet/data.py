@@ -13,9 +13,9 @@ empty or "na" target keeps the file vectorised.  When that pass raises (a
 non-ASCII or "1_0" feature cell, a short or whitespace-only row, an
 unparseable target) or a kept row has a non-finite feature, the file is
 parsed again by the per-cell loop, which is the reference: it names the
-failing row and column.  write_csv formats whole columns at a time (repr
-of each float, joined per row) in blocks of _WRITE_BLOCK rows; its bytes
-equal a per-row csv.writer's.
+failing row and column.  write_csv formats whole columns of one shape, in
+C order, at a time (repr of each float, joined per row) in blocks of
+_WRITE_BLOCK cells; its bytes equal a per-row csv.writer's.
 
 Split labels are "train" / "val" / "test".  The fraction rule shuffles
 with a seeded generator (test left empty); the by-column-values rule
@@ -40,7 +40,7 @@ from .errors import DataError
 
 SPLIT_LABELS = ("train", "val", "test")
 
-# write_csv formats this many rows per write, which bounds its memory
+# write_csv formats this many cells of each column per write, which bounds its memory
 _WRITE_BLOCK = 4096
 
 
@@ -223,19 +223,19 @@ def _parse_rows(path, reader, target_column: str, feature_columns: tuple[str, ..
 def write_csv(path, columns: dict[str, np.ndarray]) -> None:
     """Write named columns as CSV with shortest round-trip float formatting.
 
+    The columns share one shape, of any dimension, and are read in C order.
     The bytes equal a per-row csv.writer of repr(float(cell)): the header
     goes through csv.writer, and the body is formatted whole columns at a
-    time, _WRITE_BLOCK rows per write.
+    time, _WRITE_BLOCK cells per write.
     """
     names = list(columns)
     arrays = [np.asarray(columns[n], dtype=float) for n in names]
-    n = len(arrays[0])
-    if any(len(a) != n for a in arrays):
-        raise DataError("all columns must have equal length")
+    if any(a.shape != arrays[0].shape for a in arrays):
+        raise DataError("all columns must have one shape")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(names)
-        for start in range(0, n, _WRITE_BLOCK):
-            cells = (map(repr, a[start:start + _WRITE_BLOCK].tolist()) for a in arrays)
+        for start in range(0, arrays[0].size, _WRITE_BLOCK):
+            cells = (map(repr, a.flat[start:start + _WRITE_BLOCK].tolist()) for a in arrays)
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 

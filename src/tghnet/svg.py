@@ -40,18 +40,12 @@ def render_plot(path, series, title: str = "", xlabel: str = "", ylabel: str = "
         f'<text x="15" y="{_H / 2}" text-anchor="middle" font-size="12" '
         f'transform="rotate(-90 15 {_H / 2})">{ylabel}</text>',
     ]
-    for lo, hi, fx, anchor in ((x_lo, x_hi, True, None), (y_lo, y_hi, False, None)):
-        for v in (lo, hi):
-            if fx:
-                parts.append(
-                    f'<text x="{px(v):.1f}" y="{_H - _MARGIN + 18}" text-anchor="middle" '
-                    f'font-size="10">{v:.4g}</text>'
-                )
-            else:
-                parts.append(
-                    f'<text x="{_MARGIN - 6}" y="{py(v):.1f}" text-anchor="end" '
-                    f'font-size="10">{v:.4g}</text>'
-                )
+    for v in (x_lo, x_hi):
+        parts.append(f'<text x="{px(v):.1f}" y="{_H - _MARGIN + 18}" text-anchor="middle" '
+                     f'font-size="10">{v:.4g}</text>')
+    for v in (y_lo, y_hi):
+        parts.append(f'<text x="{_MARGIN - 6}" y="{py(v):.1f}" text-anchor="end" '
+                     f'font-size="10">{v:.4g}</text>')
     for k, (sx, sy, label) in enumerate(series):
         color = _COLORS[k % len(_COLORS)]
         sx = np.asarray(sx, dtype=float)

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tgh import ShapeParams, TghParams, tau
+from .tgh import ShapeParams, tau
 
 Curve = Callable[[np.ndarray], np.ndarray]
 
@@ -30,7 +30,6 @@ Curve = Callable[[np.ndarray], np.ndarray]
 class GandhDesign:
     """Closed-form parameter curves for the well-specified design."""
 
-    name: str
     mu: Curve
     sigma: Curve
     g: Curve
@@ -41,7 +40,6 @@ class GandhDesign:
 class StudentTDesign:
     """Closed-form parameter curves for the misspecified (t) design."""
 
-    name: str
     mu: Curve
     sigma: Curve
     nu: Curve
@@ -68,9 +66,8 @@ def _ref_nu(x):
 
 
 GANDH_DESIGNS: dict[str, GandhDesign] = {
-    "reference": GandhDesign("reference", _ref_mu, _ref_sigma, _ref_g, _ref_h),
+    "reference": GandhDesign(_ref_mu, _ref_sigma, _ref_g, _ref_h),
     "constant_normal": GandhDesign(
-        "constant_normal",
         lambda x: np.zeros_like(x),
         lambda x: np.ones_like(x),
         lambda x: np.zeros_like(x),
@@ -79,29 +76,20 @@ GANDH_DESIGNS: dict[str, GandhDesign] = {
 }
 
 STUDENT_T_DESIGNS: dict[str, StudentTDesign] = {
-    "reference": StudentTDesign("reference", _ref_mu, _ref_sigma, _ref_nu),
+    "reference": StudentTDesign(_ref_mu, _ref_sigma, _ref_nu),
 }
 
 
 @dataclass(frozen=True)
 class SynthDataset:
-    """Feature, target, per-sample true regression values, and provenance."""
+    """Feature, target, and per-sample true regression values by column name."""
 
     x: np.ndarray
     y: np.ndarray
     true_values: dict[str, np.ndarray]
-    design: str
-    seed: int
 
     def __len__(self) -> int:
         return len(self.x)
-
-    def true_params(self) -> TghParams:
-        """True per-sample g-and-h parameters (well-specified design only)."""
-        tv = self.true_values
-        if "true_g" not in tv:
-            raise ValueError(f"design {self.design!r} has no g-and-h true parameters")
-        return TghParams(tv["true_mu"], tv["true_sigma"], tv["true_g"], tv["true_h"])
 
 
 def generate_gandh(n: int, fns: GandhDesign, seed: int) -> SynthDataset:
@@ -113,11 +101,7 @@ def generate_gandh(n: int, fns: GandhDesign, seed: int) -> SynthDataset:
     z = rng.standard_normal(n)
     mu, sigma, g, h = fns.mu(x), fns.sigma(x), fns.g(x), fns.h(x)
     y = mu + sigma * np.asarray(tau(z, ShapeParams(g, h)))
-    return SynthDataset(
-        x, y,
-        {"true_mu": mu, "true_sigma": sigma, "true_g": g, "true_h": h},
-        fns.name, seed,
-    )
+    return SynthDataset(x, y, {"true_mu": mu, "true_sigma": sigma, "true_g": g, "true_h": h})
 
 
 def generate_student_t(n: int, fns: StudentTDesign, seed: int) -> SynthDataset:
@@ -134,8 +118,4 @@ def generate_student_t(n: int, fns: StudentTDesign, seed: int) -> SynthDataset:
     mu, sigma, nu = fns.mu(x), fns.sigma(x), fns.nu(x)
     v = rng.chisquare(nu)
     y = mu + sigma * z / np.sqrt(v / nu)
-    return SynthDataset(
-        x, y,
-        {"true_mu": mu, "true_sigma": sigma, "true_nu": nu},
-        fns.name, seed,
-    )
+    return SynthDataset(x, y, {"true_mu": mu, "true_sigma": sigma, "true_nu": nu})

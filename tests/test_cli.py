@@ -19,8 +19,8 @@ from tghnet import tgh
 from tghnet.cli import main
 from tghnet.data import FractionSplit, load_csv
 from tghnet.errors import DataError
-from tghnet.nn import load_model, persist, save_model
-from tghnet.nn.network import NetworkSpec
+from tghnet.nn import ModelBundle, Network, load_model, persist, save_model
+from tghnet.nn.network import NetworkConfig, NetworkSpec
 
 CONFIG = {
     "seed": 0,
@@ -490,6 +490,25 @@ def two_iteration_model(tmp_path_factory, trained_model):
     return path
 
 
+@pytest.fixture(scope="module")
+def huge_h_model(tmp_path_factory, trained_model):
+    """The trained model's header and split rule on a one-unit network with
+    neither batch norm nor standardization, and h_max = 1e308: the head is
+    (0, 0, 0, 2000 relu(x - 1.5) - 800), so g = 0 everywhere and h = 0 at
+    x <= 1.5 but h = 1e308 at x = 2, where no shortest-interval search stops."""
+    header = load_model(trained_model).header
+    header = dataclasses.replace(header, network=NetworkConfig((1,), batch_norm=False),
+                                 link=dataclasses.replace(header.link, h_max=1e308),
+                                 data=dataclasses.replace(header.data, standardization=None))
+    net = Network(header.spec)
+    (w0, b0, *_), (w1, b1, *_) = net.layers
+    w0[...], b0[...] = 1.0, -1.5
+    w1[...], b1[...] = [[0.0, 0.0, 0.0, 2000.0]], [0.0, 0.0, 0.0, -800.0]
+    path = tmp_path_factory.mktemp("huge_h") / "huge_h.tghn"
+    save_model(path, ModelBundle(header, net))
+    return path
+
+
 class TestExitCodes:
     """Bad inputs, outputs and arguments exit 2 (usage or output), 3 (data)
     or 4 (numerical) with one stderr line that names them; never 1."""
@@ -544,6 +563,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert re.fullmatch(r"numerical failure: .* at sample index \d+: z_tilde=inf, .*; "
                             r"\(y - mu\)/sigma overflows the double range\n", err), err
+
+    @pytest.mark.parametrize("command", ["evaluate", "intervals"])
+    def test_scoring_solver_error_names_its_data_row(self, tmp_path, capsys, trained_model,
+                                                     huge_h_model, command):
+        # one failing row of the val split, whose index in the split is not
+        # its data row: an overflowing target for evaluate's solve, x = 2
+        # (h = 1e308) for the shortest-interval search, which solves no target
+        data = tmp_path / "data.csv"
+        data.write_text("x,y\n" + "0.5,0.5\n" * 40)
+        split = FractionSplit(CONFIG["split"]["fraction"], CONFIG["split"]["seed"])
+        val = split.apply(load_csv(data, "y", ["x"])).rows("val")
+        row = int(val[-1])
+        assert row != len(val) - 1
+        bad = "0.5,1.7e308" if command == "evaluate" else "2.0,0.5"
+        data.write_text("x,y\n" + "".join(f"{bad if i == row else '0.5,0.5'}\n"
+                                          for i in range(40)))
+        if command == "evaluate":
+            argv = ["evaluate", "--model", str(trained_model), "--out", str(tmp_path / "e")]
+            want = (r"no finite target for inverse transform at sample index {}: z_tilde=inf, "
+                    r".*; \(y - mu\)/sigma overflows the double range")
+        else:
+            argv = ["intervals", "--model", str(huge_h_model), "--variant", "shortest",
+                    "--out", str(tmp_path / "i.csv")]
+            want = (r"no shortest interval: the search in gamma did not stop in 100 steps "
+                    r"at sample index {}: g=0\.0, h=1e\+308")
+        assert main([*argv, "--data", str(data), "--split", "val"]) == 4
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"numerical failure: {want.format(row)}\n", err), err
 
     # density solves with the model's own solver settings, as evaluate does
     @pytest.mark.parametrize("argv", [
@@ -677,6 +724,24 @@ class TestDensity:
             cols["density"].extend(d.tolist())
         write_csv(tmp_path / "reference.csv", {k: np.asarray(v) for k, v in cols.items()})
         assert out.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_holds_the_curves_and_little_more(self, tmp_path, trained_model):
+        # the point and y columns are broadcast views, not copies, of the
+        # point indices and the grid, so the peak traced allocation of a
+        # density run stays within 3 MiB of its (points, grid) curves
+        import tracemalloc
+
+        points, count = 5, 100_000
+        load_model(trained_model)  # the modules a run imports are not counted
+        tracemalloc.start()
+        try:
+            assert main(["density", "--model", str(trained_model), "--features",
+                         "0.1;0.3;0.5;0.7;0.9", f"--y-grid=-3:3:{count}",
+                         "--out", str(tmp_path / "dens.csv")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= points * count * 8 + 3 * 2**20, peak
 
     def test_curves_normalize(self, tmp_path, trained_model):
         out = tmp_path / "dens.csv"

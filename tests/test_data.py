@@ -186,6 +186,20 @@ class TestColumnWiseIo:
         _per_row_csv(tmp_path / "rows.csv", columns)
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
+    def test_write_csv_reads_columns_of_one_shape_in_c_order(self, tmp_path):
+        # a (points, grid) table and its broadcast views, across write blocks,
+        # write the bytes of its raveled columns
+        rng = np.random.default_rng(2)
+        shape = (3, data._WRITE_BLOCK + 5)
+        values = rng.normal(size=shape)
+        columns = {"point": np.broadcast_to(np.arange(3.0)[:, None], shape),
+                   "y": np.broadcast_to(np.linspace(-1.0, 1.0, shape[1]), shape), "v": values}
+        write_csv(tmp_path / "table.csv", columns)
+        _per_row_csv(tmp_path / "rows.csv", {k: np.ravel(v) for k, v in columns.items()})
+        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        with pytest.raises(DataError, match="one shape"):
+            write_csv(tmp_path / "bad.csv", {"a": values, "b": values.ravel()})
+
     @given(rows=st.lists(st.tuples(csv_cells(), csv_cells() | st.sampled_from(MISSING_TARGETS)),
                          max_size=12))
     def test_load_csv_is_bit_equal_to_float(self, tmp_path_factory, rows):

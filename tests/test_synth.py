@@ -36,7 +36,6 @@ class TestGandh:
         ref = GANDH_DESIGNS["reference"]
         x0 = 0.5
         fixed = GandhDesign(
-            "fixed",
             lambda x: np.full_like(x, ref.mu(np.array(x0))),
             lambda x: np.full_like(x, ref.sigma(np.array(x0))),
             lambda x: np.full_like(x, ref.g(np.array(x0))),
@@ -58,7 +57,9 @@ class TestGandh:
 
     def test_rescored_under_true_params_is_uniform(self):
         ds = generate_gandh(20000, GANDH_DESIGNS["reference"], seed=5)
-        report = residuals(ds.y, ds.true_params())
+        tv = ds.true_values
+        report = residuals(ds.y, TghParams(tv["true_mu"], tv["true_sigma"], tv["true_g"],
+                                           tv["true_h"]))
         assert report.ks_statistic < ks_critical_value(len(ds), 0.01)
 
     def test_rejects_bad_n(self):
@@ -74,7 +75,6 @@ class TestStudentT:
 
     def test_large_nu_approaches_normal(self):
         big = StudentTDesign(
-            "big_nu",
             lambda x: np.zeros_like(x),
             lambda x: np.ones_like(x),
             lambda x: np.full_like(x, 5000.0),
@@ -85,7 +85,6 @@ class TestStudentT:
 
     def test_nu_three_has_heavy_tails(self):
         fixed = StudentTDesign(
-            "nu3",
             lambda x: np.zeros_like(x),
             lambda x: np.ones_like(x),
             lambda x: np.full_like(x, 3.0),
@@ -93,11 +92,6 @@ class TestStudentT:
         ds = generate_student_t(40000, fixed, seed=3)
         excess = stats.kurtosis(ds.y, fisher=True)
         assert excess > 2.0
-
-    def test_true_params_unavailable(self):
-        ds = generate_student_t(10, STUDENT_T_DESIGNS["reference"], seed=4)
-        with pytest.raises(ValueError, match="g-and-h"):
-            ds.true_params()
 
 
 class TestRegistryBounds:

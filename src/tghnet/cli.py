@@ -4,7 +4,7 @@ Exit codes: 0 success, 2 usage or configuration error or an unwritable
 output, 3 data error, 4 numerical failure.  Commands raise; main alone
 maps a failure to its code and one stderr line.  TGH_THREADS caps the BLAS
 worker pools before numpy is imported: all heavy imports live inside the
-command functions, and errors imports nothing.
+command functions, and errors imports no numpy.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 
-from .errors import ConfigError, DataError, NumericalError, SolverError, UsageError
+from .errors import ConfigError, DataError, NumericalError, SolverError, UsageError, row_map
 
 # ceilings on what a count argument may allocate: simulated rows, density values
 MAX_SIMULATE_ROWS = 10**7
@@ -90,17 +90,14 @@ def _score_split(args, score):
     dataset = load_csv(args.data, header.data.target_column, header.data.feature_columns)
     if header.split_rule is None:
         raise DataError("model carries no split rule; cannot select a split")
-    rows = header.split_rule.apply(dataset).rows(args.split)
+    rows = header.split_rule.apply(dataset)[args.split]
     if len(rows) == 0:
         raise DataError(f"split {args.split!r} is empty for this dataset")
     x, y, data_rows = dataset.x[rows], dataset.y[rows], dataset.source_rows[rows]
     del dataset, rows  # the score runs holding the split's rows, not the whole file's
-    try:
+    with row_map(data_rows):
         params = bundle.predict_params(x)
         return header, x, y, params, score(y, params, header.solver)
-    except (NumericalError, SolverError) as exc:
-        exc.row = (data_rows[exc.row],)
-        raise
 
 
 def cmd_simulate(args) -> None:
@@ -143,9 +140,9 @@ def cmd_train(args) -> None:
     ordered = tuple(c for c in data.features if c not in data.late_columns) + data.late_columns
     dataset = load_csv(args.data, data.target, ordered)
     print(f"loaded {len(dataset)} rows ({dataset.n_dropped} dropped)")
-    dataset = cfg.split.apply(dataset)
+    split = cfg.split.apply(dataset)
     if data.standardize:
-        dataset = standardize(dataset)
+        dataset = standardize(dataset, split["train"])
 
     header = ModelHeader(
         cfg.loss, cfg.network, cfg.link, cfg.solver,
@@ -153,7 +150,7 @@ def cmd_train(args) -> None:
         cfg.split,
     )
     # checked before any network array exists; a forward takes a batch or EVAL_CHUNK rows
-    spec, n_train = header.spec, len(dataset.rows("train"))
+    spec, n_train = header.spec, len(split["train"])
     width = max(map(max, spec.layer_dims()))
     for key, size in (("network.hidden", max(spec.state_size, width * EVAL_CHUNK)),
                       ("training.batch_size", width * min(cfg.training.batch_size, n_train))):
@@ -161,10 +158,10 @@ def cmd_train(args) -> None:
             raise ConfigError(f"{key}: the network would hold {size} values in one array, "
                               f"more than {MAX_NETWORK_VALUES}")
     net = Network(spec, seed=cfg.seed)
-    with np.errstate(over="ignore", invalid="ignore"):  # link or a loss check names a divergence
+    # link or a loss check names a divergence, at its data row of --data
+    with np.errstate(over="ignore", invalid="ignore"), row_map(dataset.source_rows):
         history = train(
-            net, dataset.x, dataset.y,
-            dataset.rows("train"), dataset.rows("val"),
+            net, dataset.x, dataset.y, split["train"], split["val"],
             cfg.optimizer, cfg.training, cfg.link, cfg.solver, seed=cfg.seed,
         )
     save_model(args.out, ModelBundle(header, net))

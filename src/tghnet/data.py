@@ -17,13 +17,15 @@ failing row and column.  write_csv formats whole columns of one shape, in
 C order, at a time (repr of each float, joined per row) in blocks of
 _WRITE_BLOCK cells; its bytes equal a per-row csv.writer's.
 
-Split labels are "train" / "val" / "test".  The fraction rule shuffles
-with a seeded generator (test left empty); the by-column-values rule
-assigns val/test by exact value match with the remainder as train.  Each
-rule is a dataclass whose fields are its JSON object, "rule" (its name)
-included, so configs and model headers hold the rules themselves.
-Standardization statistics come from the training split only and the
-target is never standardized — predictions stay in target units.
+A split is its row indices: a rule's apply returns {"train", "val",
+"test"}, each an ascending index array into the dataset.  The fraction
+rule shuffles with a seeded generator (test left empty); the
+by-column-values rule assigns val/test by exact value match with the
+remainder as train.  Each rule is a dataclass whose fields are its JSON
+object, "rule" (its name) included, so configs and model headers hold the
+rules themselves.  Standardization statistics come from the training rows
+only and the target is never standardized — predictions stay in target
+units.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataError
-
-SPLIT_LABELS = ("train", "val", "test")
 
 # write_csv formats this many cells of each column per write, which bounds its memory
 _WRITE_BLOCK = 4096
@@ -62,7 +62,7 @@ class Standardization:
 
 @dataclass
 class Dataset:
-    """Feature matrix with named columns, target vector, and split labels.
+    """Feature matrix with named columns and target vector.
 
     source_rows holds, for a dataset read by load_csv, each row's 0-based
     index among the non-blank data rows of the CSV, dropped rows included,
@@ -72,8 +72,6 @@ class Dataset:
     x: np.ndarray
     y: np.ndarray
     columns: tuple[str, ...]
-    target: str
-    split: np.ndarray | None = None
     n_dropped: int = 0
     standardization: Standardization | None = None
     source_rows: np.ndarray | None = None
@@ -86,14 +84,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-    def rows(self, label: str) -> np.ndarray:
-        """Row indices carrying the given split label."""
-        if label not in SPLIT_LABELS:
-            raise DataError(f"unknown split label {label!r}")
-        if self.split is None:
-            raise DataError("dataset has no split labels")
-        return np.flatnonzero(self.split == label)
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.columns:
@@ -133,7 +123,7 @@ def load_csv(path, target_column: str, feature_columns: list[str] | tuple[str, .
             next(reader)
             x, y, n_dropped, kept = _parse_rows(path, reader, target_column, feature_columns,
                                                 target_pos, feature_pos)
-    return Dataset(x, y, feature_columns, target_column, n_dropped=n_dropped, source_rows=kept)
+    return Dataset(x, y, feature_columns, n_dropped=n_dropped, source_rows=kept)
 
 
 def _target_value(cell: str) -> float:
@@ -262,16 +252,14 @@ class FractionSplit:
         if self.seed < 0:
             raise ValueError(f"seed: expected an integer >= 0, got {self.seed}")
 
-    def apply(self, dataset: Dataset) -> Dataset:
+    def apply(self, dataset: Dataset) -> dict[str, np.ndarray]:
         n = len(dataset)
         n_train = int(self.fraction * n + 0.5)
         if n_train == 0 or n_train == n:
             raise DataError(f"fraction {self.fraction} leaves an empty split for n={n}")
         order = np.random.default_rng(self.seed).permutation(n)
-        labels = np.empty(n, dtype="U5")
-        labels[order[:n_train]] = "train"
-        labels[order[n_train:]] = "val"
-        return replace(dataset, split=labels)
+        return {"train": np.sort(order[:n_train]), "val": np.sort(order[n_train:]),
+                "test": order[:0]}
 
 
 @dataclass(frozen=True)
@@ -293,27 +281,23 @@ class ByColumnSplit:
         if overlap:
             raise ValueError(f"test_values: overlap with val_values: {sorted(overlap)}")
 
-    def apply(self, dataset: Dataset) -> Dataset:
+    def apply(self, dataset: Dataset) -> dict[str, np.ndarray]:
         col = dataset.column(self.column)
-        labels = np.full(len(dataset), "train", dtype="U5")
-        labels[np.isin(col, self.val_values)] = "val"
-        labels[np.isin(col, self.test_values)] = "test"
-        for name in SPLIT_LABELS:
-            if not np.any(labels == name):
+        label = np.where(np.isin(col, self.test_values), 2, np.isin(col, self.val_values))
+        rows = {name: np.flatnonzero(label == k) for k, name in enumerate(("train", "val", "test"))}
+        for name, idx in rows.items():
+            if len(idx) == 0:
                 raise DataError(f"by-column split produced an empty {name} split")
-        return replace(dataset, split=labels)
+        return rows
 
 
-def standardize(dataset: Dataset) -> Dataset:
-    """Shift/scale every feature by training-split statistics.
+def standardize(dataset: Dataset, train_rows: np.ndarray) -> Dataset:
+    """Shift/scale every feature by the statistics of the training rows.
 
     The fitted transform is attached to the returned dataset and is applied
-    to all splits; a zero or non-finite training scale (or mean) is an error
+    to all rows; a zero or non-finite training scale (or mean) is an error
     naming the column.  The target is left untouched.
     """
-    if dataset.split is None:
-        raise DataError("standardize requires split labels")
-    train_rows = dataset.rows("train")
     if len(train_rows) == 0:
         raise DataError("standardize requires a non-empty train split")
     xt = dataset.x[train_rows]

@@ -1,8 +1,10 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: usage/config problems exit 2, data
-problems exit 3, numerical failures exit 4.  This module imports nothing.
+problems exit 3, numerical failures exit 4.  This module imports contextlib only.
 """
+
+from contextlib import contextmanager
 
 
 class TghError(Exception):
@@ -39,3 +41,14 @@ class SolverError(TghError):
 
 class NumericalError(TghError):
     """A numerical invariant was violated (e.g. non-finite training loss)."""
+
+
+@contextmanager
+def row_map(index):
+    """A TghError leaving the block at row (r, ...) leaves at (index[r], ...); rowless, as is."""
+    try:
+        yield
+    except TghError as exc:
+        if exc.row:
+            exc.row = (index[exc.row[0]], *exc.row[1:])
+        raise

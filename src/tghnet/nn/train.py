@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NumericalError
+from ..errors import NumericalError, row_map
 from ..loss import DEFAULT_LINK, LOSS_KINDS, LinkConfig, gaussian_head_loss, tukey_head_loss
 from ..tgh import DEFAULT_SOLVER, InverseSolverConfig, by_blocks
 from .network import EVAL_CHUNK, Network
@@ -84,7 +84,7 @@ def train(net: Network, x: np.ndarray, y: np.ndarray,
     After the last epoch the network is reset to the parameters (and
     batch-norm running statistics) of the epoch with the lowest
     validation loss.  Raises NumericalError with epoch/batch context if a
-    batch loss turns non-finite.
+    batch loss turns non-finite; an error at a row names its row of x.
     """
     head_loss = _head_loss(net)
     x = np.asarray(x, dtype=float)
@@ -104,7 +104,8 @@ def train(net: Network, x: np.ndarray, y: np.ndarray,
         for b, start in enumerate(range(0, len(order), train_cfg.batch_size)):
             rows = train_idx[order[start:start + train_cfg.batch_size]]
             raw = net.forward(x[rows], train=True)
-            mean, head_grad, _ = head_loss(y[rows], raw, link_cfg, solver_cfg)
+            with row_map(rows):
+                mean, head_grad, _ = head_loss(y[rows], raw, link_cfg, solver_cfg)
             if not np.isfinite(mean):
                 raise NumericalError(
                     f"non-finite training loss at epoch {epoch}, batch {b}"
@@ -118,9 +119,10 @@ def train(net: Network, x: np.ndarray, y: np.ndarray,
             opt.step(net.params, net.grad, epoch)
             epoch_sum += mean * len(rows)
         train_loss = epoch_sum / len(train_idx)
-        val_loss = evaluate_mean_loss(
-            net, x[val_idx], y[val_idx], link_cfg, solver_cfg
-        )
+        with row_map(val_idx):
+            val_loss = evaluate_mean_loss(
+                net, x[val_idx], y[val_idx], link_cfg, solver_cfg
+            )
         if not np.isfinite(val_loss):
             raise NumericalError(f"non-finite validation loss at epoch {epoch}")
         history.epoch.append(epoch)

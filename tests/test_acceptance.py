@@ -242,10 +242,9 @@ def test_criterion_4_well_specified_recovery(gandh_run):
     bundle = load_model(gandh_run["model"])
     dataset = load_csv(gandh_run["data"], "y", bundle.header.data.feature_columns)
     rule = bundle.header.split_rule
-    labeled = rule.apply(dataset)
-    rows = labeled.rows("val")
-    x_val = labeled.x[rows][:, 0]
-    y_val = labeled.y[rows]
+    rows = rule.apply(dataset)["val"]
+    x_val = dataset.x[rows][:, 0]
+    y_val = dataset.y[rows]
     design = GANDH_DESIGNS["reference"]
     true_params = TghParams(
         design.mu(x_val), design.sigma(x_val), design.g(x_val), design.h(x_val)
@@ -299,12 +298,12 @@ def test_criterion_7_croplike_pipeline(crop_run):
     years = np.arange(1981.0, 2017.0)
     fixture = Dataset(
         np.column_stack([np.zeros_like(years), years]),
-        np.zeros_like(years), ("lat", "year"), "y",
+        np.zeros_like(years), ("lat", "year"),
     )
     split = ByColumnSplit("year", tuple(sorted(VAL_YEARS)), tuple(sorted(TEST_YEARS)))
-    labeled = split.apply(fixture)
-    assert set(labeled.column("year")[labeled.rows("val")]) == VAL_YEARS
-    assert set(labeled.column("year")[labeled.rows("test")]) == TEST_YEARS
+    rows = split.apply(fixture)
+    assert set(fixture.column("year")[rows["val"]]) == VAL_YEARS
+    assert set(fixture.column("year")[rows["test"]]) == TEST_YEARS
 
     # late-injection architecture: shape and gradient checks
     spec = NetworkSpec(3, (8, 6), head_dim=4, late_features=1, batch_norm=True)

@@ -118,14 +118,39 @@ class TestTrain:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_run_prints_one_line(self, tmp_path, capsys, sim_csv):
         # lr 1e300 overflows the weights in the first step; link names the
-        # row, and numpy warns about none of the overflows on the way
+        # row, and numpy warns about none of the overflows on the way.  Every
+        # head of the second batch is non-finite, and its first row is data
+        # row 1264 (train rows shuffled by the config's seed 0)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict(CONFIG, optimizer={"lr": 1e300},
                                        training={"epochs": 1, "batch_size": 256})))
         assert main(["train", "--config", str(cfg), "--data", str(sim_csv),
                      "--out", str(tmp_path / "m.tghn")]) == 4
         assert capsys.readouterr().err == ("numerical failure: non-finite network output "
-                                           "at input row 0\n")
+                                           "at input row 1264\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_row_error_names_its_data_row(self, tmp_path, capsys, split):
+        # x = 1e308 at the split's last row, whose data row exceeds both its
+        # position in a 16-row batch and its index among the 20 val rows.
+        # Without batch norm only that row's head is non-finite, and the
+        # dropped first row makes each data row one more than its dataset row.
+        data = tmp_path / "data.csv"
+        lines = ["0.5,"] + [f"{i / 100!r},{i / 100!r}" for i in range(1, 101)]
+        data.write_text("x,y\n" + "\n".join(lines) + "\n")
+        row = int(FractionSplit(0.8, 0).apply(load_csv(data, "y", ["x"]))[split][-1]) + 1
+        lines[row] = "1e308,0.5"
+        data.write_text("x,y\n" + "\n".join(lines) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(
+            CONFIG, data={"target": "y", "features": ["x"], "standardize": False},
+            network={"hidden": [16, 16], "batch_norm": False},
+            training={"epochs": 1, "batch_size": 16})))
+        assert main(["train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "m.tghn")]) == 4
+        assert capsys.readouterr().err == ("numerical failure: non-finite network output "
+                                           f"at input row {row}\n")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("column", ["alternating", "uniform"])
@@ -465,6 +490,46 @@ def _any_arguments(draw):
     return [command, *(f"--{k}={v}" for k, v in args.items()), f"--out={out}"]
 
 
+# --data cells at the edges of what load_csv reads: quoted, missing,
+# huge, non-finite, padded or unparseable
+_EDGE_CELLS = ('"0.75"', '"0,5"', "", "na", "NA", "nan", "inf", "-inf", "1e308", "-1e308",
+               "-1.7e308", " 0.5 ", "1_0", "0x1", "é")
+
+
+@st.composite
+def _any_csv(draw):
+    """--data text for the module's model: columns x and y in either order,
+    maybe with a third, up to 30 rows of values in [0, 1] (so 0-2 rows
+    leave the val split empty), then up to three edits, each an edge cell,
+    a short row or a blank line."""
+    header = draw(st.permutations(["x", "y", "z"][:draw(st.integers(2, 3))]))
+    value = st.floats(0, 1).map(repr)
+    rows = [draw(st.lists(value, min_size=len(header), max_size=len(header)))
+            for _ in range(draw(st.integers(0, 30)))]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(["cell", "cell", "short", "blank"]))
+        if edit == "cell" and rows[i]:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(_EDGE_CELLS))
+        elif edit == "short":
+            del rows[i][draw(st.integers(1, len(header) - 1)):]
+        else:
+            rows.insert(i, [])
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(",".join(row) for row in [header, *rows]) + end
+
+
+def _exits_with_one_line(argv):
+    """main(argv) returns 0, 2, 3 or 4 and never raises, printing one
+    stderr line unless it returns 0."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    lines = err.getvalue().splitlines(keepends=True)
+    assert code in (0, 2, 3, 4) and len(lines) == (code != 0), (argv, lines)
+    assert all(line.endswith("\n") for line in lines), (argv, lines)
+
+
 @pytest.fixture(scope="module")
 def h_zero_model(tmp_path_factory, trained_model):
     """The trained model with a zero head and bias (0, 0, -5, -800): g is
@@ -519,7 +584,7 @@ class TestExitCodes:
         huge = tmp_path / "huge.csv"
         huge.write_text("x,y\n" + "1e308,0.5\n" * 20)
         split = FractionSplit(CONFIG["split"]["fraction"], CONFIG["split"]["seed"])
-        huge_val_row = split.apply(load_csv(huge, "y", ["x"])).rows("val")[0]
+        huge_val_row = split.apply(load_csv(huge, "y", ["x"]))["val"][0]
         gappy = tmp_path / "gappy.csv"
         gappy.write_text("x,y\n" + "0.5,0.5\n" * 3 + "0.5,\n" * 3 + "1e308,0.5\n" * 20)
         fill = dict(model=trained_model, sim=sim_csv, huge=huge, gappy=gappy, tmp=tmp_path,
@@ -573,7 +638,7 @@ class TestExitCodes:
         data = tmp_path / "data.csv"
         data.write_text("x,y\n" + "0.5,0.5\n" * 40)
         split = FractionSplit(CONFIG["split"]["fraction"], CONFIG["split"]["seed"])
-        val = split.apply(load_csv(data, "y", ["x"])).rows("val")
+        val = split.apply(load_csv(data, "y", ["x"]))["val"]
         row = int(val[-1])
         assert row != len(val) - 1
         bad = "0.5,1.7e308" if command == "evaluate" else "2.0,0.5"
@@ -614,15 +679,23 @@ class TestExitCodes:
     @given(argv=_any_arguments())
     def test_any_arguments_exit_with_one_line(self, tmp_path_factory, trained_model, sim_csv,
                                               argv):
-        # 0, 2, 3 or 4 and never a traceback; one stderr line unless 0
         fill = dict(model=trained_model, sim=sim_csv, tmp=tmp_path_factory.getbasetemp())
-        argv = [a.format(**fill) for a in argv]
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(argv)
-        lines = err.getvalue().splitlines(keepends=True)
-        assert code in (0, 2, 3, 4) and len(lines) == (code != 0), (argv, lines)
-        assert all(line.endswith("\n") for line in lines), (argv, lines)
+        _exits_with_one_line([a.format(**fill) for a in argv])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=300)
+    @given(text=_any_csv(), command=st.sampled_from(["evaluate", "symmetric", "shortest"]),
+           split=st.sampled_from(["train", "val", "test"]))
+    def test_any_csv_exits_with_one_line(self, tmp_path_factory, trained_model, text, command,
+                                         split):
+        root = tmp_path_factory.getbasetemp() / "any_csv"
+        root.mkdir(exist_ok=True)
+        data = root / "data.csv"
+        data.write_bytes(text.encode("utf-8"))
+        out = (["evaluate", "--out", str(root / "e")] if command == "evaluate"
+               else ["intervals", "--variant", command, "--out", str(root / "i.csv")])
+        _exits_with_one_line([*out, "--model", str(trained_model), "--data", str(data),
+                              "--split", split])
 
 
 class TestThreadCap:

@@ -4,7 +4,7 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tghnet import data
@@ -266,18 +266,71 @@ class TestColumnWiseIo:
 class TestSplits:
     def _dataset(self, n=10):
         x = np.arange(2 * n, dtype=float).reshape(n, 2)
-        return Dataset(x, np.arange(n, dtype=float), ("a", "b"), "y")
+        return Dataset(x, np.arange(n, dtype=float), ("a", "b"))
+
+    @staticmethod
+    def _check_partition(rows, n):
+        # train, val and test in that order; each ascending, together every row once
+        assert list(rows) == ["train", "val", "test"]
+        for idx in rows.values():
+            assert idx.dtype == np.intp and np.all(np.diff(idx) > 0)
+        np.testing.assert_array_equal(np.sort(np.concatenate(list(rows.values()))), np.arange(n))
 
     def test_fraction_counts(self):
-        ds = FractionSplit(0.8, seed=0).apply(self._dataset(10))
-        assert np.sum(ds.split == "train") == 8
-        assert np.sum(ds.split == "val") == 2
-        assert np.sum(ds.split == "test") == 0
+        rows = FractionSplit(0.8, seed=0).apply(self._dataset(10))
+        assert len(rows["train"]) == 8
+        assert len(rows["val"]) == 2
+        assert len(rows["test"]) == 0
 
     def test_fraction_deterministic(self):
         a = FractionSplit(0.8, seed=9).apply(self._dataset(50))
         b = FractionSplit(0.8, seed=9).apply(self._dataset(50))
-        np.testing.assert_array_equal(a.split, b.split)
+        for name in ("train", "val", "test"):
+            np.testing.assert_array_equal(a[name], b[name])
+
+    @settings(max_examples=200)
+    @given(n=st.integers(1, 400), fraction=st.floats(0.01, 0.99), seed=st.integers(0, 2**63))
+    def test_fraction_rows_partition_the_dataset(self, n, fraction, seed):
+        # the shuffle's first round(fraction * n) rows are train, in row
+        # order: the same rows as labelling the permutation's positions
+        n_train = int(fraction * n + 0.5)
+        if n_train in (0, n):
+            with pytest.raises(DataError, match="empty split"):
+                FractionSplit(fraction, seed).apply(self._dataset(n))
+            return
+        rows = FractionSplit(fraction, seed).apply(self._dataset(n))
+        self._check_partition(rows, n)
+        assert (len(rows["train"]), len(rows["val"]), len(rows["test"])) == (n_train, n - n_train, 0)
+        labels = np.empty(n, dtype="U5")
+        order = np.random.default_rng(seed).permutation(n)
+        labels[order[:n_train]], labels[order[n_train:]] = "train", "val"
+        for name, idx in rows.items():
+            np.testing.assert_array_equal(idx, np.flatnonzero(labels == name))
+        again = FractionSplit(fraction, seed).apply(self._dataset(n))
+        assert all(np.array_equal(again[k], rows[k]) for k in rows)
+
+    @settings(max_examples=200)
+    @given(column=st.lists(st.integers(0, 5), min_size=1, max_size=60),
+           val=st.sets(st.integers(0, 5), min_size=1, max_size=3),
+           test=st.sets(st.integers(0, 5), min_size=1, max_size=3))
+    def test_by_column_rows_partition_the_dataset(self, column, val, test):
+        test -= val
+        assume(test)
+        n = len(column)
+        ds = Dataset(np.column_stack([np.zeros(n), column]).astype(float), np.zeros(n),
+                     ("other", "c"))
+        split = ByColumnSplit("c", tuple(map(float, sorted(val))), tuple(map(float, sorted(test))))
+        want = {"train": [i for i, v in enumerate(column) if v not in val | test],
+                "val": [i for i, v in enumerate(column) if v in val],
+                "test": [i for i, v in enumerate(column) if v in test]}
+        empty = [name for name, idx in want.items() if not idx]
+        if empty:
+            with pytest.raises(DataError, match=f"empty {empty[0]} split"):
+                split.apply(ds)
+            return
+        rows = split.apply(ds)
+        self._check_partition(rows, n)
+        assert {name: idx.tolist() for name, idx in rows.items()} == want
 
     def test_fraction_empty_split_rejected(self):
         with pytest.raises(DataError, match="empty"):
@@ -287,11 +340,11 @@ class TestSplits:
         years = np.arange(1981.0, 2017.0)
         n = len(years)
         ds = Dataset(np.column_stack([np.zeros(n), years]),
-                     np.zeros(n), ("lat", "year"), "y")
-        out = ByColumnSplit("year", (1985, 1995, 2005, 2015), (1986, 1996, 2006, 2016)).apply(ds)
-        val_years = set(out.column("year")[out.rows("val")])
-        test_years = set(out.column("year")[out.rows("test")])
-        train_years = set(out.column("year")[out.rows("train")])
+                     np.zeros(n), ("lat", "year"))
+        rows = ByColumnSplit("year", (1985, 1995, 2005, 2015), (1986, 1996, 2006, 2016)).apply(ds)
+        val_years = set(ds.column("year")[rows["val"]])
+        test_years = set(ds.column("year")[rows["test"]])
+        train_years = set(ds.column("year")[rows["train"]])
         assert val_years == {1985, 1995, 2005, 2015}
         assert test_years == {1986, 1996, 2006, 2016}
         assert train_years == set(years) - val_years - test_years
@@ -311,33 +364,28 @@ class TestStandardize:
         # train rows have mean 10, val rows mean 100: statistics must come
         # from train only
         x = np.array([[8.0], [12.0], [100.0]])
-        ds = Dataset(x, np.zeros(3), ("a",), "y")
-        ds.split = np.array(["train", "train", "val"])
-        return ds
+        return Dataset(x, np.zeros(3), ("a",)), np.array([0, 1])
 
     def test_statistics_from_train_split_only(self):
-        out = standardize(self._split_dataset())
+        out = standardize(*self._split_dataset())
         np.testing.assert_allclose(out.x[:2, 0], [-1.0, 1.0])
         assert out.x[2, 0] == pytest.approx((100.0 - 10.0) / 2.0)
 
     def test_roundtrip_inversion(self):
-        out = standardize(self._split_dataset())
+        out = standardize(*self._split_dataset())
         back = out.x * out.standardization.scale + out.standardization.mean
         np.testing.assert_allclose(back, [[8.0], [12.0], [100.0]], atol=1e-12)
 
     def test_constant_shift_gives_zero_mean(self):
         x = np.array([[5.0], [7.0], [9.0], [11.0]])
-        ds = Dataset(x, np.zeros(4), ("a",), "y")
-        ds.split = np.array(["train"] * 4)
-        out = standardize(ds)
+        out = standardize(Dataset(x, np.zeros(4), ("a",)), np.arange(4))
         assert np.mean(out.x[:, 0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_variance_feature_named(self):
         x = np.array([[1.0, 3.0], [1.0, 4.0]])
-        ds = Dataset(x, np.zeros(2), ("flat", "ok"), "y")
-        ds.split = np.array(["train", "train"])
+        ds = Dataset(x, np.zeros(2), ("flat", "ok"))
         with pytest.raises(DataError, match="'flat'"):
-            standardize(ds)
+            standardize(ds, np.arange(2))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("column", [
@@ -346,12 +394,12 @@ class TestStandardize:
     ], ids=["scale_overflows", "mean_overflows"])
     def test_overflowing_feature_named(self, column):
         x = np.column_stack([np.arange(len(column), dtype=float), column])
-        ds = Dataset(x, np.zeros(len(column)), ("ok", "huge"), "y")
-        ds.split = np.array(["train"] * len(column))
+        ds = Dataset(x, np.zeros(len(column)), ("ok", "huge"))
         with pytest.raises(DataError, match="non-finite mean or scale of feature 'huge'"):
-            standardize(ds)
+            standardize(ds, np.arange(len(column)))
 
     def test_requires_split(self):
-        ds = Dataset(np.ones((2, 1)), np.zeros(2), ("a",), "y")
+        # no training rows to take statistics from
+        ds = Dataset(np.ones((2, 1)), np.zeros(2), ("a",))
         with pytest.raises(DataError, match="split"):
-            standardize(ds)
+            standardize(ds, np.array([], dtype=np.intp))

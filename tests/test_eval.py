@@ -529,7 +529,7 @@ class TestReportWriters:
                      "--out", str(out)]) == 0
         bundle = load_model(model)
         ds = load_csv(sim, "y", ["x"])
-        val = bundle.header.split_rule.apply(ds).rows("val")
+        val = bundle.header.split_rule.apply(ds)["val"]
         y = ds.y[val]
         report = residuals(y, bundle.predict_params(ds.x[val]))
 

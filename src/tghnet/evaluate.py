@@ -53,9 +53,10 @@ _X_EDGE = np.log((1.0 - _GAMMA_EDGE) / _GAMMA_EDGE)
 _X_TOL = 1e-10
 # shortest_interval stops a row's search after this many secant steps
 _MAX_STEPS = 100
-# Rows per block of the row-wise solves (residuals, intervals, density), the
-# size write_csv writes by: a block's temporaries reuse freed pages instead
-# of faulting in new ones.  At 4096 rows a solve runs faster than at 1024.
+# Rows per block of the row-wise passes (residuals with its QQ and KS ranks,
+# intervals, density): a block's temporaries reuse freed pages instead of
+# faulting in new ones.  At 4096 rows a solve runs faster than at 1024;
+# write_csv writes by its own, smaller block of 1024 cells per column.
 _BLOCK = 4096
 
 
@@ -86,15 +87,30 @@ class PredictionInterval(NamedTuple):
     gamma: np.ndarray | float
 
 
+def _by_rank(fn, values: np.ndarray):
+    """tgh.by_blocks of fn(block, k) over _BLOCK-row blocks of values, with k
+    the 1-based ranks of the block's rows, so that no index array of the
+    full length is held."""
+    return tgh.by_blocks(lambda v, k: fn(v, np.arange(k.start, k.stop)), _BLOCK,
+                         values, range(1, len(values) + 1))
+
+
 def ks_uniform(u: np.ndarray) -> float:
-    """Two-sided KS distance of a sample from the uniform law on [0, 1]."""
+    """Two-sided KS distance of a sample from the uniform law on [0, 1]:
+    the larger of max(i/n - u_(i)) and max(u_(i) - (i-1)/n) over the sorted
+    sample, each a maximum of block maxima."""
     u = np.sort(np.asarray(u, dtype=float))
     n = len(u)
     if n == 0:
         raise ValueError("empty sample")
-    i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - u)
-    d_minus = np.max(u - (i - 1) / n)
+    ends = []
+
+    def block_ends(v, i):
+        ends.append((np.max(i / n - v), np.max(v - (i - 1) / n)))
+        return ()
+
+    _by_rank(block_ends, u)
+    d_plus, d_minus = np.max(ends, axis=0)
     return float(max(d_plus, d_minus))
 
 
@@ -118,24 +134,29 @@ def residuals(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER) -
     """Residual report of targets against per-sample parameters.
 
     One inverse solve gives z_hat, from which u and mean_nll follow, by
-    blocks of rows.  Uniform residuals are clipped into the open interval
-    at the float boundary (Phi saturates to exactly 0/1 for |z_hat| beyond
-    ~39).
+    blocks of rows; the QQ quantiles and the KS distance run by blocks of
+    ranks, so that beyond the returned arrays only the per-row NLL (until
+    its mean is taken) and the sorted u that the KS distance needs are
+    held.  Uniform residuals are clipped into the open interval at the
+    float boundary (Phi saturates to exactly 0/1 for |z_hat| beyond ~39).
     """
     z_hat, u, nll = tgh.by_blocks(lambda *rows: _residual_block(*rows, cfg), _BLOCK,
                                   *np.broadcast_arrays(y, params.mu, params.sigma, params.g,
                                                        params.h))
-    n = len(z_hat)
-    positions = np.arange(1, n + 1) / (n + 1.0)
-    qq_theoretical = standard_normal_quantile(positions)
+    mean_nll = float(np.mean(nll))
+    del nll
+    ks_statistic = ks_uniform(u)
     qq_empirical = np.sort(z_hat)
+    n = len(z_hat)
+    qq_theoretical, = _by_rank(lambda _, k: (standard_normal_quantile(k / (n + 1.0)),),
+                               qq_empirical)
     return ResidualReport(
         z_hat=z_hat,
         u=u,
         qq_theoretical=qq_theoretical,
         qq_empirical=qq_empirical,
-        ks_statistic=ks_uniform(u),
-        mean_nll=float(np.mean(nll)),
+        ks_statistic=ks_statistic,
+        mean_nll=mean_nll,
     )
 
 

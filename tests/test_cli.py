@@ -492,31 +492,40 @@ def _any_arguments(draw):
 
 # --data cells at the edges of what load_csv reads: quoted, missing,
 # huge, non-finite, padded or unparseable
-_EDGE_CELLS = ('"0.75"', '"0,5"', "", "na", "NA", "nan", "inf", "-inf", "1e308", "-1e308",
-               "-1.7e308", " 0.5 ", "1_0", "0x1", "é")
+_EDGE_CELLS = (b'"0.75"', b'"0,5"', b"", b"na", b"NA", b"nan", b"inf", b"-inf", b"1e308",
+               b"-1e308", b"-1.7e308", b" 0.5 ", b"1_0", b"0x1", "é".encode())
+# a Latin-1 cell, no UTF-8; a cell over the csv module's field limit of
+# 131072 characters, whose "_" sends the file to the per-cell loop, which
+# reads it with csv
+_UNREADABLE_CELLS = (b"0.\xe9", b"1_" + b"1" * 131071)
 
 
 @st.composite
 def _any_csv(draw):
-    """--data text for the module's model: columns x and y in either order,
+    """--data bytes for the module's model: columns x and y in either order,
     maybe with a third, up to 30 rows of values in [0, 1] (so 0-2 rows
     leave the val split empty), then up to three edits, each an edge cell,
-    a short row or a blank line."""
-    header = draw(st.permutations(["x", "y", "z"][:draw(st.integers(2, 3))]))
-    value = st.floats(0, 1).map(repr)
+    an unreadable cell, a short row or a blank line; one file in ten is the
+    same text in UTF-16, with its byte-order mark."""
+    header = draw(st.permutations([b"x", b"y", b"z"][:draw(st.integers(2, 3))]))
+    value = st.floats(0, 1).map(lambda v: repr(v).encode())
     rows = [draw(st.lists(value, min_size=len(header), max_size=len(header)))
             for _ in range(draw(st.integers(0, 30)))]
     for _ in range(draw(st.integers(0, 3)) if rows else 0):
         i = draw(st.integers(0, len(rows) - 1))
-        edit = draw(st.sampled_from(["cell", "cell", "short", "blank"]))
-        if edit == "cell" and rows[i]:
-            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(_EDGE_CELLS))
+        edit = draw(st.sampled_from(["cell", "cell", "unreadable", "short", "blank"]))
+        if edit in ("cell", "unreadable") and rows[i]:
+            cells = _EDGE_CELLS if edit == "cell" else _UNREADABLE_CELLS
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(cells))
         elif edit == "short":
             del rows[i][draw(st.integers(1, len(header) - 1)):]
         else:
             rows.insert(i, [])
-    end = draw(st.sampled_from(["\n", "\r\n"]))
-    return end.join(",".join(row) for row in [header, *rows]) + end
+    end = draw(st.sampled_from([b"\n", b"\r\n"]))
+    body = end.join(b",".join(row) for row in [header, *rows]) + end
+    if draw(st.integers(0, 9)) == 5:
+        body = body.decode("utf-8", "replace").encode("utf-16")
+    return body
 
 
 def _exits_with_one_line(argv):
@@ -682,16 +691,31 @@ class TestExitCodes:
         fill = dict(model=trained_model, sim=sim_csv, tmp=tmp_path_factory.getbasetemp())
         _exits_with_one_line([a.format(**fill) for a in argv])
 
+    @pytest.mark.parametrize("body", [
+        # a Latin-1 cell in row 3: the reader decodes ahead, so the header read fails
+        b"x,y\n0.1,0.2\n0.\xe9,0.3\n" + b"0.4,0.5\n" * 20,
+        # a target cell over the csv field limit, read by the per-cell loop,
+        # which the "1_0" feature cell sends the file to
+        b"x,y\n0.1,0.2\n1_0,0." + b"1" * 131071 + b"\n",
+    ], ids=["latin1_cell", "cell_over_field_limit"])
+    def test_unreadable_data_exits_3(self, tmp_path, capsys, trained_model, body):
+        data = tmp_path / "data.csv"
+        data.write_bytes(body)
+        assert main(["evaluate", "--model", str(trained_model), "--data", str(data),
+                     "--split", "train", "--out", str(tmp_path / "e")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"data error: {data}: " in err, err
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=300)
-    @given(text=_any_csv(), command=st.sampled_from(["evaluate", "symmetric", "shortest"]),
+    @given(body=_any_csv(), command=st.sampled_from(["evaluate", "symmetric", "shortest"]),
            split=st.sampled_from(["train", "val", "test"]))
-    def test_any_csv_exits_with_one_line(self, tmp_path_factory, trained_model, text, command,
+    def test_any_csv_exits_with_one_line(self, tmp_path_factory, trained_model, body, command,
                                          split):
         root = tmp_path_factory.getbasetemp() / "any_csv"
         root.mkdir(exist_ok=True)
         data = root / "data.csv"
-        data.write_bytes(text.encode("utf-8"))
+        data.write_bytes(body)
         out = (["evaluate", "--out", str(root / "e")] if command == "evaluate"
                else ["intervals", "--variant", command, "--out", str(root / "i.csv")])
         _exits_with_one_line([*out, "--model", str(trained_model), "--data", str(data),

@@ -116,7 +116,7 @@ class TestScoringBlocks:
         blocked = residuals(y, params)
         monkeypatch.setattr(evaluate, "_BLOCK", self.N)
         whole = residuals(y, params)
-        for name in ("z_hat", "u", "qq_empirical"):
+        for name in ("z_hat", "u", "qq_theoretical", "qq_empirical"):
             np.testing.assert_array_equal(getattr(blocked, name), getattr(whole, name))
         assert blocked.mean_nll == whole.mean_nll
         assert blocked.ks_statistic == whole.ks_statistic
@@ -225,8 +225,30 @@ class TestScoringBlocks:
         returned = sum(v.nbytes for v in iv)
         assert peak < returned + 2 * 2 ** 20
 
+    def test_residuals_memory_is_its_output(self):
+        # over 200k rows the one-piece QQ and KS passes (positions, indices,
+        # differences) peaked 9.7 MiB above the four returned arrays; by
+        # blocks of ranks, 0.4 MiB above
+        y, params = _link_box_rows(200_000, 35)
+        tracemalloc.start()
+        try:
+            report = residuals(y, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(getattr(report, name).nbytes
+                       for name in ("z_hat", "u", "qq_theoretical", "qq_empirical"))
+        assert peak < returned + 2 * 2 ** 20
+
 
 class TestKs:
+    @pytest.mark.parametrize("n", [1, evaluate._BLOCK, 2 * evaluate._BLOCK + 37])
+    def test_blocked_equals_one_piece(self, n):
+        u = np.random.default_rng(n).random(n)
+        s, i = np.sort(u), np.arange(1, n + 1)
+        want = float(max(np.max(i / n - s), np.max(s - (i - 1) / n)))
+        assert np.float64(ks_uniform(u)).tobytes() == np.float64(want).tobytes()
+
     def test_matches_scipy(self):
         rng = np.random.default_rng(4)
         u = rng.random(500)

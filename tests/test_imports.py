@@ -203,7 +203,8 @@ def _nodes_by_function():
 def test_one_row_block_loop_and_no_repeat_call_on_a_solver_error():
     # rows are cut into blocks by tgh.by_blocks alone, besides write_csv's
     # writes and train's batches (a countdown range is no block loop); the
-    # five scoring passes go through it; and a handler that can catch a
+    # five scoring passes go through it, and the QQ and KS passes by rank
+    # through _by_rank; and a handler that can catch a
     # SolverError calls nothing, so a failed call is never run again (cli.main
     # alone prints one)
     loops, callers, handler_calls = set(), set(), []
@@ -220,5 +221,6 @@ def test_one_row_block_loop_and_no_repeat_call_on_a_solver_error():
     assert loops == {"tgh.py:by_blocks", "data.py:write_csv", "nn/train.py:train"}
     assert callers == {"nn/persist.py:ModelBundle.predict_params",
                        "nn/train.py:evaluate_mean_loss", "evaluate.py:residuals",
-                       "evaluate.py:shortest_interval", "evaluate.py:density_curve"}
+                       "evaluate.py:shortest_interval", "evaluate.py:density_curve",
+                       "evaluate.py:_by_rank"}
     assert handler_calls == []

@@ -283,7 +283,7 @@ def binned_residual_summary(feature, u, n_bins: int = 10):
     feature = np.asarray(feature, dtype=float)
     u = np.asarray(u, dtype=float)
     edges = np.linspace(feature.min(), feature.max(), n_bins + 1)
-    which = np.clip(np.digitize(feature, edges[1:-1]), 0, n_bins - 1)
+    which = np.digitize(feature, edges[1:-1])  # 0 to n_bins - 1
     means = np.full(n_bins, np.nan)
     counts = np.zeros(n_bins, dtype=int)
     for b in range(n_bins):

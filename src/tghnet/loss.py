@@ -1,8 +1,8 @@
 """Training losses: the link that maps a raw network head, as wide as its
 loss kind (LOSS_KINDS), onto g-and-h parameters (the Gaussian model is
-g = h = 0), the Gaussian baseline loss, and the two head losses, which
-share one signature and one body; the g-and-h one is built on the exact
-NLL and gradient in tgh.nll_and_grad.
+g = h = 0), and the two head losses, which share one signature and one
+body, built on the exact NLLs and gradients tgh.nll_and_grad and
+tgh.gaussian_nll_and_grad (re-exported here for the Gaussian baseline).
 
 The training loss drops the additive log(2*pi)/2 constant; reported
 evaluation likelihoods (tgh.log_density) keep it.  Both read log tau' from
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .tgh import DEFAULT_SOLVER, InverseSolverConfig, LossValueAndGrad, TghParams, nll_and_grad
+from .tgh import DEFAULT_SOLVER, InverseSolverConfig, TghParams, gaussian_nll_and_grad, nll_and_grad
 
 __all__ = [
     "LOSS_KINDS",
@@ -102,25 +102,6 @@ def link(raw, cfg: LinkConfig = DEFAULT_LINK):
     return TghParams(mu, sigma, g, h), np.stack(derivs, axis=-1)
 
 
-def gaussian_nll_and_grad(y, mu, sigma):
-    """Gaussian negative log-likelihood log(sigma) + (y-mu)^2/(2 sigma^2).
-
-    Constant dropped, matching nll_and_grad at g = h = 0.  Gradient is the
-    2-vector (d/dmu, d/dsigma).
-    """
-    y = np.asarray(y, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    if np.any(sigma <= 0):
-        raise ValueError("sigma must be positive")
-    r = y - mu
-    with np.errstate(over="ignore"):
-        value = np.log(sigma) + 0.5 * r * r / (sigma * sigma)
-        d_mu = -r / (sigma * sigma)
-        d_sigma = 1.0 / sigma - r * r / (sigma * sigma * sigma)
-    return LossValueAndGrad(value, np.stack([d_mu, d_sigma], axis=-1))
-
-
 def _batch_mean(y, raw, link_cfg: LinkConfig, per_sample):
     """The body of both head losses: link the raw head, check y against it,
     and pull per_sample(y, params)'s per-sample gradients through the
@@ -132,9 +113,8 @@ def _batch_mean(y, raw, link_cfg: LinkConfig, per_sample):
         raise ValueError("y must be one-dimensional")
     if params.mu.ndim == 1 and len(params.mu) != len(y):
         raise ValueError(f"length mismatch: {len(y)} targets vs {len(params.mu)} parameter rows")
-    out = per_sample(y, params)
-    values = np.asarray(out.value)
-    return float(np.mean(values)), out.grad * derivs / len(values), params
+    values, grad = per_sample(y, params)
+    return float(np.mean(values)), grad * derivs / len(values), params
 
 
 def tukey_head_loss(y, raw, link_cfg: LinkConfig = DEFAULT_LINK,

@@ -73,9 +73,9 @@ class NetworkSpec:
         the parameters, then the batch-norm running statistics."""
         shapes, stats = [], []
         for i, (n_in, n_out) in enumerate(self.layer_dims()):
-            shapes += [(n_in, n_out), (n_out,)]
+            shapes += [(n_in, n_out), (n_out,)]  # W, then b or, with batch norm, gamma
             if self.batch_norm and i < len(self.hidden):
-                shapes += [(n_out,)] * 2
+                shapes.append((n_out,))  # beta
                 stats += [(n_out,)] * 2
         return shapes, stats
 
@@ -95,25 +95,26 @@ class Network:
     """Feed-forward network assembled from a NetworkSpec.
 
     All parameters and batch-norm running statistics live in one float64
-    vector ``state``, in model-file order: per layer W (row-major), b, and
-    gamma, beta for batch-norm layers; then running_mean, running_var per
-    batch-norm layer.  ``params`` is its leading parameter part and ``grad``
-    (filled by backward()) has the same layout.  ``layers`` holds per layer
-    the views (w, b, dw, db, bn) into both, bn being (gamma, beta,
-    running_mean, running_var, dgamma, dbeta) or None.  W starts uniform in
-    +-sqrt(6 / in_dim) from the seed, b and beta at 0, gamma at 1.
+    vector ``state``, in model-file order: per layer W (row-major), then b,
+    or gamma, beta for a batch-norm layer; then running_mean, running_var
+    per batch-norm layer.  ``params`` is its leading parameter part and
+    ``grad`` (filled by backward()) has the same layout.  ``layers`` holds
+    per layer the views (w, b, dw, db, bn) into both, bn being None or
+    (gamma, beta, running_mean, running_var, dgamma, dbeta) and b, db None.
+    W starts uniform in +-sqrt(6 / in_dim) from the seed, b and beta at 0,
+    gamma at 1.
 
-    Batch norm normalizes with the batch mean and (biased) variance in
-    train mode, where the mean cancels b: b is not added there and gets
-    gradient 0, and the running statistics move MOMENTUM of the way to
-    the batch's mean + b and unbiased variance.  In eval mode it is folded
-    into its linear layer: with s = gamma / sqrt(running_var + EPS), the
-    layer is h @ (w * s) + ((b - running_mean) * s + beta).  ReLU is
-    np.maximum.  A train-mode forward replaces, layer by layer, the list of
-    (input, (inv_std, xc) or None) that backward() reads; eval mode drops
-    it.  xc is its layer's h @ w, centred in place, and a ReLU's mask is
-    where the next layer's input, late columns left out, is > 0.  backward()
-    writes only arrays it made and grad, so a second call repeats the gradients.
+    Batch norm normalizes with the batch mean, which would cancel a b, and
+    the (biased) variance in train mode; the running statistics move
+    MOMENTUM of the way to the batch's mean and unbiased variance.  In eval
+    mode it is folded into its linear layer: with
+    s = gamma / sqrt(running_var + EPS), the layer is
+    h @ (w * s) + (beta - running_mean * s).  ReLU is np.maximum.  A
+    train-mode forward replaces, layer by layer, the list of (input,
+    (inv_std, xc) or None) that backward() reads; eval mode drops it.  xc
+    is its layer's h @ w, centred in place, and a ReLU's mask is where the
+    next layer's input, late columns left out, is > 0.  backward() writes
+    only arrays it made and grad, so a second call repeats the gradients.
     """
 
     def __init__(self, spec: NetworkSpec, seed: int = 0):
@@ -130,18 +131,19 @@ class Network:
         rng = np.random.default_rng(seed)
         self.layers: list[tuple] = []
         for i in range(len(spec.hidden) + 1):
-            w, b, dw, db = next(p), next(p), next(g), next(g)
+            w, dw = next(p), next(g)
             bound = np.sqrt(6.0 / w.shape[0])
             w[...] = rng.uniform(-bound, bound, size=w.shape)
             bn = None
             if spec.batch_norm and i < len(spec.hidden):
                 bn = tuple(next(it) for it in (p, p, s, s, g, g))
                 bn[0][...] = bn[3][...] = 1.0  # gamma, running_var; the rest starts at 0
+            b, db = (None, None) if bn else (next(p), next(g))
             self.layers.append((w, b, dw, db, bn))
         self._cache: list[tuple] | None = None
 
     def parameters(self) -> list[np.ndarray]:
-        """Per-array views into params: per layer W, b (, gamma, beta)."""
+        """Per-array views into params: per layer W, then b or gamma, beta."""
         return list(self._param_views)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
@@ -159,14 +161,14 @@ class Network:
             if bn is None:
                 z = h @ w
                 z += b
-            elif train:  # the batch mean cancels b, so running_mean tracks mean + b
+            elif train:
                 gamma, beta, running_mean, running_var = bn[:4]
                 z = h @ w
                 mean = np.einsum("ij->j", z) / n  # in 0.6x the time of np.add.reduce
                 z -= mean
                 var = np.einsum("ij,ij->j", z, z) / n
                 inv_std = 1.0 / np.sqrt(var + EPS)
-                running_mean[...] = (1.0 - MOMENTUM) * running_mean + MOMENTUM * (mean + b)
+                running_mean[...] = (1.0 - MOMENTUM) * running_mean + MOMENTUM * mean
                 unbiased = var * n / max(n - 1, 1)
                 running_var[...] = (1.0 - MOMENTUM) * running_var + MOMENTUM * unbiased
                 norm, z = (inv_std, z), z * (gamma * inv_std)  # the cache keeps z centred
@@ -175,7 +177,7 @@ class Network:
                 gamma, beta, running_mean, running_var = bn[:4]
                 scale = gamma / np.sqrt(running_var + EPS)
                 z = h @ (w * scale)
-                z += (b - running_mean) * scale + beta
+                z += beta - running_mean * scale
             if i < n_hidden:
                 np.maximum(z, 0.0, out=z)  # z is this forward's own array
             if train:
@@ -208,8 +210,8 @@ class Network:
             np.matmul(h.T, d, out=dw)
             if bn is None:
                 np.add.reduce(d, 0, out=db)
-            else:  # b's true gradient is 0: the batch mean cancels it
-                db[...], w = 0.0, w * scale
+            else:
+                w = w * scale
                 dw *= scale
             if i > 0:  # nothing reads the input's gradient
                 d = d @ w.T

@@ -3,23 +3,25 @@
 Layout (all integers and floats little-endian):
 
     bytes 0-3   magic "TGHN"
-    bytes 4-7   uint32 format version (currently 2)
+    bytes 4-7   uint32 format version (currently 3)
     bytes 8-11  uint32 byte length of the UTF-8 header JSON
     ...         header JSON: asdict of ModelHeader (loss kind, the config's
                 network object, link/solver configs, columns,
                 standardization, split rule)
     ...         float64 blob: the network's ``state`` vector, that is the
-                parameters (per layer W row-major, b, and for batch-norm
-                layers gamma, beta) followed by the running statistics
+                parameters (per layer W row-major, then b, or gamma, beta
+                for a batch-norm layer) followed by the running statistics
                 (per batch-norm layer running_mean, running_var)
 
 A ModelBundle is its ModelHeader plus a Network of the header's shape,
 ModelHeader.spec.  save_model writes asdict of the header, and additionally
 ``<path>.json`` with the same header, pretty-printed, for inspection;
 load_model keeps the header that config.read returns.  The writer is
-deterministic: identical bundles produce identical bytes.  Format 1 wrote
-the network as its list of layers; load_model reads such a file when the
-list is the one format 1 wrote for the header's spec.
+deterministic: identical bundles produce identical bytes.  Formats 1
+and 2 also held a b after each batch-norm W; load_model stores
+running_mean - b instead, and fl(rm - b) = -fl(b - rm) keeps their scores.
+Format 1 wrote the network as its list of layers; load_model reads such a
+file when the list is the one format 1 wrote for the header's spec.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from ..tgh import InverseSolverConfig, TghParams, by_blocks
 from .network import EVAL_CHUNK, Network, NetworkConfig, NetworkSpec
 
 MAGIC = b"TGHN"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,7 @@ def _format_1_network(spec: NetworkSpec) -> dict:
 
 
 def load_model(path) -> ModelBundle:
-    """Read a model file written by save_model, of this format or of format 1.
+    """Read a model file written by save_model, of this format or of format 1 or 2.
 
     A file that cannot be opened raises DataError; so does a damaged or
     truncated file, or one whose blob holds a non-finite value, naming the
@@ -152,7 +154,7 @@ def load_model(path) -> ModelBundle:
     if len(blob) < 12:
         raise DataError(f"{path}: truncated at byte {len(blob)}, inside the 12-byte preamble")
     version, hlen = struct.unpack_from("<II", blob, 4)
-    if version not in (1, FORMAT_VERSION):
+    if version not in (1, 2, FORMAT_VERSION):
         raise DataError(f"{path}: unsupported model format version {version}")
     offset = 12 + hlen
     if len(blob) < offset:
@@ -176,16 +178,26 @@ def load_model(path) -> ModelBundle:
 
     # checked before the network is built: a header asks for no more than its file holds
     spec = header.spec
-    size = spec.state_size
+    size = spec.state_size + (sum(spec.hidden) if spec.batch_norm and version < 3 else 0)
     if len(blob) - offset != 8 * size:
         raise DataError(f"{path}: parameter blob at byte {offset} holds "
                         f"{len(blob) - offset} bytes, the header's network needs {8 * size}")
-    bundle = ModelBundle(header, Network(spec, seed=0))
-    state = bundle.network.state
-    state[...] = np.frombuffer(blob, "<f8", size, offset)
-    bad = ~np.isfinite(state)
+    stored = np.frombuffer(blob, "<f8", size, offset)
+    bad = ~np.isfinite(stored)
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise DataError(f"{path}: non-finite value {float(state[i])} "
+        raise DataError(f"{path}: non-finite value {float(stored[i])} "
                         f"at byte {offset + 8 * i} of the parameter blob")
-    return bundle
+    net = Network(spec, seed=0)
+    if size == spec.state_size:
+        net.state[...] = stored
+    else:  # formats 1 and 2: a b after each batch-norm W, folded into running_mean
+        at, b_at = 0, []
+        for w, *_ in net.layers[:-1]:
+            b_at.append(at + w.size + np.arange(w.shape[1]))
+            at += w.size + 3 * w.shape[1]
+        net.state[...] = np.delete(stored, np.concatenate(b_at))
+        with np.errstate(over="ignore"):  # an infinite running_mean scores as before
+            for (*_, bn), b in zip(net.layers, b_at):
+                bn[2][...] -= stored[b]
+    return ModelBundle(header, net)

@@ -1,7 +1,7 @@
 """Tukey g-and-h transform core: forward map, numerically exact inverse,
-density, the exact negative log-likelihood and its gradient, quantiles, and
-sampling.  Every likelihood, residual and density starts from the one
-standardise-and-solve in z_hat.
+density, the exact negative log-likelihood and its gradient (with its
+Gaussian reduction), and quantiles.  Every likelihood, residual and
+density starts from the one standardise-and-solve in z_hat.
 
 The transform is
 
@@ -22,8 +22,8 @@ The normal quantile behind quantile and the intervals is Wichura's AS241
 erfc(-z/sqrt(2))/2 from the math module, so the package needs numpy only.
 
 Two private kernels hold every exp(g*z) and expm1(g*z), and each applies
-the g -> 0 limit itself.  _tau_parts (behind the solver, tau, quantile and
-sample) costs one expm1 and one exp; the solver forms tau' from it only
+the g -> 0 limit itself.  _tau_parts (behind the solver, tau and quantile)
+costs one expm1 and one exp; the solver forms tau' from it only
 inside its Newton loop, where that tau' cancels for g*z << 0, which the
 solver's bisection fallback absorbs.  _log_bracket, behind
 log_density_from_z and nll_and_grad, builds log tau' and the gradient
@@ -58,10 +58,9 @@ __all__ = [
     "z_hat",
     "log_density",
     "log_density_from_z",
-    "LossValueAndGrad",
     "nll_and_grad",
+    "gaussian_nll_and_grad",
     "quantile",
-    "sample",
     "standard_normal_cdf",
     "standard_normal_quantile",
 ]
@@ -327,7 +326,7 @@ def tau_inverse(z_tilde, p: ShapeParams | TghParams, cfg: InverseSolverConfig = 
         if not need.any():
             break
         need &= np.abs(_tau_parts(end, g, h)[0]) < abs_zt
-        end = np.where(need, 2.0 * end, end)
+        end = np.ldexp(end, need)  # doubled where needed; 2 * end everywhere may overflow
     if need.any():
         raise _row_error("no bracket for inverse transform after "
                          f"{cfg.max_bracket_doublings} doublings", need, zt, g, h)
@@ -389,25 +388,9 @@ def log_density_from_z(z_hat, params: TghParams):
     return _ret(out)
 
 
-@dataclass(frozen=True)
-class LossValueAndGrad:
-    """Loss value(s) and gradient w.r.t. the distribution parameters.
-
-    For a scalar sample: value is a float (the value goes through _ret)
-    and grad has shape (4,) (d/dmu, d/dsigma, d/dg, d/dh) — (2,) for the
-    Gaussian loss.  For a batch of n samples: value has shape (n,) and
-    grad (n, 4) or (n, 2).
-    """
-
-    value: float | np.ndarray
-    grad: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", _ret(self.value))
-
-
 def nll_and_grad(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER):
-    """Negative log-likelihood (constant dropped) and its exact gradient.
+    """Negative log-likelihood (constant dropped) and its exact gradient, as
+    (value, grad): grad's last axis is (d/dmu, d/dsigma, d/dg, d/dh).
 
     value = log[exp(g*zh) + h*zh*(exp(g*zh)-1)/g] + log(sigma)
             + (1+h)/2 * zh^2,   zh = z_hat(y, params, cfg).
@@ -442,7 +425,26 @@ def nll_and_grad(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER
         d_g = db_dg / bracket + a * (-dk / bracket)
         d_h = db_dh / bracket + 0.5 * zh * zh + a * (-0.5 * zh * zh * ez / bracket)
 
-    return LossValueAndGrad(value, np.stack([d_mu, d_sigma, d_g, d_h], axis=-1))
+    return _ret(value), np.stack([d_mu, d_sigma, d_g, d_h], axis=-1)
+
+
+def gaussian_nll_and_grad(y, mu, sigma):
+    """Gaussian negative log-likelihood log(sigma) + (y-mu)^2/(2 sigma^2).
+
+    Constant dropped, matching nll_and_grad at g = h = 0, and returned as
+    nll_and_grad's pair with a last gradient axis of 2, (d/dmu, d/dsigma).
+    """
+    y = np.asarray(y, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    if np.any(sigma <= 0):
+        raise ValueError("sigma must be positive")
+    r = y - mu
+    with np.errstate(over="ignore"):
+        value = np.log(sigma) + 0.5 * r * r / (sigma * sigma)
+        d_mu = -r / (sigma * sigma)
+        d_sigma = 1.0 / sigma - r * r / (sigma * sigma * sigma)
+    return _ret(value), np.stack([d_mu, d_sigma], axis=-1)
 
 
 def quantile(alpha, params: TghParams):
@@ -454,19 +456,6 @@ def quantile(alpha, params: TghParams):
     g, h = np.asarray(params.g, dtype=float), np.asarray(params.h, dtype=float)
     out = np.asarray(params.mu) + np.asarray(params.sigma) * _tau_parts(z, g, h)[0]
     return _ret(out)
-
-
-def sample(params: TghParams, n: int, seed: int) -> np.ndarray:
-    """Draw n variates mu + sigma * tau(Z), Z standard normal.
-
-    Deterministic for a fixed seed.  Parameter fields may be scalars or
-    length-n arrays (per-draw parameters).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(n)
-    return np.asarray(params.mu) + np.asarray(params.sigma) * np.asarray(tau(z, params))
 
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)

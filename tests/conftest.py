@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -35,3 +36,17 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture(scope="session")
+def format_2_blob():
+    """The blob model formats 1 and 2 stored for a network: a b of zeros
+    after each batch-norm layer's W, where format 3 stores none."""
+
+    def blob(net):
+        arrays = [a for w, b, _, _, bn in net.layers
+                  for a in (w, np.zeros(w.shape[1]) if bn else b, *(bn[:2] if bn else ()))]
+        arrays += [a for *_, bn in net.layers if bn for a in bn[2:4]]
+        return b"".join(a.astype("<f8").tobytes() for a in arrays)
+
+    return blob

@@ -177,10 +177,10 @@ def test_criterion_2_gradient_suite():
 
         def composed(r):
             params, _ = link(r)
-            return nll_and_grad(y, params, TIGHT).value
+            return nll_and_grad(y, params, TIGHT)[0]
 
         params, derivs = link(raw)
-        analytic = nll_and_grad(y, params, TIGHT).grad * derivs
+        analytic = nll_and_grad(y, params, TIGHT)[1] * derivs
         fd = np.zeros(4)
         for j in range(4):
             up, dn = raw.copy(), raw.copy()
@@ -225,10 +225,10 @@ def test_criterion_3_gaussian_reduction():
     mu = rng.normal(0.0, 1.0, size=n)
     sigma = rng.uniform(0.1, 4.0, size=n)
     zeros = np.zeros(n)
-    tukey = nll_and_grad(y, TghParams(mu, sigma, zeros, zeros))
-    gauss = gaussian_nll_and_grad(y, mu, sigma)
-    np.testing.assert_allclose(tukey.value, gauss.value, atol=1e-9, rtol=0)
-    np.testing.assert_allclose(tukey.grad[:, :2], gauss.grad, atol=1e-9, rtol=0)
+    tukey_value, tukey_grad = nll_and_grad(y, TghParams(mu, sigma, zeros, zeros))
+    gauss_value, gauss_grad = gaussian_nll_and_grad(y, mu, sigma)
+    np.testing.assert_allclose(tukey_value, gauss_value, atol=1e-9, rtol=0)
+    np.testing.assert_allclose(tukey_grad[:, :2], gauss_grad, atol=1e-9, rtol=0)
 
 
 @pytest.mark.acceptance(4, "well-specified recovery")

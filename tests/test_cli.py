@@ -293,12 +293,14 @@ class TestEvaluate:
             assert main(["evaluate", "--model", str(path), "--data", str(sim_csv),
                          "--split", "val", "--out", str(tmp_path / "e")]) == 3
 
-    def test_format_1_model_scores_and_damaged_exits_3(self, tmp_path, trained_model, sim_csv):
+    def test_format_1_model_scores_and_damaged_exits_3(self, tmp_path, trained_model, sim_csv,
+                                                       format_2_blob):
         # format 1 wrote the network as its list of layers; a file as it
-        # wrote it scores as its format-2 twin, and one it never wrote fails
+        # wrote it scores as its format-3 twin, and one it never wrote fails
         good = trained_model.read_bytes()
         hlen = int.from_bytes(good[8:12], "little")
         header = json.loads(good[12:12 + hlen])
+        blob = format_2_blob(load_model(trained_model).network)
         relu = {"activation": "relu", "batch_norm": True}
         layers = [dict(relu, in_dim=1, out_dim=16), dict(relu, in_dim=16, out_dim=16),
                   {"activation": "identity", "batch_norm": False, "in_dim": 16, "out_dim": 4}]
@@ -307,7 +309,7 @@ class TestEvaluate:
             network = dict({"head_dim": 4, "late_features": 0, "layers": layers}, **edits)
             old = json.dumps(dict(header, format=1, network=network)).encode()
             return (b"TGHN" + (1).to_bytes(4, "little") + len(old).to_bytes(4, "little")
-                    + old + good[12 + hlen:])
+                    + old + blob)
 
         def evaluate(model, out):
             return main(["evaluate", "--model", str(model), "--data", str(sim_csv),
@@ -539,6 +541,83 @@ def _exits_with_one_line(argv):
     assert all(line.endswith("\n") for line in lines), (argv, lines)
 
 
+# a format-2 model as the previous writer saved it: features lat, lon and
+# the late column year, two batch-norm layers of 6 and 5 units, non-zero b
+FORMAT_2_FILE = Path(__file__).parent / "data" / "format2_bn.tghn"
+
+
+@pytest.fixture(scope="module")
+def model_files(tmp_path_factory):
+    """The bytes of FORMAT_2_FILE's model in formats 1, 2 and 3, by version,
+    and a --data file of its columns whose val split holds 8 rows."""
+    root = tmp_path_factory.mktemp("formats")
+    two = FORMAT_2_FILE.read_bytes()
+    hlen = int.from_bytes(two[8:12], "little")
+    relu = {"activation": "relu", "batch_norm": True}
+    layers = [dict(relu, in_dim=2, out_dim=6), dict(relu, in_dim=7, out_dim=5),
+              {"activation": "identity", "batch_norm": False, "in_dim": 5, "out_dim": 4}]
+    header = json.loads(two[12:12 + hlen])
+    one = json.dumps(dict(header, format=1, network={"head_dim": 4, "late_features": 1,
+                                                     "layers": layers})).encode()
+    save_model(root / "three.tghn", load_model(FORMAT_2_FILE))
+    files = {1: b"TGHN" + (1).to_bytes(4, "little") + len(one).to_bytes(4, "little") + one
+             + two[12 + hlen:], 2: two, 3: (root / "three.tghn").read_bytes()}
+    rng = np.random.default_rng(0)
+    rows = [f"{a:.3f},{b:.3f},{2000 + c:.0f},{d:.3f}"
+            for a, b, c, d in rng.normal([1, 2, 0, -8], [3, 4, 10, 3], size=(40, 4))]
+    data = root / "data.csv"
+    data.write_text("\n".join(["lat,lon,year,y", *rows]) + "\n")
+    return files, data
+
+
+# header values at the edges of what config.read takes
+_EDGE_VALUES = (None, True, 0, -1, 2.5, 1e308, "x", [], {}, [6, 5], ["year"], {"rule": "fraction"})
+
+
+@st.composite
+def _any_model(draw):
+    """Model-file edits: a format (1, 2 or 3), then up to three edits, each
+    a header key (top level or one below) set to an edge value or removed,
+    an 8-byte blob value set to a non-finite or extreme double, or a new
+    version or header length in the preamble; then maybe a cut or a tail
+    of extra bytes.  Returns (version, function of the format's bytes)."""
+    version = draw(st.sampled_from([1, 2, 3]))
+    edits = draw(st.lists(st.tuples(st.sampled_from(["key", "key", "value", "value", "preamble"]),
+                                    st.randoms(use_true_random=False)), max_size=3))
+    end = draw(st.sampled_from(["", "", "cut", "extend"]))
+    end_at = draw(st.integers(0, 2000))
+
+    def apply(raw):
+        hlen = int.from_bytes(raw[8:12], "little")
+        header, blob = json.loads(raw[12:12 + hlen]), bytearray(raw[12 + hlen:])
+        preamble = [version, None]
+        for kind, rnd in edits:
+            if kind == "key":
+                section = rnd.choice(sorted(header))
+                nested = isinstance(header[section], dict) and header[section]
+                target = header[section] if nested else header
+                key = rnd.choice(sorted(target)) if target is not header else section
+                if rnd.random() < 0.2:
+                    del target[key]
+                else:
+                    target[key] = rnd.choice(_EDGE_VALUES)
+            elif kind == "value":
+                at = 8 * rnd.randrange(len(blob) // 8)
+                blob[at:at + 8] = np.array(rnd.choice([np.nan, np.inf, -np.inf, 1e308, -1e308,
+                                                       5e-324]), "<f8").tobytes()
+            else:
+                preamble[rnd.randrange(2)] = rnd.choice([0, 1, 2, 3, 4, 2**32 - 1, 100])
+        text = json.dumps(header).encode()
+        version_at, hlen_at = preamble[0], len(text) if preamble[1] is None else preamble[1]
+        out = (b"TGHN" + version_at.to_bytes(4, "little") + hlen_at.to_bytes(4, "little")
+               + text + bytes(blob))
+        if end == "cut":
+            return out[:end_at % len(out)]
+        return out + bytes(end_at % 17) if end == "extend" else out
+
+    return version, apply
+
+
 @pytest.fixture(scope="module")
 def h_zero_model(tmp_path_factory, trained_model):
     """The trained model with a zero head and bias (0, 0, -5, -800): g is
@@ -720,6 +799,22 @@ class TestExitCodes:
                else ["intervals", "--variant", command, "--out", str(root / "i.csv")])
         _exits_with_one_line([*out, "--model", str(trained_model), "--data", str(data),
                               "--split", split])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=1000)
+    @given(model=_any_model())
+    def test_any_model_file_exits_with_one_line(self, tmp_path_factory, model_files, model):
+        # the exit-code contract over model files of every format, damaged
+        # or not: evaluate exits 0, 2, 3 or 4 with one stderr line, raises
+        # nothing and lets numpy warn about nothing
+        files, data = model_files
+        version, apply = model
+        root = tmp_path_factory.getbasetemp() / "any_model"
+        root.mkdir(exist_ok=True)
+        path = root / "model.tghn"
+        path.write_bytes(apply(files[version]))
+        _exits_with_one_line(["evaluate", "--model", str(path), "--data", str(data),
+                              "--split", "val", "--out", str(root / "e")])
 
 
 class TestThreadCap:

@@ -28,9 +28,15 @@ from tghnet.evaluate import (
 )
 from tghnet.loss import LinkConfig
 from tghnet.nn import load_model
-from tghnet.tgh import ShapeParams, TghParams, sample, standard_normal_cdf, tau
+from tghnet.tgh import ShapeParams, TghParams, standard_normal_cdf, tau
 
 Z_975 = 1.9599639845400542
+
+
+def sample(params, n, seed):
+    """n draws mu + sigma * tau(Z), Z standard normal from the seed."""
+    z = np.random.default_rng(seed).standard_normal(n)
+    return np.asarray(params.mu) + np.asarray(params.sigma) * np.asarray(tau(z, params))
 
 
 class TestResiduals:

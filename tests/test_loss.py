@@ -110,14 +110,14 @@ class TestLink:
 
 class TestNllAndGrad:
     def test_standard_normal_point(self):
-        out = nll_and_grad(0.0, TghParams(0.0, 1.0, 0.0, 0.0))
-        assert out.value == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(out.grad, [0.0, 1.0, 0.0, 0.0], atol=1e-9)
+        value, grad = nll_and_grad(0.0, TghParams(0.0, 1.0, 0.0, 0.0))
+        assert value == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(grad, [0.0, 1.0, 0.0, 0.0], atol=1e-9)
 
     def test_value_at_location(self):
         for sigma in (0.3, 1.0, 2.5):
-            out = nll_and_grad(0.7, TghParams(0.7, sigma, 0.4, 0.3))
-            assert out.value == pytest.approx(math.log(sigma), abs=1e-10)
+            value, _ = nll_and_grad(0.7, TghParams(0.7, sigma, 0.4, 0.3))
+            assert value == pytest.approx(math.log(sigma), abs=1e-10)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -127,17 +127,17 @@ class TestNllAndGrad:
             g = rng.uniform(-1.5, 1.5)
             h = rng.uniform(0, 0.5)
             y = mu + sigma * rng.normal(0, 2)
-            out = nll_and_grad(y, TghParams(mu, sigma, g, h), TIGHT)
+            _, grad = nll_and_grad(y, TghParams(mu, sigma, g, h), TIGHT)
             fd = np.zeros(4)
             for j, val in enumerate((mu, sigma, g, h)):
                 step = 1e-5 * max(1.0, abs(val))
                 args = [mu, sigma, g, h]
                 args[j] = val + step
-                up = nll_and_grad(y, TghParams(*args), TIGHT).value
+                up, _ = nll_and_grad(y, TghParams(*args), TIGHT)
                 args[j] = val - step
-                dn = nll_and_grad(y, TghParams(*args), TIGHT).value
+                dn, _ = nll_and_grad(y, TghParams(*args), TIGHT)
                 fd[j] = (up - dn) / (2 * step)
-            np.testing.assert_allclose(out.grad, fd, rtol=1e-5, atol=1e-7)
+            np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
 
     @given(
         mu=st.floats(-2.0, 2.0),
@@ -163,14 +163,14 @@ class TestNllAndGrad:
         def value(j, k):
             args = list(point)
             args[j] += k * steps[j]
-            return nll_and_grad(y, TghParams(*args), TIGHT).value
+            return nll_and_grad(y, TghParams(*args), TIGHT)[0]
 
         def fd(j):
             if j == 3 and h < 2 * steps[3]:
                 return (4 * value(3, 1) - 3 * value(3, 0) - value(3, 2)) / (2 * steps[3])
             return (8 * (value(j, 1) - value(j, -1)) - value(j, 2) + value(j, -2)) / (12 * steps[j])
 
-        got = nll_and_grad(y, TghParams(*point), TIGHT).grad
+        _, got = nll_and_grad(y, TghParams(*point), TIGHT)
         # d/dmu and d/dsigma scale as 1/sigma: compare them per unit of sigma
         unit = np.array([sigma, sigma, 1.0, 1.0])
         np.testing.assert_allclose(got * unit, [fd(j) * u for j, u in enumerate(unit)],
@@ -182,10 +182,10 @@ class TestNllAndGrad:
         mu = rng.normal(0, 1, size=500)
         sigma = rng.uniform(0.2, 3.0, size=500)
         zeros = np.zeros(500)
-        tk = nll_and_grad(y, TghParams(mu, sigma, zeros, zeros))
-        ga = gaussian_nll_and_grad(y, mu, sigma)
-        np.testing.assert_allclose(tk.value, ga.value, atol=1e-9, rtol=0)
-        np.testing.assert_allclose(tk.grad[:, :2], ga.grad, atol=1e-9, rtol=0)
+        tk_value, tk_grad = nll_and_grad(y, TghParams(mu, sigma, zeros, zeros))
+        ga_value, ga_grad = gaussian_nll_and_grad(y, mu, sigma)
+        np.testing.assert_allclose(tk_value, ga_value, atol=1e-9, rtol=0)
+        np.testing.assert_allclose(tk_grad[:, :2], ga_grad, atol=1e-9, rtol=0)
 
     def test_shift_scale_equivariance(self):
         rng = np.random.default_rng(13)
@@ -197,10 +197,10 @@ class TestNllAndGrad:
             y = mu + sigma * rng.normal(0, 1.5)
             c = rng.normal(0, 3)
             s = rng.uniform(0.2, 5.0)
-            lhs = nll_and_grad(y, TghParams(mu, sigma, g, h)).value
+            lhs, _ = nll_and_grad(y, TghParams(mu, sigma, g, h))
             rhs = nll_and_grad(
                 (y - c) / s, TghParams((mu - c) / s, sigma / s, g, h)
-            ).value + math.log(s)
+            )[0] + math.log(s)
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_value_is_negative_log_density_less_the_constant(self):
@@ -210,7 +210,7 @@ class TestNllAndGrad:
         h = rng.choice([0.0, 1e-300, 0.1, 0.5], n) * rng.uniform(0, 1, n)
         params = TghParams(rng.normal(0, 2, n), rng.uniform(0.1, 5, n), g, h)
         y = params.mu + params.sigma * tgh.tau(rng.normal(0, 3, n), tgh.ShapeParams(g, h))
-        value = nll_and_grad(y, params).value
+        value, _ = nll_and_grad(y, params)
         want = -tgh.log_density(y, params) - 0.5 * math.log(2 * math.pi)
         assert np.all(np.abs(value - want) <= 1e-14 * np.maximum(1.0, np.abs(value)))
 
@@ -228,23 +228,23 @@ class TestNllAndGrad:
 ], ids=["tukey", "gaussian"])
 def test_scalar_target_with_array_parameters(loss, args, width):
     """A scalar result only when every input is scalar, as everywhere in tgh."""
-    out = loss(0.5, args[0], np.array(args[1]))
-    assert out.value.shape == (3,)
-    assert out.grad.shape == (3, width)
+    value, grad = loss(0.5, args[0], np.array(args[1]))
+    assert value.shape == (3,)
+    assert grad.shape == (3, width)
     for i, b in enumerate(args[1]):
-        row = loss(0.5, args[0], b)
-        np.testing.assert_allclose(out.value[i], row.value, rtol=1e-14)
-        np.testing.assert_allclose(out.grad[i], row.grad, rtol=1e-14)
+        row_value, row_grad = loss(0.5, args[0], b)
+        np.testing.assert_allclose(value[i], row_value, rtol=1e-14)
+        np.testing.assert_allclose(grad[i], row_grad, rtol=1e-14)
 
 
 class TestGaussianLoss:
     def test_at_location(self):
-        out = gaussian_nll_and_grad(0.5, 0.5, 2.0)
-        assert out.value == pytest.approx(math.log(2.0))
-        assert out.grad[0] == 0.0
+        value, grad = gaussian_nll_and_grad(0.5, 0.5, 2.0)
+        assert value == pytest.approx(math.log(2.0))
+        assert grad[0] == 0.0
 
     def test_unit_case(self):
-        assert gaussian_nll_and_grad(1.0, 0.0, 1.0).value == pytest.approx(0.5)
+        assert gaussian_nll_and_grad(1.0, 0.0, 1.0)[0] == pytest.approx(0.5)
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
@@ -252,16 +252,16 @@ class TestGaussianLoss:
 
     def test_gradient_matches_finite_differences(self):
         y, mu, sigma = 1.3, 0.4, 0.8
-        out = gaussian_nll_and_grad(y, mu, sigma)
+        _, grad = gaussian_nll_and_grad(y, mu, sigma)
         fd_mu = (
-            gaussian_nll_and_grad(y, mu + 1e-7, sigma).value
-            - gaussian_nll_and_grad(y, mu - 1e-7, sigma).value
+            gaussian_nll_and_grad(y, mu + 1e-7, sigma)[0]
+            - gaussian_nll_and_grad(y, mu - 1e-7, sigma)[0]
         ) / 2e-7
         fd_sigma = (
-            gaussian_nll_and_grad(y, mu, sigma + 1e-7).value
-            - gaussian_nll_and_grad(y, mu, sigma - 1e-7).value
+            gaussian_nll_and_grad(y, mu, sigma + 1e-7)[0]
+            - gaussian_nll_and_grad(y, mu, sigma - 1e-7)[0]
         ) / 2e-7
-        np.testing.assert_allclose(out.grad, [fd_mu, fd_sigma], rtol=1e-6)
+        np.testing.assert_allclose(grad, [fd_mu, fd_sigma], rtol=1e-6)
 
 
 class TestBatchNll:
@@ -271,9 +271,9 @@ class TestBatchNll:
 
     def test_single_sample_equals_pointwise(self):
         mean, head_grad, p = tukey_head_loss(np.array([0.9]), self.RAW)
-        point = nll_and_grad(0.9, TghParams(p.mu[0], p.sigma[0], p.g[0], p.h[0]))
-        assert mean == pytest.approx(point.value, rel=1e-14)
-        np.testing.assert_allclose(head_grad[0], point.grad * link(self.RAW[0])[1], rtol=1e-14)
+        value, grad = nll_and_grad(0.9, TghParams(p.mu[0], p.sigma[0], p.g[0], p.h[0]))
+        assert mean == pytest.approx(value, rel=1e-14)
+        np.testing.assert_allclose(head_grad[0], grad * link(self.RAW[0])[1], rtol=1e-14)
 
     def test_duplicated_sample_keeps_mean(self):
         one, grad1, _ = tukey_head_loss(np.array([0.9]), self.RAW)
@@ -286,7 +286,7 @@ class TestBatchNll:
         raw = np.array([[0.0, 0.5, 0.0, -3.0], [0.5, -0.4, 0.3, 0.2], [1.0, 1.9, -0.4, -1.0]])
         mean, _, p = tukey_head_loss(ys, raw)
         singles = [
-            nll_and_grad(ys[i], TghParams(p.mu[i], p.sigma[i], p.g[i], p.h[i])).value
+            nll_and_grad(ys[i], TghParams(p.mu[i], p.sigma[i], p.g[i], p.h[i]))[0]
             for i in range(3)
         ]
         assert mean == pytest.approx(np.mean(singles), rel=1e-12)
@@ -347,9 +347,9 @@ class TestHeadLosses:
         raw, y = rng.normal(size=(6, 2)), rng.normal(size=6)
         mean, head_grad, params = gaussian_head_loss(y, raw, LinkConfig(), TIGHT)
         assert np.all(params.g == 0.0) and np.all(params.h == 0.0)
-        tk = nll_and_grad(y, params, TIGHT)
-        assert mean == pytest.approx(np.mean(tk.value), rel=1e-12)
-        want = tk.grad[:, :2] * link(raw)[1] / len(y)
+        tk_value, tk_grad = nll_and_grad(y, params, TIGHT)
+        assert mean == pytest.approx(np.mean(tk_value), rel=1e-12)
+        want = tk_grad[:, :2] * link(raw)[1] / len(y)
         np.testing.assert_allclose(head_grad, want, rtol=1e-9, atol=1e-15)
 
     @pytest.mark.parametrize("y", [np.zeros((2, 1)), np.array([0.5])],

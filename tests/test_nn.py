@@ -143,7 +143,7 @@ class TestForward:
         assert np.all(np.abs(got - (want - SHIFT)) <= 1e-15 * scale.max())
 
     def test_folded_eval_forward_matches_normalize_then_scale(self):
-        # the eval forward folds batch norm into w and b; the unfolded
+        # the eval forward folds batch norm into w and a bias; the unfolded
         # gamma * (z - running_mean) / sqrt(running_var + EPS) + beta agrees
         # within 1e-14 of the sum of the absolute terms behind each output
         # (seen up to 0.65 ulp of it over 40 seeds)
@@ -161,8 +161,10 @@ class TestForward:
             if i == 1:  # the late column joins here
                 h = np.concatenate([h, x[:, 2:]], axis=1)
                 terms = np.concatenate([terms, np.abs(x[:, 2:])], axis=1)
-            z, terms = h @ w + b, terms @ np.abs(w) + np.abs(b)
-            if bn is not None:
+            z, terms = h @ w, terms @ np.abs(w)
+            if bn is None:
+                z, terms = z + b, terms + np.abs(b)
+            else:
                 gamma, beta, running_mean, running_var = bn[:4]
                 std = np.sqrt(running_var + EPS)
                 z = np.maximum(gamma * (z - running_mean) / std + beta, 0.0)
@@ -297,32 +299,32 @@ class TestLayerLoop:
         """The train forward, the gradients in parameters() order, the
         running statistics and the eval forward of a two-hidden-layer
         network whose last `late` (0 or 1) input columns are late, layer by
-        layer on copies of its arrays (w, b[, gamma, beta, running_mean,
-        running_var]), in the network's order of arithmetic: a train-mode
-        batch norm adds no b, sums columns by einsum, keeps z centred and
-        puts gamma * inv_std onto the weight products; a ReLU's mask is
-        where its output is > 0."""
+        layer on copies of its arrays (w, b) or (w, gamma, beta, running_mean,
+        running_var), in the network's order of arithmetic: a train-mode
+        batch norm sums columns by einsum, keeps z centred and puts
+        gamma * inv_std onto the weight products; a ReLU's mask is where
+        its output is > 0."""
         bn, base = len(layers[0]) > 2, x.shape[1] - late
         h, inputs, norms = x[:, :base], [], []
-        for i, (w, b, *stats) in enumerate(layers[:2]):
+        for i, (w, *rest) in enumerate(layers[:2]):
             if i == 1 and late:
                 h = np.concatenate([h, x[:, base:]], axis=1)
             inputs.append(h)
             z = h @ w
             if bn:
-                gamma, beta, running_mean, running_var = stats
+                gamma, beta, running_mean, running_var = rest
                 n = len(z)
                 mean = np.einsum("ij->j", z) / n
                 xc = z - mean
                 var = np.einsum("ij,ij->j", xc, xc) / n
                 inv_std = 1.0 / np.sqrt(var + EPS)
-                running_mean[...] = (1.0 - MOMENTUM) * running_mean + MOMENTUM * (mean + b)
+                running_mean[...] = (1.0 - MOMENTUM) * running_mean + MOMENTUM * mean
                 running_var[...] = ((1.0 - MOMENTUM) * running_var
                                     + MOMENTUM * (var * n / max(n - 1, 1)))
                 norms.append((inv_std, xc))
                 z = xc * (gamma * inv_std) + beta
             else:
-                z = z + b
+                z = z + rest[0]
             h = np.maximum(z, 0.0)
         inputs.append(h)
         head_w, head_b = layers[2]
@@ -334,42 +336,43 @@ class TestLayerLoop:
             width = w.shape[1]
             d = d * (inputs[i + 1][:, :width] > 0)
             if bn:
-                gamma, (inv_std, xc), n = layers[i][2], norms[i], len(d)
+                gamma, (inv_std, xc), n = layers[i][1], norms[i], len(d)
                 dgamma = np.einsum("ij,ij->j", d, xc) * inv_std
                 dbeta = np.einsum("ij->j", d)
                 d = d - xc * (inv_std * dgamma / n) - dbeta / n
                 scale = gamma * inv_std
-                grads[:0] = [(inputs[i].T @ d) * scale, np.zeros(width), dgamma, dbeta]
+                grads[:0] = [(inputs[i].T @ d) * scale, dgamma, dbeta]
                 w = w * scale
             else:
                 grads[:0] = [inputs[i].T @ d, np.sum(d, axis=0)]
             if i == 1:
                 d = (d @ w.T)[:, :w.shape[0] - late]  # the late column's gradient stops here
         h = x_eval[:, :base]
-        for i, (w, b, *stats) in enumerate(layers[:2]):
+        for i, (w, *rest) in enumerate(layers[:2]):
             if i == 1 and late:
                 h = np.concatenate([h, x_eval[:, base:]], axis=1)
             if bn:  # batch norm folded into the layer
-                gamma, beta, running_mean, running_var = stats
+                gamma, beta, running_mean, running_var = rest
                 scale = gamma / np.sqrt(running_var + EPS)
-                w, b = w * scale, (b - running_mean) * scale + beta
+                w, b = w * scale, beta - running_mean * scale
+            else:
+                b = rest[0]
             h = np.maximum(h @ w + b, 0.0)
-        running = [layers[i][k] for i in (0, 1) for k in (4, 5)] if bn else []
+        running = [layers[i][k] for i in (0, 1) for k in (3, 4)] if bn else []
         return out, grads, running, h @ head_w + head_b
 
     @staticmethod
     def _textbook(layers, x, head_grad, late):
         """The train forward, the gradients and the running statistics of
         the batch-norm network of _reference, by the textbook formulas:
-        b added and then cancelled by the batch mean, x_hat formed, and
-        the gradient through batch norm as (gamma * inv_std / n) *
-        (n d - dbeta - x_hat dgamma), whose db is 0 up to rounding."""
+        x_hat formed, and the gradient through batch norm as
+        (gamma * inv_std / n) * (n d - dbeta - x_hat dgamma)."""
         base = x.shape[1] - late
         h, saved = x[:, :base], []
-        for i, (w, b, gamma, beta, running_mean, running_var) in enumerate(layers[:2]):
+        for i, (w, gamma, beta, running_mean, running_var) in enumerate(layers[:2]):
             if i == 1 and late:
                 h = np.concatenate([h, x[:, base:]], axis=1)
-            z = h @ w + b
+            z = h @ w
             n = z.shape[0]
             mean = z.mean(axis=0)
             centered = z - mean
@@ -388,33 +391,33 @@ class TestLayerLoop:
         grads = [h.T @ head_grad, np.sum(head_grad, axis=0)]
         d = head_grad @ head_w.T
         for i in (1, 0):
-            w, _, gamma = layers[i][:3]
+            w, gamma = layers[i][:2]
             h, inv_std, x_hat, mask = saved[i]
             d = d * mask
             dgamma, dbeta = np.sum(d * x_hat, axis=0), np.sum(d, axis=0)
             n = d.shape[0]
             d = (gamma * inv_std / n) * (n * d - dbeta - x_hat * dgamma)
-            grads[:0] = [h.T @ d, np.sum(d, axis=0), dgamma, dbeta]
+            grads[:0] = [h.T @ d, dgamma, dbeta]
             if i == 1:
                 d = (d @ w.T)[:, :w.shape[0] - late]
-        return out, grads, [layers[i][k] for i in (0, 1) for k in (4, 5)]
+        return out, grads, [layers[i][k] for i in (0, 1) for k in (3, 4)]
 
     @staticmethod
     def _network(late, batch_norm, rng):
-        """A two-hidden-layer network whose b, gamma, beta and running
-        statistics are drawn away from 0, 1, 0, 0, 1."""
+        """A two-hidden-layer network whose b, or gamma, beta and running
+        statistics, are drawn away from 0, or 1, 0, 0, 1."""
         net = Network(NetworkSpec(3, (16, 12), head_dim=4, late_features=late,
                                   batch_norm=batch_norm), seed=7)
         for _, b, _, _, bn in net.layers[:2]:
-            for view in (b, *(bn[:4] if bn else ())):
+            for view in (bn[:4] if bn else (b,)):
                 view[...] = rng.uniform(0.5, 2.0, view.shape)
         return net
 
     @staticmethod
     def _copies(net):
-        """Per layer, copies of w, b and, with batch norm, gamma, beta,
-        running_mean and running_var."""
-        return [[a.copy() for a in (w, b, *(bn[:4] if bn else ()))]
+        """Per layer, copies of w and b or, with batch norm, of w, gamma,
+        beta, running_mean and running_var."""
+        return [[a.copy() for a in (w, *(bn[:4] if bn else (b,)))]
                 for w, b, _, _, bn in net.layers]
 
     def test_matches_a_per_layer_reference(self):
@@ -444,8 +447,7 @@ class TestLayerLoop:
     def test_matches_the_textbook_formula(self, late):
         # the maths, apart from the order of arithmetic, within 1e-12 of the
         # largest entry of each layer's outputs or gradients: entries near 0
-        # carry the rounding of larger terms that cancel in them, and the
-        # textbook's db is rounding noise where the network writes 0
+        # carry the rounding of larger terms that cancel in them
         def close(got, want, scale):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
@@ -457,7 +459,7 @@ class TestLayerLoop:
             out, grads, running = self._textbook(layers, x, head_grad, late)
             close(net.forward(x, train=True), out, np.abs(out).max())
             for k, (got, want) in enumerate(zip(net.backward(head_grad), grads, strict=True)):
-                layer = grads[k - k % 4:k - k % 4 + 4] if k < 8 else [want]
+                layer = grads[k - k % 3:k - k % 3 + 3] if k < 6 else [want]
                 close(got, want, max(np.abs(g).max() for g in layer))
             for got, want in zip([v for *_, bn in net.layers[:2] for v in bn[2:4]],
                                  running, strict=True):
@@ -503,59 +505,114 @@ class TestLayerLoop:
         assert peak - start <= 2 ** 20
 
 
-class TestPreNormBias:
-    """A batch-norm layer's b: the batch mean cancels it in train mode, so
-    it is not added there and its gradient is exactly 0."""
+# a format-2 file the previous writer saved: a 6- and a 5-unit batch-norm
+# layer, the late column "year", non-zero b, gamma and beta, and running
+# statistics from three train-mode batches
+FORMAT_2_FILE = Path(__file__).parent / "data" / "format2_bn.tghn"
 
-    def test_backward_writes_zero_over_a_nan_filled_grad(self):
-        net = Network(NetworkSpec(3, (16, 12), head_dim=4, late_features=1), seed=2)
+
+def _format_2_layers(raw: bytes, spec: NetworkSpec) -> list[list[np.ndarray]]:
+    """Per layer, views into a writable copy of a format 1 or 2 file's blob:
+    w, b, then for a batch-norm layer gamma, beta, running_mean, running_var."""
+    blob = np.frombuffer(raw, "<f8", offset=12 + int.from_bytes(raw[8:12], "little")).copy()
+    at, layers = 0, []
+
+    def take(*shape):
+        nonlocal at
+        at += math.prod(shape)
+        return blob[at - math.prod(shape):at].reshape(shape)
+
+    for i, (n_in, n_out) in enumerate(spec.layer_dims()):
+        bn = spec.batch_norm and i < len(spec.hidden)
+        layers.append([take(n_in, n_out), take(n_out), *((take(n_out), take(n_out)) if bn else ())])
+    for layer in layers:
+        layer += [take(len(layer[1])), take(len(layer[1]))] if len(layer) > 2 else []
+    assert at == len(blob)
+    return layers
+
+
+def _format_2_forward(layers, spec: NetworkSpec, x):
+    """The eval forward as formats 1 and 2 ran it, with the fold
+    (b - running_mean) * s + beta."""
+    base, h = spec.base_features, x[:, :spec.base_features]
+    for i, (w, b, *bn) in enumerate(layers):
+        if i == len(spec.hidden) - 1 and spec.late_features:
+            h = np.concatenate([h, x[:, base:]], axis=1)
+        if bn:
+            gamma, beta, running_mean, running_var = bn
+            s = gamma / np.sqrt(running_var + EPS)
+            h = h @ (w * s) + ((b - running_mean) * s + beta)
+        else:
+            h = h @ w + b
+        h = np.maximum(h, 0.0) if i < len(spec.hidden) else h
+    return h
+
+
+class TestPreNormBias:
+    """A batch-norm layer has no b: its batch mean would cancel one.
+    Formats 1 and 2 stored such a b, which load_model folds into
+    running_mean, so that those files score as they did."""
+
+    def test_batch_norm_layers_have_no_bias(self):
+        spec = NetworkSpec(3, (16, 12), head_dim=4, late_features=1)
+        net = Network(spec, seed=2)
+        # W then gamma, beta per hidden layer, the head's W and b, the running statistics
+        assert spec.state_size == 2 * 16 + 2 * 16 + 17 * 12 + 2 * 12 + 12 * 4 + 4 + 2 * 28
+        for _, b, _, db, bn in net.layers[:2]:
+            assert bn is not None and b is None and db is None
         rng = np.random.default_rng(2)
         net.forward(rng.normal(size=(64, 3)), train=True)
         net.grad[...] = np.nan
         net.backward(rng.normal(size=(64, 4)))
-        for _, _, _, db, bn in net.layers[:2]:
-            assert bn is not None and np.all(db == 0.0)
         assert np.all(np.isfinite(net.grad))
-        assert np.all(net.layers[2][3] != 0.0)  # the head's b has a gradient
-
-    def test_training_leaves_it_at_zero(self):
+        # training moves running_mean to the batch means without a b
         x, y, tr, va = _toy_data(500)
         net = Network(NetworkSpec(1, (8, 8), head_dim=2), seed=3)
         train(net, x, y, tr, va, AdamConfig(lr=1e-2), TrainConfig(epochs=2, batch_size=64),
               seed=5)
-        for _, b, _, _, bn in net.layers[:2]:
-            assert bn is not None and np.all(b == 0.0)
-            assert np.all(bn[2] != 0.0)  # running_mean has moved
+        for *_, bn in net.layers[:2]:
+            assert np.all(bn[2] != 0.0)
 
     def test_non_zero_bias_survives_save_and_load(self, tmp_path):
-        # files from earlier versions can carry a non-zero b next to a
-        # running_mean that includes it; the eval fold reads both
-        net = Network(NetworkSpec(3, (6, 5), head_dim=4, late_features=1), seed=4)
-        rng = np.random.default_rng(4)
-        for _, b, _, _, bn in net.layers[:2]:
-            b[...] = rng.normal(0.0, 2.0, b.shape)
-            bn[0][...], bn[1][...] = rng.uniform(0.5, 2.0, b.shape), rng.normal(size=b.shape)
-            bn[2][...], bn[3][...] = b + rng.normal(size=b.shape), rng.uniform(0.5, 3.0, b.shape)
-        columns = ("lat", "lon", "year")
+        # bit for bit, in process, against the fold read from the raw blob;
+        # re-saved, the file is format 3 and scores the same
+        loaded = load_model(FORMAT_2_FILE)
+        spec, st = loaded.header.spec, loaded.header.data.standardization
+        layers = _format_2_layers(FORMAT_2_FILE.read_bytes(), spec)
+        assert all(np.all(layer[1] != 0.0) for layer in layers)
+        x = np.random.default_rng(4).normal(size=(500, 3)) * st.scale + st.mean
+        want = _format_2_forward(layers, spec, st.apply(x))
+        np.testing.assert_array_equal(loaded.network.forward(st.apply(x)), want)
         path = tmp_path / "model.tghn"
-        save_model(path, _bundle_of(net, "tukey", columns, ("year",)))
+        save_model(path, loaded)
+        assert path.read_bytes()[4:8] == (3).to_bytes(4, "little")
+        for bundle in (loaded, load_model(path)):
+            got, linked = bundle.predict_params(x), link(want, bundle.header.link)[0]
+            for name in ("mu", "sigma", "g", "h"):
+                assert getattr(got, name).tobytes() == getattr(linked, name).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_fold_loads_and_scores_as_before(self, tmp_path):
+        # running_mean - b overflows to inf, and (b - running_mean) to -inf:
+        # the unit is off either way, and no numpy warning is raised
+        raw = FORMAT_2_FILE.read_bytes()
+        spec = load_model(FORMAT_2_FILE).header.spec
+        layers = _format_2_layers(raw, spec)
+        layers[1][1][2], layers[1][4][2] = -1e308, 1e308
+        path = tmp_path / "model.tghn"
+        blob = np.concatenate([a.ravel() for layer in layers for a in layer[:4]]
+                              + [a for layer in layers[:2] for a in layer[4:]])
+        path.write_bytes(raw[:12 + int.from_bytes(raw[8:12], "little")] + blob.tobytes())
         loaded = load_model(path)
-        assert loaded.network.state.tobytes() == net.state.tobytes()
-        x = rng.normal(size=(50, 3))
-        h = x[:, :2]
-        for i, (w, b, _, _, bn) in enumerate(net.layers):
-            if i == 1:
-                h = np.concatenate([h, x[:, 2:]], axis=1)
-            if bn is None:
-                h = h @ w + b
-            else:
-                gamma, beta, running_mean, running_var = bn[:4]
-                s = gamma / np.sqrt(running_var + EPS)
-                h = np.maximum(h @ (w * s) + ((b - running_mean) * s + beta), 0.0)
-        np.testing.assert_array_equal(loaded.network.forward(x), h)
-        got, want = loaded.predict_params(x), link(h, loaded.header.link)[0]
+        assert loaded.network.layers[1][4][2][2] == np.inf
+        st = loaded.header.data.standardization
+        x = np.random.default_rng(5).normal(size=(300, 3)) * st.scale + st.mean
+        with np.errstate(over="ignore"):
+            want = _format_2_forward(_format_2_layers(path.read_bytes(), spec), spec, st.apply(x))
+        np.testing.assert_array_equal(loaded.network.forward(st.apply(x)), want)
+        got, linked = loaded.predict_params(x), link(want, loaded.header.link)[0]
         for name in ("mu", "sigma", "g", "h"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert getattr(got, name).tobytes() == getattr(linked, name).tobytes()
 
 
 class TestAdam:
@@ -812,6 +869,20 @@ def _write_format_1(path, header: dict, blob: bytes):
                      + encoded + blob)
 
 
+def _format_header(version):
+    """The header save_model wrote for TestPersistence._bundle() in format 2 or 3."""
+    return (
+        '{"data": {"feature_columns": ["lat", "lon", "year"], "late_columns": ["year"], '
+        '"standardization": {"columns": ["lat", "lon", "year"], '
+        '"mean": [1.0, 2.0, 2000.0], "scale": [3.0, 4.0, 10.0]}, "target_column": "y"}, '
+        f'"format": {version}, "link": {{"g_max": 2.0, "h_max": 0.5, "sigma_floor": 0.0001}}, '
+        '"loss": "tukey", "network": {"batch_norm": true, "hidden": [6, 5]}, '
+        '"solver": {"abs_tolerance": 1e-12, "initial_half_width": 8.0, '
+        '"max_bisection_iters": 200, "max_bracket_doublings": 60}, '
+        '"split_rule": {"fraction": 0.8, "rule": "fraction", "seed": 0}}'
+    )
+
+
 def _assert_same_bundle(got, want):
     assert got.header == want.header
     assert got.network.state.tobytes() == want.network.state.tobytes()
@@ -860,36 +931,37 @@ class TestPersistence:
         x = np.random.default_rng(5).normal(size=(10, 3))
         np.testing.assert_array_equal(loaded.forward(x), other.forward(x))
 
-    def test_header_bytes_are_format_1(self, tmp_path):
+    def test_header_bytes_are_format_1(self, tmp_path, format_2_blob):
         # the header format-1 save_model wrote for this bundle still loads
         bundle = self._bundle()
         path = tmp_path / "model.tghn"
-        _write_format_1(path, json.loads(FORMAT_1_HEADER), bundle.network.state.tobytes())
+        _write_format_1(path, json.loads(FORMAT_1_HEADER), format_2_blob(bundle.network))
         assert path.read_bytes()[12:12 + len(FORMAT_1_HEADER)].decode() == FORMAT_1_HEADER
         _assert_same_bundle(load_model(path), bundle)
 
-    def test_header_bytes_are_format_2(self, tmp_path):
+    def test_header_bytes_are_format_2(self, tmp_path, format_2_blob):
+        # the header format-2 save_model wrote for this bundle still loads
+        bundle = self._bundle()
+        header = _format_header(2).encode()
+        path = tmp_path / "model.tghn"
+        path.write_bytes(b"TGHN" + (2).to_bytes(4, "little") + len(header).to_bytes(4, "little")
+                         + header + format_2_blob(bundle.network))
+        _assert_same_bundle(load_model(path), bundle)
+
+    def test_header_bytes_are_format_3(self, tmp_path):
         path = tmp_path / "model.tghn"
         save_model(path, self._bundle())
         raw = path.read_bytes()
         hlen = int.from_bytes(raw[8:12], "little")
-        assert raw[12:12 + hlen].decode() == (
-            '{"data": {"feature_columns": ["lat", "lon", "year"], "late_columns": ["year"], '
-            '"standardization": {"columns": ["lat", "lon", "year"], '
-            '"mean": [1.0, 2.0, 2000.0], "scale": [3.0, 4.0, 10.0]}, "target_column": "y"}, '
-            '"format": 2, "link": {"g_max": 2.0, "h_max": 0.5, "sigma_floor": 0.0001}, '
-            '"loss": "tukey", "network": {"batch_norm": true, "hidden": [6, 5]}, '
-            '"solver": {"abs_tolerance": 1e-12, "initial_half_width": 8.0, '
-            '"max_bisection_iters": 200, "max_bracket_doublings": 60}, '
-            '"split_rule": {"fraction": 0.8, "rule": "fraction", "seed": 0}}'
-        )
-        assert raw[:12] == b"TGHN" + (2).to_bytes(4, "little") + hlen.to_bytes(4, "little")
+        assert raw[12:12 + hlen].decode() == _format_header(3)
+        assert raw[:12] == b"TGHN" + (3).to_bytes(4, "little") + hlen.to_bytes(4, "little")
 
     @given(loss=st.sampled_from(["tukey", "gaussian"]), n=st.integers(1, 4), data=st.data(),
            hidden=st.lists(st.integers(1, 16), min_size=1, max_size=3),
            batch_norm=st.booleans(), standardized=st.booleans())
     @settings(max_examples=40)
-    def test_network_section_round_trips(self, loss, n, data, hidden, batch_norm, standardized):
+    def test_network_section_round_trips(self, loss, n, data, hidden, batch_norm, standardized,
+                                         format_2_blob):
         late = data.draw(st.integers(0, n - 1), label="late")
         columns = tuple(f"c{i}" for i in range(n))
         scale = np.arange(1.0, n + 1.0)
@@ -911,7 +983,7 @@ class TestPersistence:
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
             old = dict(asdict(header), format=1, network=_format_1_network(
                 n, hidden, 4 if loss == "tukey" else 2, late, batch_norm))
-            _write_format_1(path, old, bundle.network.state.tobytes())
+            _write_format_1(path, old, format_2_blob(bundle.network))
             _assert_same_bundle(load_model(path), bundle)
 
     def test_sidecar_json_written(self, tmp_path):

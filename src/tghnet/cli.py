@@ -76,14 +76,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _score_split(args, score):
-    """The scoring of evaluate and intervals: the model's header, and the
-    features, targets, predicted parameters and score(y, params, solver
-    settings) of the rows of --data that the model's split rule puts in
-    --split.  An error at a row, from the network's head or from the score's
-    solve, names its data row of --data, counting rows with a dropped target."""
-    from .data import load_csv
+def _score_split(args, out, names, score, out_dir=None):
+    """evaluate's and intervals' one pass over the --split rows of --data, by
+    blocks: score(y, params, solver) gives (columns, kept); y and the columns
+    go to the CSV at out, headed names (out_dir is made and out opened after
+    the load and split checks).  Returns the header, x, y and the joined kept
+    arrays.  An error at a row names its --data row, counting dropped rows."""
+    from .data import csv_writer, load_csv
+    from .evaluate import BLOCK
     from .nn import load_model
+    from .tgh import by_blocks
 
     bundle = load_model(args.model)
     header = bundle.header
@@ -94,10 +96,17 @@ def _score_split(args, score):
     if len(rows) == 0:
         raise DataError(f"split {args.split!r} is empty for this dataset")
     x, y, data_rows = dataset.x[rows], dataset.y[rows], dataset.source_rows[rows]
-    del dataset, rows  # the score runs holding the split's rows, not the whole file's
-    with row_map(data_rows):
-        params = bundle.predict_params(x)
-        return header, x, y, params, score(y, params, header.solver)
+    del dataset, rows  # the pass runs holding the split's rows, not the whole file's
+
+    def block(x, y):
+        columns, kept = score(y, bundle.predict_params(x), header.solver)
+        write(y, *columns)
+        return kept
+
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+    with row_map(data_rows), csv_writer(out, names) as write:
+        return header, x, y, by_blocks(block, BLOCK, x, y)
 
 
 def cmd_simulate(args) -> None:
@@ -186,19 +195,17 @@ def cmd_evaluate(args) -> None:
     import numpy as np
 
     from .data import write_csv, write_json
-    from .evaluate import binned_residual_summary, coverage_table, ks_critical_value, residuals
+    from .evaluate import (ResidualReport, binned_residual_summary, coverage_table,
+                           ks_critical_value, residuals)
 
-    header, x, y, params, report = _score_split(args, residuals)
-
-    os.makedirs(args.out, exist_ok=True)
-    write_csv(os.path.join(args.out, "report.csv"), {
-        "y": y, "mu": params.mu, "sigma": params.sigma, "g": params.g, "h": params.h,
-        "z_hat": report.z_hat, "u": report.u,
-    })
-    write_csv(os.path.join(args.out, "qq.csv"),
-              {"theoretical": report.qq_theoretical, "empirical": report.qq_empirical})
+    header, x, y, held = _score_split(
+        args, os.path.join(args.out, "report.csv"), ("y", "mu", "sigma", "g", "h", "z_hat", "u"),
+        lambda y, p, solver: (
+            (p.mu, p.sigma, p.g, p.h, (r := residuals(y, p, solver)).z_hat, r.u), r),
+        out_dir=args.out)
+    report = ResidualReport(*held)
     edges, means, counts = binned_residual_summary(x[:, 0], report.u)
-    write_json(os.path.join(args.out, "summary.json"), {
+    summary = {
         "n": len(y),
         "mean_nll": report.mean_nll,
         "ks_statistic": report.ks_statistic,
@@ -211,41 +218,43 @@ def cmd_evaluate(args) -> None:
         "u_bin_edges": [float(v) for v in edges],
         "u_bin_means": [None if v != v else float(v) for v in means],
         "u_bin_counts": [int(v) for v in counts],
-    })
+    }
+    write_json(os.path.join(args.out, "summary.json"), summary)
+    # the QQ pairs, the two largest summary arrays, come last
+    qq = report.qq_theoretical, report.qq_empirical
+    write_csv(os.path.join(args.out, "qq.csv"), dict(zip(("theoretical", "empirical"), qq)))
     if args.svg:
         from .svg import render_plot
 
-        render_plot(
-            args.svg,
-            [(report.qq_theoretical, report.qq_empirical, "residuals"),
-             (report.qq_theoretical, report.qq_theoretical, "ideal")],
-            title="residual QQ", xlabel="normal quantile", ylabel="empirical",
-        )
-    print(f"evaluated {len(y)} rows: mean NLL {report.mean_nll:.6f}, "
-          f"KS {report.ks_statistic:.6f}")
+        render_plot(args.svg, [(*qq, "residuals"), (qq[0], qq[0], "ideal")],
+                    title="residual QQ", xlabel="normal quantile", ylabel="empirical")
+    print(f"evaluated {len(y)} rows: mean NLL {summary['mean_nll']:.6f}, "
+          f"KS {summary['ks_statistic']:.6f}")
 
 
 def cmd_intervals(args) -> None:
     import numpy as np
 
-    from .data import write_csv, write_json
-    from .evaluate import check_alpha, interval_coverage, shortest_interval, symmetric_interval
+    from .data import write_json
+    from .evaluate import check_alpha, shortest_interval, symmetric_interval
 
     try:
         check_alpha(args.alpha, args.variant)
     except ValueError as exc:
         raise UsageError(f"--alpha: {exc}") from None
     interval = symmetric_interval if args.variant == "symmetric" else shortest_interval
-    _, _, y, _, iv = _score_split(args, lambda y, params, _: interval(params, args.alpha))
-    write_csv(args.out, {"y": y, "lower": iv.lower, "upper": iv.upper, "gamma": iv.gamma})
-    coverage = interval_coverage(y, iv.lower, iv.upper)
+    _, _, y, (inside, length) = _score_split(
+        args, args.out, ("y", "lower", "upper", "gamma"),
+        lambda y, p, _: ((iv := interval(p, args.alpha)),
+                         ((y >= iv.lower) & (y <= iv.upper), iv.upper - iv.lower)))
+    coverage = float(np.mean(inside))
     write_json(f"{args.out}.summary.json", {
         "alpha": args.alpha,
         "variant": args.variant,
         "split": args.split,
         "n": len(y),
         "coverage": coverage,
-        "mean_length": float(np.mean(iv.upper - iv.lower)),
+        "mean_length": float(np.mean(length)),
     })
     print(f"{args.variant} {1 - args.alpha:.0%} intervals on {len(y)} rows: "
           f"coverage {coverage:.4f}")

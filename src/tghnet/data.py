@@ -13,9 +13,9 @@ empty or "na" target keeps the file vectorised.  When that pass raises (a
 non-ASCII or "1_0" feature cell, a short or whitespace-only row, an
 unparseable target) or a kept row has a non-finite feature, the file is
 parsed again by the per-cell loop, which is the reference: it names the
-failing row and column.  write_csv formats whole columns of one shape, in
-C order, at a time (repr of each float, joined per row) in blocks of
-_WRITE_BLOCK cells; its bytes equal a per-row csv.writer's.
+failing row and column.  csv_writer appends blocks of columns of one shape,
+in C order (repr of each float, joined per row), _WRITE_BLOCK cells per
+write; the bytes equal a per-row csv.writer's, whatever the blocks.
 
 A split is its row indices: a rule's apply returns {"train", "val",
 "test"}, each an ascending index array into the dataset.  The fraction
@@ -33,14 +33,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DataError
 
-# write_csv formats this many cells of each column per write, which bounds its
+# csv_writer formats this many cells of each column per write, which bounds its
 # memory; 50k rows x 7 columns write no slower at 1024 than at 2048 or 4096
 _WRITE_BLOCK = 1024
 
@@ -162,10 +164,10 @@ def _parse_columns(fh, target_pos: int, feature_pos: list[int]):
                            converters={target_pos: _target_value},
                            comments=None, quotechar='"', ndmin=2)
     keep = np.isfinite(cells[:, 0])
-    x = cells[keep, 1:]
-    if not np.all(np.isfinite(x)):
+    cells = cells if keep.all() else cells[keep]  # x and y: views of one array
+    if not np.all(np.isfinite(cells[:, 1:])):
         raise ValueError("non-finite feature cell")
-    return x, cells[keep, 0], len(keep) - int(np.count_nonzero(keep)), np.flatnonzero(keep)
+    return cells[:, 1:], cells[:, 0], len(keep) - len(cells), np.flatnonzero(keep)
 
 
 def _parse_rows(path, reader, target_column: str, feature_columns: tuple[str, ...],
@@ -219,22 +221,34 @@ def _parse_rows(path, reader, target_column: str, feature_columns: tuple[str, ..
 
 
 def write_csv(path, columns: dict[str, np.ndarray]) -> None:
-    """Write named columns as CSV with shortest round-trip float formatting.
+    """Write named columns as CSV: one block of csv_writer."""
+    with csv_writer(path, list(columns)) as write:
+        write(*columns.values())
 
-    The columns share one shape, of any dimension, and are read in C order.
-    The bytes equal a per-row csv.writer of repr(float(cell)): the header
-    goes through csv.writer, and the body is formatted whole columns at a
-    time, _WRITE_BLOCK cells per write.
-    """
-    names = list(columns)
-    arrays = [np.asarray(columns[n], dtype=float) for n in names]
-    if any(a.shape != arrays[0].shape for a in arrays):
-        raise DataError("all columns must have one shape")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(names)
+
+@contextmanager
+def csv_writer(path, names):
+    """Open path as a CSV headed names, and yield write(*columns), which
+    appends the rows of one column per name, all of one shape.  A failure
+    inside the with block removes the file: no partial CSV is left."""
+
+    def write(*columns):
+        arrays = [np.asarray(c, dtype=float) for c in columns]
+        if len(arrays) != len(names) or any(a.shape != arrays[0].shape for a in arrays):
+            raise DataError("all columns must have one shape, one per name")
         for start in range(0, arrays[0].size, _WRITE_BLOCK):
             cells = (map(repr, a.flat[start:start + _WRITE_BLOCK].tolist()) for a in arrays)
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+    fh = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            csv.writer(fh).writerow(names)
+            yield write
+    except BaseException:
+        if os.path.isfile(path):  # not a device such as /dev/null
+            os.remove(path)
+        raise
 
 
 def write_json(path, obj) -> None:

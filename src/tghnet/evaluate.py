@@ -17,7 +17,6 @@ Berger, Statistical Inference, Thm 9.3.2), found by tgh.safeguarded_newton.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +40,6 @@ __all__ = [
     "symmetric_interval",
     "shortest_interval",
     "check_alpha",
-    "interval_coverage",
     "coverage_table",
     "density_curve",
     "binned_residual_summary",
@@ -53,23 +51,38 @@ _X_EDGE = np.log((1.0 - _GAMMA_EDGE) / _GAMMA_EDGE)
 _X_TOL = 1e-10
 # shortest_interval stops a row's search after this many secant steps
 _MAX_STEPS = 100
-# Rows per block of the row-wise passes (residuals with its QQ and KS ranks,
-# intervals, density): a block's temporaries reuse freed pages instead of
-# faulting in new ones.  At 4096 rows a solve runs faster than at 1024;
-# write_csv writes by its own, smaller block of 1024 cells per column.
-_BLOCK = 4096
+# Rows per block of the row-wise passes (the scoring commands' one pass,
+# residuals with its QQ and KS ranks, intervals, density): a block's
+# temporaries reuse freed pages instead of faulting in new ones, and a solve
+# runs faster than at 1024 rows, csv_writer's own block of cells per column.
+BLOCK = 4096
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """Per-sample residuals plus summary statistics."""
+class ResidualReport(NamedTuple):
+    """Per-sample residuals z_hat and u, and negative log densities nll.  The
+    summaries are computed from all rows when read (the QQ quantiles and the
+    KS distance by blocks of ranks), so arrays joined from blocks may form one."""
 
     z_hat: np.ndarray
     u: np.ndarray
-    qq_theoretical: np.ndarray
-    qq_empirical: np.ndarray
-    ks_statistic: float
-    mean_nll: float
+    nll: np.ndarray
+
+    @property
+    def mean_nll(self) -> float:
+        return float(np.mean(self.nll))
+
+    @property
+    def ks_statistic(self) -> float:
+        return ks_uniform(self.u)
+
+    @property
+    def qq_empirical(self) -> np.ndarray:
+        return np.sort(self.z_hat)
+
+    @property
+    def qq_theoretical(self) -> np.ndarray:  # at the plotting positions k/(n+1)
+        n = len(self.z_hat)
+        return _by_rank(lambda _, k: (standard_normal_quantile(k / (n + 1.0)),), self.z_hat)[0]
 
 
 class PredictionInterval(NamedTuple):
@@ -88,10 +101,10 @@ class PredictionInterval(NamedTuple):
 
 
 def _by_rank(fn, values: np.ndarray):
-    """tgh.by_blocks of fn(block, k) over _BLOCK-row blocks of values, with k
+    """tgh.by_blocks of fn(block, k) over BLOCK-row blocks of values, with k
     the 1-based ranks of the block's rows, so that no index array of the
     full length is held."""
-    return tgh.by_blocks(lambda v, k: fn(v, np.arange(k.start, k.stop)), _BLOCK,
+    return tgh.by_blocks(lambda v, k: fn(v, np.arange(k.start, k.stop)), BLOCK,
                          values, range(1, len(values) + 1))
 
 
@@ -131,33 +144,13 @@ def _residual_block(y, mu, sigma, g, h, cfg):
 
 
 def residuals(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER) -> ResidualReport:
-    """Residual report of targets against per-sample parameters.
-
-    One inverse solve gives z_hat, from which u and mean_nll follow, by
-    blocks of rows; the QQ quantiles and the KS distance run by blocks of
-    ranks, so that beyond the returned arrays only the per-row NLL (until
-    its mean is taken) and the sorted u that the KS distance needs are
-    held.  Uniform residuals are clipped into the open interval at the
-    float boundary (Phi saturates to exactly 0/1 for |z_hat| beyond ~39).
-    """
-    z_hat, u, nll = tgh.by_blocks(lambda *rows: _residual_block(*rows, cfg), _BLOCK,
-                                  *np.broadcast_arrays(y, params.mu, params.sigma, params.g,
-                                                       params.h))
-    mean_nll = float(np.mean(nll))
-    del nll
-    ks_statistic = ks_uniform(u)
-    qq_empirical = np.sort(z_hat)
-    n = len(z_hat)
-    qq_theoretical, = _by_rank(lambda _, k: (standard_normal_quantile(k / (n + 1.0)),),
-                               qq_empirical)
-    return ResidualReport(
-        z_hat=z_hat,
-        u=u,
-        qq_theoretical=qq_theoretical,
-        qq_empirical=qq_empirical,
-        ks_statistic=ks_statistic,
-        mean_nll=mean_nll,
-    )
+    """Residual report of targets against per-sample parameters, from one
+    inverse solve by blocks of rows.  Uniform residuals are clipped into the
+    open interval at the float boundary (Phi saturates to exactly 0/1 for
+    |z_hat| beyond ~39)."""
+    return ResidualReport(*tgh.by_blocks(
+        lambda *rows: _residual_block(*rows, cfg), BLOCK,
+        *np.broadcast_arrays(y, params.mu, params.sigma, params.g, params.h)))
 
 
 def check_alpha(alpha: float, variant: str) -> None:
@@ -199,7 +192,7 @@ def shortest_interval(params: TghParams, alpha: float) -> PredictionInterval:
     """
     check_alpha(alpha, "shortest")
     fields = np.broadcast_arrays(params.mu, params.sigma, params.g, params.h)
-    got = tgh.by_blocks(lambda *p: _shortest_block(TghParams(*p), alpha), _BLOCK,
+    got = tgh.by_blocks(lambda *p: _shortest_block(TghParams(*p), alpha), BLOCK,
                         *map(np.atleast_1d, fields))
     return PredictionInterval(*(v.reshape(fields[0].shape) for v in got))
 
@@ -238,13 +231,6 @@ def _shortest_block(params: TghParams, alpha: float):
     return tuple(np.take_along_axis(v, pick, 0)[0] for v in (lower, upper, cand))
 
 
-def interval_coverage(y, lower, upper) -> float:
-    """Fraction of targets inside [lower, upper]."""
-    y = np.asarray(y, dtype=float)
-    inside = (y >= np.asarray(lower)) & (y <= np.asarray(upper))
-    return float(np.mean(inside))
-
-
 def coverage_table(u, alphas=(0.5, 0.2, 0.1, 0.05, 0.01)) -> dict[str, float]:
     """Empirical coverage of symmetric intervals at several levels, from the
     uniform residuals u = Phi(z_hat) with no quantile pass.
@@ -263,7 +249,7 @@ def density_curve(params: TghParams, y_grid,
                   cfg: InverseSolverConfig = DEFAULT_SOLVER) -> np.ndarray:
     """Density values exp(log_density) on a sorted target grid, solved with
     cfg by blocks along the last axis of the broadcast shape, each about
-    _BLOCK values, so that memory beyond the result does not grow with
+    BLOCK values, so that memory beyond the result does not grow with
     the grid."""
     y_grid = np.asarray(y_grid, dtype=float)
     if np.any(np.diff(y_grid) < 0):
@@ -271,7 +257,7 @@ def density_curve(params: TghParams, y_grid,
     fields = np.broadcast_arrays(y_grid, params.mu, params.sigma, params.g, params.h)
     curves = max(1, int(np.prod(fields[0].shape[:-1])))
     return tgh.by_blocks(lambda y, *p: (np.exp(tgh.log_density(y, TghParams(*p), cfg)),),
-                         max(1, _BLOCK // curves), *fields, axis=-1)[0]
+                         max(1, BLOCK // curves), *fields, axis=-1)[0]
 
 
 def binned_residual_summary(feature, u, n_bins: int = 10):

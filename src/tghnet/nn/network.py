@@ -101,8 +101,8 @@ class Network:
     ``grad`` (filled by backward()) has the same layout.  ``layers`` holds
     per layer the views (w, b, dw, db, bn) into both, bn being None or
     (gamma, beta, running_mean, running_var, dgamma, dbeta) and b, db None.
-    W starts uniform in +-sqrt(6 / in_dim) from the seed, b and beta at 0,
-    gamma at 1.
+    W starts uniform in +-sqrt(6 / in_dim) from the seed (at 0 with seed
+    None, for a state that is read in whole), b and beta at 0, gamma at 1.
 
     Batch norm normalizes with the batch mean, which would cancel a b, and
     the (biased) variance in train mode; the running statistics move
@@ -117,7 +117,7 @@ class Network:
     only arrays it made and grad, so a second call repeats the gradients.
     """
 
-    def __init__(self, spec: NetworkSpec, seed: int = 0):
+    def __init__(self, spec: NetworkSpec, seed: int | None = 0):
         self.spec = spec
         shapes, stats = spec.state_shapes()
         n_params = sum(math.prod(s) for s in shapes)
@@ -128,12 +128,13 @@ class Network:
         self._param_views = views[:len(shapes)]
         self._grad_views = _views(self.grad, shapes)
         p, s, g = iter(self._param_views), iter(views[len(shapes):]), iter(self._grad_views)
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         self.layers: list[tuple] = []
         for i in range(len(spec.hidden) + 1):
             w, dw = next(p), next(g)
-            bound = np.sqrt(6.0 / w.shape[0])
-            w[...] = rng.uniform(-bound, bound, size=w.shape)
+            if rng is not None:
+                bound = np.sqrt(6.0 / w.shape[0])
+                w[...] = rng.uniform(-bound, bound, size=w.shape)
             bn = None
             if spec.batch_norm and i < len(spec.hidden):
                 bn = tuple(next(it) for it in (p, p, s, s, g, g))

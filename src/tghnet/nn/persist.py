@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ..data import ByColumnSplit, FractionSplit, Standardization, write_json
-from ..errors import ConfigError, DataError
+from ..errors import ConfigError, DataError, NumericalError
 from ..loss import LOSS_KINDS, LinkConfig, link
 from ..tgh import InverseSolverConfig, TghParams, by_blocks
 from .network import EVAL_CHUNK, Network, NetworkConfig, NetworkSpec
@@ -116,10 +116,20 @@ class ModelBundle:
         return TghParams(*by_blocks(params, EVAL_CHUNK, np.asarray(x, dtype=float)))
 
 
+def _check_finite(path, blob: np.ndarray, offset: int, error) -> None:
+    """Raise error at the byte of the first non-finite value of a blob at offset."""
+    bad = np.flatnonzero(~np.isfinite(blob))
+    if len(bad):
+        raise error(f"{path}: non-finite value {float(blob[bad[0]])} "
+                    f"at byte {offset + 8 * int(bad[0])} of the parameter blob")
+
+
 def save_model(path, bundle: ModelBundle) -> None:
-    """Write the model file and its JSON sidecar; a non-finite header number raises first."""
+    """Write the model file and its JSON sidecar.  A non-finite header number
+    or state value (NumericalError, at its byte) raises before any is opened."""
     header = asdict(bundle.header)
     encoded = json.dumps(header, sort_keys=True, allow_nan=False).encode("utf-8")
+    _check_finite(path, bundle.network.state, 12 + len(encoded), NumericalError)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
@@ -183,12 +193,8 @@ def load_model(path) -> ModelBundle:
         raise DataError(f"{path}: parameter blob at byte {offset} holds "
                         f"{len(blob) - offset} bytes, the header's network needs {8 * size}")
     stored = np.frombuffer(blob, "<f8", size, offset)
-    bad = ~np.isfinite(stored)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise DataError(f"{path}: non-finite value {float(stored[i])} "
-                        f"at byte {offset + 8 * i} of the parameter blob")
-    net = Network(spec, seed=0)
+    _check_finite(path, stored, offset, DataError)
+    net = Network(spec, seed=None)  # every value is read below: no draw
     if size == spec.state_size:
         net.state[...] = stored
     else:  # formats 1 and 2: a b after each batch-norm W, folded into running_mean

@@ -158,10 +158,10 @@ def _ret(value):
 def by_blocks(fn, block: int, *arrays, axis: int = 0):
     """The one row-block loop: fn(*parts) on blocks of at most `block`
     entries along the first (axis=0) or last (axis=-1) axis of the arrays,
-    its outputs joined along that axis (no entries: one empty call).  Each
-    entry's arithmetic must be its own, so the result is one call's bitwise.
-    A TghError leaves with the block's start added to its row; nothing runs
-    again."""
+    its outputs joined along that axis in their dtypes (no entries: one
+    empty call).  Each entry's arithmetic must be its own, so the result
+    is one call's bitwise.  A TghError leaves with the block's start added
+    to its row; nothing runs again."""
     n = np.shape(arrays[0])[axis]
     outs = None
     for start in range(0, max(n, 1), block):
@@ -173,7 +173,8 @@ def by_blocks(fn, block: int, *arrays, axis: int = 0):
                 exc.row = (*exc.row[:axis], exc.row[axis] + start, *exc.row[axis:][1:])
             raise
         if outs is None:
-            outs = [np.empty((*np.shape(v)[:axis], n, *np.shape(v)[axis:][1:])) for v in got]
+            outs = [np.empty((*np.shape(v)[:axis], n, *np.shape(v)[axis:][1:]), np.result_type(v))
+                    for v in got]
         for out, value in zip(outs, got):
             out[at] = value
     return outs

@@ -27,12 +27,13 @@ def pytest_runtest_makereport(item, call):
 
 @pytest.fixture
 def count_calls(monkeypatch):
-    """Wrap module.name so each call appends to the returned list."""
+    """Wrap module.name so each call appends its positional arguments to the
+    returned list."""
 
     def install(module, name):
         calls = []
         inner = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or inner(*a, **k))
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or inner(*a, **k))
         return calls
 
     return install

@@ -1,8 +1,10 @@
 """CLI commands: golden-format stability, exit codes, artifact contents."""
 
 import contextlib
+import csv
 import dataclasses
 import io
+import itertools
 import json
 import os
 import re
@@ -399,25 +401,31 @@ class TestIntervals:
                      "--out", str(tmp_path / "iv.csv")]) == 2
 
 
-def test_scoring_calls_its_public_function_once(tmp_path, trained_model, count_calls):
-    # the scoring blocks run through private helpers, so the benchmark
-    # tracer's spans of evaluate.residuals and evaluate.shortest_interval,
-    # which wrap the module names, do not nest
+def test_scoring_calls_its_public_function_once_per_block(tmp_path, trained_model, count_calls):
+    # the one block pass of each scoring command calls evaluate.residuals or
+    # the interval once per block of split rows; inside, the block runs
+    # through private helpers, so the benchmark tracer's spans of these
+    # module names do not nest
     from tghnet import evaluate
 
     sim = tmp_path / "sim.csv"
     assert main(["simulate", "--design", "gandh", "--n", "6000", "--seed", "1",
                  "--out", str(sim)]) == 0
-    public = [count_calls(evaluate, name) for name in ("residuals", "shortest_interval")]
+    public = {name: count_calls(evaluate, name)
+              for name in ("residuals", "shortest_interval", "symmetric_interval")}
     searches = count_calls(tgh, "safeguarded_newton")
     score = ["--model", str(trained_model), "--data", str(sim), "--split", "train"]
     assert main(["evaluate", *score, "--out", str(tmp_path / "e")]) == 0
-    assert main(["intervals", *score, "--variant", "shortest",
-                 "--out", str(tmp_path / "iv.csv")]) == 0
-    assert [len(calls) for calls in public] == [1, 1]
+    for variant in ("shortest", "symmetric"):
+        assert main(["intervals", *score, "--variant", variant,
+                     "--out", str(tmp_path / f"{variant}.csv")]) == 0
     # 4800 rows are two blocks: two tau_inverse solves, then two gamma searches
+    blocks = [evaluate.BLOCK, 4800 - evaluate.BLOCK]
     assert json.loads((tmp_path / "e" / "summary.json").read_text())["n"] == 4800
-    assert len(searches) == 4
+    assert [len(y) for y, *_ in public["residuals"]] == blocks
+    for name in ("shortest_interval", "symmetric_interval"):
+        assert [len(params.mu) for params, *_ in public[name]] == blocks
+    assert [len(a[1]) for a in searches] == blocks + blocks
 
 
 _SCORE = ["--model", "{model}", "--data", "{sim}", "--split", "val"]
@@ -442,6 +450,11 @@ EXIT_PROBES = {
     "unwritable_csv": (["intervals", *_SCORE, "--out", "/nonexistent/x.csv"], 2,
                        "/nonexistent/x.csv"),
     "unwritable_dir": (["evaluate", *_SCORE, "--out", "/dev/null/x"], 2, "/dev/null/x"),
+    # the output is made only after the model, the data and the split are read
+    "missing_model_unwritable_dir": (["evaluate", "--model", "{tmp}/none.tghn", "--data", "{sim}",
+                                      "--out", "/dev/null/x"], 3, "none.tghn"),
+    "missing_model_unwritable_csv": (["intervals", "--model", "{tmp}/none.tghn", "--data",
+                                      "{sim}", "--out", "/nonexistent/x.csv"], 3, "none.tghn"),
     "alpha_1e-13_shortest": (["intervals", *_SCORE, "--alpha", "1e-13", "--variant", "shortest",
                               "--out", "{tmp}/i.csv"], 2, "--alpha"),
     **{f"alpha_{a}_{v}": (["intervals", *_SCORE, "--alpha", a, "--variant", v,
@@ -680,6 +693,8 @@ class TestExitCodes:
         assert main([a.format(**fill) for a in argv]) == code
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and names.format(**fill) in err, err
+        if code != 4:  # refused before scoring: no output, not even a directory
+            assert sorted(tmp_path.iterdir()) == [gappy, huge]
 
     def test_alpha_limit_is_the_variants(self, tmp_path, trained_model, sim_csv):
         # 1e-13 is too small for the shortest variant's tail search, not for
@@ -817,6 +832,142 @@ class TestExitCodes:
                               "--split", "val", "--out", str(root / "e")])
 
 
+@pytest.fixture(scope="module")
+def scoring_csv(tmp_path_factory):
+    """50 000 simulated rows, of which the scoring-pass tests score prefixes."""
+    path = tmp_path_factory.mktemp("scoring") / "rows.csv"
+    assert main(["simulate", "--design", "gandh", "--n", "50000", "--seed", "3",
+                 "--out", str(path)]) == 0
+    return path
+
+
+def _prefix(src, n, dest):
+    """The header and first n data rows of src, written to dest."""
+    with open(src, encoding="utf-8") as fh:
+        dest.write_text("".join(itertools.islice(fh, n + 1)))
+    return dest
+
+
+def _per_row_csv(columns):
+    """The bytes of a per-row csv.writer of repr(float(cell)), which whole
+    columns written by write_csv equal."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(list(columns))
+    writer.writerows([repr(float(v)) for v in row] for row in zip(*columns.values()))
+    return buf.getvalue().encode()
+
+
+def _json_bytes(obj):
+    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+
+
+class TestScoringPass:
+    """evaluate and intervals predict, score and write one block of split
+    rows at a time, and hold at the split's length only what their
+    summaries need."""
+
+    # data rows whose val split holds 1, 1023, 4096, 4097 and 5000 rows, on
+    # both sides of the pass's 4096-row blocks and the 1024-cell writes
+    @pytest.mark.parametrize("n_rows, n_val", [(5, 1), (5115, 1023), (20480, 4096),
+                                               (20485, 4097), (25000, 5000)])
+    def test_streamed_outputs_equal_whole_columns(self, tmp_path, trained_model, scoring_csv,
+                                                  n_rows, n_val):
+        from tghnet.evaluate import (binned_residual_summary, coverage_table, ks_critical_value,
+                                     residuals, shortest_interval, symmetric_interval)
+
+        data = _prefix(scoring_csv, n_rows, tmp_path / "data.csv")
+        bundle = load_model(trained_model)
+        dataset = load_csv(data, "y", ["x"])
+        val = bundle.header.split_rule.apply(dataset)["val"]
+        assert len(val) == n_val
+        x, y = dataset.x[val], dataset.y[val]
+        p = bundle.predict_params(x)
+        report = residuals(y, p, bundle.header.solver)
+        edges, means, counts = binned_residual_summary(x[:, 0], report.u)
+        want = {
+            "report.csv": _per_row_csv({"y": y, "mu": p.mu, "sigma": p.sigma, "g": p.g, "h": p.h,
+                                        "z_hat": report.z_hat, "u": report.u}),
+            "qq.csv": _per_row_csv({"theoretical": report.qq_theoretical,
+                                    "empirical": report.qq_empirical}),
+            "summary.json": _json_bytes({
+                "n": n_val, "mean_nll": report.mean_nll, "ks_statistic": report.ks_statistic,
+                "ks_critical_1pct": ks_critical_value(n_val, 0.01),
+                "z_hat_mean": float(np.mean(report.z_hat)),
+                "z_hat_var": float(np.var(report.z_hat)), "split": "val", "loss": "tukey",
+                "coverage": coverage_table(report.u), "u_bin_edges": [float(v) for v in edges],
+                "u_bin_means": [None if v != v else float(v) for v in means],
+                "u_bin_counts": [int(v) for v in counts]}),
+        }
+        score = ["--model", str(trained_model), "--data", str(data), "--split", "val"]
+        assert main(["evaluate", *score, "--out", str(tmp_path / "e")]) == 0
+        for name, content in want.items():
+            assert (tmp_path / "e" / name).read_bytes() == content, name
+        for variant, interval in (("shortest", shortest_interval),
+                                  ("symmetric", symmetric_interval)):
+            iv, out = interval(p, 0.05), tmp_path / f"{variant}.csv"
+            assert main(["intervals", *score, "--variant", variant, "--out", str(out)]) == 0
+            assert out.read_bytes() == _per_row_csv(
+                {"y": y, "lower": iv.lower, "upper": iv.upper, "gamma": iv.gamma})
+            # coverage and mean_length bit for bit, as whole-array means
+            assert Path(f"{out}.summary.json").read_bytes() == _json_bytes({
+                "alpha": 0.05, "variant": variant, "split": "val", "n": n_val,
+                "coverage": float(np.mean((y >= iv.lower) & (y <= iv.upper))),
+                "mean_length": float(np.mean(iv.upper - iv.lower))})
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--out", "{tmp}/e"],
+        ["intervals", "--variant", "shortest", "--out", "{tmp}/i.csv"],
+    ], ids=["evaluate", "intervals"])
+    def test_a_failed_pass_leaves_no_csv(self, tmp_path, capsys, trained_model, scoring_csv,
+                                         argv):
+        # a feature whose network output is not finite, at a split row of the
+        # second block: the first block's rows were written, and are removed
+        lines = _prefix(scoring_csv, 6000, tmp_path / "data.csv").read_text().splitlines(True)
+        train = FractionSplit(CONFIG["split"]["fraction"], CONFIG["split"]["seed"]).apply(
+            load_csv(tmp_path / "data.csv", "y", ["x"]))["train"]
+        row = int(train[4100])
+        lines[1 + row] = "1e308," + lines[1 + row].split(",", 1)[1]
+        (tmp_path / "data.csv").write_text("".join(lines))
+        score = [argv[0], "--model", str(trained_model), "--data", str(tmp_path / "data.csv"),
+                 "--split", "train"]
+        assert main([*score, *(a.format(tmp=tmp_path) for a in argv[1:])]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith(f"input row {row}\n"), err
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["data.csv"]
+        # the output is opened before the pass: an unwritable --out exits 2 first
+        assert main([*score, *(a.format(tmp="/dev/null") for a in argv[1:])]) == 2
+        assert "/dev/null/" in capsys.readouterr().err
+
+    def test_memory_grows_by_the_held_arrays(self, tmp_path, trained_model, scoring_csv):
+        # At the split's length both commands hold x, y and the data row
+        # index (8 bytes a row each); intervals adds each row's inside flag
+        # (1) and length (8), 33 bytes a row, and evaluate z_hat, u and the
+        # NLL, 48.  A full block's temporaries are a constant.  So from a
+        # split of two full blocks to one of four (8192 and 16384 train
+        # rows) the traced peak grows by at most those bytes a row, plus a
+        # slack of 8.  Holding whole parameter and interval columns, the
+        # commands grew by about 80.
+        import tracemalloc
+
+        files = [_prefix(scoring_csv, n, tmp_path / f"{n}.csv") for n in (125, 10_240, 20_480)]
+        for command, argv, held in (
+                ("intervals", ["--variant", "shortest", "--out", str(tmp_path / "i.csv")], 33),
+                ("evaluate", ["--out", str(tmp_path / "e")], 48)):
+            peaks = []
+            for i, data in enumerate(files):  # the first run imports, untraced
+                if i:
+                    tracemalloc.start()
+                try:
+                    assert main([command, "--model", str(trained_model), "--data", str(data),
+                                 "--split", "train", *argv]) == 0
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            per_row = (peaks[2] - peaks[1]) / 8_192
+            assert per_row <= held + 8, (command, per_row)
+
+
 class TestThreadCap:
     def test_tgh_threads_caps_blas_pools(self, monkeypatch, tmp_path):
         from tghnet.cli import _apply_thread_cap
@@ -887,6 +1038,20 @@ class TestDensity:
                          "--out", str(tmp_path_factory.getbasetemp() / "any_grid.csv")])
         assert code == 0 or (code == 2 and err.getvalue().startswith("--y-grid needs ")), \
             err.getvalue()
+
+    def test_loads_its_network_without_a_random_draw(self, tmp_path, trained_model):
+        # the file holds every weight, so no generator is built to draw
+        # weights that it overwrites, and numpy.random is never imported
+        argv = ["density", "--model", str(trained_model), "--features", "0.5",
+                "--y-grid=-3:3:11", "--out", str(tmp_path / "curves.csv")]
+        result = subprocess.run(
+            [sys.executable, "-c", f"import sys; from tghnet.cli import main; "
+                                   f"assert main({argv!r}) == 0; "
+                                   f"print('numpy.random' in sys.modules)"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False"
 
     def test_four_points_emit_four_blocks(self, tmp_path, trained_model):
         out = tmp_path / "dens.csv"

@@ -199,6 +199,7 @@ class TestColumnWiseIo:
         assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
         with pytest.raises(DataError, match="one shape"):
             write_csv(tmp_path / "bad.csv", {"a": values, "b": values.ravel()})
+        assert not (tmp_path / "bad.csv").exists()  # a failed write leaves no file
 
     @given(rows=st.lists(st.tuples(csv_cells(), csv_cells() | st.sampled_from(MISSING_TARGETS)),
                          max_size=12))

@@ -19,7 +19,6 @@ from tghnet.evaluate import (
     binned_residual_summary,
     coverage_table,
     density_curve,
-    interval_coverage,
     ks_critical_value,
     ks_uniform,
     residuals,
@@ -31,6 +30,12 @@ from tghnet.nn import load_model
 from tghnet.tgh import ShapeParams, TghParams, standard_normal_cdf, tau
 
 Z_975 = 1.9599639845400542
+
+
+def interval_coverage(y, lower, upper):
+    """Fraction of targets inside [lower, upper], the mean of the inside flags
+    that the intervals command sums."""
+    return float(np.mean((y >= lower) & (y <= upper)))
 
 
 def sample(params, n, seed):
@@ -93,7 +98,7 @@ class TestResiduals:
 
     def test_exactly_one_solve(self, monkeypatch):
         # every row is solved once: one solve per block of rows
-        n = 2 * evaluate._BLOCK + 37
+        n = 2 * evaluate.BLOCK + 37
         params = TghParams(*(np.full(n, v) for v in (0.5, 1.5, 0.6, 0.2)))
         y = sample(params, n, seed=4)
         want = float(np.mean(-np.asarray(tgh.log_density(y, params))))
@@ -101,7 +106,7 @@ class TestResiduals:
         monkeypatch.setattr(tgh, "tau_inverse", lambda zt, *a: solved.append(len(zt))
                             or inner(zt, *a))
         report = residuals(y, params)
-        assert solved == [evaluate._BLOCK, evaluate._BLOCK, 37]
+        assert solved == [evaluate.BLOCK, evaluate.BLOCK, 37]
         assert report.mean_nll == want
 
 
@@ -114,23 +119,26 @@ def _link_box_rows(n, seed):
 
 
 class TestScoringBlocks:
-    N = 2 * evaluate._BLOCK + 37
-    BAD = evaluate._BLOCK + 5  # a row of the second block
+    N = 2 * evaluate.BLOCK + 37
+    BAD = evaluate.BLOCK + 5  # a row of the second block
 
     def test_residuals_equal_one_block(self, monkeypatch):
+        # the report's summaries are computed when read: every field of the
+        # blocked report is read before the block grows to the whole length
         y, params = _link_box_rows(self.N, 30)
-        blocked = residuals(y, params)
-        monkeypatch.setattr(evaluate, "_BLOCK", self.N)
+        names = ("z_hat", "u", "nll", "qq_theoretical", "qq_empirical", "mean_nll",
+                 "ks_statistic")
+        report = residuals(y, params)
+        blocked = {name: getattr(report, name) for name in names}
+        monkeypatch.setattr(evaluate, "BLOCK", self.N)
         whole = residuals(y, params)
-        for name in ("z_hat", "u", "qq_theoretical", "qq_empirical"):
-            np.testing.assert_array_equal(getattr(blocked, name), getattr(whole, name))
-        assert blocked.mean_nll == whole.mean_nll
-        assert blocked.ks_statistic == whole.ks_statistic
+        for name in names:
+            np.testing.assert_array_equal(blocked[name], getattr(whole, name))
 
     def test_shortest_interval_equals_one_block(self, monkeypatch):
         _, params = _link_box_rows(self.N, 31)
         blocked = shortest_interval(params, 0.05)
-        monkeypatch.setattr(evaluate, "_BLOCK", self.N)
+        monkeypatch.setattr(evaluate, "BLOCK", self.N)
         for got, want in zip(blocked, shortest_interval(params, 0.05), strict=True):
             np.testing.assert_array_equal(got, want)
 
@@ -151,9 +159,9 @@ class TestScoringBlocks:
                             or inner(zt, *a))
         with pytest.raises(SolverError, match=why) as blocked:
             residuals(y, params)
-        assert solved == [evaluate._BLOCK, evaluate._BLOCK]
+        assert solved == [evaluate.BLOCK, evaluate.BLOCK]
         assert blocked.value.row == (self.BAD,)
-        monkeypatch.setattr(evaluate, "_BLOCK", self.N)
+        monkeypatch.setattr(evaluate, "BLOCK", self.N)
         with pytest.raises(SolverError) as whole:
             residuals(y, params)
         assert f"at sample index {self.BAD}:" in str(blocked.value)
@@ -173,7 +181,7 @@ class TestScoringBlocks:
         with pytest.raises(SolverError, match="no bracket .* at sample index 100:") as blocked:
             residuals(y, params)
         assert blocked.value.row == (100,)
-        monkeypatch.setattr(evaluate, "_BLOCK", self.N)
+        monkeypatch.setattr(evaluate, "BLOCK", self.N)
         with pytest.raises(SolverError, match=f"at sample index {self.BAD}: .*support"):
             residuals(y, params)
 
@@ -190,7 +198,7 @@ class TestScoringBlocks:
         match = rf"did not stop in 100 steps at sample index {self.BAD}: .*h=1e\+308$"
         with np.errstate(over="ignore"), pytest.raises(SolverError, match=match) as blocked:
             shortest_interval(params, 0.05)
-        monkeypatch.setattr(evaluate, "_BLOCK", self.N)
+        monkeypatch.setattr(evaluate, "BLOCK", self.N)
         with np.errstate(over="ignore"), pytest.raises(SolverError) as whole:
             shortest_interval(params, 0.05)
         assert str(blocked.value) == str(whole.value)
@@ -233,22 +241,25 @@ class TestScoringBlocks:
 
     def test_residuals_memory_is_its_output(self):
         # over 200k rows the one-piece QQ and KS passes (positions, indices,
-        # differences) peaked 9.7 MiB above the four returned arrays; by
-        # blocks of ranks, 0.4 MiB above
+        # differences) peaked 9.7 MiB above the arrays they return; by
+        # blocks of ranks, 0.4 MiB above.  The summaries are read in
+        # evaluate's order, the KS distance before the QQ pairs
         y, params = _link_box_rows(200_000, 35)
         tracemalloc.start()
         try:
             report = residuals(y, params)
+            summaries = report.mean_nll, report.ks_statistic
+            qq = report.qq_theoretical, report.qq_empirical
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        returned = sum(getattr(report, name).nbytes
-                       for name in ("z_hat", "u", "qq_theoretical", "qq_empirical"))
-        assert peak < returned + 2 * 2 ** 20
+        held = sum(v.nbytes for v in (*report, *qq))
+        assert np.isfinite(summaries).all()
+        assert peak < held + 2 * 2 ** 20
 
 
 class TestKs:
-    @pytest.mark.parametrize("n", [1, evaluate._BLOCK, 2 * evaluate._BLOCK + 37])
+    @pytest.mark.parametrize("n", [1, evaluate.BLOCK, 2 * evaluate.BLOCK + 37])
     def test_blocked_equals_one_piece(self, n):
         u = np.random.default_rng(n).random(n)
         s, i = np.sort(u), np.arange(1, n + 1)
@@ -491,7 +502,7 @@ class TestDensityCurve:
             tracemalloc.stop()
         assert blocked.shape == (5, 200_000)
         assert peak < blocked.nbytes + 4 * 2 ** 20
-        monkeypatch.setattr(evaluate, "_BLOCK", blocked.size)
+        monkeypatch.setattr(evaluate, "BLOCK", blocked.size)
         np.testing.assert_array_equal(blocked, density_curve(params, grid))
 
     def test_error_in_a_later_grid_block_names_point_and_grid_index(self, monkeypatch):
@@ -500,11 +511,11 @@ class TestDensityCurve:
                            np.array([[0.1], [0.1], [0.1], [0.0], [0.1]]))
         grid = np.linspace(-10.0, 10.0, 200_000)
         j = int(np.argmax(grid >= 2.0))
-        assert j > evaluate._BLOCK
+        assert j > evaluate.BLOCK
         with pytest.raises(SolverError, match=rf"at sample index \(3, {j}\): .*support") as blocked:
             density_curve(params, grid)
         assert blocked.value.row == (3, j)
-        monkeypatch.setattr(evaluate, "_BLOCK", 5 * len(grid))
+        monkeypatch.setattr(evaluate, "BLOCK", 5 * len(grid))
         with pytest.raises(SolverError) as whole:
             density_curve(params, grid)
         assert str(blocked.value) == str(whole.value)
@@ -521,7 +532,7 @@ class TestDensityCurve:
         with pytest.raises(SolverError, match=r"at sample index \(3, 0\): ") as blocked:
             density_curve(params, grid)
         assert blocked.value.row == (3, 0)
-        monkeypatch.setattr(evaluate, "_BLOCK", 5 * len(grid))
+        monkeypatch.setattr(evaluate, "BLOCK", 5 * len(grid))
         with pytest.raises(SolverError, match=rf"at sample index \(1, {j}\): "):
             density_curve(params, grid)
 

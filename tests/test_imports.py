@@ -201,9 +201,10 @@ def _nodes_by_function():
 
 
 def test_one_row_block_loop_and_no_repeat_call_on_a_solver_error():
-    # rows are cut into blocks by tgh.by_blocks alone, besides write_csv's
+    # rows are cut into blocks by tgh.by_blocks alone, besides csv_writer's
     # writes and train's batches (a countdown range is no block loop); the
-    # five scoring passes go through it, and the QQ and KS passes by rank
+    # five scoring passes go through it, the scoring commands' one pass of
+    # predict, score and write included, and the QQ and KS passes by rank
     # through _by_rank; and a handler that can catch a
     # SolverError calls nothing, so a failed call is never run again (cli.main
     # alone prints one)
@@ -218,8 +219,8 @@ def test_one_row_block_loop_and_no_repeat_call_on_a_solver_error():
             caught = n.type.elts if isinstance(n.type, ast.Tuple) else [n.type]
             if {"SolverError", "TghError"} & {ast.unparse(t) for t in caught}:
                 handler_calls += [name for c in ast.walk(n) if isinstance(c, ast.Call)]
-    assert loops == {"tgh.py:by_blocks", "data.py:write_csv", "nn/train.py:train"}
-    assert callers == {"nn/persist.py:ModelBundle.predict_params",
+    assert loops == {"tgh.py:by_blocks", "data.py:csv_writer", "nn/train.py:train"}
+    assert callers == {"cli.py:_score_split", "nn/persist.py:ModelBundle.predict_params",
                        "nn/train.py:evaluate_mean_loss", "evaluate.py:residuals",
                        "evaluate.py:shortest_interval", "evaluate.py:density_curve",
                        "evaluate.py:_by_rank"}

@@ -613,6 +613,13 @@ class TestPreNormBias:
         got, linked = loaded.predict_params(x), link(want, loaded.header.link)[0]
         for name in ("mu", "sigma", "g", "h"):
             assert getattr(got, name).tobytes() == getattr(linked, name).tobytes()
+        # format 3 stores the folded inf, which load_model would refuse: the
+        # save raises at that value's byte, before any file is opened
+        again = tmp_path / "again.tghn"
+        with pytest.raises(NumericalError, match=r"again\.tghn: non-finite value inf at byte "
+                                                 r"1406 of the parameter blob$"):
+            save_model(again, loaded)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.tghn"]
 
 
 class TestAdam:

@@ -884,3 +884,11 @@ class TestStandardNormalOracles:
         with mp.workdps(40):
             want = np.array([float(mp.ncdf(float(v))) for v in z])
         np.testing.assert_allclose(standard_normal_cdf(z), want, rtol=rtol, atol=0)
+
+
+def test_by_blocks_joins_each_output_in_its_dtype():
+    # a per-row flag stays one byte a row, as intervals holds it
+    x = np.arange(10.0)
+    flags, halves = tgh.by_blocks(lambda v: (v > 4.5, v / 2), 3, x)
+    assert flags.dtype == bool and flags.tolist() == (x > 4.5).tolist()
+    assert halves.dtype == float and halves.tolist() == (x / 2).tolist()

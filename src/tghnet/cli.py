@@ -95,7 +95,8 @@ def _score_split(args, out, names, score, out_dir=None):
     rows = header.split_rule.apply(dataset)[args.split]
     if len(rows) == 0:
         raise DataError(f"split {args.split!r} is empty for this dataset")
-    x, y, data_rows = dataset.x[rows], dataset.y[rows], dataset.source_rows[rows]
+    data_rows = rows if dataset.source_rows is None else dataset.source_rows[rows]
+    x, y = dataset.x[rows], dataset.y[rows]
     del dataset, rows  # the pass runs holding the split's rows, not the whole file's
 
     def block(x, y):

@@ -67,9 +67,9 @@ class Standardization:
 class Dataset:
     """Feature matrix with named columns and target vector.
 
-    source_rows holds, for a dataset read by load_csv, each row's 0-based
-    index among the non-blank data rows of the CSV, dropped rows included,
-    so that an error can name the row of the file.
+    source_rows holds each row's 0-based index among the non-blank data rows
+    of the CSV, dropped rows included, so that an error can name the row of
+    the file; it is None (no identity index) when load_csv dropped no row.
     """
 
     x: np.ndarray
@@ -149,7 +149,7 @@ def _target_value(cell: str) -> float:
 
 
 def _parse_columns(fh, target_pos: int, feature_pos: list[int]):
-    """(x, y, n_dropped, kept rows) from the rest of fh in one vectorised pass.
+    """(x, y, n_dropped, kept rows or None) from the rest of fh in one vectorised pass.
 
     The target cells go through _target_value, one Python call per row.
     For the feature cells np.loadtxt accepts a subset of what the per-row
@@ -164,17 +164,18 @@ def _parse_columns(fh, target_pos: int, feature_pos: list[int]):
                            converters={target_pos: _target_value},
                            comments=None, quotechar='"', ndmin=2)
     keep = np.isfinite(cells[:, 0])
-    cells = cells if keep.all() else cells[keep]  # x and y: views of one array
+    kept = None if keep.all() else np.flatnonzero(keep)
+    cells = cells if kept is None else cells[kept]  # x and y: views of one array
     if not np.all(np.isfinite(cells[:, 1:])):
         raise ValueError("non-finite feature cell")
-    return cells[:, 1:], cells[:, 0], len(keep) - len(cells), np.flatnonzero(keep)
+    return cells[:, 1:], cells[:, 0], len(keep) - len(cells), kept
 
 
 def _parse_rows(path, reader, target_column: str, feature_columns: tuple[str, ...],
                 target_pos: int, feature_pos: list[int]):
-    """(x, y, n_dropped, kept rows) from the remaining records of reader, one
-    cell at a time.  A non-blank record is kept or dropped, so len(rows) +
-    n_dropped is the index of the record being read."""
+    """(x, y, n_dropped, kept rows or None) from the remaining records of
+    reader, one cell at a time.  A non-blank record is kept or dropped, so
+    len(rows) + n_dropped is the index of the record being read."""
     rows: list[list[float]] = []
     targets: list[float] = []
     kept: list[int] = []
@@ -217,7 +218,8 @@ def _parse_rows(path, reader, target_column: str, feature_columns: tuple[str, ..
         rows.append(feats)
         targets.append(t)
     x = np.asarray(rows, dtype=float).reshape(len(rows), len(feature_columns))
-    return x, np.asarray(targets, dtype=float), n_dropped, np.asarray(kept, dtype=int)
+    kept = np.asarray(kept, dtype=int) if n_dropped else None
+    return x, np.asarray(targets, dtype=float), n_dropped, kept
 
 
 def write_csv(path, columns: dict[str, np.ndarray]) -> None:
@@ -281,7 +283,7 @@ class FractionSplit:
             raise DataError(f"fraction {self.fraction} leaves an empty split for n={n}")
         order = np.random.default_rng(self.seed).permutation(n)
         return {"train": np.sort(order[:n_train]), "val": np.sort(order[n_train:]),
-                "test": order[:0]}
+                "test": np.empty(0, dtype=order.dtype)}  # not a view that holds order
 
 
 @dataclass(frozen=True)
@@ -318,7 +320,8 @@ def standardize(dataset: Dataset, train_rows: np.ndarray) -> Dataset:
 
     The fitted transform is attached to the returned dataset and is applied
     to all rows; a zero or non-finite training scale (or mean) is an error
-    naming the column.  The target is left untouched.
+    naming the column.  The target is copied unchanged, so no parsed CSV
+    block stays alive behind the returned y.
     """
     if len(train_rows) == 0:
         raise DataError("standardize requires a non-empty train split")
@@ -331,4 +334,5 @@ def standardize(dataset: Dataset, train_rows: np.ndarray) -> Dataset:
             what = "zero-variance" if s == 0.0 else "non-finite mean or scale of"
             raise DataError(f"{what} feature {dataset.columns[j]!r} in the train split")
     transform = Standardization(columns=dataset.columns, mean=mean, scale=scale)
-    return replace(dataset, x=transform.apply(dataset.x), standardization=transform)
+    return replace(dataset, x=transform.apply(dataset.x), y=dataset.y.copy(),
+                   standardization=transform)

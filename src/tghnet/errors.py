@@ -45,10 +45,11 @@ class NumericalError(TghError):
 
 @contextmanager
 def row_map(index):
-    """A TghError leaving the block at row (r, ...) leaves at (index[r], ...); rowless, as is."""
+    """A TghError leaving the block at row (r, ...) leaves at (index[r], ...); rowless, or
+    with index None (every row its own), as is."""
     try:
         yield
     except TghError as exc:
-        if exc.row:
+        if exc.row and index is not None:
             exc.row = (index[exc.row[0]], *exc.row[1:])
         raise

@@ -132,16 +132,18 @@ class TestTrain:
                                            "at input row 1264\n")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("split", ["train", "val"])
-    def test_row_error_names_its_data_row(self, tmp_path, capsys, split):
+    @pytest.mark.parametrize("split, dropped", [("train", 1), ("val", 1), ("train", 0), ("val", 0)],
+                             ids=["train", "val", "train_no_dropped_row", "val_no_dropped_row"])
+    def test_row_error_names_its_data_row(self, tmp_path, capsys, split, dropped):
         # x = 1e308 at the split's last row, whose data row exceeds both its
         # position in a 16-row batch and its index among the 20 val rows.
-        # Without batch norm only that row's head is non-finite, and the
-        # dropped first row makes each data row one more than its dataset row.
+        # Without batch norm only that row's head is non-finite.  A dropped
+        # first row makes each data row one more than its dataset row; with
+        # none, the two are equal, and no row index is held.
         data = tmp_path / "data.csv"
-        lines = ["0.5,"] + [f"{i / 100!r},{i / 100!r}" for i in range(1, 101)]
+        lines = ["0.5,"] * dropped + [f"{i / 100!r},{i / 100!r}" for i in range(1, 101)]
         data.write_text("x,y\n" + "\n".join(lines) + "\n")
-        row = int(FractionSplit(0.8, 0).apply(load_csv(data, "y", ["x"]))[split][-1]) + 1
+        row = int(FractionSplit(0.8, 0).apply(load_csv(data, "y", ["x"]))[split][-1]) + dropped
         lines[row] = "1e308,0.5"
         data.write_text("x,y\n" + "\n".join(lines) + "\n")
         cfg = tmp_path / "cfg.json"
@@ -209,6 +211,46 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--data",
                      str(tmp_path / "none.csv"), "--out",
                      str(tmp_path / "m.tghn")]) == 3
+
+    def test_memory_at_training_is_what_training_reads(self, tmp_path, monkeypatch):
+        # When nn.train starts, train holds at the file's length the
+        # standardized x and y (8 bytes a row each) and the train and val
+        # indices (8 together): 24 bytes a row, and the slope between two
+        # file sizes is at most that plus a slack of 4.  The parsed (n, 2)
+        # block behind y, an identity row index and the permutation behind
+        # the empty test split made it about 47.
+        import tracemalloc
+
+        from tghnet import nn
+        from tghnet.data import write_csv
+
+        class Started(Exception):
+            pass
+
+        held = []
+
+        def started(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            raise Started
+
+        monkeypatch.setattr(nn, "train", started)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(CONFIG, network={"hidden": [4]})))
+        rng = np.random.default_rng(0)
+        sizes = (125, 8_000, 16_000)
+        for i, n in enumerate(sizes):  # the first run imports, untraced
+            data = tmp_path / f"{n}.csv"
+            write_csv(data, {"x": rng.uniform(size=n), "y": rng.normal(size=n)})
+            if i:
+                tracemalloc.start()
+            try:
+                with pytest.raises(Started):
+                    main(["train", "--config", str(cfg), "--data", str(data),
+                          "--out", str(tmp_path / "m.tghn")])
+            finally:
+                tracemalloc.stop()
+        per_row = (held[2] - held[1]) / (sizes[2] - sizes[1])
+        assert per_row <= 24 + 4, per_row
 
     def test_loss_svg_written(self, tmp_path, sim_csv):
         cfg = tmp_path / "cfg.json"
@@ -445,6 +487,9 @@ EXIT_PROBES = {
     "evaluate_huge_feature_after_dropped_rows": (
         ["evaluate", "--model", "{model}", "--data", "{gappy}", "--split", "val",
          "--out", "{tmp}/e"], 4, "input row 12\n"),
+    "intervals_huge_feature_after_dropped_rows": (
+        ["intervals", "--model", "{model}", "--data", "{gappy}", "--split", "val",
+         "--out", "{tmp}/i.csv"], 4, "input row 12\n"),
     "missing_model": (["evaluate", "--model", "{tmp}/none.tghn", "--data", "{sim}",
                        "--out", "{tmp}/e"], 3, "none.tghn"),
     "unwritable_csv": (["intervals", *_SCORE, "--out", "/nonexistent/x.csv"], 2,
@@ -732,21 +777,25 @@ class TestExitCodes:
         assert re.fullmatch(r"numerical failure: .* at sample index \d+: z_tilde=inf, .*; "
                             r"\(y - mu\)/sigma overflows the double range\n", err), err
 
-    @pytest.mark.parametrize("command", ["evaluate", "intervals"])
+    @pytest.mark.parametrize("command, dropped", [
+        ("evaluate", 0), ("intervals", 0), ("evaluate", 2), ("intervals", 2),
+    ], ids=["evaluate", "intervals", "evaluate_after_dropped_rows", "intervals_after_dropped_rows"])
     def test_scoring_solver_error_names_its_data_row(self, tmp_path, capsys, trained_model,
-                                                     huge_h_model, command):
+                                                     huge_h_model, command, dropped):
         # one failing row of the val split, whose index in the split is not
         # its data row: an overflowing target for evaluate's solve, x = 2
-        # (h = 1e308) for the shortest-interval search, which solves no target
+        # (h = 1e308) for the shortest-interval search, which solves no target.
+        # Leading rows with an empty target shift each data row by their count
         data = tmp_path / "data.csv"
         data.write_text("x,y\n" + "0.5,0.5\n" * 40)
         split = FractionSplit(CONFIG["split"]["fraction"], CONFIG["split"]["seed"])
         val = split.apply(load_csv(data, "y", ["x"]))["val"]
-        row = int(val[-1])
+        row = int(val[-1]) + dropped
         assert row != len(val) - 1
         bad = "0.5,1.7e308" if command == "evaluate" else "2.0,0.5"
-        data.write_text("x,y\n" + "".join(f"{bad if i == row else '0.5,0.5'}\n"
-                                          for i in range(40)))
+        cells = ["0.5,"] * dropped + ["0.5,0.5"] * 40
+        cells[row] = bad
+        data.write_text("x,y\n" + "".join(f"{c}\n" for c in cells))
         if command == "evaluate":
             argv = ["evaluate", "--model", str(trained_model), "--out", str(tmp_path / "e")]
             want = (r"no finite target for inverse transform at sample index {}: z_tilde=inf, "

@@ -25,6 +25,11 @@ def _write(tmp_path, text, name="data.csv"):
     return path
 
 
+def _tolist(rows):
+    """A row index as a list, or None for no index."""
+    return None if rows is None else rows.tolist()
+
+
 class TestLoadCsv:
     def test_three_row_fixture(self, tmp_path):
         path = _write(tmp_path, "a,b,y\n1,2,3\n4,5,6\n7,8,9\n")
@@ -92,6 +97,18 @@ class TestLoadCsv:
         write_csv(tmp_path / "out.csv", {"x": ds.x[:, 0], "y": ds.y})
         want = body.replace("1_0", "10.0").encode()
         assert (tmp_path / "out.csv").read_bytes() == want
+
+    @pytest.mark.parametrize("first, fallbacks", [("1.5", 0), ("1_0", 1)],
+                             ids=["vectorised", "per_cell"])
+    def test_row_index_only_with_dropped_rows(self, tmp_path, count_calls, first, fallbacks):
+        # with no dropped row every row is its own data row, and neither pass
+        # holds an identity index; a dropped row makes one
+        loops = count_calls(data, "_parse_rows")
+        full = load_csv(_write(tmp_path, f"x,y\n{first},2\n3,4\n"), "y", ["x"])
+        gappy = load_csv(_write(tmp_path, f"x,y\n{first},\n3,4\n5,6\n", "gappy.csv"), "y", ["x"])
+        assert len(loops) == 2 * fallbacks
+        assert full.n_dropped == 0 and full.source_rows is None
+        assert gappy.n_dropped == 1 and gappy.source_rows.tolist() == [1, 2]
 
 
 class TestRoundtrip:
@@ -220,13 +237,15 @@ class TestColumnWiseIo:
         assert ds.x.tobytes() == want_x.tobytes()
         assert ds.y.tobytes() == want_y.tobytes()
         assert ds.n_dropped == len(rows) - len(kept)
-        assert ds.source_rows.tolist() == kept
+        # no row index when every row is kept: each row is its own data row
+        want_rows = None if ds.n_dropped == 0 else kept
+        assert _tolist(ds.source_rows) == want_rows
         # the vectorised pass itself, not its fallback, gave these bits
         with open(path, encoding="utf-8", newline="") as fh:
             next(csv.reader(fh))
             x, y, n_dropped, source_rows = data._parse_columns(fh, 1, [0])
         assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
-        assert n_dropped == ds.n_dropped and source_rows.tolist() == kept
+        assert n_dropped == ds.n_dropped and _tolist(source_rows) == want_rows
 
     @pytest.mark.parametrize("body, outcome", [
         ("#1,2\n3,4\n", "row 2, column 'a': unparseable value '#1'"),
@@ -261,7 +280,8 @@ class TestColumnWiseIo:
             assert ds.x.tobytes() == want[0].tobytes() and ds.y.tobytes() == want[1].tobytes()
             assert ds.x.shape == (outcome[0], 1)
             assert ds.n_dropped == want[2] == outcome[1]
-            assert ds.source_rows.tolist() == want[3].tolist()
+            assert _tolist(ds.source_rows) == _tolist(want[3])
+            assert (ds.source_rows is None) == (outcome[1] == 0)
 
 
 class TestSplits:
@@ -282,6 +302,8 @@ class TestSplits:
         assert len(rows["train"]) == 8
         assert len(rows["val"]) == 2
         assert len(rows["test"]) == 0
+        # its own array: a view of the shuffled order would keep all n entries alive
+        assert rows["test"].base is None
 
     def test_fraction_deterministic(self):
         a = FractionSplit(0.8, seed=9).apply(self._dataset(50))
@@ -376,6 +398,14 @@ class TestStandardize:
         out = standardize(*self._split_dataset())
         back = out.x * out.standardization.scale + out.standardization.mean
         np.testing.assert_allclose(back, [[8.0], [12.0], [100.0]], atol=1e-12)
+
+    def test_target_is_copied_out_of_the_parsed_block(self, tmp_path):
+        # load_csv's y is a view of the parsed (n, 2) block; standardize's
+        # y is its own array, so training holds no raw feature column
+        ds = load_csv(_write(tmp_path, "a,y\n1,2\n3,4\n5,6\n"), "y", ["a"])
+        assert ds.y.base is not None
+        out = standardize(ds, np.arange(3))
+        assert out.y.base is None and out.y.tobytes() == ds.y.tobytes()
 
     def test_constant_shift_gives_zero_mean(self):
         x = np.array([[5.0], [7.0], [9.0], [11.0]])

@@ -199,13 +199,14 @@ def cmd_evaluate(args) -> None:
     from .evaluate import (ResidualReport, binned_residual_summary, coverage_table,
                            ks_critical_value, residuals)
 
-    header, x, y, held = _score_split(
+    header, x, y, report = _score_split(
         args, os.path.join(args.out, "report.csv"), ("y", "mu", "sigma", "g", "h", "z_hat", "u"),
         lambda y, p, solver: (
             (p.mu, p.sigma, p.g, p.h, (r := residuals(y, p, solver)).z_hat, r.u), r),
         out_dir=args.out)
-    report = ResidualReport(*held)
+    report = ResidualReport(*report)  # rebound: no list of the arrays outlives the report
     edges, means, counts = binned_residual_summary(x[:, 0], report.u)
+    del x  # read by the binned summary alone
     summary = {
         "n": len(y),
         "mean_nll": report.mean_nll,
@@ -221,7 +222,8 @@ def cmd_evaluate(args) -> None:
         "u_bin_counts": [int(v) for v in counts],
     }
     write_json(os.path.join(args.out, "summary.json"), summary)
-    # the QQ pairs, the two largest summary arrays, come last
+    # the QQ pairs, the two largest summary arrays, come last, and need no NLL
+    report = report._replace(nll=None)
     qq = report.qq_theoretical, report.qq_empirical
     write_csv(os.path.join(args.out, "qq.csv"), dict(zip(("theoretical", "empirical"), qq)))
     if args.svg:

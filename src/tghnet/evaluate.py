@@ -51,8 +51,8 @@ _X_EDGE = np.log((1.0 - _GAMMA_EDGE) / _GAMMA_EDGE)
 _X_TOL = 1e-10
 # shortest_interval stops a row's search after this many secant steps
 _MAX_STEPS = 100
-# Rows per block of the row-wise passes (the scoring commands' one pass,
-# residuals with its QQ and KS ranks, intervals, density): a block's
+# Rows per block of the row-wise passes (the scoring commands' one pass of
+# residuals or an interval, the QQ and KS ranks, density): a block's
 # temporaries reuse freed pages instead of faulting in new ones, and a solve
 # runs faster than at 1024 rows, csv_writer's own block of cells per column.
 BLOCK = 4096
@@ -123,8 +123,7 @@ def ks_uniform(u: np.ndarray) -> float:
         return ()
 
     _by_rank(block_ends, u)
-    d_plus, d_minus = np.max(ends, axis=0)
-    return float(max(d_plus, d_minus))
+    return float(np.max(ends))
 
 
 def ks_critical_value(n: int, level: float = 0.01) -> float:
@@ -135,22 +134,15 @@ def ks_critical_value(n: int, level: float = 0.01) -> float:
     return float(np.sqrt(-0.5 * np.log(level / 2.0)) / np.sqrt(n))
 
 
-def _residual_block(y, mu, sigma, g, h, cfg):
-    """z_hat, u and the negative log density of each row, from one solve."""
-    params = TghParams(mu, sigma, g, h)
-    z_hat = tgh.z_hat(y, params, cfg)
-    u = np.clip(standard_normal_cdf(z_hat), np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
-    return z_hat, u, -tgh.log_density_from_z(z_hat, params)
-
-
 def residuals(y, params: TghParams, cfg: InverseSolverConfig = DEFAULT_SOLVER) -> ResidualReport:
     """Residual report of targets against per-sample parameters, from one
-    inverse solve by blocks of rows.  Uniform residuals are clipped into the
-    open interval at the float boundary (Phi saturates to exactly 0/1 for
-    |z_hat| beyond ~39)."""
-    return ResidualReport(*tgh.by_blocks(
-        lambda *rows: _residual_block(*rows, cfg), BLOCK,
-        *np.broadcast_arrays(y, params.mu, params.sigma, params.g, params.h)))
+    inverse solve of the rows given (the scoring commands' pass gives one
+    BLOCK at a time).  Uniform residuals are clipped into the open interval
+    at the float boundary (Phi saturates to exactly 0/1 for |z_hat| beyond ~39)."""
+    y = np.broadcast_arrays(y, params.mu, params.sigma, params.g, params.h)[0]
+    z_hat = tgh.z_hat(y, params, cfg)
+    u = np.clip(standard_normal_cdf(z_hat), np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    return ResidualReport(z_hat, u, -tgh.log_density_from_z(z_hat, params))
 
 
 def check_alpha(alpha: float, variant: str) -> None:
@@ -186,19 +178,11 @@ def shortest_interval(params: TghParams, alpha: float) -> PredictionInterval:
     secant steps from one density pass at each end of the range; a row
     whose F has one sign there stays at an end.  The shorter of that and
     the symmetric gamma = alpha/2 is returned.  Each entry of the
-    parameters' broadcast shape is searched on its own, by blocks of rows
-    (0-d is one row); a row whose search does not stop in _MAX_STEPS steps
-    raises SolverError naming it.
+    parameters' broadcast shape is searched on its own; an entry whose
+    search does not stop in _MAX_STEPS steps raises SolverError naming it
+    (a 0-d search names no index).
     """
     check_alpha(alpha, "shortest")
-    fields = np.broadcast_arrays(params.mu, params.sigma, params.g, params.h)
-    got = tgh.by_blocks(lambda *p: _shortest_block(TghParams(*p), alpha), BLOCK,
-                        *map(np.atleast_1d, fields))
-    return PredictionInterval(*(v.reshape(fields[0].shape) for v in got))
-
-
-def _shortest_block(params: TghParams, alpha: float):
-    """shortest_interval's (lower, upper, gamma) for one block of rows."""
     shape = np.broadcast_shapes(*map(np.shape, (params.mu, params.sigma, params.g, params.h)))
     lo, hi = np.full(shape, -_X_EDGE), np.full(shape, _X_EDGE)
     x_prev = f_prev = 0.0  # the first call's step is never used
@@ -222,13 +206,14 @@ def _shortest_block(params: TghParams, alpha: float):
                                      lo, hi, _X_TOL, _MAX_STEPS)
     if not done.all():
         i = np.unravel_index(np.argmin(done), shape)
+        g, h = (float(np.broadcast_to(v, shape)[i]) for v in (params.g, params.h))
         raise SolverError(f"no shortest interval: the search in gamma did not stop in "
-                          f"{_MAX_STEPS} steps at sample index {{row}}: "
-                          f"g={float(params.g[i])!r}, h={float(params.h[i])!r}", i)
+                          f"{_MAX_STEPS} steps{' at sample index {row}' if i else ''}: "
+                          f"g={g!r}, h={h!r}", i)
     cand = np.stack([alpha / (1.0 + np.exp(-x)), np.full(shape, alpha / 2.0)])
     lower, upper = _interval_at_gamma(params, alpha, cand)
     pick = np.argmin(upper - lower, axis=0, keepdims=True)
-    return tuple(np.take_along_axis(v, pick, 0)[0] for v in (lower, upper, cand))
+    return PredictionInterval(*(np.take_along_axis(v, pick, 0)[0] for v in (lower, upper, cand)))
 
 
 def coverage_table(u, alphas=(0.5, 0.2, 0.1, 0.05, 0.01)) -> dict[str, float]:

@@ -445,9 +445,9 @@ class TestIntervals:
 
 def test_scoring_calls_its_public_function_once_per_block(tmp_path, trained_model, count_calls):
     # the one block pass of each scoring command calls evaluate.residuals or
-    # the interval once per block of split rows; inside, the block runs
-    # through private helpers, so the benchmark tracer's spans of these
-    # module names do not nest
+    # the interval once per block of split rows, and each call scores the
+    # rows it is given; none calls another of these functions, so the
+    # benchmark tracer's spans of these module names do not nest
     from tghnet import evaluate
 
     sim = tmp_path / "sim.csv"
@@ -1015,6 +1015,36 @@ class TestScoringPass:
                     tracemalloc.stop()
             per_row = (peaks[2] - peaks[1]) / 8_192
             assert per_row <= held + 8, (command, per_row)
+
+    def test_qq_write_holds_no_features_or_nll(self, tmp_path, monkeypatch, trained_model,
+                                               scoring_csv):
+        # When evaluate writes qq.csv it holds y, z_hat, u and the two QQ
+        # columns, 40 bytes a split row: the features are dropped once the
+        # binned summary is taken, and the NLL once summary.json, which
+        # holds its mean, is written.  Holding both to the end, it held 56.
+        import tracemalloc
+
+        from tghnet import data as data_module
+
+        held, inner = [], data_module.write_csv
+
+        def write_csv(path, columns):
+            if str(path).endswith("qq.csv"):
+                held.append(tracemalloc.get_traced_memory()[0])
+            return inner(path, columns)
+
+        monkeypatch.setattr(data_module, "write_csv", write_csv)
+        files = [_prefix(scoring_csv, n, tmp_path / f"{n}.csv") for n in (125, 10_240, 20_480)]
+        for i, data in enumerate(files):  # the first run imports, untraced
+            if i:
+                tracemalloc.start()
+            try:
+                assert main(["evaluate", "--model", str(trained_model), "--data", str(data),
+                             "--split", "train", "--out", str(tmp_path / "e")]) == 0
+            finally:
+                tracemalloc.stop()
+        per_row = (held[2] - held[1]) / 8_192
+        assert per_row <= 40 + 8, per_row
 
 
 class TestThreadCap:

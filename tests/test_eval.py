@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -13,7 +14,7 @@ from scipy import optimize, stats
 
 from tghnet import evaluate, tgh
 from tghnet.cli import main
-from tghnet.data import load_csv
+from tghnet.data import load_csv, write_csv
 from tghnet.errors import SolverError
 from tghnet.evaluate import (
     binned_residual_summary,
@@ -26,7 +27,7 @@ from tghnet.evaluate import (
     symmetric_interval,
 )
 from tghnet.loss import LinkConfig
-from tghnet.nn import load_model
+from tghnet.nn import ModelBundle, load_model
 from tghnet.tgh import ShapeParams, TghParams, standard_normal_cdf, tau
 
 Z_975 = 1.9599639845400542
@@ -96,8 +97,9 @@ class TestResiduals:
         report = residuals(y, params)
         assert report.mean_nll == pytest.approx(0.5 * math.log(2 * math.pi), abs=1e-10)
 
-    def test_exactly_one_solve(self, monkeypatch):
-        # every row is solved once: one solve per block of rows
+    def test_exactly_one_solve(self, monkeypatch, row_model, tmp_path):
+        # every row is solved once: a call solves the rows it is given, and
+        # the scoring pass gives it one block of rows at a time
         n = 2 * evaluate.BLOCK + 37
         params = TghParams(*(np.full(n, v) for v in (0.5, 1.5, 0.6, 0.2)))
         y = sample(params, n, seed=4)
@@ -105,9 +107,12 @@ class TestResiduals:
         solved, inner = [], tgh.tau_inverse
         monkeypatch.setattr(tgh, "tau_inverse", lambda zt, *a: solved.append(len(zt))
                             or inner(zt, *a))
-        report = residuals(y, params)
+        assert residuals(y, params).mean_nll == want
+        assert solved == [n]
+        solved.clear()
+        assert score_rows(monkeypatch, row_model, tmp_path, "evaluate", y, params) == 0
         assert solved == [evaluate.BLOCK, evaluate.BLOCK, 37]
-        assert report.mean_nll == want
+        assert json.loads((tmp_path / "out" / "summary.json").read_text())["mean_nll"] == want
 
 
 def _link_box_rows(n, seed):
@@ -118,35 +123,70 @@ def _link_box_rows(n, seed):
     return sample(params, n, seed=seed), params
 
 
+@pytest.fixture(scope="module")
+def row_model(tmp_path_factory):
+    """A model whose train split is every --data row but the last two, in
+    order: x = -1 is the val row and x = -2 the test row (see score_rows)."""
+    root = tmp_path_factory.mktemp("row_model")
+    data, cfg, model = root / "rows.csv", root / "cfg.json", root / "m.tghn"
+    write_csv(data, {"x": np.array([*range(10), -1.0, -2.0]), "y": np.linspace(-1.0, 1.0, 12)})
+    cfg.write_text(json.dumps({
+        "loss": "tukey", "data": {"target": "y", "features": ["x"]},
+        "network": {"hidden": [4]}, "training": {"epochs": 1, "batch_size": 8},
+        "split": {"rule": "by_column_values", "column": "x", "val_values": [-1.0],
+                  "test_values": [-2.0]}}))
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(model)]) == 0
+    return model
+
+
+def score_rows(monkeypatch, model, tmp_path, command, y, params, *argv):
+    """main's exit code for the scoring command's pass over the targets y,
+    row i scored with row i of params: the --data rows have x = i (the
+    train split, whose row i is data row i), and predict_params is patched
+    to pick each block's parameters by x.  Outputs go to tmp_path / "out"."""
+    write_csv(tmp_path / "rows.csv", {"x": np.array([*range(len(y)), -1.0, -2.0]),
+                                      "y": np.array([*y, 0.0, 0.0])})
+    fields = [np.broadcast_to(f, len(y)) for f in (params.mu, params.sigma, params.g, params.h)]
+    monkeypatch.setattr(ModelBundle, "predict_params", lambda self, x: TghParams(
+        *(f[x[:, 0].astype(int)] for f in fields)))
+    return main([command, "--model", str(model), "--data", str(tmp_path / "rows.csv"),
+                 "--split", "train", "--out", str(tmp_path / "out"), *argv])
+
+
 class TestScoringBlocks:
     N = 2 * evaluate.BLOCK + 37
     BAD = evaluate.BLOCK + 5  # a row of the second block
 
-    def test_residuals_equal_one_block(self, monkeypatch):
-        # the report's summaries are computed when read: every field of the
-        # blocked report is read before the block grows to the whole length
+    def test_residuals_equal_one_block(self, monkeypatch, row_model, tmp_path):
+        # the evaluate pass, by blocks, writes one call's residuals and
+        # summaries over the whole split
         y, params = _link_box_rows(self.N, 30)
-        names = ("z_hat", "u", "nll", "qq_theoretical", "qq_empirical", "mean_nll",
-                 "ks_statistic")
-        report = residuals(y, params)
-        blocked = {name: getattr(report, name) for name in names}
-        monkeypatch.setattr(evaluate, "BLOCK", self.N)
         whole = residuals(y, params)
-        for name in names:
-            np.testing.assert_array_equal(blocked[name], getattr(whole, name))
+        assert score_rows(monkeypatch, row_model, tmp_path, "evaluate", y, params) == 0
+        report = load_csv(tmp_path / "out" / "report.csv", "z_hat", ["u"])
+        qq = load_csv(tmp_path / "out" / "qq.csv", "empirical", ["theoretical"])
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        for got, want in ((report.y, whole.z_hat), (report.x[:, 0], whole.u),
+                          (qq.y, whole.qq_empirical), (qq.x[:, 0], whole.qq_theoretical),
+                          (summary["mean_nll"], whole.mean_nll),
+                          (summary["ks_statistic"], whole.ks_statistic)):
+            np.testing.assert_array_equal(got, want)
 
-    def test_shortest_interval_equals_one_block(self, monkeypatch):
-        _, params = _link_box_rows(self.N, 31)
-        blocked = shortest_interval(params, 0.05)
-        monkeypatch.setattr(evaluate, "BLOCK", self.N)
-        for got, want in zip(blocked, shortest_interval(params, 0.05), strict=True):
+    def test_shortest_interval_equals_one_block(self, monkeypatch, row_model, tmp_path):
+        y, params = _link_box_rows(self.N, 31)
+        whole = shortest_interval(params, 0.05)
+        assert score_rows(monkeypatch, row_model, tmp_path, "intervals", y, params,
+                          "--variant", "shortest") == 0
+        written = load_csv(tmp_path / "out", "y", ["lower", "upper", "gamma"])
+        for got, want in zip(written.x.T, whole, strict=True):
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("g, h, z_tilde, why", [
         (-0.5, 0.0, 10.0, "outside tau's one-sided support"),
         (0.0, 1e-300, 1e300, "no bracket"),
     ], ids=["outside_support", "no_bracket"])
-    def test_residual_error_names_the_whole_array_row(self, monkeypatch, g, h, z_tilde, why):
+    def test_residual_error_names_the_whole_array_row(self, monkeypatch, capsys, row_model,
+                                                      tmp_path, g, h, z_tilde, why):
         # the failing block's error carries its row, and tgh.by_blocks shifts it
         # by the block's start: no block after it, and no whole-array solve
         y, params = _link_box_rows(self.N, 32)
@@ -154,23 +194,21 @@ class TestScoringBlocks:
         fields[2][self.BAD], fields[3][self.BAD] = g, h
         y[self.BAD] = fields[0][self.BAD] + fields[1][self.BAD] * z_tilde
         params = TghParams(*fields)
+        with pytest.raises(SolverError, match=why) as whole:
+            residuals(y, params)
         solved, inner = [], tgh.tau_inverse
         monkeypatch.setattr(tgh, "tau_inverse", lambda zt, *a: solved.append(len(zt))
                             or inner(zt, *a))
-        with pytest.raises(SolverError, match=why) as blocked:
-            residuals(y, params)
+        assert score_rows(monkeypatch, row_model, tmp_path, "evaluate", y, params) == 4
         assert solved == [evaluate.BLOCK, evaluate.BLOCK]
-        assert blocked.value.row == (self.BAD,)
-        monkeypatch.setattr(evaluate, "BLOCK", self.N)
-        with pytest.raises(SolverError) as whole:
-            residuals(y, params)
-        assert f"at sample index {self.BAD}:" in str(blocked.value)
-        assert str(blocked.value) == str(whole.value)
+        assert f"at sample index {self.BAD}:" in str(whole.value)
+        assert capsys.readouterr().err == f"numerical failure: {whole.value}\n"
 
-    def test_the_first_failing_block_names_its_row(self, monkeypatch):
+    def test_the_first_failing_block_names_its_row(self, monkeypatch, capsys, row_model,
+                                                    tmp_path):
         # Row 100 (first block) has no bracket, row BAD (second block) lies
         # outside tau's support.  By blocks the first block's error is
-        # raised; one piece raises the check that runs first over every
+        # raised; one call raises the check that runs first over every
         # row, the support check, at row BAD.
         y, params = _link_box_rows(self.N, 34)
         fields = [np.array(f) for f in (params.mu, params.sigma, params.g, params.h)]
@@ -178,30 +216,35 @@ class TestScoringBlocks:
             fields[2][row], fields[3][row] = g, h
             y[row] = fields[0][row] + fields[1][row] * z_tilde
         params = TghParams(*fields)
-        with pytest.raises(SolverError, match="no bracket .* at sample index 100:") as blocked:
-            residuals(y, params)
-        assert blocked.value.row == (100,)
-        monkeypatch.setattr(evaluate, "BLOCK", self.N)
+        assert score_rows(monkeypatch, row_model, tmp_path, "evaluate", y, params) == 4
+        assert re.fullmatch(r"numerical failure: no bracket .* at sample index 100: .*\n",
+                            capsys.readouterr().err)
         with pytest.raises(SolverError, match=f"at sample index {self.BAD}: .*support"):
             residuals(y, params)
 
-    def test_shortest_interval_row_the_search_cannot_settle(self, monkeypatch):
+    def test_shortest_interval_row_the_search_cannot_settle(self, monkeypatch, capsys,
+                                                            row_model, tmp_path):
         # at h = 1e308 the density overflows at every gamma, so the gap is NaN
         # and the search cannot narrow its bracket: the row raises, named by
-        # its whole-array index, in its block as in one piece.  (At h = 1e300
-        # the search settles at gamma = alpha/2, and the interval is
-        # (-inf, inf) because the quantile overflows.)
-        _, params = _link_box_rows(self.N, 33)
+        # its whole-array index, in the pass's block as in one call, and a
+        # 0-d search names no index.  (At h = 1e300 the search settles at
+        # gamma = alpha/2, and the interval is (-inf, inf) because the
+        # quantile overflows.)
+        y, params = _link_box_rows(self.N, 33)
         h = np.array(params.h)
         h[self.BAD] = 1e308
         params = TghParams(params.mu, params.sigma, params.g, h)
         match = rf"did not stop in 100 steps at sample index {self.BAD}: .*h=1e\+308$"
-        with np.errstate(over="ignore"), pytest.raises(SolverError, match=match) as blocked:
+        with np.errstate(over="ignore"), pytest.raises(SolverError, match=match) as whole:
             shortest_interval(params, 0.05)
-        monkeypatch.setattr(evaluate, "BLOCK", self.N)
-        with np.errstate(over="ignore"), pytest.raises(SolverError) as whole:
-            shortest_interval(params, 0.05)
-        assert str(blocked.value) == str(whole.value)
+        with np.errstate(over="ignore"):
+            assert score_rows(monkeypatch, row_model, tmp_path, "intervals", y, params,
+                              "--variant", "shortest") == 4
+        assert capsys.readouterr().err == f"numerical failure: {whole.value}\n"
+        point = TghParams(0.0, 1.0, float(params.g[self.BAD]), 1e308)
+        with np.errstate(over="ignore"), pytest.raises(SolverError) as one:
+            shortest_interval(point, 0.05)
+        assert str(one.value) == str(whole.value).replace(f" at sample index {self.BAD}", "")
 
     def test_shortest_interval_at_huge_h_warns_nothing(self):
         # the search's two end passes run under its errstate, as its steps
@@ -226,34 +269,48 @@ class TestScoringBlocks:
         for got_v, want_v in zip(got, want, strict=True):
             np.testing.assert_array_equal(np.delete(got_v, self.BAD), np.delete(want_v, self.BAD))
 
-    def test_shortest_interval_memory_is_its_output(self):
-        # over 200k rows the one-piece search's full-width temporaries
-        # peaked 55 MiB above its 4.6 MiB output; by blocks, 1.3 MiB above
-        _, params = _link_box_rows(200_000, 34)
+    def test_shortest_interval_memory_is_its_output(self, monkeypatch, row_model, tmp_path):
+        # a call searches the rows it is given at once (over 16k rows its
+        # temporaries peak about 4.5 MiB above its output); the intervals
+        # pass gives it one block of rows at a time, each call peaking
+        # about 1.2 MiB above the heap it starts on
+        y, params = _link_box_rows(4 * evaluate.BLOCK, 34)
+        rises, inner = [], evaluate.shortest_interval
+
+        def traced(p, alpha):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            iv = inner(p, alpha)
+            rises.append((len(p.mu), tracemalloc.get_traced_memory()[1] - start))
+            return iv
+
+        monkeypatch.setattr(evaluate, "shortest_interval", traced)
         tracemalloc.start()
         try:
-            iv = shortest_interval(params, 0.05)
-            peak = tracemalloc.get_traced_memory()[1]
+            assert score_rows(monkeypatch, row_model, tmp_path, "intervals", y, params,
+                              "--variant", "shortest") == 0
         finally:
             tracemalloc.stop()
-        returned = sum(v.nbytes for v in iv)
-        assert peak < returned + 2 * 2 ** 20
+        assert [n for n, _ in rises] == [evaluate.BLOCK] * 4
+        assert max(rise for _, rise in rises) < 2 * 2 ** 20
 
     def test_residuals_memory_is_its_output(self):
         # over 200k rows the one-piece QQ and KS passes (positions, indices,
         # differences) peaked 9.7 MiB above the arrays they return; by
         # blocks of ranks, 0.4 MiB above.  The summaries are read in
-        # evaluate's order, the KS distance before the QQ pairs
+        # evaluate's order, the KS distance before the QQ pairs, from a
+        # report made untraced (a direct call solves its rows in one piece;
+        # the scoring pass bounds that memory by its blocks)
         y, params = _link_box_rows(200_000, 35)
+        report = residuals(y, params)
         tracemalloc.start()
         try:
-            report = residuals(y, params)
             summaries = report.mean_nll, report.ks_statistic
             qq = report.qq_theoretical, report.qq_empirical
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = sum(v.nbytes for v in (*report, *qq))
+        held = sum(v.nbytes for v in qq)
         assert np.isfinite(summaries).all()
         assert peak < held + 2 * 2 ** 20
 
@@ -361,17 +418,23 @@ class TestShortestInterval:
         assert iv.lower == pytest.approx(quantile(0.25, TghParams(0.0, 1.0, 0.0, 0.0)), abs=1e-5)
         assert iv.upper == pytest.approx(quantile(0.75, TghParams(0.0, 1.0, 0.0, 0.0)), abs=1e-5)
 
-    @pytest.mark.parametrize("interval", [symmetric_interval, shortest_interval],
-                             ids=["symmetric", "shortest"])
+    @pytest.mark.parametrize("interval", [symmetric_interval, shortest_interval,
+                                          lambda params, _: residuals(0.5, params)],
+                             ids=["symmetric", "shortest", "residuals"])
     def test_any_parameter_shape(self, interval):
-        # (2, 3) parameters give, bitwise, the 1-D results of the same six rows
+        # (2, 3) parameters give, bitwise, the 1-D results of the same six
+        # rows, and 0-d parameters the results of one row
         rng = np.random.default_rng(20)
         fields = (rng.normal(size=(2, 3)), rng.uniform(0.3, 2.0, 3),
                   rng.uniform(-1.0, 1.0, (2, 3)), rng.uniform(0.0, 0.5, (2, 1)))
         grid = interval(TghParams(*fields), 0.05)
         rows = interval(TghParams(*(np.broadcast_to(f, (2, 3)).ravel() for f in fields)), 0.05)
-        for got, want in zip(grid, rows):
+        for got, want in zip(grid, rows, strict=True):
             assert got.shape == (2, 3) and got.ravel().tobytes() == want.tobytes()
+        point = [float(np.broadcast_to(f, (2, 3))[1, 2]) for f in fields]
+        one = interval(TghParams(*(np.array([v]) for v in point)), 0.05)
+        for got, want in zip(interval(TghParams(*point), 0.05), one, strict=True):
+            assert np.shape(got) == () and np.float64(got).tobytes() == want.tobytes()
 
     def test_exact_coverage_at_any_gamma(self):
         # mass between the interval's z-levels is (1 - gamma) - (alpha - gamma)

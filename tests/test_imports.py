@@ -127,7 +127,8 @@ def test_small_g_is_read_only_by_the_two_kernels():
 
 
 def test_only_tgh_ret_tests_for_scalars():
-    # a result is a float because it is 0-d: no function inspects its inputs
+    # a result is a float because it is 0-d: no function inspects its inputs,
+    # by a call or by passing np.ndim or np.atleast_1d on, as to map
     offenders = []
     for module in ("tgh", "loss", "evaluate"):
         tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
@@ -135,7 +136,7 @@ def test_only_tgh_ret_tests_for_scalars():
         inside = {id(n) for f in ret for n in ast.walk(f)}
         offenders += [
             f"{module}.py:{n.lineno}" for n in ast.walk(tree) if id(n) not in inside and (
-                isinstance(n, ast.Call) and ast.unparse(n.func) in ("np.ndim", "np.atleast_1d")
+                isinstance(n, ast.Attribute) and ast.unparse(n) in ("np.ndim", "np.atleast_1d")
                 or getattr(n, "id", getattr(n, "name", None)) == "_is_scalar")]
         assert (module == "tgh") == (len(ret) == 1)
     assert offenders == []
@@ -202,12 +203,13 @@ def _nodes_by_function():
 
 def test_one_row_block_loop_and_no_repeat_call_on_a_solver_error():
     # rows are cut into blocks by tgh.by_blocks alone, besides csv_writer's
-    # writes and train's batches (a countdown range is no block loop); the
-    # five scoring passes go through it, the scoring commands' one pass of
-    # predict, score and write included, and the QQ and KS passes by rank
-    # through _by_rank; and a handler that can catch a
-    # SolverError calls nothing, so a failed call is never run again (cli.main
-    # alone prints one)
+    # writes and train's batches (a countdown range is no block loop); each
+    # scoring pass has one block loop at its top: the scoring commands' one
+    # pass of predict, score and write (residuals and the intervals score
+    # the rows they are given), the forward's chunks, the validation loss,
+    # density, and the QQ and KS passes by rank through _by_rank; and a
+    # handler that can catch a SolverError calls nothing, so a failed call is
+    # never run again (cli.main alone prints one)
     loops, callers, handler_calls = set(), set(), []
     for name, n in _nodes_by_function():
         if (isinstance(n, ast.Call) and getattr(n.func, "id", None) == "range"
@@ -221,7 +223,6 @@ def test_one_row_block_loop_and_no_repeat_call_on_a_solver_error():
                 handler_calls += [name for c in ast.walk(n) if isinstance(c, ast.Call)]
     assert loops == {"tgh.py:by_blocks", "data.py:csv_writer", "nn/train.py:train"}
     assert callers == {"cli.py:_score_split", "nn/persist.py:ModelBundle.predict_params",
-                       "nn/train.py:evaluate_mean_loss", "evaluate.py:residuals",
-                       "evaluate.py:shortest_interval", "evaluate.py:density_curve",
+                       "nn/train.py:evaluate_mean_loss", "evaluate.py:density_curve",
                        "evaluate.py:_by_rank"}
     assert handler_calls == []

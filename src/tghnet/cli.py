@@ -40,7 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset CSV")
     p.add_argument("--design", required=True, choices=("gandh", "student_t"))
-    p.add_argument("--curves", default="reference", help="registry name of the curve set")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output CSV path")
@@ -80,8 +79,9 @@ def _score_split(args, out, names, score, out_dir=None):
     """evaluate's and intervals' one pass over the --split rows of --data, by
     blocks: score(y, params, solver) gives (columns, kept); y and the columns
     go to the CSV at out, headed names (out_dir is made and out opened after
-    the load and split checks).  Returns the header, x, y and the joined kept
-    arrays.  An error at a row names its --data row, counting dropped rows."""
+    the load and split checks).  Returns the header, x, the row count and the
+    joined kept arrays.  An error at a row names its --data row, counting
+    dropped rows."""
     from .data import csv_writer, load_csv
     from .evaluate import BLOCK
     from .nn import load_model
@@ -107,28 +107,25 @@ def _score_split(args, out, names, score, out_dir=None):
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     with row_map(data_rows), csv_writer(out, names) as write:
-        return header, x, y, by_blocks(block, BLOCK, x, y)
+        return header, x, len(y), by_blocks(block, BLOCK, x, y)
 
 
 def cmd_simulate(args) -> None:
     from . import synth
     from .data import write_csv, write_json
 
-    registry, generate = {
-        "gandh": (synth.GANDH_DESIGNS, synth.generate_gandh),
-        "student_t": (synth.STUDENT_T_DESIGNS, synth.generate_student_t),
+    design, generate = {
+        "gandh": (synth.REFERENCE_GANDH, synth.generate_gandh),
+        "student_t": (synth.REFERENCE_STUDENT_T, synth.generate_student_t),
     }[args.design]
-    if args.curves not in registry:
-        raise UsageError(f"unknown curve set {args.curves!r} for design {args.design!r}")
     if not 1 <= args.n <= MAX_SIMULATE_ROWS:
         raise UsageError(f"--n must lie in [1, {MAX_SIMULATE_ROWS}]")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
-    ds = generate(args.n, registry[args.curves], args.seed)
+    ds = generate(args.n, design, args.seed)
     write_csv(args.out, {"x": ds.x, "y": ds.y, **ds.true_values})
     write_json(f"{args.out}.json", {
         "design": args.design,
-        "curves": args.curves,
         "n": args.n,
         "seed": args.seed,
         "columns": ["x", "y", *ds.true_values],
@@ -199,7 +196,7 @@ def cmd_evaluate(args) -> None:
     from .evaluate import (ResidualReport, binned_residual_summary, coverage_table,
                            ks_critical_value, residuals)
 
-    header, x, y, report = _score_split(
+    header, x, n, report = _score_split(
         args, os.path.join(args.out, "report.csv"), ("y", "mu", "sigma", "g", "h", "z_hat", "u"),
         lambda y, p, solver: (
             (p.mu, p.sigma, p.g, p.h, (r := residuals(y, p, solver)).z_hat, r.u), r),
@@ -208,10 +205,10 @@ def cmd_evaluate(args) -> None:
     edges, means, counts = binned_residual_summary(x[:, 0], report.u)
     del x  # read by the binned summary alone
     summary = {
-        "n": len(y),
+        "n": n,
         "mean_nll": report.mean_nll,
         "ks_statistic": report.ks_statistic,
-        "ks_critical_1pct": ks_critical_value(len(y), 0.01),
+        "ks_critical_1pct": ks_critical_value(n, 0.01),
         "z_hat_mean": float(np.mean(report.z_hat)),
         "z_hat_var": float(np.var(report.z_hat)),
         "split": args.split,
@@ -231,7 +228,7 @@ def cmd_evaluate(args) -> None:
 
         render_plot(args.svg, [(*qq, "residuals"), (qq[0], qq[0], "ideal")],
                     title="residual QQ", xlabel="normal quantile", ylabel="empirical")
-    print(f"evaluated {len(y)} rows: mean NLL {summary['mean_nll']:.6f}, "
+    print(f"evaluated {n} rows: mean NLL {summary['mean_nll']:.6f}, "
           f"KS {summary['ks_statistic']:.6f}")
 
 
@@ -246,7 +243,7 @@ def cmd_intervals(args) -> None:
     except ValueError as exc:
         raise UsageError(f"--alpha: {exc}") from None
     interval = symmetric_interval if args.variant == "symmetric" else shortest_interval
-    _, _, y, (inside, length) = _score_split(
+    _, _, n, (inside, length) = _score_split(
         args, args.out, ("y", "lower", "upper", "gamma"),
         lambda y, p, _: ((iv := interval(p, args.alpha)),
                          ((y >= iv.lower) & (y <= iv.upper), iv.upper - iv.lower)))
@@ -255,11 +252,11 @@ def cmd_intervals(args) -> None:
         "alpha": args.alpha,
         "variant": args.variant,
         "split": args.split,
-        "n": len(y),
+        "n": n,
         "coverage": coverage,
         "mean_length": float(np.mean(length)),
     })
-    print(f"{args.variant} {1 - args.alpha:.0%} intervals on {len(y)} rows: "
+    print(f"{args.variant} {1 - args.alpha:.0%} intervals on {n} rows: "
           f"coverage {coverage:.4f}")
 
 

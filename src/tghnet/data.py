@@ -240,7 +240,8 @@ def csv_writer(path, names):
             raise DataError("all columns must have one shape, one per name")
         for start in range(0, arrays[0].size, _WRITE_BLOCK):
             cells = (map(repr, a.flat[start:start + _WRITE_BLOCK].tolist()) for a in arrays)
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+            fh.write("\r\n".join(map(",".join, zip(*cells))))
+            fh.write("\r\n")
 
     fh = open(path, "w", encoding="utf-8", newline="")
     try:

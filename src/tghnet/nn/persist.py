@@ -17,11 +17,10 @@ A ModelBundle is its ModelHeader plus a Network of the header's shape,
 ModelHeader.spec.  save_model writes asdict of the header, and additionally
 ``<path>.json`` with the same header, pretty-printed, for inspection;
 load_model keeps the header that config.read returns.  The writer is
-deterministic: identical bundles produce identical bytes.  Formats 1
-and 2 also held a b after each batch-norm W; load_model stores
-running_mean - b instead, and fl(rm - b) = -fl(b - rm) keeps their scores.
-Format 1 wrote the network as its list of layers; load_model reads such a
-file when the list is the one format 1 wrote for the header's spec.
+deterministic: identical bundles produce identical bytes.  Format 2
+also held a b after each batch-norm W; load_model stores running_mean - b
+instead, and fl(rm - b) = -fl(b - rm) keeps its scores.  A format-1 file
+is refused as an unsupported version.
 """
 
 from __future__ import annotations
@@ -139,16 +138,8 @@ def save_model(path, bundle: ModelBundle) -> None:
     write_json(f"{path}.json", header)
 
 
-def _format_1_network(spec: NetworkSpec) -> dict:
-    """The header's network object as format 1 wrote it for spec."""
-    return {"head_dim": spec.head_dim, "late_features": spec.late_features, "layers": [
-        {"activation": "relu" if i < len(spec.hidden) else "identity",
-         "batch_norm": spec.batch_norm and i < len(spec.hidden), "in_dim": n_in, "out_dim": n_out}
-        for i, (n_in, n_out) in enumerate(spec.layer_dims())]}
-
-
 def load_model(path) -> ModelBundle:
-    """Read a model file written by save_model, of this format or of format 1 or 2.
+    """Read a model file written by save_model, of this format or of format 2.
 
     A file that cannot be opened raises DataError; so does a damaged or
     truncated file, or one whose blob holds a non-finite value, naming the
@@ -164,7 +155,7 @@ def load_model(path) -> ModelBundle:
     if len(blob) < 12:
         raise DataError(f"{path}: truncated at byte {len(blob)}, inside the 12-byte preamble")
     version, hlen = struct.unpack_from("<II", blob, 4)
-    if version not in (1, 2, FORMAT_VERSION):
+    if version not in (2, FORMAT_VERSION):
         raise DataError(f"{path}: unsupported model format version {version}")
     offset = 12 + hlen
     if len(blob) < offset:
@@ -173,16 +164,7 @@ def load_model(path) -> ModelBundle:
     from ..config import read  # config imports nn
 
     try:
-        obj = json.loads(blob[12:offset].decode("utf-8"))
-        if version == 1:  # the network as its list of layers, the head last
-            written, hidden = obj["network"], obj["network"]["layers"][:-1]
-            obj = dict(obj, network={"hidden": [layer["out_dim"] for layer in hidden],
-                                     "batch_norm": all(layer["batch_norm"] for layer in hidden)})
-        header = read(ModelHeader, obj, "header")
-        # json.dumps tells true from 1 and 2 from 2.0, where == does not
-        if version == 1 and (json.dumps(_format_1_network(header.spec), sort_keys=True)
-                             != json.dumps(written, sort_keys=True)):
-            raise ConfigError("header.network: not the layers format 1 wrote for this header")
+        header = read(ModelHeader, json.loads(blob[12:offset].decode("utf-8")), "header")
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataError(f"{path}: bad header at byte 12: {exc!r}") from exc
 
@@ -197,7 +179,7 @@ def load_model(path) -> ModelBundle:
     net = Network(spec, seed=None)  # every value is read below: no draw
     if size == spec.state_size:
         net.state[...] = stored
-    else:  # formats 1 and 2: a b after each batch-norm W, folded into running_mean
+    else:  # format 2: a b after each batch-norm W, folded into running_mean
         at, b_at = 0, []
         for w, *_ in net.layers[:-1]:
             b_at.append(at + w.size + np.arange(w.shape[1]))

@@ -2,8 +2,8 @@
 
 Two generators: a well-specified design whose target is g-and-h
 distributed given x, and a misspecified design whose target is student-t
-distributed given x.  The curve sets live in small registries keyed by
-name; "reference" is the default design of this package:
+distributed given x.  The simulate command draws from the reference
+designs, REFERENCE_GANDH and REFERENCE_STUDENT_T:
 
     mu(x)    = sin(2*pi*x)
     sigma(x) = 0.5 + 0.4*cos(2*pi*x)^2
@@ -65,19 +65,8 @@ def _ref_nu(x):
     return 3.0 + 1.5 * x
 
 
-GANDH_DESIGNS: dict[str, GandhDesign] = {
-    "reference": GandhDesign(_ref_mu, _ref_sigma, _ref_g, _ref_h),
-    "constant_normal": GandhDesign(
-        lambda x: np.zeros_like(x),
-        lambda x: np.ones_like(x),
-        lambda x: np.zeros_like(x),
-        lambda x: np.zeros_like(x),
-    ),
-}
-
-STUDENT_T_DESIGNS: dict[str, StudentTDesign] = {
-    "reference": StudentTDesign(_ref_mu, _ref_sigma, _ref_nu),
-}
+REFERENCE_GANDH = GandhDesign(_ref_mu, _ref_sigma, _ref_g, _ref_h)
+REFERENCE_STUDENT_T = StudentTDesign(_ref_mu, _ref_sigma, _ref_nu)
 
 
 @dataclass(frozen=True)

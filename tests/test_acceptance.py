@@ -20,7 +20,7 @@ from tghnet.data import ByColumnSplit, Dataset, load_csv, write_csv
 from tghnet.evaluate import shortest_interval, symmetric_interval
 from tghnet.loss import gaussian_nll_and_grad, link, nll_and_grad, tukey_head_loss
 from tghnet.nn import Network, NetworkSpec, load_model
-from tghnet.synth import GANDH_DESIGNS, generate_gandh
+from tghnet.synth import REFERENCE_GANDH, generate_gandh
 from tghnet.tgh import InverseSolverConfig, ShapeParams, TghParams, tau, tau_inverse
 
 TIGHT = InverseSolverConfig(abs_tolerance=1e-15)
@@ -245,7 +245,7 @@ def test_criterion_4_well_specified_recovery(gandh_run):
     rows = rule.apply(dataset)["val"]
     x_val = dataset.x[rows][:, 0]
     y_val = dataset.y[rows]
-    design = GANDH_DESIGNS["reference"]
+    design = REFERENCE_GANDH
     true_params = TghParams(
         design.mu(x_val), design.sigma(x_val), design.g(x_val), design.h(x_val)
     )
@@ -275,7 +275,7 @@ def test_criterion_5_misspecification_win(t_run):
 @pytest.mark.acceptance(6, "interval calibration")
 def test_criterion_6_interval_calibration(gandh_run):
     bundle = load_model(gandh_run["model"])
-    held_out = generate_gandh(8000, GANDH_DESIGNS["reference"], seed=99)
+    held_out = generate_gandh(8000, REFERENCE_GANDH, seed=99)
     params = bundle.predict_params(held_out.x[:, None])
 
     sym = symmetric_interval(params, 0.05)

@@ -36,22 +36,6 @@ from tghnet.tgh import InverseSolverConfig
 
 TIGHT = InverseSolverConfig(abs_tolerance=1e-15)
 
-# the header format-1 save_model wrote for TestPersistence._bundle()
-FORMAT_1_HEADER = (
-    '{"data": {"feature_columns": ["lat", "lon", "year"], "late_columns": ["year"], '
-    '"standardization": {"columns": ["lat", "lon", "year"], '
-    '"mean": [1.0, 2.0, 2000.0], "scale": [3.0, 4.0, 10.0]}, "target_column": "y"}, '
-    '"format": 1, "link": {"g_max": 2.0, "h_max": 0.5, "sigma_floor": 0.0001}, '
-    '"loss": "tukey", "network": {"head_dim": 4, "late_features": 1, "layers": ['
-    '{"activation": "relu", "batch_norm": true, "in_dim": 2, "out_dim": 6}, '
-    '{"activation": "relu", "batch_norm": true, "in_dim": 7, "out_dim": 5}, '
-    '{"activation": "identity", "batch_norm": false, "in_dim": 5, "out_dim": 4}]}, '
-    '"solver": {"abs_tolerance": 1e-12, "initial_half_width": 8.0, '
-    '"max_bisection_iters": 200, "max_bracket_doublings": 60}, '
-    '"split_rule": {"fraction": 0.8, "rule": "fraction", "seed": 0}}'
-)
-
-
 class TestSpecs:
     def test_dense_spec_shapes(self):
         spec = NetworkSpec(3, (8, 6), head_dim=4, late_features=1)
@@ -512,7 +496,7 @@ FORMAT_2_FILE = Path(__file__).parent / "data" / "format2_bn.tghn"
 
 
 def _format_2_layers(raw: bytes, spec: NetworkSpec) -> list[list[np.ndarray]]:
-    """Per layer, views into a writable copy of a format 1 or 2 file's blob:
+    """Per layer, views into a writable copy of a format-2 file's blob:
     w, b, then for a batch-norm layer gamma, beta, running_mean, running_var."""
     blob = np.frombuffer(raw, "<f8", offset=12 + int.from_bytes(raw[8:12], "little")).copy()
     at, layers = 0, []
@@ -532,7 +516,7 @@ def _format_2_layers(raw: bytes, spec: NetworkSpec) -> list[list[np.ndarray]]:
 
 
 def _format_2_forward(layers, spec: NetworkSpec, x):
-    """The eval forward as formats 1 and 2 ran it, with the fold
+    """The eval forward as format 2 ran it, with the fold
     (b - running_mean) * s + beta."""
     base, h = spec.base_features, x[:, :spec.base_features]
     for i, (w, b, *bn) in enumerate(layers):
@@ -857,27 +841,16 @@ def _bundle_of(net, loss, columns, late_columns=(), standardization=None, split_
                                    data, split_rule), net)
 
 
-def _format_1_network(n_features, hidden, head_dim, late=0, batch_norm=True):
-    """The header's network object as format 1 wrote it: one entry per layer,
-    the late columns widening the input of the last hidden layer."""
-    outs = [*hidden, head_dim]
-    ins = [n_features - late, *hidden]
-    ins[len(hidden) - 1] += late
-    return {"head_dim": head_dim, "late_features": late, "layers": [
-        {"activation": "relu" if i < len(hidden) else "identity",
-         "batch_norm": batch_norm and i < len(hidden), "in_dim": n_in, "out_dim": n_out}
-        for i, (n_in, n_out) in enumerate(zip(ins, outs))]}
-
-
-def _write_format_1(path, header: dict, blob: bytes):
-    """A model file of format 1 with the given header object and blob."""
+def _write_format(path, version: int, header: dict, blob: bytes):
+    """A model file of the given format version, header object and blob."""
     encoded = json.dumps(header, sort_keys=True).encode()
-    path.write_bytes(b"TGHN" + (1).to_bytes(4, "little") + len(encoded).to_bytes(4, "little")
+    path.write_bytes(b"TGHN" + version.to_bytes(4, "little") + len(encoded).to_bytes(4, "little")
                      + encoded + blob)
 
 
 def _format_header(version):
-    """The header save_model wrote for TestPersistence._bundle() in format 2 or 3."""
+    """The header save_model wrote for TestPersistence._bundle() in format 2 or
+    3, with version as its format key."""
     return (
         '{"data": {"feature_columns": ["lat", "lon", "year"], "late_columns": ["year"], '
         '"standardization": {"columns": ["lat", "lon", "year"], '
@@ -938,13 +911,14 @@ class TestPersistence:
         x = np.random.default_rng(5).normal(size=(10, 3))
         np.testing.assert_array_equal(loaded.forward(x), other.forward(x))
 
-    def test_header_bytes_are_format_1(self, tmp_path, format_2_blob):
-        # the header format-1 save_model wrote for this bundle still loads
+    def test_format_1_header_bytes_are_refused(self, tmp_path, format_2_blob):
+        # format 1 wrote the network as its list of layers; a file of it, even
+        # one with a header that format 2 could read, is refused by its version
         bundle = self._bundle()
         path = tmp_path / "model.tghn"
-        _write_format_1(path, json.loads(FORMAT_1_HEADER), format_2_blob(bundle.network))
-        assert path.read_bytes()[12:12 + len(FORMAT_1_HEADER)].decode() == FORMAT_1_HEADER
-        _assert_same_bundle(load_model(path), bundle)
+        _write_format(path, 1, json.loads(_format_header(1)), format_2_blob(bundle.network))
+        with pytest.raises(DataError, match="model.tghn: unsupported model format version 1$"):
+            load_model(path)
 
     def test_header_bytes_are_format_2(self, tmp_path, format_2_blob):
         # the header format-2 save_model wrote for this bundle still loads
@@ -988,10 +962,12 @@ class TestPersistence:
             want, got = bundle.predict_params(x), loaded.predict_params(x)
             for name in ("mu", "sigma", "g", "h"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-            old = dict(asdict(header), format=1, network=_format_1_network(
-                n, hidden, 4 if loss == "tukey" else 2, late, batch_norm))
-            _write_format_1(path, old, format_2_blob(bundle.network))
+            old = dict(asdict(header), format=2)
+            _write_format(path, 2, old, format_2_blob(bundle.network))
             _assert_same_bundle(load_model(path), bundle)
+            _write_format(path, 1, dict(old, format=1), format_2_blob(bundle.network))
+            with pytest.raises(DataError, match="unsupported model format version 1$"):
+                load_model(path)
 
     def test_sidecar_json_written(self, tmp_path):
         path = tmp_path / "model.tghn"
